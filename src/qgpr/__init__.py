@@ -6,7 +6,6 @@ that estimates the GPR linear predictor and predictive variance, validated
 against an exact classical oracle.
 """
 
-from ._accel import backend_name, set_backend, use_backend
 from .classical import CholeskyFactor, Prediction, cg_solve, cholesky, dense_inverse, predict_exact
 from .estimator import (
     BilinearSpec,

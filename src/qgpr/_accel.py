@@ -1,53 +1,15 @@
-"""Low-level statevector kernels with two interchangeable backends.
-
-Every circuit operation in :mod:`qgpr.statevector` funnels into three
-primitives on a flat complex amplitude array:
-
-  * ``apply_matrix``  -- apply a dense matrix to a set of target qubits,
-    optionally restricted to basis states where control qubits match;
-  * ``phase_mul``     -- multiply amplitudes by a phase looked up from the
-    joint value of two qubit blocks (clock value, eigenvector index);
-  * ``pair_rot``      -- real rotation of one qubit with an angle indexed by
-    the value of a qubit block (uniformly controlled Ry).
-
-Each primitive has a numba ``@njit`` implementation (bit-twiddling loops over
-the flat array) and a pure-numpy implementation (reshape/broadcast). Scalar
-loops only beat BLAS while the applied matrix is tiny, so the numba backend
-keeps its kernels for gates up to two qubits and hands wider matrix
-applications to the numpy path (see ``benchmarks/bench_backends.py``). The
-active backend is chosen from the ``QGPR_BACKEND`` environment variable:
-
-  * ``auto``  (default) -- numba when importable, numpy otherwise;
-  * ``numba`` -- require numba, fail loudly if missing;
-  * ``numpy`` -- force the pure-numpy path.
-
-``set_backend``/``use_backend`` switch at runtime (used by the parity tests
-and by ``benchmarks/bench_backends.py``).
+"""Low-level statevector kernels on a flat complex amplitude array.
 
 Qubit positions are axis indices of the ``(2,)*m`` reshape of the amplitude
 array: position 0 is the most significant bit of the basis index. All
-primitives mutate ``amps`` in place; callers own the buffer.
+kernels mutate ``amps`` in place; callers own the buffer.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from contextlib import contextmanager
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAS_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
 
 
 def _ctl_subview(psi, controls):
@@ -65,7 +27,8 @@ def _ctl_subview(psi, controls):
     return psi[tuple(idx)], remap
 
 
-def _apply_matrix_np(amps, mat, tpos, m, controls):
+def apply_matrix(amps, mat, tpos, m, controls=()):
+    """In place: ``amps <- (controls ? mat : id)(amps)`` on target qubits ``tpos``."""
     psi = amps.reshape((2,) * m)
     sub, remap = _ctl_subview(psi, controls)
     axes = [remap(p) for p in tpos]
@@ -76,7 +39,12 @@ def _apply_matrix_np(amps, mat, tpos, m, controls):
     moved[...] = out.reshape(shape)
 
 
-def _phase_mul_np(amps, table, cstart, cwidth, tstart, twidth, m, controls):
+def phase_mul(amps, table, cstart, cwidth, tstart, twidth, m, controls=()):
+    """In place: multiply each amplitude by ``table[clock value, target value]``.
+
+    ``cstart``/``tstart`` are the positions of the most significant qubit of
+    each (contiguous) block; ``table`` has shape ``(2**cwidth, 2**twidth)``.
+    """
     psi = amps.reshape((2,) * m)
     sub, remap = _ctl_subview(psi, controls)
     c0, t0 = remap(cstart), remap(tstart)
@@ -90,7 +58,12 @@ def _phase_mul_np(amps, table, cstart, cwidth, tstart, twidth, m, controls):
     sub *= block.reshape(shape)
 
 
-def _pair_rot_np(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls):
+def pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls=()):
+    """In place: rotate qubit ``apos`` by the angle indexed by the clock block.
+
+    Maps ``|0> -> cos|0> + sin|1>`` and ``|1> -> -sin|0> + cos|1>`` with
+    ``cos = cos_t[k]``, ``sin = sin_t[k]`` for clock value ``k``.
+    """
     psi = amps.reshape((2,) * m)
     sub, remap = _ctl_subview(psi, controls)
     aax = remap(apos)
@@ -110,168 +83,3 @@ def _pair_rot_np(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls):
     a1 *= cos_nd
     a1 += sin_nd * a0  # a0 untouched until the next line
     a0[...] = new0
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _apply_matrix_nb(amps, mat, shifts, cmask, cval):  # pragma: no cover
-        dim = mat.shape[0]
-        nt = shifts.shape[0]
-        tmask = 0
-        for j in range(nt):
-            tmask |= 1 << shifts[j]
-        offs = np.zeros(dim, np.int64)
-        for b in range(dim):
-            o = 0
-            for j in range(nt):
-                if (b >> (nt - 1 - j)) & 1:
-                    o |= 1 << shifts[j]
-            offs[b] = o
-        buf = np.empty(dim, np.complex128)
-        for i in range(amps.shape[0]):
-            if (i & tmask) != 0 or (i & cmask) != cval:
-                continue
-            for b in range(dim):
-                buf[b] = amps[i + offs[b]]
-            for a in range(dim):
-                acc = 0.0 + 0.0j
-                for b in range(dim):
-                    acc += mat[a, b] * buf[b]
-                amps[i + offs[a]] = acc
-
-    @njit(cache=True)
-    def _phase_mul_nb(amps, table, cshift, cbits, tshift, tbits, cmask, cval):  # pragma: no cover
-        cm = (1 << cbits) - 1
-        tm = (1 << tbits) - 1
-        for i in range(amps.shape[0]):
-            if (i & cmask) != cval:
-                continue
-            amps[i] *= table[(i >> cshift) & cm, (i >> tshift) & tm]
-
-    @njit(cache=True)
-    def _pair_rot_nb(amps, cos_t, sin_t, kshift, kbits, abit, cmask, cval):  # pragma: no cover
-        km = (1 << kbits) - 1
-        for i in range(amps.shape[0]):
-            if (i & abit) != 0 or (i & cmask) != cval:
-                continue
-            k = (i >> kshift) & km
-            c, s = cos_t[k], sin_t[k]
-            j = i | abit
-            a0, a1 = amps[i], amps[j]
-            amps[i] = c * a0 - s * a1
-            amps[j] = s * a0 + c * a1
-
-
-# ---------------------------------------------------------------------------
-# backend selection and dispatch
-
-
-def _resolve(name):
-    name = name.lower()
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise ImportError("QGPR_BACKEND=numba but numba is not importable")
-        return "numba"
-    if name == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown backend {name!r}; expected auto, numba, or numpy")
-
-
-_active = _resolve(os.environ.get("QGPR_BACKEND", "auto"))
-
-
-def backend_name():
-    """Name of the backend serving kernel calls right now."""
-    return _active
-
-
-def set_backend(name):
-    """Switch the active backend (``auto``, ``numba``, or ``numpy``)."""
-    global _active
-    _active = _resolve(name)
-
-
-@contextmanager
-def use_backend(name):
-    """Temporarily switch backend within a ``with`` block."""
-    prev = _active
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(prev)
-
-
-def _masks(controls, m):
-    cmask = 0
-    cval = 0
-    for pos, val in controls:
-        bit = 1 << (m - 1 - pos)
-        cmask |= bit
-        if val:
-            cval |= bit
-    return cmask, cval
-
-
-# widest gate the scalar kernel handles faster than a BLAS matmul
-_NUMBA_MAX_TARGETS = 2
-
-
-def apply_matrix(amps, mat, tpos, m, controls=()):
-    """In place: ``amps <- (controls ? mat : id)(amps)`` on target qubits ``tpos``."""
-    if _active == "numba" and len(tpos) <= _NUMBA_MAX_TARGETS:
-        shifts = np.array([m - 1 - p for p in tpos], dtype=np.int64)
-        cmask, cval = _masks(controls, m)
-        _apply_matrix_nb(amps, np.ascontiguousarray(mat, np.complex128), shifts, cmask, cval)
-    else:
-        _apply_matrix_np(amps, mat, tuple(tpos), m, tuple(controls))
-
-
-def phase_mul(amps, table, cstart, cwidth, tstart, twidth, m, controls=()):
-    """In place: multiply each amplitude by ``table[clock value, target value]``.
-
-    ``cstart``/``tstart`` are the positions of the most significant qubit of
-    each (contiguous) block; ``table`` has shape ``(2**cwidth, 2**twidth)``.
-    """
-    if _active == "numba":
-        cmask, cval = _masks(controls, m)
-        _phase_mul_nb(
-            amps,
-            np.ascontiguousarray(table, np.complex128),
-            m - (cstart + cwidth),
-            cwidth,
-            m - (tstart + twidth),
-            twidth,
-            cmask,
-            cval,
-        )
-    else:
-        _phase_mul_np(amps, table, cstart, cwidth, tstart, twidth, m, tuple(controls))
-
-
-def pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls=()):
-    """In place: rotate qubit ``apos`` by the angle indexed by the clock block.
-
-    Maps ``|0> -> cos|0> + sin|1>`` and ``|1> -> -sin|0> + cos|1>`` with
-    ``cos = cos_t[k]``, ``sin = sin_t[k]`` for clock value ``k``.
-    """
-    if _active == "numba":
-        cmask, cval = _masks(controls, m)
-        _pair_rot_nb(
-            amps,
-            np.ascontiguousarray(cos_t, np.float64),
-            np.ascontiguousarray(sin_t, np.float64),
-            m - (cstart + cwidth),
-            cwidth,
-            1 << (m - 1 - apos),
-            cmask,
-            cval,
-        )
-    else:
-        _pair_rot_np(amps, cos_t, sin_t, cstart, cwidth, apos, m, tuple(controls))

@@ -17,7 +17,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +81,58 @@ class RunConfig:
             raise InputError("at least one test point is required")
 
 
+def _integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not numeric or not abs(value) <= sys.float_info.max:  # NaN compares false
+        raise InputError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise InputError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+# top-level run fields besides test_points: name -> (type check, null allowed)
+_FIELDS = {
+    "dataset": (_string, False),
+    "noise_variance": (_number, False),
+    "clock_qubits": (_integer, False),
+    "shots": (_integer, False),
+    "seed": (_integer, False),
+    "mode": (_string, False),
+    "out": (_string, True),
+    "has_header": (_boolean, False),
+    "kappa_bound": (_number, False),
+    "delta": (_number, True),
+}
+
+
+def _points(value) -> list[list[float]]:
+    """Test points as coordinate lists; a bare number is a 1-D point."""
+    if not isinstance(value, list):
+        raise InputError(f"test_points must be a list of points, got {value!r}")
+    return [
+        [_number("test_points coordinate", c) for c in (p if isinstance(p, list) else [p])]
+        for p in value
+    ]
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """Read the JSON config file and apply non-None flag overrides."""
+    """Read the JSON config file, apply non-None flag overrides, check field types."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -97,20 +147,26 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise InputError("config needs a 'kernel' object with a 'family' field")
     if kspec.get("family") not in FAMILIES:
         raise InputError(f"kernel family must be one of {FAMILIES}")
+    unknown = set(kspec) - {f.name for f in fields(KernelSpec)}
+    if unknown:
+        raise InputError(f"unknown kernel fields: {sorted(unknown)}")
     kernel = KernelSpec(
         family=kspec["family"],
-        signal_variance=float(kspec.get("signal_variance", 1.0)),
-        lengthscale=float(kspec.get("lengthscale", 1.0)),
+        signal_variance=_number("kernel.signal_variance", kspec.get("signal_variance", 1.0)),
+        lengthscale=_number("kernel.lengthscale", kspec.get("lengthscale", 1.0)),
         cutoff_radius=(
-            float(kspec["cutoff_radius"]) if kspec.get("cutoff_radius") is not None else None
+            _number("kernel.cutoff_radius", kspec["cutoff_radius"])
+            if kspec.get("cutoff_radius") is not None
+            else None
         ),
     )
     sweep = raw.pop("sweep", None) or {}
-    known = {
-        "dataset", "noise_variance", "test_points", "clock_qubits", "shots",
-        "seed", "mode", "out", "has_header", "kappa_bound", "delta",
-    }
-    unknown = set(raw) - known
+    if not isinstance(sweep, dict):
+        raise InputError("sweep must be an object with 'axis' and 'values'")
+    sweep_values = sweep.get("values", [])
+    if not isinstance(sweep_values, list):
+        raise InputError(f"sweep.values must be a list, got {sweep_values!r}")
+    unknown = set(raw) - set(_FIELDS) - {"test_points"}
     if unknown:
         raise InputError(f"unknown config fields: {sorted(unknown)}")
     if "dataset" not in raw or "noise_variance" not in raw or "test_points" not in raw:
@@ -119,14 +175,16 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     for key, val in (overrides or {}).items():
         if val is not None:
             cfg[key] = val
-    points = [[float(c) for c in np.atleast_1d(p)] for p in cfg.pop("test_points")]
+    points = _points(cfg.pop("test_points"))
+    for key, val in cfg.items():
+        check, nullable = _FIELDS[key]
+        if val is not None or not nullable:
+            cfg[key] = check(key, val)
     return RunConfig(
-        dataset=str(cfg.pop("dataset")),
         kernel=kernel,
-        noise_variance=float(cfg.pop("noise_variance")),
         test_points=points,
         sweep_axis=sweep.get("axis"),
-        sweep_values=[int(v) for v in sweep.get("values", [])],
+        sweep_values=[_integer("sweep.values", v) for v in sweep_values],
         **cfg,
     )
 

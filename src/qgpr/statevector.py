@@ -3,8 +3,8 @@
 A state lives on an ordered set of named registers; the first register holds
 the most significant bits of the basis index, and within a register qubit 0
 is the most significant bit. Circuit operations return new ``StateVector``
-instances (amplitudes are copied, then mutated in place through the kernels
-in :mod:`qgpr._accel`).
+instances: the amplitudes are copied, then mutated in place by the numpy
+kernels in :mod:`qgpr._accel`.
 
 Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, the quantum Fourier transform on a

@@ -1,12 +1,13 @@
-"""Backend parity: the numba kernels and the pure-numpy fallback must agree."""
+"""The amplitude kernels against dense operators built qubit by qubit with np.kron."""
+
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from qgpr import _accel
 
-
-needs_numba = pytest.mark.skipif(not _accel.HAS_NUMBA, reason="numba not installed")
+I2 = np.eye(2)
 
 
 def random_amps(rng, m):
@@ -20,89 +21,120 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestBackendSelection:
-    def test_known_names(self):
-        with _accel.use_backend("numpy"):
-            assert _accel.backend_name() == "numpy"
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            _accel.set_backend("cuda")
-
-    def test_auto_resolves(self):
-        with _accel.use_backend("auto"):
-            assert _accel.backend_name() in ("numba", "numpy")
+def ket_bra(a, b):
+    out = np.zeros((2, 2))
+    out[a, b] = 1.0
+    return out
 
 
-@needs_numba
-class TestParity:
-    @pytest.mark.parametrize("controls", [(), ((0, 1),), ((0, 1), (4, 0))])
-    def test_apply_matrix(self, rng, controls):
+def dense_operator(mat, tpos, m, controls=()):
+    """The 2^m x 2^m operator applying ``mat`` to qubits ``tpos`` under ``controls``.
+
+    Target ``tpos[j]`` is bit j (most significant first) of ``mat``'s index,
+    and position 0 is the most significant qubit of the state, so
+    ``mat = sum_ab mat[a, b] |a><b|`` expands to a Kronecker product with one
+    factor per qubit.
+    """
+    k = len(tpos)
+    ctl = dict(controls)
+
+    def factor(q, a, b):
+        if q in tpos:
+            j = tpos.index(q)
+            return ket_bra((a >> (k - 1 - j)) & 1, (b >> (k - 1 - j)) & 1)
+        if q in ctl:
+            return ket_bra(ctl[q], ctl[q])
+        return I2
+
+    op = sum(
+        mat[a, b] * reduce(np.kron, [factor(q, a, b) for q in range(m)])
+        for a in range(1 << k)
+        for b in range(1 << k)
+        if mat[a, b] != 0
+    )
+    matched = reduce(np.kron, [ket_bra(ctl[q], ctl[q]) if q in ctl else I2 for q in range(m)])
+    return op + np.eye(1 << m) - matched
+
+
+def block(start, width):
+    return tuple(range(start, start + width))
+
+
+class TestDenseOperator:
+    def test_single_qubit_is_kron_with_identities(self, rng):
+        u = random_unitary(rng, 2)
+        np.testing.assert_allclose(dense_operator(u, (1,), 3), np.kron(np.kron(I2, u), I2))
+
+    def test_swapped_targets_swap_qubits(self, rng):
+        u = random_unitary(rng, 4)
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        np.testing.assert_allclose(dense_operator(u, (1, 0), 2), swap @ u @ swap, atol=1e-15)
+
+
+class TestApplyMatrix:
+    @pytest.mark.parametrize(
+        "tpos, controls",
+        [
+            ((3,), ()),
+            ((5, 2), ()),
+            ((5, 2), ((0, 1), (4, 0))),
+            ((5, 2), ((4, 0), (0, 1))),
+            ((6, 1, 3), ((4, 1),)),
+        ],
+    )
+    def test_matches_dense_operator(self, rng, tpos, controls):
         m = 7
-        for tpos in [(3,), (2, 5), (1, 2, 3)]:
-            if set(tpos) & {p for p, _ in controls}:
-                continue
-            mat = random_unitary(rng, 1 << len(tpos))
-            base = random_amps(rng, m)
-            a, b = base.copy(), base.copy()
-            with _accel.use_backend("numba"):
-                _accel.apply_matrix(a, mat, tpos, m, controls)
-            with _accel.use_backend("numpy"):
-                _accel.apply_matrix(b, mat, tpos, m, controls)
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        mat = random_unitary(rng, 1 << len(tpos))
+        amps = random_amps(rng, m)
+        expected = dense_operator(mat, tpos, m, controls) @ amps
+        _accel.apply_matrix(amps, mat, tpos, m, controls)
+        np.testing.assert_allclose(amps, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("controls", [(), ((0, 1),)])
-    def test_phase_mul(self, rng, controls):
-        # layout: [ctl 1][target 2][clock 3][pad 1] -> clock block before/after target
-        m = 7
-        table = np.exp(1j * rng.normal(size=(8, 4)))
-        base = random_amps(rng, m)
-        a, b = base.copy(), base.copy()
-        with _accel.use_backend("numba"):
-            _accel.phase_mul(a, table, 3, 3, 1, 2, m, controls)
-        with _accel.use_backend("numpy"):
-            _accel.phase_mul(b, table, 3, 3, 1, 2, m, controls)
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_phase_mul_clock_first(self, rng):
-        m = 6
-        table = np.exp(1j * rng.normal(size=(8, 4)))
-        base = random_amps(rng, m)
-        a, b = base.copy(), base.copy()
-        with _accel.use_backend("numba"):
-            _accel.phase_mul(a, table, 0, 3, 3, 2, m, ())
-        with _accel.use_backend("numpy"):
-            _accel.phase_mul(b, table, 0, 3, 3, 2, m, ())
-        np.testing.assert_allclose(a, b, atol=1e-12)
+class TestPhaseMul:
+    # the table is diagonal on the joint (clock, target) value, clock value first
+    @pytest.mark.parametrize(
+        "cstart, tstart, controls",
+        [
+            (3, 1, ()),  # clock after target
+            (3, 1, ((0, 1),)),
+            (4, 0, ((2, 0),)),  # clock after target, control between the blocks
+            (0, 3, ()),  # clock before target
+            (0, 4, ((3, 1),)),  # clock before target, control between the blocks
+            (1, 4, ((6, 0),)),
+        ],
+    )
+    def test_matches_dense_operator(self, rng, cstart, tstart, controls):
+        m, cwidth, twidth = 7, 3, 2
+        table = np.exp(1j * rng.normal(size=(1 << cwidth, 1 << twidth)))
+        amps = random_amps(rng, m)
+        tpos = block(cstart, cwidth) + block(tstart, twidth)
+        expected = dense_operator(np.diag(table.ravel()), tpos, m, controls) @ amps
+        _accel.phase_mul(amps, table, cstart, cwidth, tstart, twidth, m, controls)
+        np.testing.assert_allclose(amps, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("controls", [(), ((6, 1),)])
-    def test_pair_rot(self, rng, controls):
-        m = 7
-        theta = rng.uniform(0, np.pi, size=8)
+
+class TestPairRot:
+    # block-diagonal on (clock value, ancilla): one 2x2 rotation per clock value
+    @pytest.mark.parametrize(
+        "apos, cstart, controls",
+        [
+            (0, 1, ((6, 1),)),  # ancilla before the clock
+            (0, 2, ()),
+            (4, 1, ((6, 1),)),  # ancilla after the clock
+            (5, 1, ((0, 0),)),  # ancilla after the clock, control before both
+            (6, 2, ((5, 1), (0, 1))),
+        ],
+    )
+    def test_matches_dense_operator(self, rng, apos, cstart, controls):
+        m, cwidth = 7, 3
+        theta = rng.uniform(0, np.pi, size=1 << cwidth)
         cos_t, sin_t = np.cos(theta), np.sin(theta)
-        for apos in (0, 4):
-            base = random_amps(rng, m)
-            a, b = base.copy(), base.copy()
-            with _accel.use_backend("numba"):
-                _accel.pair_rot(a, cos_t, sin_t, 1, 3, apos, m, controls)
-            with _accel.use_backend("numpy"):
-                _accel.pair_rot(b, cos_t, sin_t, 1, 3, apos, m, controls)
-            np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_full_pipeline_parity(self, rng):
-        from qgpr.estimator import BilinearSpec, estimate_bilinear
-        from qgpr.qla import QlaConfig, make_encoding
-
-        a = rng.normal(size=(4, 4))
-        a = a @ a.T + 4 * np.eye(4)
-        lam = np.linalg.eigvalsh(a)
-        cfg = QlaConfig(6, t0=5.0 / lam[-1], c=float(lam[0]))
-        spec = BilinearSpec(
-            make_encoding(rng.normal(size=4)), make_encoding(rng.normal(size=4)), a, cfg
-        )
-        with _accel.use_backend("numba"):
-            r_nb = estimate_bilinear(spec, mode="exact")
-        with _accel.use_backend("numpy"):
-            r_np = estimate_bilinear(spec, mode="exact")
-        assert r_nb.estimate == pytest.approx(r_np.estimate, abs=1e-10)
-        assert r_nb.success_fraction == pytest.approx(r_np.success_fraction, abs=1e-12)
+        rot = np.zeros((2 << cwidth, 2 << cwidth))
+        for k, (c, s) in enumerate(zip(cos_t, sin_t)):
+            rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+        amps = random_amps(rng, m)
+        tpos = block(cstart, cwidth) + (apos,)
+        expected = dense_operator(rot, tpos, m, controls) @ amps
+        _accel.pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls)
+        np.testing.assert_allclose(amps, expected, atol=1e-12)

@@ -239,6 +239,36 @@ class TestMainExitCodes:
         assert main(["predict", "--config", str(cfgp)]) == EXIT_NUMERIC
         assert main(["diagnose", "--config", str(cfgp)]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"shots": "100"},
+            {"shots": True},
+            {"clock_qubits": 2.5},
+            {"seed": None},
+            {"test_points": "abc"},
+            {"test_points": [[[0.0]]]},
+            {"kappa_bound": "x"},
+            {"noise_variance": "abc"},
+            {"noise_variance": float("nan")},
+            {"noise_variance": 10**400},
+            {"has_header": "no"},
+            {"kernel": {"family": "squared-exponential", "lengthscale": "abc"}},
+            {"kernel": {"family": "squared-exponential", "length_scale": 2.0}},
+            {"sweep": {"axis": "clock_qubits", "values": [4.5]}},
+            {"sweep": {"axis": "clock_qubits", "values": "abc"}},
+        ],
+    )
+    def test_malformed_field_is_one_line_input_error(self, canonical, overrides, capsys):
+        # two rows, so a truthy non-bool has_header would leave a usable data set
+        (canonical.parent / "train.csv").write_text("0,2\n1,1\n")
+        raw = json.loads(canonical.read_text())
+        raw.update(overrides)
+        canonical.write_text(json.dumps(raw))
+        assert main(["predict", "--config", str(canonical)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
     def test_missing_config_file(self, tmp_path):
         assert main(["predict", "--config", str(tmp_path / "none.json")]) == EXIT_INPUT
 
