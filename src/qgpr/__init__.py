@@ -60,7 +60,6 @@ from .statevector import (
     StateVector,
     apply_gate,
     controlled_evolution,
-    evolution_unitary,
     expectation,
     init_basis,
     project,

@@ -39,6 +39,20 @@ def apply_matrix(amps, mat, tpos, m, controls=()):
     moved[...] = out.reshape(shape)
 
 
+def fourier(amps, start, width, m, controls=(), inverse=False):
+    """In place: QFT (or its inverse) on the ``width``-qubit block at ``start``.
+
+    The forward QFT is numpy's orthonormal inverse DFT along the block.
+    """
+    psi = amps.reshape((2,) * m)
+    sub, remap = _ctl_subview(psi, controls)
+    s = remap(start)
+    shape = sub.shape
+    block = sub.reshape(shape[:s] + (1 << width,) + shape[s + width:])
+    transform = np.fft.fft if inverse else np.fft.ifft
+    sub[...] = transform(block, axis=s, norm="ortho").reshape(shape)
+
+
 def phase_mul(amps, table, cstart, cwidth, tstart, twidth, m, controls=()):
     """In place: multiply each amplitude by ``table[clock value, target value]``.
 

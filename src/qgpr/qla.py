@@ -231,15 +231,11 @@ def inversion_angles(config: QlaConfig) -> tuple[np.ndarray, np.ndarray]:
     clamped to a full flip, logged as a discretization-quality warning.
     """
     big_t = config.T
+    lam = 2.0 * math.pi * np.arange(1, big_t) / (config.t0 * big_t)
+    ratio = config.c / lam
+    clamped = int(np.count_nonzero(ratio > 1.0))
     sin_t = np.zeros(big_t)
-    clamped = 0
-    for k in range(1, big_t):
-        lam = 2.0 * math.pi * k / (config.t0 * big_t)
-        ratio = config.c / lam
-        if ratio > 1.0:
-            ratio = 1.0
-            clamped += 1
-        sin_t[k] = ratio
+    sin_t[1:] = np.minimum(ratio, 1.0)
     if clamped:
         log.warning(
             "eigenvalue inversion clamped %d of %d clock bins (c/lambda > 1); "

@@ -8,9 +8,10 @@ kernels in :mod:`qgpr._accel`.
 
 Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, the quantum Fourier transform on a
-register, Hamiltonian evolution by exact eigendecomposition, clock-controlled
-evolution, expectation values of factorized Hermitian observables, projective
-measurement of a register, and seeded shot sampling of an observable.
+register (an FFT along the register), clock-controlled Hamiltonian evolution
+by exact eigendecomposition, expectation values of factorized Hermitian
+observables, projective measurement of a register, and seeded shot sampling
+of an observable.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ PROJ_0 = np.array([[1, 0], [0, 0]], dtype=complex)
 PROJ_1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 DEFAULT_QUBIT_CAP = 22  # 2^22 complex amplitudes ~ 64 MiB
+MAX_SHOTS = 1 << DEFAULT_QUBIT_CAP  # as many draws as the cap admits amplitudes
 
 _UNITARY_TOL = 1e-10
 _HERMITIAN_TOL = 1e-10
@@ -232,11 +234,19 @@ def qft_matrix(width: int) -> np.ndarray:
 
 
 def qft(state: StateVector, register: str, inverse: bool = False, controls=()) -> StateVector:
-    """Quantum Fourier transform (or its inverse) on one register."""
-    mat = qft_matrix(state.layout.width(register))
-    if inverse:
-        mat = mat.conj().T
-    return apply_gate(state, mat, register, controls)
+    """Quantum Fourier transform (or its inverse) on one register, as an FFT.
+
+    Forward: |j> -> T^{-1/2} sum_k exp(+2 pi i jk/T)|k> with T = 2**width; the
+    inverse has exp(-2 pi i jk/T). Controls may not lie on ``register``.
+    """
+    layout = state.layout
+    start, width = layout.start(register), layout.width(register)
+    cpos = _control_positions(layout, controls)
+    if any(start <= p < start + width for p, _ in cpos):
+        raise InputError("target and control qubits overlap")
+    amps = state.amps.copy()
+    _accel.fourier(amps, start, width, layout.total_qubits, cpos, inverse)
+    return StateVector(layout, amps)
 
 
 def _check_hermitian(system: np.ndarray) -> np.ndarray:
@@ -247,13 +257,6 @@ def _check_hermitian(system: np.ndarray) -> np.ndarray:
     if np.abs(a - a.conj().T).max() > _HERMITIAN_TOL * scale:
         raise InputError("matrix is not Hermitian")
     return a
-
-
-def evolution_unitary(system: np.ndarray, t: float) -> np.ndarray:
-    """``exp(i * system * t)`` via eigendecomposition of the Hermitian input."""
-    a = _check_hermitian(system)
-    lam, vec = np.linalg.eigh(a)
-    return (vec * np.exp(1j * lam * t)) @ vec.conj().T
 
 
 def controlled_evolution(
@@ -357,8 +360,8 @@ def sample_observable(
     product of the factor eigenvalues. Identical inputs give an identical
     outcome sequence.
     """
-    if shots < 1:
-        raise InputError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise InputError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     layout = state.layout
     phi = state.amps.copy()
     m = layout.total_qubits

@@ -257,6 +257,7 @@ class TestMainExitCodes:
             {"kernel": {"family": "squared-exponential", "length_scale": 2.0}},
             {"sweep": {"axis": "clock_qubits", "values": [4.5]}},
             {"sweep": {"axis": "clock_qubits", "values": "abc"}},
+            {"mode": "sampled", "shots": 10**12},
         ],
     )
     def test_malformed_field_is_one_line_input_error(self, canonical, overrides, capsys):

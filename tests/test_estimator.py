@@ -21,10 +21,10 @@ from qgpr.estimator import (
 )
 from qgpr.exceptions import ExpansionError, InputError
 from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval_kernel
-from qgpr.qla import QlaConfig, make_encoding
+from qgpr.qla import QlaConfig, config_for, make_encoding
 from qgpr.statevector import Observable, RegisterLayout, expectation, init_basis
 
-from conftest import grid_spd, random_se_model
+from conftest import grid_spd, random_se_model, random_spd
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 
@@ -175,6 +175,15 @@ class TestEstimateBilinear:
             res = estimate_bilinear(spec, mode="exact")
             truth = u @ dense_inverse(a) @ v
             assert res.estimate == pytest.approx(truth, abs=1e-6)
+
+    def test_exact_at_the_qubit_cap(self, rng):
+        # n = 8 with clock 16 is A1 + B3 + C1 + D1 + E16 = 22 qubits, the default cap
+        assert interference_layout(8, 16).total_qubits == sv.DEFAULT_QUBIT_CAP
+        a = random_spd(rng, 8)
+        cfg = config_for(a, 16, c=float(np.linalg.eigvalsh(a)[0]))
+        u, v = rng.normal(size=8), rng.normal(size=8)
+        res = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), a, cfg))
+        assert res.estimate == pytest.approx(u @ np.linalg.solve(a, v), abs=1e-3)
 
     def test_negating_u_negates_estimate(self, rng):
         t0 = 2 * math.pi / 16

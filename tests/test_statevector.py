@@ -11,11 +11,11 @@ from qgpr.statevector import (
     StateVector,
     apply_gate,
     controlled_evolution,
-    evolution_unitary,
     expectation,
     init_basis,
     project,
     qft,
+    qft_matrix,
     register_component,
     sample_observable,
 )
@@ -135,34 +135,35 @@ class TestQft:
             out = qft(qft(state, "Q"), "Q", inverse=True)
             assert np.abs(out.amps - state.amps).max() <= 1e-10
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize(
+        "controls",
+        [(), (("A", 0, 1),), (("A", 0, 0), ("B", 1, 1), ("C", 0, 1))],
+        ids=["none", "before", "both-sides"],
+    )
+    def test_matches_dense_reference(self, rng, width, inverse, controls):
+        lay = RegisterLayout((("A", 1), ("E", width), ("B", 2), ("C", 1)))
+        mat = qft_matrix(width)
+        if inverse:
+            mat = mat.conj().T
+        state = random_state(rng, lay)
+        np.testing.assert_allclose(
+            qft(state, "E", inverse, controls).amps,
+            apply_gate(state, mat, "E", controls).amps,
+            rtol=0,
+            atol=1e-12,
+        )
 
-class TestEvolutionUnitary:
-    def test_zero_time_is_identity(self, rng):
-        a = rng.normal(size=(3, 3))
-        np.testing.assert_allclose(evolution_unitary(a + a.T, 0.0), np.eye(3), atol=1e-12)
-
-    def test_identity_at_pi(self):
-        np.testing.assert_allclose(evolution_unitary(np.eye(2), np.pi), -np.eye(2), atol=1e-12)
-
-    def test_diagonal_phases(self):
-        u = evolution_unitary(np.diag([1.0, 2.0]), np.pi / 2)
-        np.testing.assert_allclose(np.diag(u), [1j, -1.0], atol=1e-12)
-
-    def test_group_law(self, rng):
-        a = rng.normal(size=(4, 4))
-        a = a + a.T
-        u1 = evolution_unitary(a, 0.37)
-        u2 = evolution_unitary(a, 1.21)
-        np.testing.assert_allclose(u1 @ u2, evolution_unitary(a, 1.58), atol=1e-9)
-
-    def test_unitarity(self, rng):
-        a = rng.normal(size=(4, 4))
-        u = evolution_unitary(a + a.T, 2.3)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-10)
-
-    def test_non_hermitian_rejected(self):
+    @pytest.mark.parametrize(
+        "register, controls",
+        [("E", [("E", 1, 1)]), ("E", [("A", 0, 2)]), ("F", [])],
+        ids=["control-on-register", "bad-control-value", "unknown-register"],
+    )
+    def test_rejects_bad_target_or_controls(self, register, controls):
+        lay = RegisterLayout((("A", 1), ("E", 3)))
         with pytest.raises(InputError):
-            evolution_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+            qft(init_basis(lay), register, controls=controls)
 
 
 class TestControlledEvolution:
@@ -202,6 +203,11 @@ class TestControlledEvolution:
         state = init_basis(lay)
         with pytest.raises(InputError):
             controlled_evolution(state, "clock", "t", np.eye(3), 1.0)
+
+    def test_non_hermitian_rejected(self):
+        state = init_basis(RegisterLayout((("clock", 2), ("t", 1))))
+        with pytest.raises(InputError):
+            controlled_evolution(state, "clock", "t", np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 class TestExpectation:
@@ -316,6 +322,8 @@ class TestSampleObservable:
         obs = Observable(state.layout, {"Q": "X"})
         with pytest.raises(InputError):
             sample_observable(state, obs, 0, seed=0)
+        with pytest.raises(InputError):
+            sample_observable(state, obs, sv.MAX_SHOTS + 1, seed=0)
 
 
 class TestUnitarityInvariant:
