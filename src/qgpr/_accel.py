@@ -39,6 +39,19 @@ def apply_matrix(amps, mat, tpos, m, controls=()):
     moved[...] = out.reshape(shape)
 
 
+def reflect(amps, u, tpos, m, controls=()):
+    """In place: ``amps <- (controls ? I - 2 u u^H : id)(amps)`` on target qubits ``tpos``.
+
+    A rank-1 update: one overlap per amplitude block instead of a dense product.
+    """
+    psi = amps.reshape((2,) * m)
+    sub, remap = _ctl_subview(psi, controls)
+    axes = [remap(p) for p in tpos]
+    moved = np.moveaxis(sub, axes, range(len(axes)))
+    coef = u.conj() @ moved.reshape(u.shape[0], -1)  # copies when the view is strided
+    moved -= np.multiply.outer(2.0 * u, coef).reshape(moved.shape)
+
+
 def fourier(amps, start, width, m, controls=(), inverse=False):
     """In place: QFT (or its inverse) on the ``width``-qubit block at ``start``.
 

@@ -35,13 +35,14 @@ from .kernels import GPModel, build_cross, eval_kernel
 from .qla import (
     QlaConfig,
     SparseEncoding,
-    default_t0,
+    config_for,
     eigenvalue_inversion,
     index_width,
     make_encoding,
     pad_system,
     phase_estimate,
-    state_prep_unitary,
+    state_prep_unitary,  # unused here; perfbench/spans.py wraps this name
+    state_prep_vector,
 )
 from .statevector import Observable, RegisterLayout, StateVector
 
@@ -102,9 +103,9 @@ def build_interference_state(spec: BilinearSpec) -> StateVector:
 
     state = sv.init_basis(layout)
     state = sv.apply_gate(state, sv.HADAMARD, ("A", 0))
-    state = sv.apply_gate(state, state_prep_unitary(spec.u, w), ["B", "C"], [("A", 0, 0)])
+    state = sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], [("A", 0, 0)])
     state = sv.apply_gate(state, sv.PAULI_X, ("D", 0), [("A", 0, 0)])
-    state = sv.apply_gate(state, state_prep_unitary(spec.v, w), ["B", "C"], [("A", 0, 1)])
+    state = sv.reflect(state, state_prep_vector(spec.v, w), ["B", "C"], [("A", 0, 1)])
 
     solver_controls = (("A", 0, 1), ("C", 0, 1))
     state = phase_estimate(state, spec.config, a_pad, clock="E", target="B",
@@ -173,12 +174,7 @@ def estimate_bilinear(
 
 def gpr_config(model: GPModel, clock_qubits: int, epsilon: float = 1e-2) -> QlaConfig:
     """QlaConfig for a GP model: c = sigma_n^2 and the default safe t0."""
-    return QlaConfig(
-        clock_qubits=clock_qubits,
-        t0=default_t0(model.system, clock_qubits),
-        c=model.noise_variance,
-        epsilon=epsilon,
-    )
+    return config_for(model.system, clock_qubits, model.noise_variance, epsilon)
 
 
 def _force_gpr_c(model: GPModel, config: QlaConfig) -> QlaConfig:

@@ -66,12 +66,26 @@ def default_t0(system, clock_qubits: int) -> float:
 
 
 def config_for(system, clock_qubits: int, c: float, epsilon: float = 1e-2) -> QlaConfig:
-    """QlaConfig with the default wraparound-safe t0 for this matrix."""
-    return QlaConfig(clock_qubits, default_t0(system, clock_qubits), c, epsilon)
+    """QlaConfig with the default wraparound-safe t0 for this matrix.
+
+    Logs a warning when the eigenvalue inversion will clamp clock bins. The
+    clamp depends only on (T, t0, c), so it is reported once per config
+    rather than once per circuit.
+    """
+    config = QlaConfig(clock_qubits, default_t0(system, clock_qubits), c, epsilon)
+    clamped = int(np.count_nonzero(_inversion_ratios(config) > 1.0))
+    if clamped:
+        log.warning(
+            "eigenvalue inversion clamped %d of %d clock bins (c/lambda > 1); "
+            "the clock resolution is coarse for this c",
+            clamped,
+            config.T - 1,
+        )
+    return config
 
 
 def validate_config(config: QlaConfig, system) -> None:
-    eigs = np.linalg.eigvalsh(np.asarray(system, dtype=complex))
+    eigs, _ = sv.hermitian_eigh(system)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if config.t0 * lam_max >= 2.0 * math.pi:
         raise ConfigError(
@@ -121,32 +135,35 @@ def make_encoding(v) -> SparseEncoding:
     return SparseEncoding(support, values, int(vec.shape[0]), float(1.0 / np.abs(values).max()))
 
 
-def state_prep_unitary(enc: SparseEncoding, index_width: int) -> np.ndarray:
-    """Orthogonal matrix on (index register, flag qubit) sending |0...0> to
+def state_prep_vector(enc: SparseEncoding, index_width: int) -> np.ndarray:
+    """Unit vector u whose reflection I - 2uu^T on (index register, flag qubit)
+    sends |0...0> to
 
-        s_v^{-1/2} sum_{i in support} |i> (sqrt(1 - c_v^2 v_i^2)|0> + c_v v_i |1>).
+        w = s_v^{-1/2} sum_{i in support} |i> (sqrt(1 - c_v^2 v_i^2)|0> + c_v v_i |1>).
 
-    Built as the Householder reflection exchanging the first basis vector with
-    the target column (deterministic completion).
+    u is the Householder vector (e_0 - w)/||e_0 - w||. w is never e_0: the
+    entry of largest magnitude puts amplitude +-1/sqrt(s_v) on a flag-1 state.
     """
     if (1 << index_width) < enc.length:
         raise InputError(
             f"index register of {index_width} qubits cannot address {enc.length} entries"
         )
-    dim = 1 << (index_width + 1)
-    w = np.zeros(dim)
+    w = np.zeros(1 << (index_width + 1))
     root_s = math.sqrt(enc.s_v)
-    for i, v in zip(enc.support, enc.values):
-        amp = enc.c_v * v
-        w[(int(i) << 1) | 0] = math.sqrt(max(0.0, 1.0 - amp * amp)) / root_s
-        w[(int(i) << 1) | 1] = amp / root_s
+    amp = enc.c_v * enc.values
+    rows = enc.support << 1
+    w[rows] = np.sqrt(np.maximum(0.0, 1.0 - amp * amp)) / root_s
+    w[rows | 1] = amp / root_s
     u = -w
     u[0] += 1.0
-    nrm = np.linalg.norm(u)
-    if nrm < 1e-15:
-        return np.eye(dim)
-    u /= nrm
-    return np.eye(dim) - 2.0 * np.outer(u, u)
+    u /= np.linalg.norm(u)
+    return u
+
+
+def state_prep_unitary(enc: SparseEncoding, index_width: int) -> np.ndarray:
+    """Dense form I - 2uu^T of the state-preparation reflection (a test reference)."""
+    u = state_prep_vector(enc, index_width)
+    return np.eye(u.shape[0]) - 2.0 * np.outer(u, u)
 
 
 def prepare_sparse_state(
@@ -159,9 +176,8 @@ def prepare_sparse_state(
     """
     if layout.width(flag_qubit) != 1:
         raise InputError(f"flag register {flag_qubit!r} must be one qubit wide")
-    mat = state_prep_unitary(enc, layout.width(index_register))
-    state = sv.init_basis(layout)
-    return sv.apply_gate(state, mat, [index_register, flag_qubit])
+    u = state_prep_vector(enc, layout.width(index_register))
+    return sv.reflect(sv.init_basis(layout), u, [index_register, flag_qubit])
 
 
 def pad_system(system, padded_dim: int, fill: float) -> np.ndarray:
@@ -222,27 +238,22 @@ def phase_estimate(
     return state
 
 
+def _inversion_ratios(config: QlaConfig) -> np.ndarray:
+    """c/lambda_k for clock values k = 1 .. T-1, lambda_k = 2*pi*k/(t0*T)."""
+    big_t = config.T
+    return config.c / (2.0 * math.pi * np.arange(1, big_t) / (config.t0 * big_t))
+
+
 def inversion_angles(config: QlaConfig) -> tuple[np.ndarray, np.ndarray]:
     """(cos, sin) tables of the half-angle rotation per clock value.
 
     Clock value k maps to the eigenvalue estimate 2*pi*k/(t0*T); the ancilla
     is rotated so its |1> amplitude is c/lambda_k. Bin 0 gets no rotation
     (failed estimation; removed by post-selection) and ratios above one are
-    clamped to a full flip, logged as a discretization-quality warning.
+    clamped to a full flip (:func:`config_for` logs how many).
     """
-    big_t = config.T
-    lam = 2.0 * math.pi * np.arange(1, big_t) / (config.t0 * big_t)
-    ratio = config.c / lam
-    clamped = int(np.count_nonzero(ratio > 1.0))
-    sin_t = np.zeros(big_t)
-    sin_t[1:] = np.minimum(ratio, 1.0)
-    if clamped:
-        log.warning(
-            "eigenvalue inversion clamped %d of %d clock bins (c/lambda > 1); "
-            "the clock resolution is coarse for this c",
-            clamped,
-            big_t - 1,
-        )
+    sin_t = np.zeros(config.T)
+    sin_t[1:] = np.minimum(_inversion_ratios(config), 1.0)
     cos_t = np.sqrt(1.0 - sin_t**2)
     return cos_t, sin_t
 

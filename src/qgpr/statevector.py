@@ -7,15 +7,19 @@ instances: the amplitudes are copied, then mutated in place by the numpy
 kernels in :mod:`qgpr._accel`.
 
 Supported operations: computational-basis initialization, controlled
-application of arbitrary unitaries, the quantum Fourier transform on a
-register (an FFT along the register), clock-controlled Hamiltonian evolution
-by exact eigendecomposition, expectation values of factorized Hermitian
-observables, projective measurement of a register, and seeded shot sampling
-of an observable.
+application of arbitrary unitaries, controlled reflections I - 2uu^H (applied
+as a rank-1 update), the quantum Fourier transform on a register (an FFT
+along the register), clock-controlled Hamiltonian evolution by exact
+eigendecomposition, expectation values of factorized Hermitian observables,
+projective measurement of a register, and seeded shot sampling of an
+observable. The eigendecomposition of an evolution system is memoized on the
+matrix contents, so a system is diagonalized once however many circuits
+evolve under it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -199,6 +203,14 @@ def _control_positions(layout: RegisterLayout, controls) -> tuple[tuple[int, int
     return tuple(out)
 
 
+def _gate_positions(layout: RegisterLayout, target, controls):
+    tpos = _target_positions(layout, target)
+    cpos = _control_positions(layout, controls)
+    if set(tpos) & {p for p, _ in cpos}:
+        raise InputError("target and control qubits overlap")
+    return tpos, cpos
+
+
 # ---------------------------------------------------------------------------
 # circuit operations
 
@@ -211,10 +223,7 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> Sta
     ``(register, qubit, value)`` triples that must all match.
     """
     layout = state.layout
-    tpos = _target_positions(layout, target)
-    cpos = _control_positions(layout, controls)
-    if set(tpos) & {p for p, _ in cpos}:
-        raise InputError("target and control qubits overlap")
+    tpos, cpos = _gate_positions(layout, target, controls)
     gate = np.asarray(gate, dtype=complex)
     dim = 1 << len(tpos)
     if gate.shape != (dim, dim):
@@ -223,6 +232,24 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> Sta
         raise InputError("gate is not unitary")
     amps = state.amps.copy()
     _accel.apply_matrix(amps, gate, tpos, layout.total_qubits, cpos)
+    return StateVector(layout, amps)
+
+
+def reflect(state: StateVector, u, target, controls=()) -> StateVector:
+    """Apply the reflection ``I - 2 u u^H`` to target qubits, optionally controlled.
+
+    ``target`` and ``controls`` are as for :func:`apply_gate`. ``u`` must be a
+    unit vector over the target qubits, which makes the reflection unitary.
+    """
+    layout = state.layout
+    tpos, cpos = _gate_positions(layout, target, controls)
+    u = np.asarray(u)
+    if u.shape != (1 << len(tpos),):
+        raise InputError(f"reflection vector shape {u.shape} does not match {len(tpos)} qubits")
+    if not abs(np.linalg.norm(u) - 1.0) <= _UNITARY_TOL:  # also rejects NaN
+        raise InputError("reflection vector is not a unit vector")
+    amps = state.amps.copy()
+    _accel.reflect(amps, u, tpos, layout.total_qubits, cpos)
     return StateVector(layout, amps)
 
 
@@ -259,6 +286,24 @@ def _check_hermitian(system: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=4)
+def _eigh_of(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    lam, vec = np.linalg.eigh(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+    lam.setflags(write=False)
+    vec.setflags(write=False)
+    return lam, vec
+
+
+def hermitian_eigh(system) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, read-only.
+
+    The last few results are memoized on the matrix contents (shape and
+    bytes), so circuits that share a system diagonalize it once.
+    """
+    a = _check_hermitian(system)
+    return _eigh_of(a.shape, a.tobytes())
+
+
 def controlled_evolution(
     state: StateVector,
     clock: str,
@@ -274,17 +319,16 @@ def controlled_evolution(
     rotating back, so the evolution is exact.
     """
     layout = state.layout
-    a = _check_hermitian(system)
+    lam, vec = hermitian_eigh(system)
     tw = layout.width(target)
-    if a.shape[0] != (1 << tw):
+    if lam.shape[0] != (1 << tw):
         raise InputError(
-            f"system dimension {a.shape[0]} does not match register {target!r} "
+            f"system dimension {lam.shape[0]} does not match register {target!r} "
             f"({1 << tw} states)"
         )
     cw = layout.width(clock)
     big_t = 1 << cw
     cpos = _control_positions(layout, controls)
-    lam, vec = np.linalg.eigh(a)
     tau = np.arange(big_t)
     table = np.exp(1j * np.outer(tau, lam) * (t / big_t))
 
@@ -312,8 +356,8 @@ def expectation(state: StateVector, obs: Observable) -> float:
 def project(state: StateVector, register: str, outcome: int) -> tuple[float, StateVector]:
     """Project a register onto a basis value; returns (probability, new state).
 
-    The returned state is renormalized; outcomes of numerically zero
-    probability raise :class:`ZeroProbabilityError`.
+    The returned state is renormalized; outcomes whose probability is below
+    1e-14 of the state's squared norm raise :class:`ZeroProbabilityError`.
     """
     layout = state.layout
     w = layout.width(register)
@@ -324,7 +368,7 @@ def project(state: StateVector, register: str, outcome: int) -> tuple[float, Sta
     cube = state.amps.reshape(pre, 1 << w, post)
     block = cube[:, outcome, :]
     prob = float(np.vdot(block, block).real)
-    if prob < 1e-14:
+    if prob <= 1e-14 * float(np.vdot(state.amps, state.amps).real):
         raise ZeroProbabilityError(
             f"outcome {outcome} of register {register!r} has probability {prob:.3e}"
         )

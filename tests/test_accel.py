@@ -138,3 +138,27 @@ class TestPairRot:
         expected = dense_operator(rot, tpos, m, controls) @ amps
         _accel.pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
+
+
+class TestReflect:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "tpos, controls",
+        [
+            ((3,), ()),
+            ((5, 2), ((0, 1),)),  # targets out of order, control before them
+            ((1, 4), ((2, 0),)),  # control between the targets
+            ((2, 0, 3), ((6, 1), (1, 0))),  # controls between and after
+        ],
+    )
+    def test_matches_dense_operator(self, rng, tpos, controls, dtype):
+        m, dim = 7, 1 << len(tpos)
+        u = rng.normal(size=dim).astype(dtype)
+        if dtype is complex:
+            u += 1j * rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        amps = random_amps(rng, m)
+        mat = np.eye(dim) - 2.0 * np.outer(u, u.conj())
+        expected = dense_operator(mat, tpos, m, controls) @ amps
+        _accel.reflect(amps, u, tpos, m, controls)
+        np.testing.assert_allclose(amps, expected, atol=1e-12)

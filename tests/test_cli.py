@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qgpr import statevector as sv
 from qgpr.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -144,6 +145,26 @@ class TestCmdPredict:
         cmd_predict(load_config(canonical, {**cfg_overrides, "out": str(out2)}))
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_system_is_diagonalized_once(self, tmp_path, monkeypatch):
+        # 3 training points pad to a 4x4 system; 3 test points make 6 estimates
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
+        cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5], [1.0]], clock_qubits=5)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                if np.shape(a) == (4, 4):
+                    calls.append(_name)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        sv._eigh_of.cache_clear()
+        report = cmd_predict(load_config(cfgp))
+        assert len(report["results"]) == 3
+        assert calls == ["eigh"]
+
     def test_report_embeds_resolved_config(self, canonical):
         report = cmd_predict(load_config(canonical, {"seed": 5}))
         assert report["config"]["seed"] == 5
@@ -214,6 +235,14 @@ class TestCmdSweep:
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[1]
         assert header == "axis_value,mean_error,variance_error,success_fraction"
+
+    def test_clamp_warning_once_per_clock_width(self, tmp_path, caplog):
+        # lambda_max ~ 2.78 and c = 1 clamp the low bins at clock 4 and 5
+        cfgp = self._sweep_config(tmp_path, sweep={"axis": "clock_qubits", "values": [4, 5]})
+        with caplog.at_level("WARNING", logger="qgpr.qla"):
+            cmd_sweep(load_config(cfgp))
+        assert len(caplog.records) == 2
+        assert all("clamped" in rec.getMessage() for rec in caplog.records)
 
     def test_missing_sweep_section(self, tmp_path):
         cfgp = self._sweep_config(tmp_path)

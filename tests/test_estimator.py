@@ -285,6 +285,9 @@ class TestPredictVarianceQuantum:
         model = build_model(TrainingSet([[0.0]], [2.0]), spec, 1.0)
         res = predict_variance_quantum(model, [10.0], gpr_config(model, 8), mode="exact")
         assert res.estimate == pytest.approx(1.3)
+        # beyond the cutoff the mean is the prior mean too
+        assert predict_mean_quantum(model, [10.0], gpr_config(model, 8)).estimate == 0.0
+        assert predict_exact(model, [10.0]).mean == 0.0
 
     def test_n4_within_tolerance(self, rng):
         model = random_se_model(rng, n=4)
@@ -307,6 +310,46 @@ class TestPredictVarianceQuantum:
         mean_path = predict_mean_quantum(swapped, x_star, cfg, mode="exact")
         var_path = predict_variance_quantum(model, x_star, cfg, mode="exact")
         assert k_ss - var_path.estimate == pytest.approx(mean_path.estimate, abs=1e-10)
+
+
+class TestMetamorphic:
+    """Exact-mode invariances of the quantum GPR estimators."""
+
+    X_STAR = [0.3]
+
+    def _quantum(self, model):
+        cfg = gpr_config(model, 6)
+        return (
+            predict_mean_quantum(model, self.X_STAR, cfg, mode="exact").estimate,
+            predict_variance_quantum(model, self.X_STAR, cfg, mode="exact").estimate,
+        )
+
+    def test_permuting_training_rows(self, rng):
+        model = random_se_model(rng, n=6)
+        perm = rng.permutation(6)
+        permuted = build_model(
+            TrainingSet(model.training.X[perm], model.training.y[perm]),
+            model.kernel, model.noise_variance,
+        )
+        mean, var = self._quantum(model)
+        mean_p, var_p = self._quantum(permuted)
+        assert mean_p == pytest.approx(mean, rel=0, abs=1e-12)
+        assert var_p == pytest.approx(var, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [3.7, -0.4])
+    def test_scaling_targets(self, rng, alpha):
+        model = random_se_model(rng, n=6)
+        scaled = build_model(
+            TrainingSet(model.training.X, alpha * model.training.y),
+            model.kernel, model.noise_variance,
+        )
+        mean, var = self._quantum(model)
+        mean_s, var_s = self._quantum(scaled)
+        assert mean_s == pytest.approx(alpha * mean, rel=1e-12, abs=1e-12)
+        assert var_s == pytest.approx(var, rel=0, abs=1e-12)
+        exact, exact_s = predict_exact(model, self.X_STAR), predict_exact(scaled, self.X_STAR)
+        assert exact_s.mean == pytest.approx(alpha * exact.mean, rel=1e-12, abs=1e-12)
+        assert exact_s.variance == pytest.approx(exact.variance, rel=0, abs=1e-12)
 
 
 class TestShotsForPrecision:

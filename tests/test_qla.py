@@ -19,6 +19,7 @@ from qgpr.qla import (
     qla_solve,
     solution_overlap,
     state_prep_unitary,
+    state_prep_vector,
     validate_config,
 )
 from qgpr.statevector import RegisterLayout, StateVector, init_basis, project, register_component
@@ -105,6 +106,30 @@ class TestPrepareSparseState:
         v = rng.normal(size=4)
         u = state_prep_unitary(make_encoding(v), 2)
         np.testing.assert_allclose(u @ u.T, np.eye(8), atol=1e-12)
+
+    @staticmethod
+    def _householder_loop(enc, width):
+        # entry-by-entry construction of the same vector, same arithmetic
+        w = np.zeros(1 << (width + 1))
+        for i, v in zip(enc.support, enc.values):
+            amp = enc.c_v * v
+            w[2 * int(i)] = math.sqrt(max(0.0, 1.0 - amp * amp)) / math.sqrt(enc.s_v)
+            w[2 * int(i) + 1] = amp / math.sqrt(enc.s_v)
+        u = -w
+        u[0] += 1.0
+        return u / np.linalg.norm(u)
+
+    def test_prep_vector_matches_loop_and_dense_unitary(self, rng):
+        for length, width in ((1, 1), (4, 2), (5, 3), (8, 3)):
+            v = rng.normal(size=length)
+            v[rng.random(length) < 0.4] = 0.0
+            v[-1] = 1.5  # at least one nonzero
+            enc = make_encoding(v)
+            u = state_prep_vector(enc, width)
+            np.testing.assert_array_equal(u, self._householder_loop(enc, width))
+            np.testing.assert_array_equal(
+                state_prep_unitary(enc, width), np.eye(u.shape[0]) - 2.0 * np.outer(u, u)
+            )
 
 
 class TestConfig:
@@ -244,11 +269,14 @@ class TestEigenvalueInversion:
         np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
     def test_clamp_logged(self, caplog):
-        # T=4, c large enough that bin 1 has lambda < c
-        cfg = QlaConfig(clock_qubits=2, t0=2 * math.pi / 4, c=1.5)
+        # T=4 and lambda_max = 1 put bin 1 at lambda = 1/3 < c; bin 2 (2/3) is not
+        # clamped. The config logs it once; the circuits that use it do not.
         with caplog.at_level("WARNING", logger="qgpr.qla"):
+            cfg = config_for(np.eye(2), 2, c=0.5)
             self._run(1, cfg)
-        assert any("clamped" in rec.message for rec in caplog.records)
+            self._run(2, cfg)
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1 and "clamped 1 of 3 clock bins" in messages[0]
 
 
 class TestQlaSolve:

@@ -12,10 +12,12 @@ from qgpr.statevector import (
     apply_gate,
     controlled_evolution,
     expectation,
+    hermitian_eigh,
     init_basis,
     project,
     qft,
     qft_matrix,
+    reflect,
     register_component,
     sample_observable,
 )
@@ -114,6 +116,50 @@ class TestApplyGate:
             apply_gate(state, PAULI_X, ("Q", 0), [("Q", 0, 1)])
 
 
+class TestReflect:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize(
+        "target, controls",
+        [
+            (["C", "B"], ()),  # targets out of order
+            (["C", ("A", 0)], [("B", 1, 1)]),  # control between the targets
+            ("B", [("A", 0, 0)]),  # control before the target
+            (["B", "A"], [("C", 0, 1)]),  # control after the targets
+            ([("C", 0), ("B", 0)], [("A", 0, 1), ("B", 1, 0)]),  # controls on both sides
+        ],
+    )
+    def test_matches_dense_gate(self, rng, target, controls, dtype):
+        lay = RegisterLayout((("A", 1), ("B", 2), ("C", 1)))
+        dim = 1 << len(sv._target_positions(lay, target))
+        u = rng.normal(size=dim).astype(dtype)
+        if dtype is complex:
+            u += 1j * rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        state = random_state(rng, lay)
+        gate = np.eye(dim) - 2.0 * np.outer(u, u.conj())
+        np.testing.assert_allclose(
+            reflect(state, u, target, controls).amps,
+            apply_gate(state, gate, target, controls).amps,
+            rtol=0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize(
+        "u, target, controls",
+        [
+            (np.array([1.0, 1.0]), ("B", 0), ()),  # norm sqrt(2)
+            (np.array([np.nan, 0.0]), ("B", 0), ()),
+            (np.array([1.0, 0.0, 0.0, 0.0]), ("B", 0), ()),  # one qubit needs length 2
+            (np.array([0.6, 0.8]), ("B", 0), [("B", 0, 1)]),
+        ],
+        ids=["not-unit", "nan", "shape-mismatch", "target-control-overlap"],
+    )
+    def test_rejects_bad_vector_or_positions(self, u, target, controls):
+        state = init_basis(RegisterLayout((("A", 1), ("B", 2))))
+        with pytest.raises(InputError):
+            reflect(state, u, target, controls)
+
+
 class TestQft:
     def test_single_qubit_is_hadamard(self, rng):
         lay = RegisterLayout((("Q", 1),))
@@ -209,6 +255,29 @@ class TestControlledEvolution:
         with pytest.raises(InputError):
             controlled_evolution(state, "clock", "t", np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    def test_memo_tells_systems_of_one_shape_apart(self, rng):
+        # a second system of the same shape, and the first one changed in
+        # place, must each be diagonalized afresh
+        lay = RegisterLayout((("clock", 2), ("t", 1)))
+        state = random_state(rng, lay)
+        a = rng.normal(size=(2, 2))
+        a = a + a.T
+        controlled_evolution(state, "clock", "t", a, 0.9)
+        lam = np.array([0.5, -1.5])
+        expected = state.amps.copy()
+        for idx in range(8):
+            expected[idx] *= np.exp(1j * lam[idx & 1] * 0.9 * (idx >> 1) / 4)
+        out = controlled_evolution(state, "clock", "t", np.diag(lam), 0.9)
+        np.testing.assert_allclose(out.amps, expected, atol=1e-12)
+        a[...] = np.diag(lam)
+        out = controlled_evolution(state, "clock", "t", a, 0.9)
+        np.testing.assert_allclose(out.amps, expected, atol=1e-12)
+
+    def test_eigendecomposition_is_read_only(self):
+        lam, vec = hermitian_eigh(np.diag([2.0, 1.0]))
+        np.testing.assert_array_equal(lam, [1.0, 2.0])
+        assert not lam.flags.writeable and not vec.flags.writeable
+
 
 class TestExpectation:
     def test_x_on_plus(self):
@@ -261,6 +330,13 @@ class TestProject:
                     prob = 0.0
                 total += prob
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_threshold_is_relative_to_the_norm(self):
+        # half the weight of a state with squared norm 1e-16 is not zero
+        plus = apply_gate(init_basis(RegisterLayout((("Q", 1),))), HADAMARD, ("Q", 0))
+        prob, out = project(StateVector(plus.layout, plus.amps * 1e-8), "Q", 1)
+        assert prob == pytest.approx(5e-17, rel=1e-12)
+        np.testing.assert_allclose(out.amps, [0.0, 1.0], atol=1e-12)
 
     def test_zero_probability(self):
         lay = RegisterLayout((("A", 1),))
