@@ -9,7 +9,6 @@ the cost model of the quantum solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,34 +111,36 @@ class SystemDiagnostics:
     min_eig: float
 
 
+def _k(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """k(a, b) for every row a of A and row b of B, as a (len(A), len(B)) array.
+
+    A distance that overflows is infinite, which gives k = 0 in both families.
+    """
+    with np.errstate(over="ignore"):
+        diff = A[:, None, :] - B[None, :, :]
+        if spec.family == SQUARED_EXPONENTIAL:
+            return spec.signal_variance * np.exp(-0.5 * ((diff / spec.lengthscale) ** 2).sum(-1))
+        r = np.sqrt((diff**2).sum(-1))
+        u = np.minimum(r / spec.cutoff_radius, 1.0)  # structural zero beyond the cutoff
+    return spec.signal_variance * (1.0 - u) ** 4 * (4.0 * u + 1.0)
+
+
 def eval_kernel(spec: KernelSpec, x, x2) -> float:
     """Evaluate k(x, x2); symmetric, and k(x, x) = signal_variance."""
     p, q = as_point(x), as_point(x2)
     if p.shape != q.shape:
         raise InputError(f"dimension mismatch: {p.shape[0]} vs {q.shape[0]}")
-    sq = float(((p - q) ** 2).sum())
-    if spec.family == SQUARED_EXPONENTIAL:
-        return spec.signal_variance * math.exp(-sq / (2.0 * spec.lengthscale**2))
-    r = math.sqrt(sq)
-    u = r / spec.cutoff_radius
-    if u >= 1.0:
-        return 0.0  # structural zero beyond the cutoff
-    return spec.signal_variance * (1.0 - u) ** 4 * (4.0 * u + 1.0)
+    return float(_k(spec, p[None], q[None])[0, 0])
 
 
 def build_model(training: TrainingSet, spec: KernelSpec, noise_variance: float) -> GPModel:
     """Build the Gram matrix and the regularized system ``K + sigma_n^2 I``."""
     if noise_variance <= 0:
         raise InputError("noise_variance must be > 0")
-    n = training.n
-    gram = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = eval_kernel(spec, training.X[i], training.X[j])
-            if not math.isfinite(v):
-                raise NumericError(f"kernel value at ({i}, {j}) is not finite")
-            gram[i, j] = gram[j, i] = v
-    system = gram + noise_variance * np.eye(n)
+    gram = _k(spec, training.X, training.X)
+    if not np.isfinite(gram).all():
+        raise NumericError("Gram matrix has non-finite entries")
+    system = gram + noise_variance * np.eye(training.n)
     gram.setflags(write=False)
     system.setflags(write=False)
     return GPModel(training, spec, float(noise_variance), gram, system)
@@ -150,7 +151,7 @@ def build_cross(model: GPModel, x_star) -> np.ndarray:
     p = as_point(x_star)
     if p.shape[0] != model.training.d:
         raise InputError(f"test point has dimension {p.shape[0]}, expected {model.training.d}")
-    return np.array([eval_kernel(model.kernel, xi, p) for xi in model.training.X])
+    return _k(model.kernel, model.training.X, p[None])[:, 0]
 
 
 def diagnostics(model) -> SystemDiagnostics:

@@ -267,15 +267,12 @@ def eigenvalue_inversion(
         raise InputError("clock register width does not match config")
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
+    _, cpos = sv._gate_positions(layout, [clock, ancilla], controls)
     cos_t, sin_t = inversion_angles(config)
-    cpos = sv._control_positions(layout, controls)
-    apos = layout.qubit(ancilla, 0)
-    if apos in {p for p, _ in cpos}:
-        raise InputError("ancilla overlaps a control qubit")
     amps = state.amps.copy()
     _accel.pair_rot(
         amps, cos_t, sin_t, layout.start(clock), config.clock_qubits,
-        apos, layout.total_qubits, cpos,
+        layout.qubit(ancilla, 0), layout.total_qubits, cpos,
     )
     return StateVector(layout, amps)
 

@@ -204,8 +204,11 @@ def _control_positions(layout: RegisterLayout, controls) -> tuple[tuple[int, int
 
 
 def _gate_positions(layout: RegisterLayout, target, controls):
+    """Target and control positions; no qubit may be both, or a target twice."""
     tpos = _target_positions(layout, target)
     cpos = _control_positions(layout, controls)
+    if len(set(tpos)) != len(tpos):
+        raise InputError("a target qubit is named twice")
     if set(tpos) & {p for p, _ in cpos}:
         raise InputError("target and control qubits overlap")
     return tpos, cpos
@@ -268,9 +271,7 @@ def qft(state: StateVector, register: str, inverse: bool = False, controls=()) -
     """
     layout = state.layout
     start, width = layout.start(register), layout.width(register)
-    cpos = _control_positions(layout, controls)
-    if any(start <= p < start + width for p, _ in cpos):
-        raise InputError("target and control qubits overlap")
+    _, cpos = _gate_positions(layout, register, controls)
     amps = state.amps.copy()
     _accel.fourier(amps, start, width, layout.total_qubits, cpos, inverse)
     return StateVector(layout, amps)
@@ -319,6 +320,7 @@ def controlled_evolution(
     rotating back, so the evolution is exact.
     """
     layout = state.layout
+    _, cpos = _gate_positions(layout, [clock, target], controls)
     lam, vec = hermitian_eigh(system)
     tw = layout.width(target)
     if lam.shape[0] != (1 << tw):
@@ -328,7 +330,6 @@ def controlled_evolution(
         )
     cw = layout.width(clock)
     big_t = 1 << cw
-    cpos = _control_positions(layout, controls)
     tau = np.arange(big_t)
     table = np.exp(1j * np.outer(tau, lam) * (t / big_t))
 

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from qgpr.classical import (
-    cg_solve,
-    cholesky,
-    dense_inverse,
-    predict_exact,
-    solve_lower,
-    solve_upper_t,
-)
+from qgpr.classical import cg_solve, cholesky, dense_inverse, predict_exact
 from qgpr.exceptions import ConvergenceError, InputError, NotPositiveDefiniteError, NumericError
 from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval_kernel
 
@@ -37,16 +30,23 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-
-class TestTriangularSolves:
-    def test_roundtrip(self, rng):
+    def test_indefinite_with_positive_diagonal(self, rng):
         model = random_se_model(rng, n=8)
-        L = cholesky(model.system).L
-        b = rng.normal(size=8)
-        x = solve_lower(L, b)
-        np.testing.assert_allclose(L @ x, b, atol=1e-12)
-        z = solve_upper_t(L, b)
-        np.testing.assert_allclose(L.T @ z, b, atol=1e-12)
+        shifted = model.system - (np.linalg.eigvalsh(model.system)[0] + 0.05) * np.eye(8)
+        assert np.all(np.diag(shifted) > 0)
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(shifted)
+
+    @pytest.mark.parametrize("i, j", [(5, 2), (3, 3)], ids=["off-diagonal", "diagonal"])
+    def test_nan_entry(self, rng, i, j):
+        a = np.array(random_se_model(rng, n=8).system)
+        a[i, j] = a[j, i] = np.nan
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(a)
+
+    def test_non_square(self):
+        with pytest.raises(InputError):
+            cholesky(np.ones((2, 3)))
 
 
 class TestPredictExact:
@@ -90,7 +90,7 @@ class TestCgSolve:
         b = rng.normal(size=8)
         x_cg = cg_solve(model.system, b, tol=1e-10)
         L = cholesky(model.system).L
-        x_ch = solve_upper_t(L, solve_lower(L, b))
+        x_ch = np.linalg.solve(L.T, np.linalg.solve(L, b))
         assert np.abs(x_cg - x_ch).max() <= 1e-8
 
     def test_zero_rhs(self):

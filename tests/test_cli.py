@@ -268,6 +268,28 @@ class TestMainExitCodes:
         assert main(["predict", "--config", str(cfgp)]) == EXIT_NUMERIC
         assert main(["diagnose", "--config", str(cfgp)]) == EXIT_NUMERIC
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            {"family": "squared-exponential", "lengthscale": 1e-170},
+            {"family": "compact-support", "cutoff_radius": 1e-300},
+        ],
+        ids=["se-lengthscale-1e-170", "cs-cutoff-1e-300"],
+    )
+    def test_vanishing_length_scale_decouples_the_points(self, tmp_path, kernel, capsys):
+        # (x - x')/l overflows for some pair: k must read 0 there, not raise or warn
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,2\n1,1\n1e10,0.5\n")
+        out = tmp_path / "r.json"
+        cfgp = write_config(tmp_path, dataset, kernel=kernel, test_points=[[0.0], [0.5]])
+        assert main(["predict", "--config", str(cfgp), "--out", str(out)]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["diagnostics"]["row_sparsity"] == 1
+        cfg = load_config(cfgp)
+        gram = build_model(ingest_csv(dataset), cfg.kernel, cfg.noise_variance).gram
+        np.testing.assert_array_equal(gram, np.eye(3))
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -18,6 +18,16 @@ from conftest import random_cs_model, random_se_model
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 CS1 = KernelSpec("compact-support", 1.0, 1.0, cutoff_radius=1.0)
+CS15 = KernelSpec("compact-support", 0.6, 1.0, cutoff_radius=1.5)
+
+
+def closed_form(spec, x, x2):
+    """k(x, x2) from the textbook formulas, one pair of points at a time."""
+    sq = sum((a - b) ** 2 for a, b in zip(x, x2))
+    if spec.family == "squared-exponential":
+        return spec.signal_variance * math.exp(-sq / (2.0 * spec.lengthscale**2))
+    u = math.sqrt(sq) / spec.cutoff_radius
+    return 0.0 if u >= 1.0 else spec.signal_variance * (1.0 - u) ** 4 * (4.0 * u + 1.0)
 
 
 class TestEvalKernel:
@@ -42,6 +52,21 @@ class TestEvalKernel:
             for _ in range(20):
                 a, b = rng.normal(size=2), rng.normal(size=2)
                 assert eval_kernel(spec, a, b) == eval_kernel(spec, b, a)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "spec, far",
+        [
+            (KernelSpec("squared-exponential", 2.0, 1e-170), [1.0]),
+            (KernelSpec("compact-support", 2.0, 1.0, cutoff_radius=1e-300), [1e10]),
+            (SE, [1e308]),
+            (CS1, [1e308]),
+        ],
+        ids=["se-tiny-lengthscale", "cs-tiny-cutoff", "se-huge-distance", "cs-huge-distance"],
+    )
+    def test_overflowing_distance_is_exact_zero(self, spec, far):
+        assert eval_kernel(spec, [-far[0]], far) == 0.0
+        assert eval_kernel(spec, far, far) == spec.signal_variance
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
@@ -120,11 +145,21 @@ class TestBuildCross:
         np.testing.assert_array_equal(build_cross(model, [10.0]), np.zeros(2))
 
     def test_matches_elementwise_oracle(self, rng):
-        model = random_se_model(rng, n=4, d=2)
-        x_star = rng.normal(size=2)
-        k = build_cross(model, x_star)
-        oracle = [eval_kernel(model.kernel, xi, x_star) for xi in model.training.X]
-        np.testing.assert_array_equal(k, oracle)
+        # the Gram matrix, k_* and k(x_*, x_*) against the closed forms, pair by pair
+        for spec in (KernelSpec("squared-exponential", 1.7, 1.3), CS15):
+            for d in (1, 2, 3):
+                X = rng.uniform(-2.0, 2.0, size=(8, d))
+                model = build_model(TrainingSet(X, np.zeros(8)), spec, 0.5)
+                gram = [[closed_form(spec, a, b) for b in X] for a in X]
+                np.testing.assert_allclose(model.gram, gram, rtol=1e-14, atol=0)
+                for x_star in rng.uniform(-2.0, 2.0, size=(4, d)):
+                    cross = [closed_form(spec, xi, x_star) for xi in X]
+                    np.testing.assert_allclose(
+                        build_cross(model, x_star), cross, rtol=1e-14, atol=0
+                    )
+                    assert eval_kernel(spec, x_star, X[0]) == pytest.approx(
+                        closed_form(spec, x_star, X[0]), rel=1e-14, abs=0
+                    )
 
     def test_dimension_mismatch(self, rng):
         model = random_se_model(rng, n=3, d=2)

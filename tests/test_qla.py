@@ -279,6 +279,43 @@ class TestEigenvalueInversion:
         assert len(messages) == 1 and "clamped 1 of 3 clock bins" in messages[0]
 
 
+_LAYOUT = RegisterLayout((("index", 1), ("anc", 1), ("clock", 2)))
+_CFG = QlaConfig(clock_qubits=2, t0=1.0, c=0.5)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda s: sv.apply_gate(s, sv.PAULI_X, ("anc", 0), [("anc", 0, 1)]),
+        lambda s: sv.apply_gate(s, np.eye(4), [("anc", 0), ("anc", 0)]),
+        lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0), [("anc", 0, 1)]),
+        lambda s: sv.qft(s, "clock", controls=[("clock", 1, 1)]),
+        lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, [("index", 0, 1)]),
+        lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, [("clock", 0, 1)]),
+        lambda s: sv.controlled_evolution(s, "index", "index", np.eye(2), 1.0),
+        lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("clock", 1, 1)]),
+        lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("anc", 0, 1)]),
+        lambda s: phase_estimate(s, config_for(np.eye(2), 2, c=0.5), np.eye(2),
+                                 controls=[("index", 0, 1)]),
+    ],
+    ids=[
+        "apply_gate-control-on-target",
+        "apply_gate-target-twice",
+        "reflect-control-on-target",
+        "qft-control-on-register",
+        "controlled_evolution-control-on-target",
+        "controlled_evolution-control-on-clock",
+        "controlled_evolution-clock-is-target",
+        "eigenvalue_inversion-control-on-clock",
+        "eigenvalue_inversion-control-on-ancilla",
+        "phase_estimate-control-on-target",
+    ],
+)
+def test_overlapping_qubits_are_input_errors(op):
+    with pytest.raises(InputError):
+        op(init_basis(_LAYOUT))
+
+
 class TestQlaSolve:
     def test_identity_system_exact(self):
         cfg = QlaConfig(clock_qubits=3, t0=2 * math.pi / 8, c=1.0)  # lambda=1 -> bin 1
