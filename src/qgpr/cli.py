@@ -370,6 +370,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     if not cfg.sweep_values:
         raise InputError("sweep values must be a non-empty list")
     model = _build(cfg)
+    exacts = [predict_exact(model, point) for point in cfg.test_points]  # axis-independent
     rows = []
     for j, value in enumerate(sorted(cfg.sweep_values)):
         clock = value if cfg.sweep_axis == "clock_qubits" else cfg.clock_qubits
@@ -378,8 +379,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         qcfg = gpr_config(model, clock)
         seed = cfg.seed + j  # derived per-point seed
         mean_errs, var_errs, succ = [], [], []
-        for i, point in enumerate(cfg.test_points):
-            exact = predict_exact(model, point)
+        for i, (point, exact) in enumerate(zip(cfg.test_points, exacts)):
             mres = predict_mean_quantum(
                 model, point, qcfg, shots=shots if mode == "sampled" else None,
                 seed=seed + i, mode=mode,

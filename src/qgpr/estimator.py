@@ -102,17 +102,16 @@ def build_interference_state(spec: BilinearSpec) -> StateVector:
     a_pad = pad_system(spec.system, 1 << w, spec.config.c)
 
     state = sv.init_basis(layout)
-    state = sv.apply_gate(state, sv.HADAMARD, ("A", 0))
-    state = sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], [("A", 0, 0)])
-    state = sv.apply_gate(state, sv.PAULI_X, ("D", 0), [("A", 0, 0)])
-    state = sv.reflect(state, state_prep_vector(spec.v, w), ["B", "C"], [("A", 0, 1)])
+    sv.apply_gate(state, sv.HADAMARD, ("A", 0))
+    sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], [("A", 0, 0)])
+    sv.apply_gate(state, sv.PAULI_X, ("D", 0), [("A", 0, 0)])
+    sv.reflect(state, state_prep_vector(spec.v, w), ["B", "C"], [("A", 0, 1)])
 
     solver_controls = (("A", 0, 1), ("C", 0, 1))
-    state = phase_estimate(state, spec.config, a_pad, clock="E", target="B",
-                           controls=solver_controls)
-    state = eigenvalue_inversion(state, "E", "D", spec.config, controls=solver_controls)
-    state = phase_estimate(state, spec.config, a_pad, clock="E", target="B",
-                           controls=solver_controls, inverse=True)
+    phase_estimate(state, spec.config, a_pad, clock="E", target="B", controls=solver_controls)
+    eigenvalue_inversion(state, "E", "D", spec.config, controls=solver_controls)
+    phase_estimate(state, spec.config, a_pad, clock="E", target="B",
+                   controls=solver_controls, inverse=True)
     return state
 
 
@@ -248,7 +247,7 @@ def shots_for_precision(delta: float, pilot: EstimationResult) -> int:
 
     Scales the pilot run's sample variance: N = ceil(var / delta^2).
     """
-    if delta <= 0:
+    if not delta > 0:  # also rejects NaN
         raise InputError("delta must be > 0")
     if pilot.shots < 100:
         raise InputError(f"pilot run has {pilot.shots} shots; need at least 100")

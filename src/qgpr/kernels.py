@@ -42,12 +42,13 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if self.signal_variance <= 0:
+        # `not x > 0` also rejects NaN
+        if not self.signal_variance > 0:
             raise InputError("signal_variance must be > 0")
-        if self.lengthscale <= 0:
+        if not self.lengthscale > 0:
             raise InputError("lengthscale must be > 0")
         if self.family == COMPACT_SUPPORT:
-            if self.cutoff_radius is None or self.cutoff_radius <= 0:
+            if self.cutoff_radius is None or not self.cutoff_radius > 0:
                 raise InputError("compact-support kernel needs cutoff_radius > 0")
 
 
@@ -135,7 +136,7 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 
 def build_model(training: TrainingSet, spec: KernelSpec, noise_variance: float) -> GPModel:
     """Build the Gram matrix and the regularized system ``K + sigma_n^2 I``."""
-    if noise_variance <= 0:
+    if not noise_variance > 0:  # also rejects NaN
         raise InputError("noise_variance must be > 0")
     gram = _k(spec, training.X, training.X)
     if not np.isfinite(gram).all():

@@ -45,7 +45,7 @@ class QlaConfig:
     def __post_init__(self):
         if self.clock_qubits < 1:
             raise InputError("clock_qubits must be >= 1")
-        if self.t0 <= 0 or self.c <= 0 or self.epsilon <= 0:
+        if not (self.t0 > 0 and self.c > 0 and self.epsilon > 0):  # also rejects NaN
             raise InputError("t0, c, and epsilon must all be > 0")
 
     @property
@@ -177,7 +177,9 @@ def prepare_sparse_state(
     if layout.width(flag_qubit) != 1:
         raise InputError(f"flag register {flag_qubit!r} must be one qubit wide")
     u = state_prep_vector(enc, layout.width(index_register))
-    return sv.reflect(sv.init_basis(layout), u, [index_register, flag_qubit])
+    state = sv.init_basis(layout)
+    sv.reflect(state, u, [index_register, flag_qubit])
+    return state
 
 
 def pad_system(system, padded_dim: int, fill: float) -> np.ndarray:
@@ -209,13 +211,15 @@ def phase_estimate(
     target: str = "index",
     controls=(),
     inverse: bool = False,
-) -> StateVector:
-    """Phase estimation of the system Hamiltonian onto the clock register.
+) -> None:
+    """Phase estimation of the system Hamiltonian onto the clock register, in place.
 
     Forward: Hadamards on the clock, clock-controlled evolution for total
     time t0 * T, inverse QFT. With ``inverse=True`` the exact adjoint circuit
-    is applied (uncomputation). An eigenvalue lambda with
-    lambda * t0 * T / (2*pi) = k integral lands exactly in clock bin k.
+    is applied (uncomputation). Each step changes ``state.amps`` in place;
+    inputs are checked before the first step, so an error leaves the state
+    as it was. An eigenvalue lambda with lambda * t0 * T / (2*pi) = k
+    integral lands exactly in clock bin k.
     """
     layout = state.layout
     if layout.width(clock) != config.clock_qubits:
@@ -224,18 +228,20 @@ def phase_estimate(
             f"config expects {config.clock_qubits}"
         )
     validate_config(config, system)
+    sv._gate_positions(layout, [clock, target], controls)
+    if len(system) != 1 << layout.width(target):
+        raise InputError(f"system of size {len(system)} does not match register {target!r}")
     t_total = config.t0 * config.T
     if not inverse:
         for j in range(config.clock_qubits):
-            state = sv.apply_gate(state, sv.HADAMARD, (clock, j), controls)
-        state = sv.controlled_evolution(state, clock, target, system, t_total, controls)
-        state = sv.qft(state, clock, inverse=True, controls=controls)
+            sv.apply_gate(state, sv.HADAMARD, (clock, j), controls)
+        sv.controlled_evolution(state, clock, target, system, t_total, controls)
+        sv.qft(state, clock, inverse=True, controls=controls)
     else:
-        state = sv.qft(state, clock, inverse=False, controls=controls)
-        state = sv.controlled_evolution(state, clock, target, system, -t_total, controls)
+        sv.qft(state, clock, inverse=False, controls=controls)
+        sv.controlled_evolution(state, clock, target, system, -t_total, controls)
         for j in range(config.clock_qubits):
-            state = sv.apply_gate(state, sv.HADAMARD, (clock, j), controls)
-    return state
+            sv.apply_gate(state, sv.HADAMARD, (clock, j), controls)
 
 
 def _inversion_ratios(config: QlaConfig) -> np.ndarray:
@@ -260,8 +266,8 @@ def inversion_angles(config: QlaConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def eigenvalue_inversion(
     state: StateVector, clock: str, ancilla: str, config: QlaConfig, controls=()
-) -> StateVector:
-    """Rotate the ancilla by 2*arcsin(c/lambda_k), controlled on clock value k."""
+) -> None:
+    """Rotate the ancilla by 2*arcsin(c/lambda_k), controlled on clock value k, in place."""
     layout = state.layout
     if layout.width(clock) != config.clock_qubits:
         raise InputError("clock register width does not match config")
@@ -269,12 +275,10 @@ def eigenvalue_inversion(
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
     _, cpos = sv._gate_positions(layout, [clock, ancilla], controls)
     cos_t, sin_t = inversion_angles(config)
-    amps = state.amps.copy()
     _accel.pair_rot(
-        amps, cos_t, sin_t, layout.start(clock), config.clock_qubits,
+        state.amps, cos_t, sin_t, layout.start(clock), config.clock_qubits,
         layout.qubit(ancilla, 0), layout.total_qubits, cpos,
     )
-    return StateVector(layout, amps)
 
 
 def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
@@ -315,9 +319,9 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
         amps[np.arange(n) * stride] = vec / nrm
         state = StateVector(layout, amps)
 
-    state = phase_estimate(state, config, a_pad, clock="clock", target="index")
-    state = eigenvalue_inversion(state, "clock", "ancilla", config)
-    state = phase_estimate(state, config, a_pad, clock="clock", target="index", inverse=True)
+    phase_estimate(state, config, a_pad, clock="clock", target="index")
+    eigenvalue_inversion(state, "clock", "ancilla", config)
+    phase_estimate(state, config, a_pad, clock="clock", target="index", inverse=True)
     success_prob, state = sv.project(state, "ancilla", 1)
     return state, success_prob
 

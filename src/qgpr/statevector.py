@@ -2,9 +2,10 @@
 
 A state lives on an ordered set of named registers; the first register holds
 the most significant bits of the basis index, and within a register qubit 0
-is the most significant bit. Circuit operations return new ``StateVector``
-instances: the amplitudes are copied, then mutated in place by the numpy
-kernels in :mod:`qgpr._accel`.
+is the most significant bit. Circuit operations change ``state.amps`` in
+place through the numpy kernels in :mod:`qgpr._accel` and return ``None``; a
+caller that still needs the state before an operation takes ``state.copy()``.
+:func:`project` is a measurement and returns a new, renormalized state.
 
 Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, controlled reflections I - 2uu^H (applied
@@ -218,8 +219,8 @@ def _gate_positions(layout: RegisterLayout, target, controls):
 # circuit operations
 
 
-def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> StateVector:
-    """Apply a unitary to target qubits, optionally under qubit controls.
+def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> None:
+    """Apply a unitary to target qubits in place, optionally under qubit controls.
 
     ``target`` is a register name (whole register), a ``(register, qubit)``
     pair, or a sequence of those; ``controls`` is a sequence of
@@ -233,13 +234,11 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> Sta
         raise InputError(f"gate shape {gate.shape} does not match {len(tpos)} qubits")
     if np.abs(gate.conj().T @ gate - np.eye(dim)).max() > _UNITARY_TOL:
         raise InputError("gate is not unitary")
-    amps = state.amps.copy()
-    _accel.apply_matrix(amps, gate, tpos, layout.total_qubits, cpos)
-    return StateVector(layout, amps)
+    _accel.apply_matrix(state.amps, gate, tpos, layout.total_qubits, cpos)
 
 
-def reflect(state: StateVector, u, target, controls=()) -> StateVector:
-    """Apply the reflection ``I - 2 u u^H`` to target qubits, optionally controlled.
+def reflect(state: StateVector, u, target, controls=()) -> None:
+    """Apply the reflection ``I - 2 u u^H`` to target qubits in place, optionally controlled.
 
     ``target`` and ``controls`` are as for :func:`apply_gate`. ``u`` must be a
     unit vector over the target qubits, which makes the reflection unitary.
@@ -251,9 +250,7 @@ def reflect(state: StateVector, u, target, controls=()) -> StateVector:
         raise InputError(f"reflection vector shape {u.shape} does not match {len(tpos)} qubits")
     if not abs(np.linalg.norm(u) - 1.0) <= _UNITARY_TOL:  # also rejects NaN
         raise InputError("reflection vector is not a unit vector")
-    amps = state.amps.copy()
-    _accel.reflect(amps, u, tpos, layout.total_qubits, cpos)
-    return StateVector(layout, amps)
+    _accel.reflect(state.amps, u, tpos, layout.total_qubits, cpos)
 
 
 def qft_matrix(width: int) -> np.ndarray:
@@ -263,8 +260,8 @@ def qft_matrix(width: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / dim) / math.sqrt(dim)
 
 
-def qft(state: StateVector, register: str, inverse: bool = False, controls=()) -> StateVector:
-    """Quantum Fourier transform (or its inverse) on one register, as an FFT.
+def qft(state: StateVector, register: str, inverse: bool = False, controls=()) -> None:
+    """Quantum Fourier transform (or its inverse) on one register in place, as an FFT.
 
     Forward: |j> -> T^{-1/2} sum_k exp(+2 pi i jk/T)|k> with T = 2**width; the
     inverse has exp(-2 pi i jk/T). Controls may not lie on ``register``.
@@ -272,9 +269,7 @@ def qft(state: StateVector, register: str, inverse: bool = False, controls=()) -
     layout = state.layout
     start, width = layout.start(register), layout.width(register)
     _, cpos = _gate_positions(layout, register, controls)
-    amps = state.amps.copy()
-    _accel.fourier(amps, start, width, layout.total_qubits, cpos, inverse)
-    return StateVector(layout, amps)
+    _accel.fourier(state.amps, start, width, layout.total_qubits, cpos, inverse)
 
 
 def _check_hermitian(system: np.ndarray) -> np.ndarray:
@@ -312,8 +307,8 @@ def controlled_evolution(
     system: np.ndarray,
     t: float,
     controls=(),
-) -> StateVector:
-    """Apply ``sum_tau |tau><tau| (x) exp(i * system * t * tau/T)`` (T clock states).
+) -> None:
+    """Apply ``sum_tau |tau><tau| (x) exp(i * system * t * tau/T)`` (T clock states) in place.
 
     Implemented by rotating the target register into the eigenbasis of
     ``system``, multiplying the joint (clock value, eigenvector) phase and
@@ -333,13 +328,12 @@ def controlled_evolution(
     tau = np.arange(big_t)
     table = np.exp(1j * np.outer(tau, lam) * (t / big_t))
 
-    amps = state.amps.copy()
+    amps = state.amps
     m = layout.total_qubits
     tpos = layout.positions(target)
     _accel.apply_matrix(amps, vec.conj().T, tpos, m, cpos)
     _accel.phase_mul(amps, table, layout.start(clock), cw, layout.start(target), tw, m, cpos)
     _accel.apply_matrix(amps, vec, tpos, m, cpos)
-    return StateVector(layout, amps)
 
 
 def expectation(state: StateVector, obs: Observable) -> float:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qgpr import cli
 from qgpr import statevector as sv
 from qgpr.cli import (
     EXIT_INPUT,
@@ -243,6 +244,23 @@ class TestCmdSweep:
             cmd_sweep(load_config(cfgp))
         assert len(caplog.records) == 2
         assert all("clamped" in rec.getMessage() for rec in caplog.records)
+
+    def test_classical_prediction_once_per_test_point(self, tmp_path, monkeypatch):
+        # the classical oracle depends on neither the clock width nor the shots
+        cfgp = self._sweep_config(
+            tmp_path, test_points=[[0.1], [0.5]], sweep={"axis": "clock_qubits", "values": [3, 4, 5]}
+        )
+        points = []
+        original = cli.predict_exact
+
+        def counted(model, point):
+            points.append(point)
+            return original(model, point)
+
+        monkeypatch.setattr(cli, "predict_exact", counted)
+        rows = cmd_sweep(load_config(cfgp))
+        assert len(rows) == 3
+        assert points == [[0.1], [0.5]]
 
     def test_missing_sweep_section(self, tmp_path):
         cfgp = self._sweep_config(tmp_path)

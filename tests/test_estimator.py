@@ -120,13 +120,13 @@ class TestObservableM:
     def test_plus_one_one_state(self):
         layout = interference_layout(2, 3)
         state = init_basis(layout, {"C": 1, "D": 1})
-        state = sv.apply_gate(state, sv.HADAMARD, ("A", 0))
+        sv.apply_gate(state, sv.HADAMARD, ("A", 0))
         assert expectation(state, observable_M(layout)) == pytest.approx(1.0, abs=1e-12)
 
     def test_c_zero_component_scores_zero(self):
         layout = interference_layout(2, 3)
         state = init_basis(layout, {"C": 0, "D": 1})
-        state = sv.apply_gate(state, sv.HADAMARD, ("A", 0))
+        sv.apply_gate(state, sv.HADAMARD, ("A", 0))
         assert expectation(state, observable_M(layout)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_operator_oracle(self, rng):
@@ -385,6 +385,39 @@ class TestShotsForPrecision:
             if check.std_error <= 1.5 * delta:
                 hits += 1
         assert hits >= 0.9 * trials
+
+
+_NAN = float("nan")
+_PILOT = EstimationResult(0.0, 0.1, 100, 0.0, 1.0, None, 0)
+_TRAINING = TrainingSet(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: KernelSpec("squared-exponential", _NAN, 1.0),
+        lambda: KernelSpec("squared-exponential", 1.0, _NAN),
+        lambda: KernelSpec("compact-support", 1.0, 1.0, cutoff_radius=_NAN),
+        lambda: build_model(_TRAINING, SE, _NAN),
+        lambda: QlaConfig(2, t0=_NAN, c=0.5),
+        lambda: QlaConfig(2, t0=1.0, c=_NAN),
+        lambda: QlaConfig(2, t0=1.0, c=0.5, epsilon=_NAN),
+        lambda: shots_for_precision(_NAN, _PILOT),
+    ],
+    ids=[
+        "signal_variance",
+        "lengthscale",
+        "cutoff_radius",
+        "noise_variance",
+        "t0",
+        "c",
+        "epsilon",
+        "delta",
+    ],
+)
+def test_nan_hyperparameter_is_input_error(make):
+    with pytest.raises(InputError):
+        make()
 
 
 class TestShotNoiseScaling:

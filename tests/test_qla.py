@@ -165,8 +165,8 @@ class TestPhaseEstimate:
         layout = RegisterLayout((("index", 1), ("clock", 3)))
         cfg = QlaConfig(clock_qubits=3, t0=t0, c=lam / 2)
         state = init_basis(layout)  # index |0>, an eigenstate of a diagonal system
-        out = phase_estimate(state, cfg, np.diag([lam, lam * 0.5]), target="index")
-        dist = clock_distribution(out)
+        phase_estimate(state, cfg, np.diag([lam, lam * 0.5]), target="index")
+        dist = clock_distribution(state)
         assert dist[4] == pytest.approx(1.0, abs=1e-10)
 
     def test_peak_distribution_matches_brute_force(self):
@@ -180,8 +180,8 @@ class TestPhaseEstimate:
         layout = RegisterLayout((("index", 1), ("clock", clock)))
         cfg = QlaConfig(clock_qubits=clock, t0=t0, c=lam / 2)
         state = init_basis(layout)
-        out = phase_estimate(state, cfg, np.diag([lam, lam / 2]), target="index")
-        dist = clock_distribution(out)
+        phase_estimate(state, cfg, np.diag([lam, lam / 2]), target="index")
+        dist = clock_distribution(state)
 
         tau = np.arange(big_t)
         oracle = np.array(
@@ -201,8 +201,9 @@ class TestPhaseEstimate:
         cfg = config_for(a, 4, c=0.1)
         amps = np.zeros(32, dtype=complex)
         amps[0], amps[16] = 0.6, 0.8
-        out = phase_estimate(StateVector(layout, amps), cfg, a, target="index")
-        assert abs(out.norm() - 1.0) <= 1e-10
+        state = StateVector(layout, amps)
+        phase_estimate(state, cfg, a, target="index")
+        assert abs(state.norm() - 1.0) <= 1e-10
 
     def test_inverse_uncomputes(self, rng):
         a = random_spd(rng, 2)
@@ -210,10 +211,18 @@ class TestPhaseEstimate:
         cfg = config_for(a, 4, c=0.1)
         amps = np.zeros(32, dtype=complex)
         amps[0], amps[16] = 0.6, 0.8
-        state = StateVector(layout, amps)
-        out = phase_estimate(state, cfg, a, target="index")
-        back = phase_estimate(out, cfg, a, target="index", inverse=True)
-        np.testing.assert_allclose(back.amps, amps, atol=1e-10)
+        state = StateVector(layout, amps.copy())
+        phase_estimate(state, cfg, a, target="index")
+        phase_estimate(state, cfg, a, target="index", inverse=True)
+        np.testing.assert_allclose(state.amps, amps, atol=1e-10)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_wrong_system_size_leaves_state_unchanged(self, inverse):
+        layout = RegisterLayout((("index", 1), ("clock", 2)))
+        state = init_basis(layout)
+        with pytest.raises(InputError):
+            phase_estimate(state, QlaConfig(2, t0=0.1, c=0.5), np.eye(4), inverse=inverse)
+        np.testing.assert_array_equal(state.amps, init_basis(layout).amps)
 
     def test_wrong_clock_width(self):
         layout = RegisterLayout((("index", 1), ("clock", 3)))
@@ -226,7 +235,8 @@ class TestEigenvalueInversion:
     def _run(self, clock_value, cfg):
         layout = RegisterLayout((("clock", cfg.clock_qubits), ("anc", 1)))
         state = init_basis(layout, {"clock": clock_value})
-        return eigenvalue_inversion(state, "clock", "anc", cfg)
+        eigenvalue_inversion(state, "clock", "anc", cfg)
+        return state
 
     def test_full_flip_at_lambda_equal_c(self):
         # clock bin k=1 with t0 chosen so lambda_1 = c
@@ -256,7 +266,8 @@ class TestEigenvalueInversion:
         amps = np.zeros(8, dtype=complex)
         weights = np.array([0.1, 0.5, 0.3, 0.1]) ** 0.5
         amps[::2] = weights
-        out = eigenvalue_inversion(StateVector(layout, amps), "clock", "anc", cfg)
+        state = StateVector(layout, amps)
+        eigenvalue_inversion(state, "clock", "anc", cfg)
         expected = np.zeros(8, dtype=complex)
         for k in range(4):
             if k == 0:
@@ -266,7 +277,7 @@ class TestEigenvalueInversion:
                 ratio = min(cfg.c / lam, 1.0)
             expected[2 * k] = weights[k] * math.sqrt(1 - ratio**2)
             expected[2 * k + 1] = weights[k] * ratio
-        np.testing.assert_allclose(out.amps, expected, atol=1e-12)
+        np.testing.assert_allclose(state.amps, expected, atol=1e-12)
 
     def test_clamp_logged(self, caplog):
         # T=4 and lambda_max = 1 put bin 1 at lambda = 1/3 < c; bin 2 (2/3) is not
@@ -311,9 +322,51 @@ _CFG = QlaConfig(clock_qubits=2, t0=1.0, c=0.5)
         "phase_estimate-control-on-target",
     ],
 )
-def test_overlapping_qubits_are_input_errors(op):
+def test_overlapping_qubits_are_input_errors(rng, op):
+    # ops act in place, so an op that raises must do so before changing the state
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    state = StateVector(_LAYOUT, amps / np.linalg.norm(amps))
+    before = state.copy()
     with pytest.raises(InputError):
-        op(init_basis(_LAYOUT))
+        op(state)
+    np.testing.assert_array_equal(state.amps, before.amps)
+
+
+_SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid for _CFG
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda s: sv.apply_gate(s, sv.HADAMARD, ("anc", 0), [("index", 0, 1)]),
+        lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0)),
+        lambda s: sv.qft(s, "clock"),
+        lambda s: sv.qft(s, "clock", inverse=True),
+        lambda s: sv.controlled_evolution(s, "clock", "index", _SYSTEM, 1.0),
+        lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG),
+        lambda s: phase_estimate(s, _CFG, _SYSTEM),
+        lambda s: phase_estimate(s, _CFG, _SYSTEM, inverse=True),
+    ],
+    ids=[
+        "apply_gate",
+        "reflect",
+        "qft",
+        "qft-inverse",
+        "controlled_evolution",
+        "eigenvalue_inversion",
+        "phase_estimate",
+        "phase_estimate-inverse",
+    ],
+)
+def test_ops_act_in_place(rng, op):
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    state = StateVector(_LAYOUT, amps / np.linalg.norm(amps))
+    buffer, before = state.amps, state.copy()
+    snapshot = state.amps.copy()
+    assert op(state) is None
+    assert state.amps is buffer
+    assert np.abs(state.amps - snapshot).max() > 1e-3  # the op changed the buffer
+    np.testing.assert_array_equal(before.amps, snapshot)
 
 
 class TestQlaSolve:
