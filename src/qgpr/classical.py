@@ -59,8 +59,8 @@ def cg_solve(system, b, tol: float = 1e-10, max_iter: int | None = None) -> np.n
     """
     a = np.asarray(system, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
-    if tol <= 0:
-        raise InputError("tol must be > 0")
+    if not tol > 0:  # also rejects NaN
+        raise InputError(f"tol must be > 0, got {tol}")
     n = b.shape[0]
     if a.shape != (n, n):
         raise InputError(f"system shape {a.shape} does not match vector length {n}")

@@ -75,6 +75,8 @@ class RunConfig:
             raise InputError("clock_qubits must be >= 1")
         if self.shots < 1:
             raise InputError("shots must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.kappa_bound <= 1:
             raise InputError("kappa_bound must be > 1")
         if not self.test_points:

@@ -122,10 +122,6 @@ def observable_M(layout: RegisterLayout) -> Observable:
     return Observable(layout, {"A": "X", "C": "P1", "D": "P1"})
 
 
-def _post_selection_observable(layout: RegisterLayout) -> Observable:
-    return Observable(layout, {"C": "P1", "D": "P1"})
-
-
 def estimate_bilinear(
     spec: BilinearSpec,
     shots: int | None = None,
@@ -145,7 +141,7 @@ def estimate_bilinear(
     scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v)
     if mode == "exact":
         raw = sv.expectation(state, obs)
-        success = sv.expectation(state, _post_selection_observable(state.layout))
+        success = sv.expectation(state, Observable(state.layout, {"C": "P1", "D": "P1"}))
         return EstimationResult(
             estimate=raw * scale,
             std_error=0.0,

@@ -11,16 +11,17 @@ Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, controlled reflections I - 2uu^H (applied
 as a rank-1 update), the quantum Fourier transform on a register (an FFT
 along the register), clock-controlled Hamiltonian evolution by exact
-eigendecomposition, expectation values of factorized Hermitian observables,
-projective measurement of a register, and seeded shot sampling of an
-observable. The eigendecomposition of an evolution system is memoized on the
-matrix contents, so a system is diagonalized once however many circuits
-evolve under it.
+eigendecomposition, projective measurement of a register, and the
+expectation value and seeded shot sampling of an :class:`Observable`, read
+off views of the amplitudes. The eigendecomposition of an evolution system is
+memoized on the matrix contents, so a system is diagonalized once however
+many circuits evolve under it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -33,14 +34,14 @@ from .exceptions import InputError, ZeroProbabilityError
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PROJ_0 = np.array([[1, 0], [0, 0]], dtype=complex)
-PROJ_1 = np.array([[0, 0], [0, 1]], dtype=complex)
 
 DEFAULT_QUBIT_CAP = 22  # 2^22 complex amplitudes ~ 64 MiB
 MAX_SHOTS = 1 << DEFAULT_QUBIT_CAP  # as many draws as the cap admits amplitudes
 
 _UNITARY_TOL = 1e-10
 _HERMITIAN_TOL = 1e-10
+# eigenvalues of each one-qubit factor, ascending; P0's eigenvalue 0 is basis |1>
+_EIGENVALUES = {"X": (-1.0, 1.0), "P0": (0.0, 1.0), "P1": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,8 @@ class StateVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
+        # a copy, so the in-place operations never write to the caller's array
+        amps = np.array(self.amps, dtype=np.complex128)
         if amps.shape != (1 << self.layout.total_qubits,):
             raise InputError(
                 f"amplitude vector has length {amps.shape}, layout needs "
@@ -120,47 +122,36 @@ class StateVector:
         self.amps = amps
 
     def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amps.copy())
+        return StateVector(self.layout, self.amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
 
 class Observable:
-    """Tensor product of per-register Hermitian factors.
+    """Tensor product of one-qubit factors on named registers.
 
-    Factors are given per register name as ``"X"``, ``"I"``, ``"P0"``
-    (``|0><0|``), ``"P1"`` (``|1><1|``) or an explicit Hermitian matrix of the
-    register's dimension. Registers not mentioned carry the identity.
+    Factors are given per register name as ``"X"``, ``"P0"`` (``|0><0|``),
+    ``"P1"`` (``|1><1|``) or ``"I"``; all but ``"I"`` need a one-qubit
+    register, and at most one factor is X. Registers not mentioned carry the
+    identity. ``factors`` maps each register with a non-identity factor to its
+    letter. Each projector pins its register's axis of the amplitude tensor
+    and X pairs the two halves psi0, psi1 of its axis, so
+    <X> = 2 Re<psi0|psi1> and X reads -/+1 with probability
+    (|psi0|^2 + |psi1|^2 -/+ 2 Re<psi0|psi1>) / 2.
     """
-
-    _NAMED = {"X": PAULI_X, "P0": PROJ_0, "P1": PROJ_1}
 
     def __init__(self, layout: RegisterLayout, factors: Mapping[str, object]):
         self.layout = layout
-        mats: dict[str, np.ndarray] = {}
         for name, fac in factors.items():
-            dim = 1 << layout.width(name)  # raises for unknown names
-            if isinstance(fac, str):
-                if fac == "I":
-                    continue
-                if fac not in self._NAMED:
-                    raise InputError(f"unknown factor {fac!r} for register {name!r}")
-                mat = self._NAMED[fac]
-            else:
-                mat = np.asarray(fac, dtype=complex)
-            if mat.shape != (dim, dim):
-                raise InputError(
-                    f"factor for register {name!r} has shape {mat.shape}, "
-                    f"expected {(dim, dim)}"
-                )
-            if np.abs(mat - mat.conj().T).max() > _HERMITIAN_TOL:
-                raise InputError(f"factor for register {name!r} is not Hermitian")
-            mats[name] = mat
-        self.factors = mats
-
-    def items(self):
-        return self.factors.items()
+            width = layout.width(name)  # raises for unknown names
+            if not isinstance(fac, str) or fac not in ("I", *_EIGENVALUES):
+                raise InputError(f"unknown factor {fac!r} for register {name!r}")
+            if fac != "I" and width != 1:
+                raise InputError(f"factor {fac!r} on {name!r} needs a one-qubit register")
+        self.factors = {name: fac for name, fac in factors.items() if fac != "I"}
+        if list(self.factors.values()).count("X") > 1:
+            raise InputError("an observable has at most one 'X' factor")
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +327,31 @@ def controlled_evolution(
     _accel.apply_matrix(amps, vec, tpos, m, cpos)
 
 
-def expectation(state: StateVector, obs: Observable) -> float:
-    """Real expectation value ``<psi|M|psi>`` of a factorized observable."""
+def _blocks(state: StateVector, obs: Observable, bits: Sequence[int]) -> list[np.ndarray]:
+    """The X axis's halves psi0, psi1 (or the one block without X) with the
+    projectors, in layout order, pinned to read eigenvalue indices ``bits``."""
     if obs.layout is not state.layout and obs.layout != state.layout:
         raise InputError("observable layout does not match state layout")
-    phi = state.amps.copy()
-    m = state.layout.total_qubits
-    for name, mat in obs.items():
-        _accel.apply_matrix(phi, mat, state.layout.positions(name), m)
-    val = np.vdot(state.amps, phi)
-    return float(val.real)
+    psi = state.amps.reshape(state.layout.dims())
+    idx: list = [slice(None)] * psi.ndim
+    bits, x_axis = iter(bits), None
+    for axis, name in enumerate(state.layout.names):
+        fac = obs.factors.get(name)
+        if fac == "X":
+            x_axis = axis
+        elif fac is not None:
+            idx[axis] = next(bits) ^ (fac == "P0")
+    if x_axis is None:
+        return [psi[tuple(idx)]]
+    return [psi[tuple(idx[:x_axis] + [half] + idx[x_axis + 1:])] for half in (0, 1)]
+
+
+def expectation(state: StateVector, obs: Observable) -> float:
+    """Real expectation value ``<psi|M|psi>``, read off views of the amplitudes."""
+    blocks = _blocks(state, obs, [1] * len(obs.factors))
+    if len(blocks) == 1:
+        return float(np.vdot(blocks[0], blocks[0]).real)
+    return 2.0 * float(np.vdot(*blocks).real)
 
 
 def project(state: StateVector, register: str, outcome: int) -> tuple[float, StateVector]:
@@ -396,32 +402,27 @@ def sample_observable(
     """Seeded i.i.d. draws of the observable's measured value.
 
     Each factor is measured in its own eigenbasis; a draw's value is the
-    product of the factor eigenvalues. Identical inputs give an identical
-    outcome sequence.
+    product of the factor eigenvalues. One ``rng.choice`` draws from the
+    outcome table (factor registers in layout order, eigenvalues ascending),
+    so identical inputs give an identical outcome sequence.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise InputError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
-    layout = state.layout
-    phi = state.amps.copy()
-    m = layout.total_qubits
-    eigvals: list[np.ndarray] = []
-    axes: list[int] = []
-    for axis, (name, _w) in enumerate(layout.registers):
-        if name not in obs.factors:
-            continue
-        vals, vecs = np.linalg.eigh(obs.factors[name])
-        _accel.apply_matrix(phi, vecs.conj().T, layout.positions(name), m)
-        eigvals.append(vals)
-        axes.append(axis)
-    probs = (np.abs(phi) ** 2).reshape(layout.dims())
-    drop = tuple(i for i in range(len(layout.registers)) if i not in axes)
-    if drop:
-        probs = probs.sum(axis=drop)
-    probs = probs.reshape(-1)
-    probs = probs / probs.sum()
-    values = np.ones(1)
-    for vals in eigvals:
-        values = np.multiply.outer(values, vals).reshape(-1)
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(values.shape[0], size=shots, p=probs)
-    return values[picks]
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    letters = [obs.factors[name] for name in state.layout.names if name in obs.factors]
+    # X's eigenvalue index runs along the last table axis until it is moved into place
+    probs = np.empty((2,) * len(letters))
+    for bits in itertools.product((0, 1), repeat=len(letters) - letters.count("X")):
+        blocks = _blocks(state, obs, bits)
+        weight = sum(np.vdot(b, b).real for b in blocks)
+        if len(blocks) == 2:  # twice the probabilities of X = -1 and X = +1
+            cross = 2.0 * np.vdot(*blocks).real
+            weight = (weight - cross, weight + cross)
+        probs[bits] = weight
+    if "X" in letters:
+        probs = np.moveaxis(probs, -1, letters.index("X"))
+    probs = np.maximum(probs.reshape(-1), 0.0)  # an X eigenstate can leave -1e-17
+    values = functools.reduce(np.multiply.outer, [_EIGENVALUES[f] for f in letters], np.ones(1))
+    picks = np.random.default_rng(seed).choice(values.size, size=shots, p=probs / probs.sum())
+    return values.reshape(-1)[picks]

@@ -103,8 +103,9 @@ class TestCgSolve:
         assert err.value.residual is not None and err.value.residual > 1e-14
 
     def test_bad_tolerance(self):
-        with pytest.raises(InputError):
-            cg_solve(np.eye(2), np.ones(2), tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(InputError):
+                cg_solve(np.eye(2), np.ones(2), tol=tol)
 
 
 class TestDenseInverse:

@@ -327,6 +327,7 @@ class TestMainExitCodes:
             {"sweep": {"axis": "clock_qubits", "values": [4.5]}},
             {"sweep": {"axis": "clock_qubits", "values": "abc"}},
             {"mode": "sampled", "shots": 10**12},
+            {"seed": -1},
         ],
     )
     def test_malformed_field_is_one_line_input_error(self, canonical, overrides, capsys):
@@ -336,6 +337,20 @@ class TestMainExitCodes:
         raw.update(overrides)
         canonical.write_text(json.dumps(raw))
         assert main(["predict", "--config", str(canonical)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--mode", "sampled", "--seed", "-1"],
+            ["predict", "--seed", "-1"],
+            ["diagnose", "--delta", "0.01", "--seed", "-3"],
+        ],
+        ids=["predict-sampled", "predict-exact", "diagnose"],
+    )
+    def test_negative_seed_flag_is_one_line_input_error(self, canonical, argv, capsys):
+        assert main([*argv, "--config", str(canonical)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qgpr import statevector as sv
+from qgpr.estimator import interference_layout, observable_M
 from qgpr.exceptions import InputError, ZeroProbabilityError
 from qgpr.statevector import (
     HADAMARD,
@@ -41,6 +44,41 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+# dense matrices of the named observable factors, for the reference sampler
+DENSE_FACTORS = {
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "P0": np.diag([1.0, 0.0]),
+    "P1": np.diag([0.0, 1.0]),
+}
+
+
+def reference_sample(state, factors, shots, seed):
+    """Sampler that measures each factor in the eigenbasis ``np.linalg.eigh`` gives.
+
+    It rotates every factor register of a copy of the state into that basis,
+    tabulates the outcome probabilities over the factor registers in layout
+    order (eigenvalues ascending) and draws once from the table.
+    """
+    layout = state.layout
+    psi = state.amps.reshape(layout.dims())
+    eigvals, axes = [], []
+    for axis, name in enumerate(layout.names):
+        if name not in factors:
+            continue
+        vals, vecs = np.linalg.eigh(DENSE_FACTORS[factors[name]])
+        psi = np.moveaxis(np.tensordot(vecs.conj().T, psi, axes=([1], [axis])), 0, axis)
+        eigvals.append(vals)
+        axes.append(axis)
+    probs = np.abs(psi) ** 2
+    probs = probs.sum(axis=tuple(i for i in range(psi.ndim) if i not in axes)).reshape(-1)
+    probs = probs / probs.sum()
+    values = np.ones(1)
+    for vals in eigvals:
+        values = np.multiply.outer(values, vals).reshape(-1)
+    picks = np.random.default_rng(seed).choice(values.shape[0], size=shots, p=probs)
+    return values[picks]
+
+
 class TestLayout:
     def test_duplicate_names(self):
         with pytest.raises(InputError):
@@ -60,6 +98,13 @@ class TestLayout:
         # basis |1>|10> has index 1*4 + 2 = 6
         assert lay.value(6, "A") == 1
         assert lay.value(6, "B") == 2
+
+
+class TestStateVector:
+    def test_owns_its_amplitudes(self):
+        a = np.array([1.0, 0.0], dtype=complex)
+        apply_gate(StateVector(RegisterLayout((("Q", 1),)), a), HADAMARD, ("Q", 0))
+        np.testing.assert_array_equal(a, [1.0, 0.0])
 
 
 class TestInitBasis:
@@ -310,6 +355,49 @@ class TestExpectation:
             Observable(lay, {"Q": np.array([[0.0, 1.0], [0.0, 0.0]])})
 
 
+class TestObservable:
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            {"Q": PAULI_X},  # Hermitian, but a matrix
+            {"R": "X"},  # two-qubit register
+            {"Q": "X", "S": "X"},
+            {"Q": "Z"},
+            {"Q": 1},
+        ],
+        ids=["matrix", "x-on-two-qubits", "two-x", "unknown-letter", "not-a-string"],
+    )
+    def test_rejects_unsupported_factor(self, factors):
+        lay = RegisterLayout((("Q", 1), ("R", 2), ("S", 1)))
+        with pytest.raises(InputError):
+            Observable(lay, factors)
+
+    def test_identity_factor_is_dropped(self):
+        lay = RegisterLayout((("Q", 1), ("R", 2)))
+        assert Observable(lay, {"Q": "P1", "R": "I"}).factors == {"Q": "P1"}
+
+    def test_readout_reads_views(self, rng):
+        # at 20 qubits each readout allocates less than the state and leaves
+        # it unchanged: no full-state copy and no basis change
+        layout = interference_layout(128, 10)
+        state = random_state(rng, layout)
+        before = state.amps.copy()
+        readouts = [
+            lambda: expectation(state, observable_M(layout)),
+            lambda: expectation(state, Observable(layout, {"C": "P1", "D": "P1"})),
+            lambda: sample_observable(state, observable_M(layout), 1000, seed=0),
+        ]
+        for readout in readouts:
+            tracemalloc.start()
+            try:
+                readout()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < state.amps.nbytes
+            np.testing.assert_array_equal(state.amps, before)
+
+
 class TestProject:
     def test_plus_state(self):
         prob, out = project(plus_state(), "Q", 1)
@@ -396,6 +484,44 @@ class TestSampleObservable:
             if abs(outcomes.mean() - target) > max(band, 1e-12):
                 failures += 1
         assert failures <= 1
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            {"A": "X"},
+            {"C": "P0"},
+            {"D": "P1"},
+            {"A": "X", "D": "P1"},
+            {"F": "P0", "A": "X"},
+            {"A": "X", "C": "P1", "D": "P1"},
+        ],
+        ids=["X", "P0", "P1", "X-P1", "P0-before-X", "M"],
+    )
+    def test_matches_eigenbasis_reference(self, rng, factors):
+        # the X register is never the first, so its halves are strided views
+        lay = RegisterLayout((("B", 2), ("F", 1), ("A", 1), ("C", 1), ("D", 1), ("E", 2)))
+        obs = Observable(lay, factors)
+        for seed in range(4):
+            state = random_state(rng, lay)
+            np.testing.assert_array_equal(
+                sample_observable(state, obs, 2000, seed=seed),
+                reference_sample(state, factors, 2000, seed),
+            )
+
+    def test_x_eigenstate_up_to_rounding(self, rng):
+        # |psi0|^2 + |psi1|^2 - 2 Re<psi0|psi1> rounds below 0 for some of these
+        lay = RegisterLayout((("B", 3), ("A", 1)))
+        obs = Observable(lay, {"A": "X"})
+        for _ in range(20):
+            b = rng.normal(size=8) + 1j * rng.normal(size=8)
+            amps = np.kron(b / np.linalg.norm(b), [1.0, np.exp(1e-9j)]) / np.sqrt(2.0)
+            outcomes = sample_observable(StateVector(lay, amps), obs, 100, seed=0)
+            np.testing.assert_array_equal(outcomes, np.ones(100))
+
+    def test_negative_seed(self):
+        state = plus_state()
+        with pytest.raises(InputError):
+            sample_observable(state, Observable(state.layout, {"Q": "X"}), 10, seed=-1)
 
     def test_shots_validation(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
