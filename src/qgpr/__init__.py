@@ -53,6 +53,7 @@ from .qla import (
     phase_estimate,
     prepare_sparse_state,
     qla_solve,
+    solver_block,
 )
 from .statevector import (
     Observable,

@@ -2,8 +2,8 @@
 checked against, plus a conjugate-gradient baseline and a brute-force inverse.
 
 All linear algebra is dense numpy (LAPACK underneath): the O(n^3) Cholesky
-factorization is redone for each test point, which stays cheap at the
-n = 128 the benchmark runs.
+factorization is done once per model (``GPModel.factor``) and shared by its
+test points.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def predict_exact(model: GPModel, x_star) -> Prediction:
     """Posterior mean and variance at the test point via Cholesky solves."""
     k_star = build_cross(model, x_star)
     k_ss = eval_kernel(model.kernel, x_star, x_star)
-    L = cholesky(model.system).L
+    L = model.factor.L
     alpha = np.linalg.solve(L.T, np.linalg.solve(L, model.training.y))
     w = np.linalg.solve(L, k_star)
     return Prediction(mean=float(k_star @ alpha), variance=float(k_ss - w @ w))

@@ -10,6 +10,7 @@ the cost model of the quantum solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +92,8 @@ class GPModel:
     """Training data, kernel, noise variance, and derived matrices.
 
     ``system = gram + noise_variance * I`` is the matrix whose inverse enters
-    both the linear predictor and the predictive variance.
+    both the linear predictor and the predictive variance; ``factor`` is its
+    Cholesky factor, computed on first use and kept for the model's lifetime.
     """
 
     training: TrainingSet
@@ -103,6 +105,11 @@ class GPModel:
     @property
     def n(self) -> int:
         return self.training.n
+
+    @cached_property
+    def factor(self):
+        from .classical import cholesky  # a module-level import would be circular
+        return cholesky(self.system)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ system matrix, the conditioned eigenvalue-inversion rotation, uncomputation,
 and post-selection. The clock register holds T = 2**clock_qubits values; a
 clock value k encodes the eigenvalue estimate 2*pi*k / (t0*T), so phases are
 exact whenever every lambda * t0 * T / (2*pi) is an integer.
+
+:func:`solver_block` runs estimation, inversion and uncomputation entering
+the system's eigenbasis once: the basis change acts only on the target, the
+rest only on the clock and the ancilla, so the pair between them cancels.
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ def config_for(system, clock_qubits: int, c: float, epsilon: float = 1e-2) -> Ql
     return config
 
 
-def validate_config(config: QlaConfig, system) -> None:
-    eigs, _ = sv.hermitian_eigh(system)
+def validate_config(config: QlaConfig, system) -> tuple[np.ndarray, np.ndarray]:
+    """Check t0 and c against the spectrum; returns (eigenvalues, eigenvectors)."""
+    eigs, vecs = sv.hermitian_eigh(system)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if config.t0 * lam_max >= 2.0 * math.pi:
         raise ConfigError(
@@ -95,6 +100,7 @@ def validate_config(config: QlaConfig, system) -> None:
         raise ConfigError(
             f"inversion constant c = {config.c:.6g} exceeds lambda_min = {lam_min:.6g}"
         )
+    return eigs, vecs
 
 
 @dataclass(frozen=True)
@@ -221,27 +227,30 @@ def phase_estimate(
     as it was. An eigenvalue lambda with lambda * t0 * T / (2*pi) = k
     integral lands exactly in clock bin k.
     """
-    layout = state.layout
-    if layout.width(clock) != config.clock_qubits:
-        raise InputError(
-            f"clock register {clock!r} has {layout.width(clock)} qubits, "
-            f"config expects {config.clock_qubits}"
-        )
-    validate_config(config, system)
-    sv._gate_positions(layout, [clock, target], controls)
-    if len(system) != 1 << layout.width(target):
-        raise InputError(f"system of size {len(system)} does not match register {target!r}")
+    _check_solver(state, config, system, [clock, target], controls)
     t_total = config.t0 * config.T
     if not inverse:
-        for j in range(config.clock_qubits):
-            sv.apply_gate(state, sv.HADAMARD, (clock, j), controls)
+        sv.hadamard_layer(state, clock, controls)
         sv.controlled_evolution(state, clock, target, system, t_total, controls)
         sv.qft(state, clock, inverse=True, controls=controls)
     else:
         sv.qft(state, clock, inverse=False, controls=controls)
         sv.controlled_evolution(state, clock, target, system, -t_total, controls)
-        for j in range(config.clock_qubits):
-            sv.apply_gate(state, sv.HADAMARD, (clock, j), controls)
+        sv.hadamard_layer(state, clock, controls)
+
+
+def _check_solver(state: StateVector, config: QlaConfig, system, registers, controls):
+    """Checks on (clock, target, ...) before any step; returns (eigenvalues, eigenvectors, cpos)."""
+    layout, (clock, target) = state.layout, registers[:2]
+    if layout.width(clock) != config.clock_qubits:
+        raise InputError(
+            f"clock register {clock!r} has {layout.width(clock)} qubits, "
+            f"config expects {config.clock_qubits}"
+        )
+    _, cpos = sv._gate_positions(layout, registers, controls)
+    if len(system) != 1 << layout.width(target):
+        raise InputError(f"system of size {len(system)} does not match register {target!r}")
+    return (*validate_config(config, system), cpos)
 
 
 def _inversion_ratios(config: QlaConfig) -> np.ndarray:
@@ -281,6 +290,30 @@ def eigenvalue_inversion(
     )
 
 
+def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
+                 target: str = "index", ancilla: str = "ancilla", controls=()) -> None:
+    """:func:`phase_estimate`, :func:`eigenvalue_inversion` and the inverse
+    estimation in place, entering the eigenbasis of ``system`` (V) once.
+
+    V^H on the target, then the clock Hadamards, the clock-phase table, the
+    inverse QFT, the inversion, the QFT, the conjugate table and the
+    Hadamards, then V. Inputs are checked before the first step.
+    """
+    if state.layout.width(ancilla) != 1:
+        raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
+    lam, vec, cpos = _check_solver(state, config, system, [clock, target, ancilla], controls)
+    table = sv._clock_phase_table(lam, config.clock_qubits, config.t0 * config.T)
+    sv._rotate_basis(state, target, vec.conj().T, cpos)
+    sv.hadamard_layer(state, clock, controls)
+    sv._clock_phase(state, clock, target, table, cpos)
+    sv.qft(state, clock, inverse=True, controls=controls)
+    eigenvalue_inversion(state, clock, ancilla, config, controls)
+    sv.qft(state, clock, controls=controls)
+    sv._clock_phase(state, clock, target, table.conj(), cpos)
+    sv.hadamard_layer(state, clock, controls)
+    sv._rotate_basis(state, target, vec, cpos)
+
+
 def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
     """Solve A x = b on the simulator; returns (state, success probability).
 
@@ -317,11 +350,9 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
         amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
         stride = 1 << (1 + config.clock_qubits)
         amps[np.arange(n) * stride] = vec / nrm
-        state = StateVector(layout, amps)
+        state = StateVector._adopt(layout, amps)
 
-    phase_estimate(state, config, a_pad, clock="clock", target="index")
-    eigenvalue_inversion(state, "clock", "ancilla", config)
-    phase_estimate(state, config, a_pad, clock="clock", target="index", inverse=True)
+    solver_block(state, config, a_pad)
     success_prob, state = sv.project(state, "ancilla", 1)
     return state, success_prob
 

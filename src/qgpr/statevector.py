@@ -8,14 +8,15 @@ caller that still needs the state before an operation takes ``state.copy()``.
 :func:`project` is a measurement and returns a new, renormalized state.
 
 Supported operations: computational-basis initialization, controlled
-application of arbitrary unitaries, controlled reflections I - 2uu^H (applied
-as a rank-1 update), the quantum Fourier transform on a register (an FFT
-along the register), clock-controlled Hamiltonian evolution by exact
-eigendecomposition, projective measurement of a register, and the
-expectation value and seeded shot sampling of an :class:`Observable`, read
-off views of the amplitudes. The eigendecomposition of an evolution system is
-memoized on the matrix contents, so a system is diagonalized once however
-many circuits evolve under it.
+application of arbitrary unitaries, a Hadamard layer on a register (Walsh
+blocks H^(x)k of up to 4 qubits), controlled reflections I - 2uu^H (a rank-1
+update), the quantum Fourier transform on a register (an FFT along the
+register), clock-controlled Hamiltonian evolution by exact eigendecomposition
+(its stages are shared with :func:`qgpr.qla.solver_block`), projective
+measurement of a register, and the expectation value and seeded shot sampling
+of an :class:`Observable`, read off views of the amplitudes without a copy.
+The eigendecomposition of an evolution system is memoized on the matrix
+contents, so a system is diagonalized once however many circuits use it.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .exceptions import InputError, ZeroProbabilityError
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+# H^(x)k, k = 1..4: wider Walsh blocks measured slower at 18 to 22 qubits
+_WALSH = [functools.reduce(np.kron, [HADAMARD] * k) for k in range(1, 5)]
 
 DEFAULT_QUBIT_CAP = 22  # 2^22 complex amplitudes ~ 64 MiB
 MAX_SHOTS = 1 << DEFAULT_QUBIT_CAP  # as many draws as the cap admits amplitudes
@@ -121,6 +124,13 @@ class StateVector:
             )
         self.amps = amps
 
+    @classmethod
+    def _adopt(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
+        """A state over ``amps`` itself, uncopied: for arrays this module just allocated."""
+        state = cls.__new__(cls)
+        state.layout, state.amps = layout, amps
+        return state
+
     def copy(self) -> "StateVector":
         return StateVector(self.layout, self.amps)
 
@@ -171,7 +181,7 @@ def init_basis(layout: RegisterLayout, indices: Mapping[str, int] | None = None)
         raise InputError(f"unknown registers {sorted(indices)}")
     amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(layout, amps)
+    return StateVector._adopt(layout, amps)
 
 
 def _target_positions(layout: RegisterLayout, target) -> tuple[int, ...]:
@@ -226,6 +236,16 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> Non
     if np.abs(gate.conj().T @ gate - np.eye(dim)).max() > _UNITARY_TOL:
         raise InputError("gate is not unitary")
     _accel.apply_matrix(state.amps, gate, tpos, layout.total_qubits, cpos)
+
+
+def hadamard_layer(state: StateVector, register: str, controls=()) -> None:
+    """H on every qubit of a register in place, optionally controlled, as Walsh
+    blocks H^(x)k of up to 4 qubits: one pass over the amplitudes per block."""
+    layout = state.layout
+    tpos, cpos = _gate_positions(layout, register, controls)
+    for j in range(0, len(tpos), len(_WALSH)):
+        block = tpos[j : j + len(_WALSH)]
+        _accel.apply_matrix(state.amps, _WALSH[len(block) - 1], block, layout.total_qubits, cpos)
 
 
 def reflect(state: StateVector, u, target, controls=()) -> None:
@@ -314,17 +334,30 @@ def controlled_evolution(
             f"system dimension {lam.shape[0]} does not match register {target!r} "
             f"({1 << tw} states)"
         )
-    cw = layout.width(clock)
-    big_t = 1 << cw
-    tau = np.arange(big_t)
-    table = np.exp(1j * np.outer(tau, lam) * (t / big_t))
+    _rotate_basis(state, target, vec.conj().T, cpos)
+    _clock_phase(state, clock, target, _clock_phase_table(lam, layout.width(clock), t), cpos)
+    _rotate_basis(state, target, vec, cpos)
 
-    amps = state.amps
-    m = layout.total_qubits
-    tpos = layout.positions(target)
-    _accel.apply_matrix(amps, vec.conj().T, tpos, m, cpos)
-    _accel.phase_mul(amps, table, layout.start(clock), cw, layout.start(target), tw, m, cpos)
-    _accel.apply_matrix(amps, vec, tpos, m, cpos)
+
+# controlled_evolution's stages, shared with qla.solver_block: they take
+# resolved control positions and check nothing
+
+
+def _rotate_basis(state: StateVector, target: str, basis: np.ndarray, cpos) -> None:
+    layout = state.layout
+    _accel.apply_matrix(state.amps, basis, layout.positions(target), layout.total_qubits, cpos)
+
+
+def _clock_phase_table(lam: np.ndarray, clock_qubits: int, t: float) -> np.ndarray:
+    """exp(i * lam_j * t * tau/T) per clock value tau (rows) and eigenvalue lam_j."""
+    big_t = 1 << clock_qubits
+    return np.exp(1j * np.outer(np.arange(big_t), lam) * (t / big_t))
+
+
+def _clock_phase(state: StateVector, clock: str, target: str, table: np.ndarray, cpos) -> None:
+    layout = state.layout
+    _accel.phase_mul(state.amps, table, layout.start(clock), layout.width(clock),
+                     layout.start(target), layout.width(target), layout.total_qubits, cpos)
 
 
 def _blocks(state: StateVector, obs: Observable, bits: Sequence[int]) -> list[np.ndarray]:
@@ -346,12 +379,18 @@ def _blocks(state: StateVector, obs: Observable, bits: Sequence[int]) -> list[np
     return [psi[tuple(idx[:x_axis] + [half] + idx[x_axis + 1:])] for half in (0, 1)]
 
 
+def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re<a|b> off the real and imaginary views; ``np.vdot`` copies a strided slice."""
+    ax = list(range(a.ndim))
+    return float(np.einsum(a.real, ax, b.real, ax, []) + np.einsum(a.imag, ax, b.imag, ax, []))
+
+
 def expectation(state: StateVector, obs: Observable) -> float:
     """Real expectation value ``<psi|M|psi>``, read off views of the amplitudes."""
     blocks = _blocks(state, obs, [1] * len(obs.factors))
     if len(blocks) == 1:
-        return float(np.vdot(blocks[0], blocks[0]).real)
-    return 2.0 * float(np.vdot(*blocks).real)
+        return _re_inner(blocks[0], blocks[0])
+    return 2.0 * _re_inner(*blocks)
 
 
 def project(state: StateVector, register: str, outcome: int) -> tuple[float, StateVector]:
@@ -368,14 +407,14 @@ def project(state: StateVector, register: str, outcome: int) -> tuple[float, Sta
     post = 1 << (layout.total_qubits - layout.start(register) - w)
     cube = state.amps.reshape(pre, 1 << w, post)
     block = cube[:, outcome, :]
-    prob = float(np.vdot(block, block).real)
+    prob = _re_inner(block, block)
     if prob <= 1e-14 * float(np.vdot(state.amps, state.amps).real):
         raise ZeroProbabilityError(
             f"outcome {outcome} of register {register!r} has probability {prob:.3e}"
         )
-    amps = np.zeros_like(state.amps).reshape(pre, 1 << w, post)
-    amps[:, outcome, :] = block / math.sqrt(prob)
-    return prob, StateVector(layout, amps.reshape(-1))
+    amps = np.zeros_like(state.amps)
+    np.divide(block, math.sqrt(prob), out=amps.reshape(pre, 1 << w, post)[:, outcome, :])
+    return prob, StateVector._adopt(layout, amps)
 
 
 def register_component(state: StateVector, keep: str, fixed: Mapping[str, int]) -> np.ndarray:
@@ -415,9 +454,9 @@ def sample_observable(
     probs = np.empty((2,) * len(letters))
     for bits in itertools.product((0, 1), repeat=len(letters) - letters.count("X")):
         blocks = _blocks(state, obs, bits)
-        weight = sum(np.vdot(b, b).real for b in blocks)
+        weight = sum(_re_inner(b, b) for b in blocks)
         if len(blocks) == 2:  # twice the probabilities of X = -1 and X = +1
-            cross = 2.0 * np.vdot(*blocks).real
+            cross = 2.0 * _re_inner(*blocks)
             weight = (weight - cross, weight + cross)
         probs[bits] = weight
     if "X" in letters:

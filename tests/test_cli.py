@@ -133,6 +133,22 @@ class TestCmdPredict:
         assert rec["errors"]["variance"]["absolute"] <= 0.05 * 0.5 + 0.01
         assert capsys.readouterr().out  # summary table printed
 
+    def test_one_cholesky_factorization_per_model(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,2\n0.7,1\n1.5,-1\n")
+        cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5], [1.2]], clock_qubits=4)
+        calls = []
+        original = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        report = cmd_predict(load_config(cfgp))
+        assert len(report["results"]) == 3
+        assert calls == [(3, 3)]
+
     def test_exact_mode_has_zero_std_error(self, canonical):
         report = cmd_predict(load_config(canonical))
         rec = report["results"][0]

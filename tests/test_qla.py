@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qgpr import qla
 from qgpr import statevector as sv
 from qgpr.exceptions import ConfigError, InputError, ZeroProbabilityError
 from qgpr.qla import (
@@ -18,6 +19,7 @@ from qgpr.qla import (
     prepare_sparse_state,
     qla_solve,
     solution_overlap,
+    solver_block,
     state_prep_unitary,
     state_prep_vector,
     validate_config,
@@ -308,6 +310,9 @@ _CFG = QlaConfig(clock_qubits=2, t0=1.0, c=0.5)
         lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("anc", 0, 1)]),
         lambda s: phase_estimate(s, config_for(np.eye(2), 2, c=0.5), np.eye(2),
                                  controls=[("index", 0, 1)]),
+        lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls=[("anc", 0, 1)]),
+        lambda s: solver_block(s, _CFG, np.eye(2), ancilla="index"),
+        lambda s: solver_block(s, _CFG, np.eye(2), ancilla="clock"),
     ],
     ids=[
         "apply_gate-control-on-target",
@@ -320,6 +325,9 @@ _CFG = QlaConfig(clock_qubits=2, t0=1.0, c=0.5)
         "eigenvalue_inversion-control-on-clock",
         "eigenvalue_inversion-control-on-ancilla",
         "phase_estimate-control-on-target",
+        "solver_block-control-on-ancilla",
+        "solver_block-ancilla-is-target",
+        "solver_block-wide-ancilla",
     ],
 )
 def test_overlapping_qubits_are_input_errors(rng, op):
@@ -346,6 +354,7 @@ _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid
         lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG),
         lambda s: phase_estimate(s, _CFG, _SYSTEM),
         lambda s: phase_estimate(s, _CFG, _SYSTEM, inverse=True),
+        lambda s: solver_block(s, _CFG, _SYSTEM, ancilla="anc"),
     ],
     ids=[
         "apply_gate",
@@ -356,6 +365,7 @@ _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid
         "eigenvalue_inversion",
         "phase_estimate",
         "phase_estimate-inverse",
+        "solver_block",
     ],
 )
 def test_ops_act_in_place(rng, op):
@@ -367,6 +377,74 @@ def test_ops_act_in_place(rng, op):
     assert state.amps is buffer
     assert np.abs(state.amps - snapshot).max() > 1e-3  # the op changed the buffer
     np.testing.assert_array_equal(before.amps, snapshot)
+
+
+def reference_solver(state, cfg, system, clock="clock", target="index", ancilla="ancilla", controls=()):
+    """The solver as three separate ops, each with its own basis change."""
+    phase_estimate(state, cfg, system, clock=clock, target=target, controls=controls)
+    eigenvalue_inversion(state, clock, ancilla, cfg, controls=controls)
+    phase_estimate(state, cfg, system, clock=clock, target=target, controls=controls, inverse=True)
+
+
+def random_hermitian(rng, n, lo=0.3, hi=1.0):
+    """Complex Hermitian matrix with spectrum inside [lo, hi]."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * rng.uniform(lo, hi, size=n)) @ q.conj().T
+
+
+# (registers, controls): no controls, then controls before, between and after
+# the clock and the target, then the two layouts qla_solve builds
+_BLOCK_LAYOUTS = {
+    "none": ((("index", None), ("anc", 1), ("clock", None)), ()),
+    "before": ((("ctl", 2), ("index", None), ("anc", 1), ("clock", None)),
+               (("ctl", 0, 1), ("ctl", 1, 0))),
+    "between": ((("clock", None), ("ctl", 2), ("anc", 1), ("index", None)),
+                (("ctl", 1, 1), ("ctl", 0, 1))),
+    "after": ((("anc", 1), ("index", None), ("clock", None), ("ctl", 2)),
+              (("ctl", 0, 0), ("ctl", 1, 1))),
+    "qla_solve-sparse": ((("index", None), ("flag", 1), ("anc", 1), ("clock", None)), ()),
+    "qla_solve-vector": ((("index", None), ("anc", 1), ("clock", None)), ()),
+}
+
+
+class TestSolverBlock:
+    @pytest.mark.parametrize("n", [3, 4], ids=["padded", "unpadded"])
+    @pytest.mark.parametrize("clock", range(1, 10))
+    @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
+    def test_matches_three_op_sequence(self, rng, n, clock, layout_name):
+        registers, controls = _BLOCK_LAYOUTS[layout_name]
+        w = qla.index_width(n)
+        big_t = 1 << clock
+        cfg = QlaConfig(clock, t0=2 * math.pi * (big_t - 1) / big_t, c=0.25)  # spectrum in [0.3, 1)
+        system = np.eye(1 << w, dtype=complex) * cfg.c  # padded as pad_system does, kept complex
+        system[:n, :n] = random_hermitian(rng, n)
+        widths = {"index": w, "clock": clock}
+        layout = RegisterLayout(tuple((name, wd or widths[name]) for name, wd in registers))
+        amps = rng.normal(size=1 << layout.total_qubits) + 1j * rng.normal(size=1 << layout.total_qubits)
+        state = StateVector(layout, amps / np.linalg.norm(amps))
+        reference = state.copy()
+        solver_block(state, cfg, system, "clock", "index", "anc", controls)
+        reference_solver(reference, cfg, system, "clock", "index", "anc", controls)
+        assert np.abs(state.amps - reference.amps).max() <= 1e-12
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "vector"])
+    def test_qla_solve_matches_three_op_sequence(self, rng, monkeypatch, sparse):
+        a = random_spd(rng, 5)
+        b = rng.normal(size=5)
+        cfg = config_for(a, 6, c=0.2)
+        rhs = make_encoding(b) if sparse else b
+        state, prob = qla_solve(rhs, a, cfg)
+        monkeypatch.setattr(qla, "solver_block", reference_solver)
+        ref_state, ref_prob = qla_solve(rhs, a, cfg)
+        assert abs(prob - ref_prob) <= 1e-12
+        assert np.abs(state.amps - ref_state.amps).max() <= 1e-12
+
+    def test_wrong_system_size_leaves_state_unchanged(self):
+        layout = RegisterLayout((("index", 1), ("ancilla", 1), ("clock", 2)))
+        state = init_basis(layout)
+        with pytest.raises(InputError):
+            solver_block(state, QlaConfig(2, t0=0.1, c=0.5), np.eye(4))
+        np.testing.assert_array_equal(state.amps, init_basis(layout).amps)
 
 
 class TestQlaSolve:

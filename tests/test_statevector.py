@@ -15,6 +15,7 @@ from qgpr.statevector import (
     apply_gate,
     controlled_evolution,
     expectation,
+    hadamard_layer,
     hermitian_eigh,
     init_basis,
     project,
@@ -30,6 +31,16 @@ def random_state(rng, layout):
     n = 1 << layout.total_qubits
     amps = rng.normal(size=n) + 1j * rng.normal(size=n)
     return StateVector(layout, amps / np.linalg.norm(amps))
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def plus_state():
@@ -105,6 +116,14 @@ class TestStateVector:
         a = np.array([1.0, 0.0], dtype=complex)
         apply_gate(StateVector(RegisterLayout((("Q", 1),)), a), HADAMARD, ("Q", 0))
         np.testing.assert_array_equal(a, [1.0, 0.0])
+
+    def test_fresh_states_allocate_once(self, rng):
+        # init_basis and project hand their new array to the state without a
+        # second copy: at 20 qubits each allocates the state once
+        layout = interference_layout(128, 10)
+        state = random_state(rng, layout)
+        for build in (lambda: init_basis(layout), lambda: project(state, "C", 1)):
+            assert traced_peak(build) <= 1.05 * state.amps.nbytes
 
 
 class TestInitBasis:
@@ -388,14 +407,29 @@ class TestObservable:
             lambda: sample_observable(state, observable_M(layout), 1000, seed=0),
         ]
         for readout in readouts:
-            tracemalloc.start()
-            try:
-                readout()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < state.amps.nbytes
+            assert traced_peak(readout) <= 0.01 * state.amps.nbytes
             np.testing.assert_array_equal(state.amps, before)
+
+
+class TestHadamardLayer:
+    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("controls", [(), (("L", 0, 1),), (("L", 0, 0), ("R", 1, 1))])
+    def test_matches_per_qubit_hadamards(self, rng, width, controls):
+        # Walsh blocks of up to 4 qubits: widths above 4 take two or three blocks
+        layout = RegisterLayout((("L", 1), ("K", width), ("R", 2)))
+        state = random_state(rng, layout)
+        reference = state.copy()
+        hadamard_layer(state, "K", controls)
+        for j in range(width):
+            apply_gate(reference, HADAMARD, ("K", j), controls)
+        np.testing.assert_allclose(state.amps, reference.amps, atol=1e-13)
+
+    def test_control_on_register_leaves_state_unchanged(self, rng):
+        state = random_state(rng, RegisterLayout((("K", 5),)))
+        before = state.amps.copy()
+        with pytest.raises(InputError):
+            hadamard_layer(state, "K", [("K", 4, 1)])
+        np.testing.assert_array_equal(state.amps, before)
 
 
 class TestProject:
