@@ -261,50 +261,41 @@ def _config_record(cfg: RunConfig) -> dict:
     return rec
 
 
+def _estimates(model: GPModel, points, qcfg, shots: int, seed: int, mode: str):
+    """Yield (point, mean, variance, seconds) per test point: the quantum mean
+    and variance of point i, both seeded ``seed + i``, and their wall time."""
+    shots = shots if mode == "sampled" else None
+    for i, point in enumerate(points):
+        t0 = time.perf_counter()
+        mean = predict_mean_quantum(model, point, qcfg, shots=shots, seed=seed + i, mode=mode)
+        var = predict_variance_quantum(model, point, qcfg, shots=shots, seed=seed + i, mode=mode)
+        yield point, mean, var, time.perf_counter() - t0
+
+
+_QUANTUM_FIELDS = ("estimate", "std_error", "raw_mean", "success_fraction", "shots")
+
+
 def cmd_predict(cfg: RunConfig) -> dict:
     """Classical and quantum prediction for every test point."""
     model = _build(cfg)
     diag = diagnostics(model)
     qcfg = gpr_config(model, cfg.clock_qubits)
-    shots = cfg.shots if cfg.mode == "sampled" else None
+    estimates = _estimates(model, cfg.test_points, qcfg, cfg.shots, cfg.seed, cfg.mode)
     results = []
     timings = []
-    for i, point in enumerate(cfg.test_points):
-        t0 = time.perf_counter()
+    for point, mean_res, var_res, tq in estimates:
+        t0 = time.perf_counter()  # perfbench counts all time before the first estimate as set-up
         exact = predict_exact(model, point)
-        t1 = time.perf_counter()
-        mean_res = predict_mean_quantum(
-            model, point, qcfg, shots=shots, seed=cfg.seed + i, mode=cfg.mode
-        )
-        var_res = predict_variance_quantum(
-            model, point, qcfg, shots=shots, seed=cfg.seed + i, mode=cfg.mode
-        )
-        t2 = time.perf_counter()
-        timings.append((t1 - t0, t2 - t1))
+        timings.append((time.perf_counter() - t0, tq))
+        pair = {"mean": mean_res, "variance": var_res}
         results.append(
             {
                 "test_point": list(point),
                 "classical": {"mean": exact.mean, "variance": exact.variance},
                 "quantum": {
-                    "mean": {
-                        "estimate": mean_res.estimate,
-                        "std_error": mean_res.std_error,
-                        "raw_mean": mean_res.raw_mean,
-                        "success_fraction": mean_res.success_fraction,
-                        "shots": mean_res.shots,
-                    },
-                    "variance": {
-                        "estimate": var_res.estimate,
-                        "std_error": var_res.std_error,
-                        "raw_mean": var_res.raw_mean,
-                        "success_fraction": var_res.success_fraction,
-                        "shots": var_res.shots,
-                    },
+                    k: {f: getattr(r, f) for f in _QUANTUM_FIELDS} for k, r in pair.items()
                 },
-                "errors": {
-                    "mean": _errors(mean_res.estimate, exact.mean),
-                    "variance": _errors(var_res.estimate, exact.variance),
-                },
+                "errors": {k: _errors(r.estimate, getattr(exact, k)) for k, r in pair.items()},
             }
         )
     report = {
@@ -379,17 +370,9 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         shots = value if cfg.sweep_axis == "shots" else cfg.shots
         mode = "sampled" if cfg.sweep_axis == "shots" else cfg.mode
         qcfg = gpr_config(model, clock)
-        seed = cfg.seed + j  # derived per-point seed
+        estimates = _estimates(model, cfg.test_points, qcfg, shots, cfg.seed + j, mode)
         mean_errs, var_errs, succ = [], [], []
-        for i, (point, exact) in enumerate(zip(cfg.test_points, exacts)):
-            mres = predict_mean_quantum(
-                model, point, qcfg, shots=shots if mode == "sampled" else None,
-                seed=seed + i, mode=mode,
-            )
-            vres = predict_variance_quantum(
-                model, point, qcfg, shots=shots if mode == "sampled" else None,
-                seed=seed + i, mode=mode,
-            )
+        for (_, mres, vres, _), exact in zip(estimates, exacts):
             mean_errs.append(abs(mres.estimate - exact.mean))
             var_errs.append(abs(vres.estimate - exact.variance))
             succ.append(mres.success_fraction)
@@ -449,15 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "shots": args.shots,
-        "clock_qubits": args.clock_qubits,
-        "mode": args.mode,
-        "out": args.out,
-    }
-    if getattr(args, "delta", None) is not None:
-        overrides["delta"] = args.delta
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "predict":

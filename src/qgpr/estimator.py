@@ -169,18 +169,20 @@ def gpr_config(model: GPModel, clock_qubits: int, epsilon: float = 1e-2) -> QlaC
     return config_for(model.system, clock_qubits, model.noise_variance, epsilon)
 
 
-def _force_gpr_c(model: GPModel, config: QlaConfig) -> QlaConfig:
-    # the GPR layer always runs with c = sigma_n^2
-    if config.c != model.noise_variance:
-        return replace(config, c=model.noise_variance)
-    return config
+def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed, mode):
+    """k_*^T (K + sigma_n^2 I)^{-1} v, with v = k_* when ``v`` is None.
 
-
-def _degenerate(estimate: float, config, seed) -> EstimationResult:
-    return EstimationResult(
-        estimate=estimate, std_error=0.0, shots=0, raw_mean=0.0,
-        success_fraction=0.0, config=config, seed=seed,
-    )
+    The GPR layer always runs with c = sigma_n^2. A test point that sees no
+    training point has k_* = 0, so the form is exactly 0 and no circuit runs.
+    """
+    config = replace(config, c=model.noise_variance)
+    k_star = build_cross(model, x_star)
+    if not k_star.any():
+        return EstimationResult(0.0, 0.0, 0, 0.0, 0.0, config, seed)
+    u = make_encoding(k_star)
+    v = u if v is None else make_encoding(v)
+    spec = BilinearSpec(u=u, v=v, system=model.system, config=config)
+    return estimate_bilinear(spec, shots=shots, seed=seed, mode=mode)
 
 
 def predict_mean_quantum(
@@ -192,15 +194,7 @@ def predict_mean_quantum(
     mode: str = "exact",
 ) -> EstimationResult:
     """Linear predictor k_*^T (K + sigma_n^2 I)^{-1} y via the circuit."""
-    config = _force_gpr_c(model, config)
-    k_star = build_cross(model, x_star)
-    if not k_star.any():
-        return _degenerate(0.0, config, seed)  # test point sees no training point
-    spec = BilinearSpec(
-        u=make_encoding(k_star), v=make_encoding(model.training.y),
-        system=model.system, config=config,
-    )
-    return estimate_bilinear(spec, shots=shots, seed=seed, mode=mode)
+    return _k_star_form(model, x_star, config, model.training.y, shots, seed, mode)
 
 
 def predict_variance_quantum(
@@ -216,15 +210,8 @@ def predict_variance_quantum(
     Sampling noise can push the subtraction below zero; such estimates are
     clamped to zero with a warning.
     """
-    config = _force_gpr_c(model, config)
-    k_star = build_cross(model, x_star)
-    k_ss = eval_kernel(model.kernel, x_star, x_star)
-    if not k_star.any():
-        return _degenerate(k_ss, config, seed)
-    enc = make_encoding(k_star)
-    spec = BilinearSpec(u=enc, v=enc, system=model.system, config=config)
-    res = estimate_bilinear(spec, shots=shots, seed=seed, mode=mode)
-    estimate = k_ss - res.estimate
+    res = _k_star_form(model, x_star, config, None, shots, seed, mode)
+    estimate = eval_kernel(model.kernel, x_star, x_star) - res.estimate
     if estimate < 0.0:
         log.warning(
             "variance estimate %.3e clamped to 0 (sampling noise exceeds the "

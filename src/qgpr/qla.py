@@ -59,8 +59,7 @@ class QlaConfig:
 
 def gershgorin_bound(system) -> float:
     """Upper bound on the largest eigenvalue: max absolute row sum."""
-    a = np.asarray(system, dtype=float)
-    return float(np.abs(a).sum(axis=1).max())
+    return float(np.abs(np.asarray(system)).sum(axis=1).max())
 
 
 def default_t0(system, clock_qubits: int) -> float:
@@ -193,13 +192,14 @@ def pad_system(system, padded_dim: int, fill: float) -> np.ndarray:
 
     Padded eigenvectors have zero overlap with zero-padded input vectors, so
     solutions are unchanged; using the inversion constant as the fill keeps
-    configuration bounds intact.
+    configuration bounds intact. A complex matrix stays complex.
     """
-    a = np.asarray(system, dtype=float)
+    a = np.asarray(system)
+    a = a.astype(np.result_type(a, float), copy=False)
     n = a.shape[0]
     if padded_dim == n:
         return a
-    out = np.eye(padded_dim) * fill
+    out = np.eye(padded_dim, dtype=a.dtype) * fill
     out[:n, :n] = a
     return out
 
@@ -324,7 +324,7 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
     ancilla is post-selected on |1>; the success probability of that
     projection is returned alongside.
     """
-    a = np.asarray(system, dtype=float)
+    a = np.asarray(system)
     n = a.shape[0]
     if a.shape != (n, n):
         raise InputError(f"system must be square, got {a.shape}")
@@ -340,7 +340,7 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
         state = prepare_sparse_state(layout, "index", "flag", b)
         _, state = sv.project(state, "flag", 1)
     else:
-        vec = np.asarray(b, dtype=float).reshape(-1)
+        vec = np.asarray(b).reshape(-1)
         if vec.shape[0] != n:
             raise InputError(f"vector length {vec.shape[0]} does not match system size {n}")
         nrm = np.linalg.norm(vec)

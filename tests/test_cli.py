@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +278,23 @@ class TestCmdSweep:
         rows = cmd_sweep(load_config(cfgp))
         assert len(rows) == 3
         assert points == [[0.1], [0.5]]
+
+    def test_one_shots_value_reproduces_predict(self, tmp_path):
+        # sweep value j = 0 seeds point i with seed + i, as predict does
+        example = Path(__file__).resolve().parents[1] / "docs" / "examples" / "predict.json"
+        raw = json.loads(example.read_text())
+        raw.update(dataset=str(example.parent / "train.csv"), mode="sampled", shots=500)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**raw, "sweep": {"axis": "shots", "values": [500]}}))
+        results = cmd_predict(load_config(path))["results"]
+        (row,) = cmd_sweep(load_config(path))
+        assert row["mean_error"] == np.mean([r["errors"]["mean"]["absolute"] for r in results])
+        assert row["variance_error"] == np.mean(
+            [r["errors"]["variance"]["absolute"] for r in results]
+        )
+        assert row["success_fraction"] == np.mean(
+            [r["quantum"]["mean"]["success_fraction"] for r in results]
+        )
 
     def test_missing_sweep_section(self, tmp_path):
         cfgp = self._sweep_config(tmp_path)

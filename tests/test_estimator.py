@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,6 +311,18 @@ class TestPredictVarianceQuantum:
         mean_path = predict_mean_quantum(swapped, x_star, cfg, mode="exact")
         var_path = predict_variance_quantum(model, x_star, cfg, mode="exact")
         assert k_ss - var_path.estimate == pytest.approx(mean_path.estimate, abs=1e-10)
+
+
+class TestGprInversionConstant:
+    @pytest.mark.parametrize("predict", [predict_mean_quantum, predict_variance_quantum])
+    @pytest.mark.parametrize("x_star", [[0.4], [10.0]], ids=["circuit", "zero-k_star"])
+    def test_c_is_forced_to_noise_variance(self, predict, x_star):
+        spec = KernelSpec("compact-support", 1.0, 1.0, cutoff_radius=1.5)
+        model = build_model(TrainingSet([[0.0], [0.5], [1.0]], [1.0, -0.5, 2.0]), spec, 0.5)
+        cfg = gpr_config(model, 8)
+        res = predict(model, x_star, replace(cfg, c=model.noise_variance / 2), mode="exact")
+        assert res.config.c == model.noise_variance
+        assert res == predict(model, x_star, cfg, mode="exact")
 
 
 class TestMetamorphic:

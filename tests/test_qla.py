@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,22 @@ class TestQlaSolve:
         state, _ = qla_solve(b3, a3, cfg)
         x = np.linalg.solve(a3, b3)
         assert solution_overlap(state, x) >= 0.99
+
+    @pytest.mark.parametrize("n", [2, 3], ids=["unpadded", "padded"])
+    def test_complex_hermitian_system_keeps_imaginary_part(self, rng, n):
+        # casting to float would solve the real part instead (and warn); for
+        # n = 2 that part is the identity, while lambda_max = 1.3
+        if n == 2:
+            a, b = np.array([[1.0, 0.3j], [-0.3j, 1.0]]), np.array([1.0, 0.0])
+        else:
+            a = random_hermitian(rng, n, lo=0.5, hi=1.0)
+            b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gershgorin_bound(a) >= np.linalg.eigvalsh(a)[-1]
+            cfg = config_for(a, 8, c=float(np.linalg.eigvalsh(a)[0]))
+            state, _ = qla_solve(b, a, cfg)
+        assert solution_overlap(state, np.linalg.solve(a, b)) >= 0.999
 
     def test_zero_rhs_rejected(self):
         cfg = QlaConfig(clock_qubits=3, t0=0.5, c=0.5)
