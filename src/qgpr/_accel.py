@@ -3,6 +3,9 @@
 Qubit positions are axis indices of the ``(2,)*m`` reshape of the amplitude
 array: position 0 is the most significant bit of the basis index. All
 kernels mutate ``amps`` in place; callers own the buffer.
+
+A real matrix (a Walsh block, X, a real eigenbasis) runs as one real product
+on the float64 view of the (re, im) pairs: half the flops of a complex one.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ def apply_matrix(amps, mat, tpos, m, controls=()):
     moved = np.moveaxis(sub, axes, range(len(axes)))
     shape = moved.shape
     flat = moved.reshape(mat.shape[0], -1)  # copies when the view is strided
-    out = mat @ flat
+    real = mat.dtype == np.float64 and flat.strides[-1] == flat.itemsize  # adjacent (re, im)
+    out = (mat @ flat.view(np.float64)).view(np.complex128) if real else mat @ flat
     moved[...] = out.reshape(shape)
 
 

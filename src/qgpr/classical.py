@@ -2,8 +2,8 @@
 checked against, plus a conjugate-gradient baseline and a brute-force inverse.
 
 All linear algebra is dense numpy (LAPACK underneath): the O(n^3) Cholesky
-factorization is done once per model (``GPModel.factor``) and shared by its
-test points.
+factorization and the weights system^-1 y are computed once per model
+(``GPModel.factor``, ``GPModel.alpha``) and shared by its test points.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ def predict_exact(model: GPModel, x_star) -> Prediction:
     """Posterior mean and variance at the test point via Cholesky solves."""
     k_star = build_cross(model, x_star)
     k_ss = eval_kernel(model.kernel, x_star, x_star)
-    L = model.factor.L
-    alpha = np.linalg.solve(L.T, np.linalg.solve(L, model.training.y))
-    w = np.linalg.solve(L, k_star)
-    return Prediction(mean=float(k_star @ alpha), variance=float(k_ss - w @ w))
+    w = np.linalg.solve(model.factor.L, k_star)
+    return Prediction(mean=float(k_star @ model.alpha), variance=float(k_ss - w @ w))
 
 
 def cg_solve(system, b, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:

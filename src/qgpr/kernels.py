@@ -93,7 +93,8 @@ class GPModel:
 
     ``system = gram + noise_variance * I`` is the matrix whose inverse enters
     both the linear predictor and the predictive variance; ``factor`` is its
-    Cholesky factor, computed on first use and kept for the model's lifetime.
+    Cholesky factor and ``alpha`` the weights ``system^-1 y``, each computed on
+    first use and kept for the model's lifetime.
     """
 
     training: TrainingSet
@@ -110,6 +111,11 @@ class GPModel:
     def factor(self):
         from .classical import cholesky  # a module-level import would be circular
         return cholesky(self.system)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        L = self.factor.L
+        return np.linalg.solve(L.T, np.linalg.solve(L, self.training.y))
 
 
 @dataclass(frozen=True)

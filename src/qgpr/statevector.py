@@ -16,7 +16,9 @@ register), clock-controlled Hamiltonian evolution by exact eigendecomposition
 measurement of a register, and the expectation value and seeded shot sampling
 of an :class:`Observable`, read off views of the amplitudes without a copy.
 The eigendecomposition of an evolution system is memoized on the matrix
-contents, so a system is diagonalized once however many circuits use it.
+contents, so a system is diagonalized once however many circuits use it, and
+so is its clock-phase table. Real gates and the real eigenbasis of a real
+symmetric system stay real, so the kernels apply them as real products.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from . import _accel
 from .exceptions import InputError, ZeroProbabilityError
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT2_INV
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 # H^(x)k, k = 1..4: wider Walsh blocks measured slower at 18 to 22 qubits
 _WALSH = [functools.reduce(np.kron, [HADAMARD] * k) for k in range(1, 5)]
 
@@ -229,7 +231,8 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> Non
     """
     layout = state.layout
     tpos, cpos = _gate_positions(layout, target, controls)
-    gate = np.asarray(gate, dtype=complex)
+    gate = np.asarray(gate)
+    gate = gate.astype(np.result_type(gate, float), copy=False)  # a real gate stays real
     dim = 1 << len(tpos)
     if gate.shape != (dim, dim):
         raise InputError(f"gate shape {gate.shape} does not match {len(tpos)} qubits")
@@ -284,7 +287,8 @@ def qft(state: StateVector, register: str, inverse: bool = False, controls=()) -
 
 
 def _check_hermitian(system: np.ndarray) -> np.ndarray:
-    a = np.asarray(system, dtype=complex)
+    a = np.asarray(system)
+    a = a.astype(np.result_type(a, float), copy=False)  # a real system stays real
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, np.abs(a).max())
@@ -294,8 +298,8 @@ def _check_hermitian(system: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _eigh_of(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    lam, vec = np.linalg.eigh(np.frombuffer(data, dtype=np.complex128).reshape(shape))
+def _eigh_of(shape: tuple[int, int], dtype: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    lam, vec = np.linalg.eigh(np.frombuffer(data, dtype=dtype).reshape(shape))
     lam.setflags(write=False)
     vec.setflags(write=False)
     return lam, vec
@@ -304,11 +308,12 @@ def _eigh_of(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarra
 def hermitian_eigh(system) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, read-only.
 
-    The last few results are memoized on the matrix contents (shape and
-    bytes), so circuits that share a system diagonalize it once.
+    The last few results are memoized on the matrix contents (shape, dtype
+    and bytes), so circuits that share a system diagonalize it once. A real
+    symmetric system has real eigenvectors; a complex one stays complex.
     """
     a = _check_hermitian(system)
-    return _eigh_of(a.shape, a.tobytes())
+    return _eigh_of(a.shape, a.dtype.str, a.tobytes())
 
 
 def controlled_evolution(
@@ -349,9 +354,20 @@ def _rotate_basis(state: StateVector, target: str, basis: np.ndarray, cpos) -> N
 
 
 def _clock_phase_table(lam: np.ndarray, clock_qubits: int, t: float) -> np.ndarray:
-    """exp(i * lam_j * t * tau/T) per clock value tau (rows) and eigenvalue lam_j."""
+    """exp(i * lam_j * t * tau/T) per clock value tau (rows) and eigenvalue lam_j.
+
+    Read-only and memoized, so a config's estimates share it; one entry, as a
+    sweep runs its configs in turn and a table at the qubit cap is 8 MiB.
+    """
+    return _phase_table_of(lam.tobytes(), clock_qubits, t)
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_table_of(lam: bytes, clock_qubits: int, t: float) -> np.ndarray:
     big_t = 1 << clock_qubits
-    return np.exp(1j * np.outer(np.arange(big_t), lam) * (t / big_t))
+    table = np.exp(1j * np.outer(np.arange(big_t), np.frombuffer(lam)) * (t / big_t))
+    table.setflags(write=False)
+    return table
 
 
 def _clock_phase(state: StateVector, clock: str, target: str, table: np.ndarray, cpos) -> None:

@@ -21,6 +21,11 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def random_orthogonal(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))
+
+
 def ket_bra(a, b):
     out = np.zeros((2, 2))
     out[a, b] = 1.0
@@ -88,6 +93,27 @@ class TestApplyMatrix:
         amps = random_amps(rng, m)
         expected = dense_operator(mat, tpos, m, controls) @ amps
         _accel.apply_matrix(amps, mat, tpos, m, controls)
+        np.testing.assert_allclose(amps, expected, atol=1e-12)
+
+    # a real matrix runs as a real product on the float64 view when the
+    # block's last axis has unit stride, and as the complex product otherwise
+    @pytest.mark.parametrize(
+        "tpos, controls",
+        [
+            ((0, 1), ()),  # leading contiguous block: the view itself, uncopied
+            ((0, 1), ((6, 1),)),  # control on the last qubit: strided, complex product
+            ((3,), ()),
+            ((5, 2), ((0, 1), (4, 0))),
+            ((6, 1, 3), ((4, 1),)),
+        ],
+    )
+    def test_real_matrix_matches_dense_operator(self, rng, tpos, controls):
+        m = 7
+        mat = random_orthogonal(rng, 1 << len(tpos))
+        amps = random_amps(rng, m)
+        expected = dense_operator(mat, tpos, m, controls) @ amps
+        _accel.apply_matrix(amps, mat, tpos, m, controls)
+        assert amps.dtype == np.complex128
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
 

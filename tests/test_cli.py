@@ -163,6 +163,45 @@ class TestCmdPredict:
         cmd_predict(load_config(canonical, {**cfg_overrides, "out": str(out2)}))
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_gpr_weights_solved_once_per_model(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,2\n0.7,1\n1.5,-1\n")
+        cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5], [1.2]], clock_qubits=4)
+        calls = []
+        original = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(np.shape(b))
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        report = cmd_predict(load_config(cfgp))
+        assert len(report["results"]) == 3
+        # two for K^-1 y once per model, then one for w per test point
+        assert len(calls) == 2 + 3
+
+    def test_clock_phase_table_built_once_per_config(self, tmp_path, monkeypatch):
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
+        cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5], [1.0]], clock_qubits=5)
+        tables = []
+        original = sv._clock_phase_table
+
+        def recorded(*args):
+            tables.append(original(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(sv, "_clock_phase_table", recorded)
+        sv._phase_table_of.cache_clear()
+        report = cmd_predict(load_config(cfgp))
+        assert len(report["results"]) == 3
+        assert len(tables) == 6  # a mean and a variance estimate per test point
+        assert all(table is tables[0] for table in tables)
+        info = sv._phase_table_of.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0][0, 0] = 0.0
+
     def test_system_is_diagonalized_once(self, tmp_path, monkeypatch):
         # 3 training points pad to a 4x4 system; 3 test points make 6 estimates
         dataset = tmp_path / "d.csv"

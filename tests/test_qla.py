@@ -428,6 +428,22 @@ class TestSolverBlock:
         reference_solver(reference, cfg, system, "clock", "index", "anc", controls)
         assert np.abs(state.amps - reference.amps).max() <= 1e-12
 
+    @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
+    def test_real_system_matches_its_complex_cast(self, rng, layout_name):
+        registers, controls = _BLOCK_LAYOUTS[layout_name]
+        clock = 5
+        cfg = QlaConfig(clock, t0=2 * math.pi * 31 / 32, c=0.25)
+        system = np.eye(8) * cfg.c
+        system[:5, :5] = random_spd(rng, 5, lo=0.3)  # padded as pad_system does
+        widths = {"index": 3, "clock": clock}
+        layout = RegisterLayout(tuple((name, wd or widths[name]) for name, wd in registers))
+        amps = rng.normal(size=1 << layout.total_qubits) + 1j * rng.normal(size=1 << layout.total_qubits)
+        state = StateVector(layout, amps / np.linalg.norm(amps))
+        cast = state.copy()
+        solver_block(state, cfg, system, "clock", "index", "anc", controls)
+        solver_block(cast, cfg, system.astype(complex), "clock", "index", "anc", controls)
+        assert np.abs(state.amps - cast.amps).max() <= 1e-12
+
     @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "vector"])
     def test_qla_solve_matches_three_op_sequence(self, rng, monkeypatch, sparse):
         a = random_spd(rng, 5)

@@ -183,6 +183,36 @@ class TestApplyGate:
         with pytest.raises(InputError):
             apply_gate(state, PAULI_X, ("Q", 0), [("Q", 0, 1)])
 
+    @pytest.mark.parametrize(
+        "gate, dtype",
+        [
+            (HADAMARD, np.float64),
+            (np.array([[0, 1], [1, 0]]), np.float64),  # integers are real too
+            (np.array([[1, 0], [0, 1j]]), np.complex128),
+        ],
+        ids=["real", "integer", "complex"],
+    )
+    def test_real_gate_stays_real(self, rng, monkeypatch, gate, dtype):
+        lay = RegisterLayout((("A", 1), ("B", 2)))
+        state = random_state(rng, lay)
+        expected = np.kron(np.kron(np.eye(2), gate), np.eye(2)) @ state.amps
+        seen = []
+        original = sv._accel.apply_matrix
+
+        def recorded(amps, mat, *args):
+            seen.append(mat.dtype)
+            original(amps, mat, *args)
+
+        monkeypatch.setattr(sv._accel, "apply_matrix", recorded)
+        apply_gate(state, gate, ("B", 0))
+        assert seen == [dtype]
+        np.testing.assert_allclose(state.amps, expected, atol=1e-12)
+
+    def test_non_unitary_complex_gate_rejected(self):
+        state = init_basis(RegisterLayout((("Q", 1),)))
+        with pytest.raises(InputError, match="not unitary"):
+            apply_gate(state, np.array([[1, 0], [0, 2j]]), ("Q", 0))
+
 
 class TestReflect:
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -346,6 +376,26 @@ class TestControlledEvolution:
         lam, vec = hermitian_eigh(np.diag([2.0, 1.0]))
         np.testing.assert_array_equal(lam, [1.0, 2.0])
         assert not lam.flags.writeable and not vec.flags.writeable
+
+    def test_real_system_keeps_a_real_eigenbasis(self, rng):
+        a = rng.normal(size=(4, 4))
+        a = a + a.T
+        h = a + 1j * np.triu(a, 1) - 1j * np.triu(a, 1).T
+        assert hermitian_eigh(a)[1].dtype == np.float64
+        assert hermitian_eigh(a.astype(np.float32))[1].dtype == np.float64
+        lam, vec = hermitian_eigh(h)
+        assert vec.dtype == np.complex128
+        np.testing.assert_allclose(vec @ np.diag(lam) @ vec.conj().T, h, atol=1e-12)
+
+    def test_memo_tells_a_matrix_and_its_complex_cast_apart(self, rng):
+        a = rng.normal(size=(4, 4))
+        a = a + a.T
+        sv._eigh_of.cache_clear()
+        lam, vec = hermitian_eigh(a)
+        lam_c, vec_c = hermitian_eigh(a.astype(complex))
+        assert sv._eigh_of.cache_info().misses == 2
+        assert vec.dtype == np.float64 and vec_c.dtype == np.complex128
+        np.testing.assert_allclose(lam, lam_c, atol=1e-12)
 
 
 class TestExpectation:
