@@ -227,9 +227,7 @@ def ingest_csv(path: str, has_header: bool = False) -> TrainingSet:
 
 def export_csv(training: TrainingSet, path: str) -> None:
     """Write a TrainingSet back out, losslessly (shortest round-trip decimals)."""
-    lines = []
-    for xi, yi in zip(training.X, training.y):
-        lines.append(",".join([_fmt(c) for c in xi] + [_fmt(yi)]))
+    lines = (",".join(_fmt(c) for c in [*xi, yi]) for xi, yi in zip(training.X, training.y))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -248,10 +246,7 @@ def _build(cfg: RunConfig) -> GPModel:
 
 def _errors(quantum: float, classical: float) -> dict:
     abs_err = abs(quantum - classical)
-    return {
-        "absolute": abs_err,
-        "relative": abs_err / max(abs(classical), _REL_GUARD),
-    }
+    return {"absolute": abs_err, "relative": abs_err / max(abs(classical), _REL_GUARD)}
 
 
 def _config_record(cfg: RunConfig) -> dict:
@@ -273,6 +268,7 @@ def _estimates(model: GPModel, points, qcfg, shots: int, seed: int, mode: str):
 
 
 _QUANTUM_FIELDS = ("estimate", "std_error", "raw_mean", "success_fraction", "shots")
+_DIAGNOSTIC_FIELDS = ("kappa", "row_sparsity", "min_eig")
 
 
 def cmd_predict(cfg: RunConfig) -> dict:
@@ -301,11 +297,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
     report = {
         "config": _config_record(cfg),
         "qla": {"clock_qubits": qcfg.clock_qubits, "t0": qcfg.t0, "c": qcfg.c},
-        "diagnostics": {
-            "kappa": diag.kappa,
-            "row_sparsity": diag.row_sparsity,
-            "min_eig": diag.min_eig,
-        },
+        "diagnostics": {f: getattr(diag, f) for f in _DIAGNOSTIC_FIELDS},
         "results": results,
     }
     _write_report(report, cfg.out)
@@ -335,9 +327,7 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
     diag = diagnostics(model)
     report = {
         "config": _config_record(cfg),
-        "kappa": diag.kappa,
-        "row_sparsity": diag.row_sparsity,
-        "min_eig": diag.min_eig,
+        **{f: getattr(diag, f) for f in _DIAGNOSTIC_FIELDS},
         "kappa_bound": cfg.kappa_bound,
         "jitter_recommendation": jitter_recommendation(diag, cfg.kappa_bound),
         "recommended_shots": None,

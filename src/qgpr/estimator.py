@@ -164,9 +164,9 @@ def estimate_bilinear(
     )
 
 
-def gpr_config(model: GPModel, clock_qubits: int, epsilon: float = 1e-2) -> QlaConfig:
+def gpr_config(model: GPModel, clock_qubits: int) -> QlaConfig:
     """QlaConfig for a GP model: c = sigma_n^2 and the default safe t0."""
-    return config_for(model.system, clock_qubits, model.noise_variance, epsilon)
+    return config_for(model.system, clock_qubits, model.noise_variance)
 
 
 def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed, mode):

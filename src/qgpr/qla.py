@@ -8,11 +8,14 @@ exact whenever every lambda * t0 * T / (2*pi) is an integer.
 
 :func:`solver_block` runs estimation, inversion and uncomputation entering
 the system's eigenbasis once: the basis change acts only on the target, the
-rest only on the clock and the ancilla, so the pair between them cancels.
+rest only on the clock and the ancilla, so the pair between them cancels. In
+the eigenbasis, each clock-controlled evolution is one multiply by a table of
+phases per (clock value, eigenvalue), memoized per config.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -22,7 +25,7 @@ import numpy as np
 from . import _accel
 from . import statevector as sv
 from .exceptions import ConfigError, InputError
-from .statevector import RegisterLayout, StateVector
+from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
 
@@ -33,28 +36,31 @@ _EIG_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class QlaConfig:
-    """Clock width, per-step evolution time, inversion constant, error target.
+    """Clock width, per-step evolution time and inversion constant.
 
     ``t0 * lambda_max < 2*pi`` avoids phase wraparound and ``c <= lambda_min``
     keeps the rotation amplitude ``c/lambda`` at most one; both are checked
-    against the actual matrix by :func:`validate_config`. ``epsilon`` is the
-    solution-error target, reported as a diagnostic only.
+    against the actual matrix by :func:`validate_config`.
     """
 
     clock_qubits: int
     t0: float
     c: float
-    epsilon: float = 1e-2
 
     def __post_init__(self):
-        if self.clock_qubits < 1:
-            raise InputError("clock_qubits must be >= 1")
-        if not (self.t0 > 0 and self.c > 0 and self.epsilon > 0):  # also rejects NaN
-            raise InputError("t0, c, and epsilon must all be > 0")
+        _check_clock(self.clock_qubits)
+        if not (self.t0 > 0 and self.c > 0):  # also rejects NaN
+            raise InputError("t0 and c must both be > 0")
 
     @property
     def T(self) -> int:
         return 1 << self.clock_qubits
+
+
+def _check_clock(clock_qubits: int) -> None:
+    """Reject a clock no layout under the qubit cap holds, before 2**clock_qubits is used."""
+    if not 1 <= clock_qubits <= DEFAULT_QUBIT_CAP:
+        raise InputError(f"clock_qubits {clock_qubits} is not in 1..{DEFAULT_QUBIT_CAP}")
 
 
 def gershgorin_bound(system) -> float:
@@ -64,18 +70,19 @@ def gershgorin_bound(system) -> float:
 
 def default_t0(system, clock_qubits: int) -> float:
     """Largest safe per-step time: the top eigenvalue lands in the last clock bin."""
+    _check_clock(clock_qubits)
     big_t = 1 << clock_qubits
     return 2.0 * math.pi * (big_t - 1) / (big_t * gershgorin_bound(system))
 
 
-def config_for(system, clock_qubits: int, c: float, epsilon: float = 1e-2) -> QlaConfig:
+def config_for(system, clock_qubits: int, c: float) -> QlaConfig:
     """QlaConfig with the default wraparound-safe t0 for this matrix.
 
     Logs a warning when the eigenvalue inversion will clamp clock bins. The
     clamp depends only on (T, t0, c), so it is reported once per config
     rather than once per circuit.
     """
-    config = QlaConfig(clock_qubits, default_t0(system, clock_qubits), c, epsilon)
+    config = QlaConfig(clock_qubits, default_t0(system, clock_qubits), c)
     clamped = int(np.count_nonzero(_inversion_ratios(config) > 1.0))
     if clamped:
         log.warning(
@@ -290,6 +297,23 @@ def eigenvalue_inversion(
     )
 
 
+def _clock_phase_table(lam: np.ndarray, clock_qubits: int, t: float) -> np.ndarray:
+    """exp(i * lam_j * t * tau/T) per clock value tau (rows) and eigenvalue lam_j.
+
+    Read-only and memoized, so a config's estimates share it; one entry, as a
+    sweep runs its configs in turn and a table at the qubit cap is 8 MiB.
+    """
+    return _phase_table_of(lam.tobytes(), clock_qubits, t)
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_table_of(lam: bytes, clock_qubits: int, t: float) -> np.ndarray:
+    big_t = 1 << clock_qubits
+    table = np.exp(1j * np.outer(np.arange(big_t), np.frombuffer(lam)) * (t / big_t))
+    table.setflags(write=False)
+    return table
+
+
 def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
                  target: str = "index", ancilla: str = "ancilla", controls=()) -> None:
     """:func:`phase_estimate`, :func:`eigenvalue_inversion` and the inverse
@@ -302,16 +326,19 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     if state.layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
     lam, vec, cpos = _check_solver(state, config, system, [clock, target, ancilla], controls)
-    table = sv._clock_phase_table(lam, config.clock_qubits, config.t0 * config.T)
-    sv._rotate_basis(state, target, vec.conj().T, cpos)
+    table = _clock_phase_table(lam, config.clock_qubits, config.t0 * config.T)
+    layout, amps = state.layout, state.amps
+    m, tpos = layout.total_qubits, layout.positions(target)
+    blocks = (layout.start(clock), config.clock_qubits, tpos[0], len(tpos))
+    _accel.apply_matrix(amps, vec.conj().T, tpos, m, cpos)
     sv.hadamard_layer(state, clock, controls)
-    sv._clock_phase(state, clock, target, table, cpos)
+    _accel.phase_mul(amps, table, *blocks, m, cpos)
     sv.qft(state, clock, inverse=True, controls=controls)
     eigenvalue_inversion(state, clock, ancilla, config, controls)
     sv.qft(state, clock, controls=controls)
-    sv._clock_phase(state, clock, target, table.conj(), cpos)
+    _accel.phase_mul(amps, table.conj(), *blocks, m, cpos)
     sv.hadamard_layer(state, clock, controls)
-    sv._rotate_basis(state, target, vec, cpos)
+    _accel.apply_matrix(amps, vec, tpos, m, cpos)
 
 
 def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:

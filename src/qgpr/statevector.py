@@ -11,13 +11,13 @@ Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, a Hadamard layer on a register (Walsh
 blocks H^(x)k of up to 4 qubits), controlled reflections I - 2uu^H (a rank-1
 update), the quantum Fourier transform on a register (an FFT along the
-register), clock-controlled Hamiltonian evolution by exact eigendecomposition
-(its stages are shared with :func:`qgpr.qla.solver_block`), projective
-measurement of a register, and the expectation value and seeded shot sampling
-of an :class:`Observable`, read off views of the amplitudes without a copy.
-The eigendecomposition of an evolution system is memoized on the matrix
-contents, so a system is diagonalized once however many circuits use it, and
-so is its clock-phase table. Real gates and the real eigenbasis of a real
+register), clock-controlled Hamiltonian evolution as its definition (one
+controlled gate per clock value: the reference for
+:func:`qgpr.qla.solver_block`), projective measurement of a register, and the
+expectation value and seeded shot sampling of an :class:`Observable`, read off
+views of the amplitudes without a copy. The eigendecomposition of a Hermitian
+system is memoized on the matrix contents, so a system is diagonalized once
+however many circuits use it. Real gates and the real eigenbasis of a real
 symmetric system stay real, so the kernels apply them as real products.
 """
 
@@ -51,10 +51,9 @@ _EIGENVALUES = {"X": (-1.0, 1.0), "P0": (0.0, 1.0), "P1": (0.0, 1.0)}
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered named qubit registers; total width is capped."""
+    """Ordered named qubit registers of at most ``DEFAULT_QUBIT_CAP`` qubits in all."""
 
     registers: tuple[tuple[str, int], ...]
-    max_qubits: int = DEFAULT_QUBIT_CAP
 
     def __post_init__(self):
         regs = tuple((str(n), int(w)) for n, w in self.registers)
@@ -64,9 +63,9 @@ class RegisterLayout:
             raise InputError(f"duplicate register names in {names}")
         if any(w < 1 for _, w in regs):
             raise InputError("register widths must be >= 1")
-        if self.total_qubits > self.max_qubits:
+        if self.total_qubits > DEFAULT_QUBIT_CAP:
             raise InputError(
-                f"{self.total_qubits} qubits exceeds the cap of {self.max_qubits}"
+                f"{self.total_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
             )
 
     @property
@@ -326,54 +325,20 @@ def controlled_evolution(
 ) -> None:
     """Apply ``sum_tau |tau><tau| (x) exp(i * system * t * tau/T)`` (T clock states) in place.
 
-    Implemented by rotating the target register into the eigenbasis of
-    ``system``, multiplying the joint (clock value, eigenvector) phase and
-    rotating back, so the evolution is exact.
+    As defined, with ``system = V diag(lambda) V^H``: per clock value tau, one
+    :func:`apply_gate` of ``V diag(exp(i * lambda * t * tau/T)) V^H`` on the
+    target, controlled on the clock bits (most significant first) and ``controls``.
     """
     layout = state.layout
-    _, cpos = _gate_positions(layout, [clock, target], controls)
+    _gate_positions(layout, [clock, target], controls)
     lam, vec = hermitian_eigh(system)
-    tw = layout.width(target)
-    if lam.shape[0] != (1 << tw):
-        raise InputError(
-            f"system dimension {lam.shape[0]} does not match register {target!r} "
-            f"({1 << tw} states)"
-        )
-    _rotate_basis(state, target, vec.conj().T, cpos)
-    _clock_phase(state, clock, target, _clock_phase_table(lam, layout.width(clock), t), cpos)
-    _rotate_basis(state, target, vec, cpos)
-
-
-# controlled_evolution's stages, shared with qla.solver_block: they take
-# resolved control positions and check nothing
-
-
-def _rotate_basis(state: StateVector, target: str, basis: np.ndarray, cpos) -> None:
-    layout = state.layout
-    _accel.apply_matrix(state.amps, basis, layout.positions(target), layout.total_qubits, cpos)
-
-
-def _clock_phase_table(lam: np.ndarray, clock_qubits: int, t: float) -> np.ndarray:
-    """exp(i * lam_j * t * tau/T) per clock value tau (rows) and eigenvalue lam_j.
-
-    Read-only and memoized, so a config's estimates share it; one entry, as a
-    sweep runs its configs in turn and a table at the qubit cap is 8 MiB.
-    """
-    return _phase_table_of(lam.tobytes(), clock_qubits, t)
-
-
-@functools.lru_cache(maxsize=1)
-def _phase_table_of(lam: bytes, clock_qubits: int, t: float) -> np.ndarray:
-    big_t = 1 << clock_qubits
-    table = np.exp(1j * np.outer(np.arange(big_t), np.frombuffer(lam)) * (t / big_t))
-    table.setflags(write=False)
-    return table
-
-
-def _clock_phase(state: StateVector, clock: str, target: str, table: np.ndarray, cpos) -> None:
-    layout = state.layout
-    _accel.phase_mul(state.amps, table, layout.start(clock), layout.width(clock),
-                     layout.start(target), layout.width(target), layout.total_qubits, cpos)
+    if lam.shape[0] != 1 << layout.width(target):
+        raise InputError(f"system dimension {lam.shape[0]} does not match register {target!r}")
+    cw = layout.width(clock)
+    for tau in range(1 << cw):
+        bits = [(clock, j, (tau >> (cw - 1 - j)) & 1) for j in range(cw)]
+        gate = (vec * np.exp(1j * lam * (t * tau / (1 << cw)))) @ vec.conj().T
+        apply_gate(state, gate, target, [*bits, *controls])
 
 
 def _blocks(state: StateVector, obs: Observable, bits: Sequence[int]) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 """The amplitude kernels against dense operators built qubit by qubit with np.kron."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -166,6 +167,36 @@ class TestPairRot:
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
 
+class TestFourier:
+    # the block at the start, middle and end of the state; controls before it,
+    # after it and on both sides
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize(
+        "start, controls",
+        [
+            (0, ()),
+            (2, ()),
+            (4, ()),
+            (4, ((1, 1),)),  # control before the block
+            (0, ((5, 0),)),  # control after the block
+            (2, ((6, 1),)),
+            (2, ((0, 1), (5, 0))),  # controls on both sides
+            (3, ((6, 0), (1, 1), (0, 0))),
+        ],
+    )
+    def test_matches_dense_operator(self, rng, start, controls, inverse):
+        m, width = 7, 3
+        dim = 1 << width
+        k = np.arange(dim)
+        mat = np.exp(2j * np.pi * np.outer(k, k) / dim) / np.sqrt(dim)
+        if inverse:
+            mat = mat.conj().T
+        amps = random_amps(rng, m)
+        expected = dense_operator(mat, block(start, width), m, controls) @ amps
+        _accel.fourier(amps, start, width, m, controls, inverse)
+        np.testing.assert_allclose(amps, expected, atol=1e-12)
+
+
 class TestReflect:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize(
@@ -188,3 +219,61 @@ class TestReflect:
         expected = dense_operator(mat, tpos, m, controls) @ amps
         _accel.reflect(amps, u, tpos, m, controls)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
+
+
+class TestPieces:
+    """apply_matrix and reflect cut the amplitudes into pieces of at most _PIECE."""
+
+    @pytest.mark.parametrize("piece", [1, 8, 32])
+    @pytest.mark.parametrize(
+        "tpos, controls",
+        [
+            ((0, 1), ()),  # leading block: contiguous pieces, uncopied
+            ((0, 1), ((6, 1),)),  # control on the last qubit: strided pieces
+            ((3,), ()),
+            ((5, 2), ((0, 1), (4, 0))),
+            ((6, 1, 3), ((4, 1),)),
+        ],
+    )
+    def test_kernels_match_dense_operator_in_pieces(self, rng, monkeypatch, piece, tpos, controls):
+        monkeypatch.setattr(_accel, "_PIECE", piece)
+        m, dim = 7, 1 << len(tpos)
+        for mat in (random_unitary(rng, dim), random_orthogonal(rng, dim)):
+            amps = random_amps(rng, m)
+            expected = dense_operator(mat, tpos, m, controls) @ amps
+            _accel.apply_matrix(amps, mat, tpos, m, controls)
+            np.testing.assert_allclose(amps, expected, atol=1e-12)
+        u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        u /= np.linalg.norm(u)
+        amps = random_amps(rng, m)
+        reflection = np.eye(dim) - 2.0 * np.outer(u, u.conj())
+        expected = dense_operator(reflection, tpos, m, controls) @ amps
+        _accel.reflect(amps, u, tpos, m, controls)
+        np.testing.assert_allclose(amps, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("piece, size", [(8, 8), (2, 8)])  # targets alone exceed a piece of 2
+    def test_pieces_tile_the_controlled_amplitudes(self, monkeypatch, piece, size):
+        monkeypatch.setattr(_accel, "_PIECE", piece)
+        amps = np.arange(1 << 7, dtype=np.complex128)
+        parts = _accel._pieces(amps, (5, 2, 3), 7, ((0, 1),))
+        assert all(p.size == size and np.shares_memory(p, amps) for p in parts)
+        assert sorted(np.concatenate([p.ravel() for p in parts]).real) == list(range(64, 128))
+
+    @pytest.mark.parametrize(
+        "tpos, controls",
+        [((0,), ()), ((17,), ((0, 0),)), ((9, 3), ((0, 1),))],  # contiguous, then strided
+    )
+    def test_temporaries_stay_piece_sized(self, rng, tpos, controls):
+        m, dim = 18, 1 << len(tpos)
+        amps = random_amps(rng, m)
+        mat = random_unitary(rng, dim)
+        u = mat[:, 0]
+        tracemalloc.start()
+        try:
+            _accel.apply_matrix(amps, mat, tpos, m, controls)
+            _accel.apply_matrix(amps, mat.real.copy(), tpos, m, controls)
+            _accel.reflect(amps, u, tpos, m, controls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * _accel._PIECE * amps.itemsize < amps.nbytes / 2

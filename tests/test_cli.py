@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgpr import cli
+from qgpr import cli, qla
 from qgpr import statevector as sv
 from qgpr.cli import (
     EXIT_INPUT,
@@ -185,19 +185,19 @@ class TestCmdPredict:
         dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
         cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5], [1.0]], clock_qubits=5)
         tables = []
-        original = sv._clock_phase_table
+        original = qla._clock_phase_table
 
         def recorded(*args):
             tables.append(original(*args))
             return tables[-1]
 
-        monkeypatch.setattr(sv, "_clock_phase_table", recorded)
-        sv._phase_table_of.cache_clear()
+        monkeypatch.setattr(qla, "_clock_phase_table", recorded)
+        qla._phase_table_of.cache_clear()
         report = cmd_predict(load_config(cfgp))
         assert len(report["results"]) == 3
         assert len(tables) == 6  # a mean and a variance estimate per test point
         assert all(table is tables[0] for table in tables)
-        info = sv._phase_table_of.cache_info()
+        info = qla._phase_table_of.cache_info()
         assert (info.misses, info.hits) == (1, 5)
         with pytest.raises(ValueError, match="read-only"):
             tables[0][0, 0] = 0.0
@@ -301,6 +301,13 @@ class TestCmdSweep:
         assert len(caplog.records) == 2
         assert all("clamped" in rec.getMessage() for rec in caplog.records)
 
+    def test_clock_value_above_the_qubit_cap_is_one_line_input_error(self, tmp_path, capsys):
+        # rejected before anything of size 2**40 is allocated
+        cfgp = self._sweep_config(tmp_path, sweep={"axis": "clock_qubits", "values": [40]})
+        assert main(["sweep", "--config", str(cfgp)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
     def test_classical_prediction_once_per_test_point(self, tmp_path, monkeypatch):
         # the classical oracle depends on neither the clock width nor the shots
         cfgp = self._sweep_config(
@@ -401,6 +408,7 @@ class TestMainExitCodes:
             {"sweep": {"axis": "clock_qubits", "values": "abc"}},
             {"mode": "sampled", "shots": 10**12},
             {"seed": -1},
+            {"clock_qubits": 40},  # over the qubit cap
         ],
     )
     def test_malformed_field_is_one_line_input_error(self, canonical, overrides, capsys):
@@ -424,6 +432,13 @@ class TestMainExitCodes:
     )
     def test_negative_seed_flag_is_one_line_input_error(self, canonical, argv, capsys):
         assert main([*argv, "--config", str(canonical)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    # wider than the qubit cap: rejected before 2**width is computed
+    @pytest.mark.parametrize("width", ["40", "2000"])
+    def test_oversized_clock_flag_is_one_line_input_error(self, canonical, width, capsys):
+        assert main(["predict", "--config", str(canonical), "--clock-qubits", width]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
 

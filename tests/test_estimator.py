@@ -414,7 +414,6 @@ _TRAINING = TrainingSet(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
         lambda: build_model(_TRAINING, SE, _NAN),
         lambda: QlaConfig(2, t0=_NAN, c=0.5),
         lambda: QlaConfig(2, t0=1.0, c=_NAN),
-        lambda: QlaConfig(2, t0=1.0, c=0.5, epsilon=_NAN),
         lambda: shots_for_precision(_NAN, _PILOT),
     ],
     ids=[
@@ -424,7 +423,6 @@ _TRAINING = TrainingSet(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
         "noise_variance",
         "t0",
         "c",
-        "epsilon",
         "delta",
     ],
 )

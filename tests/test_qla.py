@@ -142,6 +142,16 @@ class TestConfig:
         with pytest.raises(InputError):
             QlaConfig(clock_qubits=3, t0=-1.0, c=1.0)
 
+    @pytest.mark.parametrize("clock", [40, 2000])
+    def test_clock_above_the_qubit_cap_rejected(self, clock):
+        with pytest.raises(InputError, match="not in 1..22"):
+            config_for(np.eye(2), clock, c=0.5)
+
+    def test_clock_width_is_capped_at_the_qubit_cap(self):
+        QlaConfig(sv.DEFAULT_QUBIT_CAP, t0=1.0, c=0.5)
+        with pytest.raises(InputError, match="not in 1..22"):
+            QlaConfig(sv.DEFAULT_QUBIT_CAP + 1, t0=1.0, c=0.5)
+
     def test_default_t0_avoids_wraparound(self, rng):
         a = random_spd(rng, 4)
         cfg = config_for(a, 8, c=0.1)

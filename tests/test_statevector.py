@@ -102,7 +102,6 @@ class TestLayout:
     def test_qubit_cap(self):
         with pytest.raises(InputError):
             RegisterLayout((("A", 23),))
-        RegisterLayout((("A", 23),), max_qubits=23)  # configurable
 
     def test_value_extraction(self):
         lay = RegisterLayout((("A", 1), ("B", 2)))
