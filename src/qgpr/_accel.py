@@ -41,6 +41,8 @@ def _pieces(amps, tpos, m, controls):
     freed after each gate, lets malloc hand the heap top back to the OS, so
     whether the next estimate faults its state in again hangs on heap layout."""
     view = np.moveaxis(_pinned(amps, m, controls), tpos, range(len(tpos)))
+    if view.size <= _PIECE:
+        return [view]
     k, size = len(tpos), view.size
     while k < view.ndim and size > _PIECE:
         k, size = k + 1, size // view.shape[k]

@@ -99,17 +99,16 @@ def build_interference_state(spec: BilinearSpec) -> StateVector:
     """Run the five-register circuit up to (and including) the solver step."""
     n = np.asarray(spec.system).shape[0]
     w = index_width(n)
-    layout = interference_layout(n, spec.config.clock_qubits)
+    layout = interference_layout(n, spec.config.clock_qubits)  # checks the qubit cap
     a_pad = pad_system(spec.system, 1 << w, spec.config.c)
 
-    state = sv.init_basis(layout)
+    state = sv.init_basis(RegisterLayout(layout.registers[:-1]))  # E is |0> until solver_block
     sv.apply_gate(state, sv.HADAMARD, ("A", 0))
     sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], [("A", 0, 0)])
     sv.apply_gate(state, sv.PAULI_X, ("D", 0), [("A", 0, 0)])
     sv.reflect(state, state_prep_vector(spec.v, w), ["B", "C"], [("A", 0, 1)])
 
-    solver_block(state, spec.config, a_pad, "E", "B", "D", controls=(("A", 0, 1), ("C", 0, 1)))
-    return state
+    return solver_block(state, spec.config, a_pad, "E", "B", "D", (("A", 0, 1), ("C", 0, 1)))
 
 
 def observable_M(layout: RegisterLayout) -> Observable:

@@ -10,7 +10,10 @@ exact whenever every lambda * t0 * T / (2*pi) is an integer.
 the system's eigenbasis once: the basis change acts only on the target, the
 rest only on the clock and the ancilla, so the pair between them cancels. In
 the eigenbasis, each clock-controlled evolution is one multiply by a table of
-phases per (clock value, eigenvalue), memoized per config.
+phases per (clock value, eigenvalue), memoized per config. The clock is |0>
+until its first Hadamards, so :func:`solver_block` takes the state without
+it, enters the eigenbasis there, and returns a new state with the clock
+appended, spread by those Hadamards (:func:`statevector.spread`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -234,7 +237,7 @@ def phase_estimate(
     as it was. An eigenvalue lambda with lambda * t0 * T / (2*pi) = k
     integral lands exactly in clock bin k.
     """
-    _check_solver(state, config, system, [clock, target], controls)
+    _check_solver(state.layout, config, system, [clock, target], controls)
     t_total = config.t0 * config.T
     if not inverse:
         sv.hadamard_layer(state, clock, controls)
@@ -246,9 +249,9 @@ def phase_estimate(
         sv.hadamard_layer(state, clock, controls)
 
 
-def _check_solver(state: StateVector, config: QlaConfig, system, registers, controls):
+def _check_solver(layout: RegisterLayout, config: QlaConfig, system, registers, controls):
     """Checks on (clock, target, ...) before any step; returns (eigenvalues, eigenvectors, cpos)."""
-    layout, (clock, target) = state.layout, registers[:2]
+    clock, target = registers[:2]
     if layout.width(clock) != config.clock_qubits:
         raise InputError(
             f"clock register {clock!r} has {layout.width(clock)} qubits, "
@@ -315,30 +318,34 @@ def _phase_table_of(lam: bytes, clock_qubits: int, t: float) -> np.ndarray:
 
 
 def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
-                 target: str = "index", ancilla: str = "ancilla", controls=()) -> None:
+                 target: str = "index", ancilla: str = "ancilla", controls=()) -> StateVector:
     """:func:`phase_estimate`, :func:`eigenvalue_inversion` and the inverse
-    estimation in place, entering the eigenbasis of ``system`` (V) once.
+    estimation on ``state`` (x) |0>_clock, the clock appended last; returns that
+    new state rather than working in place, and leaves ``state`` as it was.
 
-    V^H on the target, then the clock Hadamards, the clock-phase table, the
-    inverse QFT, the inversion, the QFT, the conjugate table and the
-    Hadamards, then V. Inputs are checked before the first step.
+    V^H on a copy of ``state``, then :func:`statevector.spread` and, on the full
+    state, the phase table, the inverse QFT, the inversion, the QFT, the
+    conjugate table, the Hadamards and V. Every input, the qubit cap among
+    them, is checked before anything is allocated.
     """
-    if state.layout.width(ancilla) != 1:
+    layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
+    if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
-    lam, vec, cpos = _check_solver(state, config, system, [clock, target, ancilla], controls)
+    lam, vec, cpos = _check_solver(layout, config, system, [clock, target, ancilla], controls)
     table = _clock_phase_table(lam, config.clock_qubits, config.t0 * config.T)
-    layout, amps = state.layout, state.amps
     m, tpos = layout.total_qubits, layout.positions(target)
     blocks = (layout.start(clock), config.clock_qubits, tpos[0], len(tpos))
-    _accel.apply_matrix(amps, vec.conj().T, tpos, m, cpos)
-    sv.hadamard_layer(state, clock, controls)
-    _accel.phase_mul(amps, table, *blocks, m, cpos)
-    sv.qft(state, clock, inverse=True, controls=controls)
-    eigenvalue_inversion(state, clock, ancilla, config, controls)
-    sv.qft(state, clock, controls=controls)
-    _accel.phase_mul(amps, table.conj(), *blocks, m, cpos)
-    sv.hadamard_layer(state, clock, controls)
-    _accel.apply_matrix(amps, vec, tpos, m, cpos)
+    free = state.copy()
+    _accel.apply_matrix(free.amps, vec.conj().T, tpos, m - config.clock_qubits, cpos)
+    full = sv.spread(free, clock, config.clock_qubits, controls)
+    _accel.phase_mul(full.amps, table, *blocks, m, cpos)
+    sv.qft(full, clock, inverse=True, controls=controls)
+    eigenvalue_inversion(full, clock, ancilla, config, controls)
+    sv.qft(full, clock, controls=controls)
+    _accel.phase_mul(full.amps, table.conj(), *blocks, m, cpos)
+    sv.hadamard_layer(full, clock, controls)
+    _accel.apply_matrix(full.amps, vec, tpos, m, cpos)
+    return full
 
 
 def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
@@ -361,9 +368,7 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
     if isinstance(b, SparseEncoding):
         if b.length != n:
             raise InputError(f"vector length {b.length} does not match system size {n}")
-        layout = RegisterLayout(
-            (("index", w), ("flag", 1), ("ancilla", 1), ("clock", config.clock_qubits))
-        )
+        layout = RegisterLayout((("index", w), ("flag", 1), ("ancilla", 1)))
         state = prepare_sparse_state(layout, "index", "flag", b)
         _, state = sv.project(state, "flag", 1)
     else:
@@ -373,13 +378,10 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
         nrm = np.linalg.norm(vec)
         if nrm == 0.0:
             raise InputError("cannot solve for an all-zero right-hand side")
-        layout = RegisterLayout((("index", w), ("ancilla", 1), ("clock", config.clock_qubits)))
-        amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-        stride = 1 << (1 + config.clock_qubits)
-        amps[np.arange(n) * stride] = vec / nrm
-        state = StateVector._adopt(layout, amps)
+        state = sv.init_basis(RegisterLayout((("index", w), ("ancilla", 1))))
+        state.amps[: 2 * n : 2] = vec / nrm  # ancilla |0>
 
-    solver_block(state, config, a_pad)
+    state = solver_block(state, config, a_pad)
     success_prob, state = sv.project(state, "ancilla", 1)
     return state, success_prob
 

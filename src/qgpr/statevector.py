@@ -5,20 +5,21 @@ the most significant bits of the basis index, and within a register qubit 0
 is the most significant bit. Circuit operations change ``state.amps`` in
 place through the numpy kernels in :mod:`qgpr._accel` and return ``None``; a
 caller that still needs the state before an operation takes ``state.copy()``.
-:func:`project` is a measurement and returns a new, renormalized state.
+:func:`project` (a measurement) and :func:`spread` return new states.
 
 Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, a Hadamard layer on a register (Walsh
-blocks H^(x)k of up to 4 qubits), controlled reflections I - 2uu^H (a rank-1
-update), the quantum Fourier transform on a register (an FFT along the
-register), clock-controlled Hamiltonian evolution as its definition (one
-controlled gate per clock value: the reference for
-:func:`qgpr.qla.solver_block`), projective measurement of a register, and the
-expectation value and seeded shot sampling of an :class:`Observable`, read off
-views of the amplitudes without a copy. The eigendecomposition of a Hermitian
-system is memoized on the matrix contents, so a system is diagonalized once
-however many circuits use it. Real gates and the real eigenbasis of a real
-symmetric system stay real, so the kernels apply them as real products.
+blocks H^(x)k of up to 4 qubits; on a new zero register, one broadcast),
+controlled reflections I - 2uu^H (a rank-1 update), the quantum Fourier
+transform on a register (an FFT along the register), clock-controlled
+Hamiltonian evolution as its definition (one controlled gate per clock value:
+the reference for :func:`qgpr.qla.solver_block`), projective measurement of a
+register, and the expectation value and seeded shot sampling of an
+:class:`Observable`, read off views of the amplitudes without a copy. The
+eigendecomposition of a Hermitian system is memoized on the matrix contents,
+so a system is diagonalized once however many circuits use it. Real gates and
+the real eigenbasis of a real symmetric system stay real, so the kernels
+apply them as real products.
 """
 
 from __future__ import annotations
@@ -248,6 +249,20 @@ def hadamard_layer(state: StateVector, register: str, controls=()) -> None:
     for j in range(0, len(tpos), len(_WALSH)):
         block = tpos[j : j + len(_WALSH)]
         _accel.apply_matrix(state.amps, _WALSH[len(block) - 1], block, layout.total_qubits, cpos)
+
+
+def spread(state: StateVector, register: str, width: int, controls=()) -> StateVector:
+    """A new state: ``state`` (x) |0> on a ``width``-qubit register appended
+    last, then a Hadamard layer on it, optionally controlled. That is a
+    broadcast: each controlled row gets amplitude / sqrt(2**width) at every
+    register value, and every other row keeps its amplitude at value 0 only."""
+    layout = RegisterLayout((*state.layout.registers, (register, width)))
+    _, cpos = _gate_positions(layout, register, controls)
+    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    amps.reshape(-1, 1 << width)[:, 0] = state.amps
+    rows = _accel._pinned(amps, layout.total_qubits, cpos)
+    rows[...] = rows[(..., *[slice(0, 1)] * width)] / math.sqrt(1 << width)
+    return StateVector._adopt(layout, amps)
 
 
 def reflect(state: StateVector, u, target, controls=()) -> None:

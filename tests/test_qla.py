@@ -304,26 +304,36 @@ class TestEigenvalueInversion:
 
 
 _LAYOUT = RegisterLayout((("index", 1), ("anc", 1), ("clock", 2)))
+_FREE = RegisterLayout(_LAYOUT.registers[:-1])  # solver_block appends the clock
 _CFG = QlaConfig(clock_qubits=2, t0=1.0, c=0.5)
 
 
+def random_state(rng, layout):
+    amps = rng.normal(size=1 << layout.total_qubits) + 1j * rng.normal(size=1 << layout.total_qubits)
+    return StateVector(layout, amps / np.linalg.norm(amps))
+
+
 @pytest.mark.parametrize(
-    "op",
+    "layout, op",
     [
-        lambda s: sv.apply_gate(s, sv.PAULI_X, ("anc", 0), [("anc", 0, 1)]),
-        lambda s: sv.apply_gate(s, np.eye(4), [("anc", 0), ("anc", 0)]),
-        lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0), [("anc", 0, 1)]),
-        lambda s: sv.qft(s, "clock", controls=[("clock", 1, 1)]),
-        lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, [("index", 0, 1)]),
-        lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, [("clock", 0, 1)]),
-        lambda s: sv.controlled_evolution(s, "index", "index", np.eye(2), 1.0),
-        lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("clock", 1, 1)]),
-        lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("anc", 0, 1)]),
-        lambda s: phase_estimate(s, config_for(np.eye(2), 2, c=0.5), np.eye(2),
-                                 controls=[("index", 0, 1)]),
-        lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls=[("anc", 0, 1)]),
-        lambda s: solver_block(s, _CFG, np.eye(2), ancilla="index"),
-        lambda s: solver_block(s, _CFG, np.eye(2), ancilla="clock"),
+        (_LAYOUT, lambda s: sv.apply_gate(s, sv.PAULI_X, ("anc", 0), [("anc", 0, 1)])),
+        (_LAYOUT, lambda s: sv.apply_gate(s, np.eye(4), [("anc", 0), ("anc", 0)])),
+        (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0), [("anc", 0, 1)])),
+        (_LAYOUT, lambda s: sv.qft(s, "clock", controls=[("clock", 1, 1)])),
+        (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, [("index", 0, 1)])),
+        (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, [("clock", 0, 1)])),
+        (_LAYOUT, lambda s: sv.controlled_evolution(s, "index", "index", np.eye(2), 1.0)),
+        (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("clock", 1, 1)])),
+        (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("anc", 0, 1)])),
+        (_LAYOUT, lambda s: phase_estimate(s, config_for(np.eye(2), 2, c=0.5), np.eye(2),
+                                           controls=[("index", 0, 1)])),
+        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls=[("anc", 0, 1)])),
+        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="index")),
+        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="clock")),
+        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls=[("clock", 0, 1)])),
+        (_LAYOUT, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc")),
+        (_FREE, lambda s: sv.spread(s, "clock", 2, [("clock", 0, 1)])),
+        (_FREE, lambda s: sv.spread(s, "anc", 2)),
     ],
     ids=[
         "apply_gate-control-on-target",
@@ -339,12 +349,15 @@ _CFG = QlaConfig(clock_qubits=2, t0=1.0, c=0.5)
         "solver_block-control-on-ancilla",
         "solver_block-ancilla-is-target",
         "solver_block-wide-ancilla",
+        "solver_block-control-on-clock",
+        "solver_block-clock-already-in-input",
+        "spread-control-on-register",
+        "spread-register-already-in-input",
     ],
 )
-def test_overlapping_qubits_are_input_errors(rng, op):
-    # ops act in place, so an op that raises must do so before changing the state
-    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    state = StateVector(_LAYOUT, amps / np.linalg.norm(amps))
+def test_overlapping_qubits_are_input_errors(rng, layout, op):
+    # an op that raises must do so before changing its input
+    state = random_state(rng, layout)
     before = state.copy()
     with pytest.raises(InputError):
         op(state)
@@ -355,17 +368,17 @@ _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid
 
 
 @pytest.mark.parametrize(
-    "op",
+    "layout, op",
     [
-        lambda s: sv.apply_gate(s, sv.HADAMARD, ("anc", 0), [("index", 0, 1)]),
-        lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0)),
-        lambda s: sv.qft(s, "clock"),
-        lambda s: sv.qft(s, "clock", inverse=True),
-        lambda s: sv.controlled_evolution(s, "clock", "index", _SYSTEM, 1.0),
-        lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG),
-        lambda s: phase_estimate(s, _CFG, _SYSTEM),
-        lambda s: phase_estimate(s, _CFG, _SYSTEM, inverse=True),
-        lambda s: solver_block(s, _CFG, _SYSTEM, ancilla="anc"),
+        (_LAYOUT, lambda s: sv.apply_gate(s, sv.HADAMARD, ("anc", 0), [("index", 0, 1)])),
+        (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0))),
+        (_LAYOUT, lambda s: sv.qft(s, "clock")),
+        (_LAYOUT, lambda s: sv.qft(s, "clock", inverse=True)),
+        (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", _SYSTEM, 1.0)),
+        (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG)),
+        (_LAYOUT, lambda s: phase_estimate(s, _CFG, _SYSTEM)),
+        (_LAYOUT, lambda s: phase_estimate(s, _CFG, _SYSTEM, inverse=True)),
+        (_FREE, lambda s: solver_block(s, _CFG, _SYSTEM, ancilla="anc")),
     ],
     ids=[
         "apply_gate",
@@ -379,22 +392,40 @@ _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid
         "solver_block",
     ],
 )
-def test_ops_act_in_place(rng, op):
-    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    state = StateVector(_LAYOUT, amps / np.linalg.norm(amps))
+def test_ops_act_in_place(rng, layout, op):
+    """Circuit ops change the buffer and return None; solver_block, which
+    appends the clock, instead returns a new state and leaves its input."""
+    state = random_state(rng, layout)
     buffer, before = state.amps, state.copy()
     snapshot = state.amps.copy()
-    assert op(state) is None
+    result = op(state)
+    if layout is _FREE:
+        assert result.layout == RegisterLayout((*layout.registers, ("clock", 2)))
+        assert not np.shares_memory(result.amps, buffer)
+        np.testing.assert_array_equal(state.amps, snapshot)
+        assert np.abs(result.amps - np.kron(snapshot, [1, 0, 0, 0])).max() > 1e-3
+        return
+    assert result is None
     assert state.amps is buffer
     assert np.abs(state.amps - snapshot).max() > 1e-3  # the op changed the buffer
     np.testing.assert_array_equal(before.amps, snapshot)
 
 
+def with_zero_clock(state, clock, width):
+    """state (x) |0> on a ``width``-qubit clock appended last."""
+    zero = init_basis(RegisterLayout(((clock, width),)))
+    return StateVector(RegisterLayout((*state.layout.registers, (clock, width))),
+                       np.kron(state.amps, zero.amps))
+
+
 def reference_solver(state, cfg, system, clock="clock", target="index", ancilla="ancilla", controls=()):
-    """The solver as three separate ops, each with its own basis change."""
-    phase_estimate(state, cfg, system, clock=clock, target=target, controls=controls)
-    eigenvalue_inversion(state, clock, ancilla, cfg, controls=controls)
-    phase_estimate(state, cfg, system, clock=clock, target=target, controls=controls, inverse=True)
+    """The solver as three separate ops, each with its own basis change, on
+    ``state`` (x) |0> with the clock appended last."""
+    full = with_zero_clock(state, clock, cfg.clock_qubits)
+    phase_estimate(full, cfg, system, clock=clock, target=target, controls=controls)
+    eigenvalue_inversion(full, clock, ancilla, cfg, controls=controls)
+    phase_estimate(full, cfg, system, clock=clock, target=target, controls=controls, inverse=True)
+    return full
 
 
 def random_hermitian(rng, n, lo=0.3, hi=1.0):
@@ -403,19 +434,46 @@ def random_hermitian(rng, n, lo=0.3, hi=1.0):
     return (q * rng.uniform(lo, hi, size=n)) @ q.conj().T
 
 
-# (registers, controls): no controls, then controls before, between and after
-# the clock and the target, then the two layouts qla_solve builds
+# (registers, controls) of the clock-free input; the clock is appended last.
+# No controls, then controls before, between and after the target and the
+# ancilla, then the two layouts qla_solve builds
 _BLOCK_LAYOUTS = {
-    "none": ((("index", None), ("anc", 1), ("clock", None)), ()),
-    "before": ((("ctl", 2), ("index", None), ("anc", 1), ("clock", None)),
+    "none": ((("index", None), ("anc", 1)), ()),
+    "before": ((("ctl", 2), ("index", None), ("anc", 1)),
                (("ctl", 0, 1), ("ctl", 1, 0))),
-    "between": ((("clock", None), ("ctl", 2), ("anc", 1), ("index", None)),
+    "between": ((("anc", 1), ("ctl", 2), ("index", None)),
                 (("ctl", 1, 1), ("ctl", 0, 1))),
-    "after": ((("anc", 1), ("index", None), ("clock", None), ("ctl", 2)),
+    "after": ((("anc", 1), ("index", None), ("ctl", 2)),
               (("ctl", 0, 0), ("ctl", 1, 1))),
-    "qla_solve-sparse": ((("index", None), ("flag", 1), ("anc", 1), ("clock", None)), ()),
-    "qla_solve-vector": ((("index", None), ("anc", 1), ("clock", None)), ()),
+    "qla_solve-sparse": ((("index", None), ("flag", 1), ("anc", 1)), ()),
+    "qla_solve-vector": ((("index", None), ("anc", 1)), ()),
 }
+
+
+def block_layout(layout_name, index_width):
+    """(clock-free layout, controls) of a _BLOCK_LAYOUTS entry."""
+    registers, controls = _BLOCK_LAYOUTS[layout_name]
+    return RegisterLayout(tuple((name, wd or index_width) for name, wd in registers)), controls
+
+
+class TestSpread:
+    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
+    def test_matches_hadamard_layer_on_a_zero_clock(self, rng, width, layout_name):
+        layout, controls = block_layout(layout_name, 2)
+        state = random_state(rng, layout)
+        before = state.amps.copy()
+        reference = with_zero_clock(state, "clock", width)
+        sv.hadamard_layer(reference, "clock", controls)
+        out = sv.spread(state, "clock", width, controls)
+        assert out.layout == reference.layout
+        assert np.abs(out.amps - reference.amps).max() <= 1e-15
+        np.testing.assert_array_equal(state.amps, before)
+
+    def test_over_the_qubit_cap_is_an_input_error(self):
+        state = init_basis(RegisterLayout((("index", 2),)))
+        with pytest.raises(InputError, match="exceeds the cap"):
+            sv.spread(state, "clock", sv.DEFAULT_QUBIT_CAP - 1)
 
 
 class TestSolverBlock:
@@ -423,36 +481,31 @@ class TestSolverBlock:
     @pytest.mark.parametrize("clock", range(1, 10))
     @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
     def test_matches_three_op_sequence(self, rng, n, clock, layout_name):
-        registers, controls = _BLOCK_LAYOUTS[layout_name]
         w = qla.index_width(n)
+        layout, controls = block_layout(layout_name, w)
         big_t = 1 << clock
         cfg = QlaConfig(clock, t0=2 * math.pi * (big_t - 1) / big_t, c=0.25)  # spectrum in [0.3, 1)
         system = np.eye(1 << w, dtype=complex) * cfg.c  # padded as pad_system does, kept complex
         system[:n, :n] = random_hermitian(rng, n)
-        widths = {"index": w, "clock": clock}
-        layout = RegisterLayout(tuple((name, wd or widths[name]) for name, wd in registers))
-        amps = rng.normal(size=1 << layout.total_qubits) + 1j * rng.normal(size=1 << layout.total_qubits)
-        state = StateVector(layout, amps / np.linalg.norm(amps))
-        reference = state.copy()
-        solver_block(state, cfg, system, "clock", "index", "anc", controls)
-        reference_solver(reference, cfg, system, "clock", "index", "anc", controls)
-        assert np.abs(state.amps - reference.amps).max() <= 1e-12
+        state = random_state(rng, layout)
+        before = state.amps.copy()
+        out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
+        reference = reference_solver(state, cfg, system, "clock", "index", "anc", controls)
+        assert out.layout == reference.layout
+        assert np.abs(out.amps - reference.amps).max() <= 1e-12
+        np.testing.assert_array_equal(state.amps, before)
 
     @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
     def test_real_system_matches_its_complex_cast(self, rng, layout_name):
-        registers, controls = _BLOCK_LAYOUTS[layout_name]
+        layout, controls = block_layout(layout_name, 3)
         clock = 5
         cfg = QlaConfig(clock, t0=2 * math.pi * 31 / 32, c=0.25)
         system = np.eye(8) * cfg.c
         system[:5, :5] = random_spd(rng, 5, lo=0.3)  # padded as pad_system does
-        widths = {"index": 3, "clock": clock}
-        layout = RegisterLayout(tuple((name, wd or widths[name]) for name, wd in registers))
-        amps = rng.normal(size=1 << layout.total_qubits) + 1j * rng.normal(size=1 << layout.total_qubits)
-        state = StateVector(layout, amps / np.linalg.norm(amps))
-        cast = state.copy()
-        solver_block(state, cfg, system, "clock", "index", "anc", controls)
-        solver_block(cast, cfg, system.astype(complex), "clock", "index", "anc", controls)
-        assert np.abs(state.amps - cast.amps).max() <= 1e-12
+        state = random_state(rng, layout)
+        out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
+        cast = solver_block(state, cfg, system.astype(complex), "clock", "index", "anc", controls)
+        assert np.abs(out.amps - cast.amps).max() <= 1e-12
 
     @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "vector"])
     def test_qla_solve_matches_three_op_sequence(self, rng, monkeypatch, sparse):
@@ -467,11 +520,23 @@ class TestSolverBlock:
         assert np.abs(state.amps - ref_state.amps).max() <= 1e-12
 
     def test_wrong_system_size_leaves_state_unchanged(self):
-        layout = RegisterLayout((("index", 1), ("ancilla", 1), ("clock", 2)))
+        layout = RegisterLayout((("index", 1), ("ancilla", 1)))
         state = init_basis(layout)
         with pytest.raises(InputError):
             solver_block(state, QlaConfig(2, t0=0.1, c=0.5), np.eye(4))
         np.testing.assert_array_equal(state.amps, init_basis(layout).amps)
+
+    def test_over_the_qubit_cap_fails_before_any_step(self, monkeypatch):
+        # 3 + 1 input qubits and a 19-qubit clock: 23 qubits, one over the cap
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the checks")
+
+        monkeypatch.setattr(sv, "spread", no_step)
+        monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
+        state = init_basis(RegisterLayout((("index", 3), ("ancilla", 1))))
+        with pytest.raises(InputError, match="exceeds the cap"):
+            solver_block(state, QlaConfig(19, t0=0.1, c=0.5), np.eye(8))
+        np.testing.assert_array_equal(state.amps, init_basis(state.layout).amps)
 
 
 class TestQlaSolve:
