@@ -35,6 +35,13 @@ def _block_shape(m, *blocks):
     return shape
 
 
+def _broadcast(table, m, *blocks):
+    """``table`` over one or two ``(start, width)`` blocks' values, as a view that broadcasts."""
+    if blocks[0][0] > blocks[-1][0]:  # C order of the broadcast shape runs the earlier block first
+        table, blocks = table.T, blocks[::-1]
+    return table.reshape(_block_shape(m, *blocks))
+
+
 def _pieces(amps, tpos, m, controls):
     """The controlled amplitudes with the ``tpos`` axes first and whole, cut on
     the next axes into pieces of at most ``_PIECE``. A state-sized temporary,
@@ -86,20 +93,21 @@ def phase_mul(amps, table, cstart, cwidth, tstart, twidth, m, controls=()):
     ``cstart``/``tstart`` are the positions of the most significant qubit of
     each (contiguous) block; ``table`` has shape ``(2**cwidth, 2**twidth)``.
     """
-    # C-order of the broadcast shape iterates the earlier block first
-    block = table if cstart < tstart else np.ascontiguousarray(table.T)
     sub = _pinned(amps, m, controls)
-    sub *= block.reshape(_block_shape(m, (cstart, cwidth), (tstart, twidth)))
+    sub *= _broadcast(table, m, (cstart, cwidth), (tstart, twidth))
 
 
-def pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls=()):
+def pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls=(), target=None):
     """In place: rotate qubit ``apos`` by the angle indexed by the clock block.
 
     Maps ``|0> -> cos|0> + sin|1>`` and ``|1> -> -sin|0> + cos|1>`` with
-    ``cos = cos_t[k]``, ``sin = sin_t[k]`` for clock value ``k``.
+    ``cos = cos_t[k]``, ``sin = sin_t[k]`` for clock value ``k``. Given a block
+    ``target = (tstart, twidth)``, the (maybe complex) tables are indexed by
+    (target value, clock value) instead: shape ``(2**twidth, 2**cwidth)``.
     """
     a0, a1 = (_pinned(amps, m, (*controls, (apos, half))) for half in (0, 1))
-    cos_nd, sin_nd = (t.reshape(_block_shape(m, (cstart, cwidth))) for t in (cos_t, sin_t))
+    blocks = ((cstart, cwidth),) if target is None else (target, (cstart, cwidth))
+    cos_nd, sin_nd = (_broadcast(t, m, *blocks) for t in (cos_t, sin_t))
     new0 = a0 * cos_nd - a1 * sin_nd
     a1 *= cos_nd
     a1 += sin_nd * a0  # a0 untouched until the next line

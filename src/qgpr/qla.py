@@ -8,12 +8,12 @@ exact whenever every lambda * t0 * T / (2*pi) is an integer.
 
 :func:`solver_block` runs estimation, inversion and uncomputation entering
 the system's eigenbasis once: the basis change acts only on the target, the
-rest only on the clock and the ancilla, so the pair between them cancels. In
-the eigenbasis, each clock-controlled evolution is one multiply by a table of
-phases per (clock value, eigenvalue), memoized per config. The clock is |0>
-until its first Hadamards, so :func:`solver_block` takes the state without
-it, enters the eigenbasis there, and returns a new state with the clock
-appended, spread by those Hadamards (:func:`statevector.spread`).
+rest only on the clock and the ancilla, so the pair between them cancels.
+That rest is one fixed map per eigenvalue, simulated gate by gate once per
+config and memoized; each estimate applies it as one rotation. The clock is
+|0> until its first Hadamards, so :func:`solver_block` takes the state
+without it, enters the eigenbasis there, and returns a new state with the
+clock appended, spread by those Hadamards (:func:`statevector.spread`).
 """
 
 from __future__ import annotations
@@ -300,21 +300,31 @@ def eigenvalue_inversion(
     )
 
 
-def _clock_phase_table(lam: np.ndarray, clock_qubits: int, t: float) -> np.ndarray:
-    """exp(i * lam_j * t * tau/T) per clock value tau (rows) and eigenvalue lam_j.
-
-    Read-only and memoized, so a config's estimates share it; one entry, as a
-    sweep runs its configs in turn and a table at the qubit cap is 8 MiB.
-    """
-    return _phase_table_of(lam.tobytes(), clock_qubits, t)
-
-
 @functools.lru_cache(maxsize=1)
-def _phase_table_of(lam: bytes, clock_qubits: int, t: float) -> np.ndarray:
-    big_t = 1 << clock_qubits
-    table = np.exp(1j * np.outer(np.arange(big_t), np.frombuffer(lam)) * (t / big_t))
-    table.setflags(write=False)
-    return table
+def _solver_response(lam: bytes, config: QlaConfig) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(T) * (G_c, G_s) per (j, tau): :func:`solver_block`'s stages between
+    the spread and V send |j>|d>_D|0>_E to sum_tau |j>R_d|tau>, with
+    R_0 = G_c|0> + G_s|1> and R_1 = -G_s|0> + G_c|1> at [j, tau]: the inversion
+    rotates the ancilla per clock value and the rest acts on the clock alone.
+    Read-only and memoized (one entry: a sweep runs its configs in turn).
+    """
+    eigs, big_t = np.frombuffer(lam), config.T
+    w = index_width(eigs.shape[0])
+    layout = RegisterLayout((("target", w), ("ancilla", 1), ("clock", config.clock_qubits)))
+    # sqrt(T) times the spread of sum_j |j>|0>_D: amplitude 1 wherever D = 0
+    full = StateVector(layout, np.tile(np.repeat([1.0, 0.0], big_t), 1 << w))
+    # exp(i * lam_j * t0 * tau) per clock value tau (rows) and eigenvalue lam_j
+    table = np.exp(1j * np.outer(np.arange(big_t), eigs) * config.t0)
+    blocks = (w + 1, config.clock_qubits, 0, w, layout.total_qubits)
+    _accel.phase_mul(full.amps, table, *blocks)
+    sv.qft(full, "clock", inverse=True)
+    eigenvalue_inversion(full, "clock", "ancilla", config)
+    sv.qft(full, "clock")
+    _accel.phase_mul(full.amps, table.conj(), *blocks)
+    sv.hadamard_layer(full, "clock")
+    full.amps.setflags(write=False)
+    g = full.amps.reshape(-1, 2, big_t)
+    return g[:, 0], g[:, 1]
 
 
 def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
@@ -323,27 +333,24 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     estimation on ``state`` (x) |0>_clock, the clock appended last; returns that
     new state rather than working in place, and leaves ``state`` as it was.
 
-    V^H on a copy of ``state``, then :func:`statevector.spread` and, on the full
-    state, the phase table, the inverse QFT, the inversion, the QFT, the
-    conjugate table, the Hadamards and V. Every input, the qubit cap among
-    them, is checked before anything is allocated.
+    The stages between the clock spread and V (phase table, inverse QFT,
+    inversion, QFT, conjugate table, Hadamards) run once per config, gate by
+    gate on a small state (:func:`_solver_response`). Each call runs V^H on a
+    copy of ``state``, :func:`statevector.spread`, that response as one ancilla
+    rotation per (eigen-index, clock value), and V. Every input, the qubit cap
+    among them, is checked before anything is allocated.
     """
     layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
     lam, vec, cpos = _check_solver(layout, config, system, [clock, target, ancilla], controls)
-    table = _clock_phase_table(lam, config.clock_qubits, config.t0 * config.T)
+    g_c, g_s = _solver_response(lam.tobytes(), config)
     m, tpos = layout.total_qubits, layout.positions(target)
-    blocks = (layout.start(clock), config.clock_qubits, tpos[0], len(tpos))
     free = state.copy()
     _accel.apply_matrix(free.amps, vec.conj().T, tpos, m - config.clock_qubits, cpos)
     full = sv.spread(free, clock, config.clock_qubits, controls)
-    _accel.phase_mul(full.amps, table, *blocks, m, cpos)
-    sv.qft(full, clock, inverse=True, controls=controls)
-    eigenvalue_inversion(full, clock, ancilla, config, controls)
-    sv.qft(full, clock, controls=controls)
-    _accel.phase_mul(full.amps, table.conj(), *blocks, m, cpos)
-    sv.hadamard_layer(full, clock, controls)
+    _accel.pair_rot(full.amps, g_c, g_s, layout.start(clock), config.clock_qubits,
+                    layout.qubit(ancilla, 0), m, cpos, (tpos[0], len(tpos)))
     _accel.apply_matrix(full.amps, vec, tpos, m, cpos)
     return full
 

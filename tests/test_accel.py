@@ -166,6 +166,37 @@ class TestPairRot:
         _accel.pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
+    # complex tables indexed by (target value, clock value): one 2x2 block per
+    # joint value, as the solver's response applies them
+    @pytest.mark.parametrize(
+        "tstart, twidth, cstart, apos, controls",
+        [
+            (1, 1, 2, 0, ((7, 1),)),  # ancilla before both blocks, control after
+            (0, 1, 2, 1, ((5, 0),)),  # ancilla between the blocks
+            (0, 1, 1, 3, ((6, 1), (7, 0))),  # ancilla after both blocks
+            (2, 1, 3, 6, ((0, 1),)),  # ancilla after, control before
+            (1, 3, 4, 0, ((6, 0),)),
+            (1, 3, 5, 4, ((0, 1),)),  # ancilla between, control before
+            (0, 3, 3, 5, ((6, 1), (7, 1))),
+            (2, 3, 0, 5, ((7, 0),)),  # target after the clock
+            (4, 3, 1, 3, ((0, 1), (7, 1))),  # target after the clock, controls on both sides
+        ],
+    )
+    def test_target_clock_tables_match_dense_operator(
+        self, rng, tstart, twidth, cstart, apos, controls
+    ):
+        m, cwidth = 8, 2
+        shape = (1 << twidth, 1 << cwidth)
+        cos_t, sin_t = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        rot = np.zeros((2 * cos_t.size,) * 2, dtype=complex)
+        for k, (c, s) in enumerate(zip(cos_t.ravel(), sin_t.ravel())):
+            rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+        amps = random_amps(rng, m)
+        tpos = block(tstart, twidth) + block(cstart, cwidth) + (apos,)
+        expected = dense_operator(rot, tpos, m, controls) @ amps
+        _accel.pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls, (tstart, twidth))
+        np.testing.assert_allclose(amps, expected, atol=1e-12)
+
 
 class TestFourier:
     # the block at the start, middle and end of the state; controls before it,

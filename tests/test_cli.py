@@ -180,27 +180,28 @@ class TestCmdPredict:
         # two for K^-1 y once per model, then one for w per test point
         assert len(calls) == 2 + 3
 
-    def test_clock_phase_table_built_once_per_config(self, tmp_path, monkeypatch):
+    def test_solver_response_built_once_per_config(self, tmp_path, monkeypatch):
         dataset = tmp_path / "d.csv"
         dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
         cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5], [1.0]], clock_qubits=5)
-        tables = []
-        original = qla._clock_phase_table
+        responses = []
+        original = qla._solver_response
 
         def recorded(*args):
-            tables.append(original(*args))
-            return tables[-1]
+            responses.append(original(*args))
+            return responses[-1]
 
-        monkeypatch.setattr(qla, "_clock_phase_table", recorded)
-        qla._phase_table_of.cache_clear()
+        monkeypatch.setattr(qla, "_solver_response", recorded)
+        original.cache_clear()
         report = cmd_predict(load_config(cfgp))
         assert len(report["results"]) == 3
-        assert len(tables) == 6  # a mean and a variance estimate per test point
-        assert all(table is tables[0] for table in tables)
-        info = qla._phase_table_of.cache_info()
+        assert len(responses) == 6  # a mean and a variance estimate per test point
+        assert all(response is responses[0] for response in responses)
+        info = original.cache_info()
         assert (info.misses, info.hits) == (1, 5)
-        with pytest.raises(ValueError, match="read-only"):
-            tables[0][0, 0] = 0.0
+        for table in responses[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
 
     def test_system_is_diagonalized_once(self, tmp_path, monkeypatch):
         # 3 training points pad to a 4x4 system; 3 test points make 6 estimates

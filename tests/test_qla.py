@@ -495,6 +495,26 @@ class TestSolverBlock:
         assert np.abs(out.amps - reference.amps).max() <= 1e-12
         np.testing.assert_array_equal(state.amps, before)
 
+    def test_response_memo_is_keyed_on_the_whole_config(self, rng):
+        # one system, configs run in turn that differ from the one before only
+        # in c, then only in t0, then only in the clock width: each must build
+        # its own response rather than reuse the memoized one
+        layout, controls = block_layout("before", 2)
+        system = random_hermitian(rng, 4)  # spectrum in [0.3, 1)
+        state = random_state(rng, layout)
+        configs = [
+            QlaConfig(5, t0=2 * math.pi * 31 / 32, c=0.25),
+            QlaConfig(5, t0=2 * math.pi * 31 / 32, c=0.2),
+            QlaConfig(5, t0=2 * math.pi * 21 / 32, c=0.2),
+            QlaConfig(4, t0=2 * math.pi * 21 / 32, c=0.2),
+        ]
+        qla._solver_response.cache_clear()
+        for cfg in configs:
+            out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
+            reference = reference_solver(state, cfg, system, "clock", "index", "anc", controls)
+            assert np.abs(out.amps - reference.amps).max() <= 1e-12
+        assert qla._solver_response.cache_info().misses == len(configs)
+
     @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
     def test_real_system_matches_its_complex_cast(self, rng, layout_name):
         layout, controls = block_layout(layout_name, 3)
@@ -531,6 +551,7 @@ class TestSolverBlock:
         def no_step(*args, **kwargs):
             raise AssertionError("a step ran before the checks")
 
+        monkeypatch.setattr(qla, "_solver_response", no_step)  # nor the response build
         monkeypatch.setattr(sv, "spread", no_step)
         monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
         state = init_basis(RegisterLayout((("index", 3), ("ancilla", 1))))
