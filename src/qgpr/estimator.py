@@ -17,8 +17,8 @@ Rescaling <M> yields the GPR linear predictor (u = k_*, v = y) and, with
 u = v = k_*, the subtracted term of the predictive variance.
 
 Exact mode reads <M> straight off the amplitudes (no shot noise) and is used
-to isolate phase-estimation error; sampled mode draws seeded Bernoulli-style
-shots on top.
+to isolate phase-estimation error; sampled mode adds shot noise: the counts
+of M's three values over the shots, one seeded multinomial draw.
 """
 
 from __future__ import annotations
@@ -149,15 +149,16 @@ def estimate_bilinear(
         )
     if shots is None or shots < 1:
         raise InputError("sampled mode needs shots >= 1")
-    outcomes = sv.sample_observable(state, obs, shots, seed)
-    raw = float(outcomes.mean())
-    sd = float(outcomes.std(ddof=1)) if shots > 1 else 0.0
+    minus, zero, plus = (int(k) for k in sv.sample_observable(state, obs, shots, seed))
+    raw = (plus - minus) / shots
+    squares = minus * (-1.0 - raw) ** 2 + zero * raw**2 + plus * (1.0 - raw) ** 2
+    sd = math.sqrt(squares / (shots - 1)) if shots > 1 else 0.0
     return EstimationResult(
         estimate=raw * scale,
         std_error=sd / math.sqrt(shots) * scale,
         shots=shots,
         raw_mean=raw,
-        success_fraction=float(np.mean(outcomes != 0.0)),
+        success_fraction=(minus + plus) / shots,
         config=spec.config,
         seed=seed,
     )

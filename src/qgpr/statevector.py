@@ -14,18 +14,18 @@ controlled reflections I - 2uu^H (a rank-1 update), the quantum Fourier
 transform on a register (an FFT along the register), clock-controlled
 Hamiltonian evolution as its definition (one controlled gate per clock value:
 the reference for :func:`qgpr.qla.solver_block`), projective measurement of a
-register, and the expectation value and seeded shot sampling of an
-:class:`Observable`, read off views of the amplitudes without a copy. The
-eigendecomposition of a Hermitian system is memoized on the matrix contents,
-so a system is diagonalized once however many circuits use it. Real gates and
-the real eigenbasis of a real symmetric system stay real, so the kernels
-apply them as real products.
+register, and the expectation value of an :class:`Observable` and seeded
+shot counts of its values -1, 0, +1 (one multinomial draw, whatever the shot
+count), read off views of the amplitudes without a copy. The eigendecomposition
+of a Hermitian system is memoized on the matrix contents, so a system is
+diagonalized once however many circuits use it. Real gates and the real
+eigenbasis of a real symmetric system stay real, so the kernels apply them as
+real products.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -46,8 +46,8 @@ MAX_SHOTS = 1 << DEFAULT_QUBIT_CAP  # as many draws as the cap admits amplitudes
 
 _UNITARY_TOL = 1e-10
 _HERMITIAN_TOL = 1e-10
-# eigenvalues of each one-qubit factor, ascending; P0's eigenvalue 0 is basis |1>
-_EIGENVALUES = {"X": (-1.0, 1.0), "P0": (0.0, 1.0), "P1": (0.0, 1.0)}
+# one-qubit observable factors; P0 reads 1 on basis |0>, P1 on |1>
+_FACTORS = ("X", "P0", "P1")
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ class Observable:
         self.layout = layout
         for name, fac in factors.items():
             width = layout.width(name)  # raises for unknown names
-            if not isinstance(fac, str) or fac not in ("I", *_EIGENVALUES):
+            if not isinstance(fac, str) or fac not in ("I", *_FACTORS):
                 raise InputError(f"unknown factor {fac!r} for register {name!r}")
             if fac != "I" and width != 1:
                 raise InputError(f"factor {fac!r} on {name!r} needs a one-qubit register")
@@ -431,33 +431,31 @@ def register_component(state: StateVector, keep: str, fixed: Mapping[str, int]) 
     return state.amps.reshape(layout.dims())[tuple(idx)].copy()
 
 
-def sample_observable(
-    state: StateVector, obs: Observable, shots: int, seed: int
-) -> np.ndarray:
-    """Seeded i.i.d. draws of the observable's measured value.
+def _value_probabilities(state: StateVector, obs: Observable) -> np.ndarray:
+    """Probabilities of the measured values (-1, 0, +1), off the block pair
+    :func:`expectation` reads: with w = |psi0|^2 + |psi1|^2 and
+    x = 2 Re<psi0|psi1> (w and x the one block's weight without X), they are
+    (w - x) / 2, |psi|^2 - w and (w + x) / 2, normalized."""
+    blocks = _blocks(state, obs, [1] * len(obs.factors))
+    weight = sum(_re_inner(b, b) for b in blocks)
+    cross = 2.0 * _re_inner(*blocks) if len(blocks) == 2 else weight
+    norm2 = float(np.vdot(state.amps, state.amps).real)
+    # an X eigenstate can leave -1e-17 in w - x, and any state in |psi|^2 - w
+    probs = np.maximum([(weight - cross) / 2.0, norm2 - weight, (weight + cross) / 2.0], 0.0)
+    return probs / probs.sum()
 
-    Each factor is measured in its own eigenbasis; a draw's value is the
-    product of the factor eigenvalues. One ``rng.choice`` draws from the
-    outcome table (factor registers in layout order, eigenvalues ascending),
-    so identical inputs give an identical outcome sequence.
+
+def sample_observable(state: StateVector, obs: Observable, shots: int, seed: int) -> np.ndarray:
+    """Seeded counts of the values (-1, 0, +1) over ``shots`` i.i.d. draws.
+
+    Each factor is measured in its own eigenbasis and a draw's value is the
+    product of the factor eigenvalues, so it is nonzero only where every
+    projector reads 1. The counts are one multinomial draw over the three
+    value probabilities, so the cost does not depend on ``shots``, and
+    identical inputs give identical counts.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise InputError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    letters = [obs.factors[name] for name in state.layout.names if name in obs.factors]
-    # X's eigenvalue index runs along the last table axis until it is moved into place
-    probs = np.empty((2,) * len(letters))
-    for bits in itertools.product((0, 1), repeat=len(letters) - letters.count("X")):
-        blocks = _blocks(state, obs, bits)
-        weight = sum(_re_inner(b, b) for b in blocks)
-        if len(blocks) == 2:  # twice the probabilities of X = -1 and X = +1
-            cross = 2.0 * _re_inner(*blocks)
-            weight = (weight - cross, weight + cross)
-        probs[bits] = weight
-    if "X" in letters:
-        probs = np.moveaxis(probs, -1, letters.index("X"))
-    probs = np.maximum(probs.reshape(-1), 0.0)  # an X eigenstate can leave -1e-17
-    values = functools.reduce(np.multiply.outer, [_EIGENVALUES[f] for f in letters], np.ones(1))
-    picks = np.random.default_rng(seed).choice(values.size, size=shots, p=probs / probs.sum())
-    return values.reshape(-1)[picks]
+    return np.random.default_rng(seed).multinomial(shots, _value_probabilities(state, obs))

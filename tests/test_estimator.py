@@ -447,6 +447,52 @@ class TestShotNoiseScaling:
         assert 5.0 <= ratio <= 20.0  # 10x within a factor of 2
 
 
+def random_interference_state(rng, n, clock):
+    """An interference state whose <M> is well away from 0 (v is u plus noise)."""
+    a = random_spd(rng, n)
+    cfg = config_for(a, clock, c=float(np.linalg.eigvalsh(a)[0]))
+    u = rng.normal(size=n)
+    v = u + 0.5 * rng.normal(size=n)
+    spec = BilinearSpec(make_encoding(u), make_encoding(v), a, cfg)
+    return spec, build_interference_state(spec)
+
+
+class TestSampledReadout:
+    @pytest.mark.parametrize("n, clock", [(2, 3), (5, 6), (8, 8)])
+    def test_counts_fit_the_exact_distribution(self, rng, n, clock):
+        # Pearson chi-square of M's counts against P(M = -/+1) = (P(C=1,D=1) -/+ <M>) / 2
+        # and P(M = 0) = 1 - P(C=1,D=1), both read in exact mode. With 2 degrees
+        # of freedom the 1% critical value is -2 ln 0.01; a correct sampler fails
+        # more than 4 of the 50 seeds with probability 1.5e-4.
+        _, state = random_interference_state(rng, n, clock)
+        obs = observable_M(state.layout)
+        m = expectation(state, obs)
+        s = expectation(state, Observable(state.layout, {"C": "P1", "D": "P1"}))
+        expected = 10_000 * np.array([(s - m) / 2.0, 1.0 - s, (s + m) / 2.0])
+        failures = 0
+        for seed in range(50):
+            counts = sv.sample_observable(state, obs, 10_000, seed)
+            assert counts.sum() == 10_000
+            failures += ((counts - expected) ** 2 / expected).sum() > -2.0 * math.log(0.01)
+        assert failures <= 4
+
+    def test_estimate_reads_the_counts(self, rng):
+        # mean, sample standard deviation (ddof = 1) and success fraction of the
+        # shots the counts stand for
+        spec, state = random_interference_state(rng, 4, 5)
+        res = estimate_bilinear(spec, 3000, seed=7, mode="sampled")
+        counts = sv.sample_observable(state, observable_M(state.layout), 3000, 7)
+        shots = np.repeat([-1.0, 0.0, 1.0], counts)
+        sd = shots.std(ddof=1) / math.sqrt(shots.size)
+        scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v)
+        assert res.raw_mean == pytest.approx(shots.mean(), rel=1e-12)
+        assert res.estimate == pytest.approx(shots.mean() * scale, rel=1e-12)
+        assert res.std_error == pytest.approx(sd * scale, rel=1e-12)
+        assert res.success_fraction == pytest.approx(np.mean(shots != 0.0), rel=1e-12)
+        one = estimate_bilinear(spec, 1, seed=7, mode="sampled")
+        assert one.std_error == 0.0 and one.raw_mean in (-1.0, 0.0, 1.0)
+
+
 class TestSparsifyY:
     def _line_model(self, n, order_radius=1.0, signal=0.05, noise=1.0):
         # colinear points 0.8 apart: only adjacent pairs are within the cutoff

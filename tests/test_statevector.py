@@ -68,7 +68,9 @@ def reference_sample(state, factors, shots, seed):
 
     It rotates every factor register of a copy of the state into that basis,
     tabulates the outcome probabilities over the factor registers in layout
-    order (eigenvalues ascending) and draws once from the table.
+    order (eigenvalues ascending) and sums the table by value. Returns the
+    probabilities of the values (-1, 0, +1) and one seeded multinomial draw
+    of ``shots`` from them.
     """
     layout = state.layout
     psi = state.amps.reshape(layout.dims())
@@ -82,12 +84,17 @@ def reference_sample(state, factors, shots, seed):
         axes.append(axis)
     probs = np.abs(psi) ** 2
     probs = probs.sum(axis=tuple(i for i in range(psi.ndim) if i not in axes)).reshape(-1)
-    probs = probs / probs.sum()
     values = np.ones(1)
     for vals in eigvals:
         values = np.multiply.outer(values, vals).reshape(-1)
-    picks = np.random.default_rng(seed).choice(values.shape[0], size=shots, p=probs)
-    return values[picks]
+    by_value = np.array([probs[values == v].sum() for v in (-1.0, 0.0, 1.0)])
+    by_value = by_value / by_value.sum()
+    return by_value, np.random.default_rng(seed).multinomial(shots, by_value)
+
+
+def shot_values(counts):
+    """The per-shot values (-1, 0, +1) that ``counts`` counts, in value order."""
+    return np.repeat([-1.0, 0.0, 1.0], counts)
 
 
 class TestLayout:
@@ -454,6 +461,7 @@ class TestObservable:
             lambda: expectation(state, observable_M(layout)),
             lambda: expectation(state, Observable(layout, {"C": "P1", "D": "P1"})),
             lambda: sample_observable(state, observable_M(layout), 1000, seed=0),
+            lambda: sample_observable(state, observable_M(layout), sv.MAX_SHOTS, seed=0),
         ]
         for readout in readouts:
             assert traced_peak(readout) <= 0.01 * state.amps.nbytes
@@ -536,14 +544,12 @@ class TestSampleObservable:
     def test_eigenstate_gives_constant_outcomes(self):
         state = init_basis(RegisterLayout((("Q", 1),)), {"Q": 1})
         obs = Observable(state.layout, {"Q": "P1"})
-        outcomes = sample_observable(state, obs, 200, seed=3)
-        np.testing.assert_array_equal(outcomes, np.ones(200))
+        np.testing.assert_array_equal(sample_observable(state, obs, 200, seed=3), [0, 0, 200])
 
     def test_plus_state_x_always_one(self):
         state = plus_state()
         obs = Observable(state.layout, {"Q": "X"})
-        outcomes = sample_observable(state, obs, 500, seed=0)
-        np.testing.assert_array_equal(outcomes, np.ones(500))
+        np.testing.assert_array_equal(sample_observable(state, obs, 500, seed=0), [0, 0, 500])
 
     def test_determinism(self, rng):
         lay = RegisterLayout((("A", 1), ("B", 2)))
@@ -562,7 +568,8 @@ class TestSampleObservable:
         shots = 100_000
         failures = 0
         for seed in range(100):
-            outcomes = sample_observable(state, obs, shots, seed=seed)
+            outcomes = shot_values(sample_observable(state, obs, shots, seed=seed))
+            assert outcomes.shape == (shots,)
             band = 4.0 * outcomes.std(ddof=1) / np.sqrt(shots)
             if abs(outcomes.mean() - target) > max(band, 1e-12):
                 failures += 1
@@ -586,10 +593,10 @@ class TestSampleObservable:
         obs = Observable(lay, factors)
         for seed in range(4):
             state = random_state(rng, lay)
-            np.testing.assert_array_equal(
-                sample_observable(state, obs, 2000, seed=seed),
-                reference_sample(state, factors, 2000, seed),
-            )
+            probs, counts = reference_sample(state, factors, 2000, seed)
+            got = sv._value_probabilities(state, obs)
+            np.testing.assert_allclose(got, probs, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(sample_observable(state, obs, 2000, seed=seed), counts)
 
     def test_x_eigenstate_up_to_rounding(self, rng):
         # |psi0|^2 + |psi1|^2 - 2 Re<psi0|psi1> rounds below 0 for some of these
@@ -598,8 +605,8 @@ class TestSampleObservable:
         for _ in range(20):
             b = rng.normal(size=8) + 1j * rng.normal(size=8)
             amps = np.kron(b / np.linalg.norm(b), [1.0, np.exp(1e-9j)]) / np.sqrt(2.0)
-            outcomes = sample_observable(StateVector(lay, amps), obs, 100, seed=0)
-            np.testing.assert_array_equal(outcomes, np.ones(100))
+            counts = sample_observable(StateVector(lay, amps), obs, 100, seed=0)
+            np.testing.assert_array_equal(counts, [0, 0, 100])
 
     def test_negative_seed(self):
         state = plus_state()
