@@ -3,9 +3,9 @@
 Qubit positions are axis indices of the ``(2,)*m`` reshape of the amplitude
 array: position 0 is the most significant bit of the basis index. A control
 cuts its axis to a length-1 slice rather than dropping it, so positions
-index the axes of every view the kernels take. All kernels mutate ``amps``
-in place; callers own the buffer. The two product kernels work piece by
-piece, so none of their temporaries is the size of the state.
+index the axes of every view the kernels take. All kernels but
+:func:`spread_solve` (which writes a new state) mutate ``amps`` in place. The
+three product kernels work piece by piece: no temporary is state-sized.
 
 A real matrix (a Walsh block, X, a real eigenbasis) runs as one real product
 on the float64 view of the (re, im) pairs: half the flops of a complex one.
@@ -13,9 +13,12 @@ on the float64 view of the (re, im) pairs: half the flops of a complex one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _PIECE = 1 << 14  # amplitudes per piece in apply_matrix and reflect
+_SOLVE_PIECE = 1 << 16  # amplitudes per clock piece in spread_solve; narrower is slower
 
 
 def _pinned(amps, m, pins):
@@ -27,19 +30,14 @@ def _pinned(amps, m, pins):
     return amps.reshape((2,) * m)[tuple(idx)]
 
 
-def _block_shape(m, *blocks):
-    """Broadcast shape with length 2 on the ``(start, width)`` blocks, 1 elsewhere."""
-    shape = [1] * m
-    for start, width in blocks:
-        shape[start : start + width] = [2] * width
-    return shape
-
-
 def _broadcast(table, m, *blocks):
     """``table`` over one or two ``(start, width)`` blocks' values, as a view that broadcasts."""
     if blocks[0][0] > blocks[-1][0]:  # C order of the broadcast shape runs the earlier block first
         table, blocks = table.T, blocks[::-1]
-    return table.reshape(_block_shape(m, *blocks))
+    shape = [1] * m
+    for start, width in blocks:
+        shape[start : start + width] = [2] * width
+    return table.reshape(shape)
 
 
 def _pieces(amps, tpos, m, controls):
@@ -97,18 +95,53 @@ def phase_mul(amps, table, cstart, cwidth, tstart, twidth, m, controls=()):
     sub *= _broadcast(table, m, (cstart, cwidth), (tstart, twidth))
 
 
-def pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls=(), target=None):
+def pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls=()):
     """In place: rotate qubit ``apos`` by the angle indexed by the clock block.
 
     Maps ``|0> -> cos|0> + sin|1>`` and ``|1> -> -sin|0> + cos|1>`` with
-    ``cos = cos_t[k]``, ``sin = sin_t[k]`` for clock value ``k``. Given a block
-    ``target = (tstart, twidth)``, the (maybe complex) tables are indexed by
-    (target value, clock value) instead: shape ``(2**twidth, 2**cwidth)``.
+    ``cos = cos_t[k]``, ``sin = sin_t[k]`` for clock value ``k``.
     """
     a0, a1 = (_pinned(amps, m, (*controls, (apos, half))) for half in (0, 1))
-    blocks = ((cstart, cwidth),) if target is None else (target, (cstart, cwidth))
-    cos_nd, sin_nd = (_broadcast(t, m, *blocks) for t in (cos_t, sin_t))
+    cos_nd, sin_nd = (_broadcast(t, m, (cstart, cwidth)) for t in (cos_t, sin_t))
     new0 = a0 * cos_nd - a1 * sin_nd
     a1 *= cos_nd
     a1 += sin_nd * a0  # a0 untouched until the next line
     a0[...] = new0
+
+
+def _solve_view(amps, m, tpos, tail, pins):
+    """``amps`` pinned, its target axes moved before the last ``tail`` axes:
+    shape ``(..., 2**len(tpos), 2**tail)``, a view."""
+    k = m - tail
+    view = np.moveaxis(_pinned(amps, m, pins), tpos, range(k - len(tpos), k))
+    return view.reshape(view.shape[: k - len(tpos)] + (1 << len(tpos), 1 << tail))
+
+
+def spread_solve(free, vec, g_c, g_s, tpos, apos, m, cwidth, controls=()):
+    """A new ``m``-qubit state: ``free`` (x) |0> on a ``cwidth``-qubit clock
+    appended last, then on the controlled rows a Hadamard layer on the clock,
+    the rotation of ancilla ``apos`` by (target value, clock value) tables
+    ``g_c``, ``g_s`` (as :func:`pair_rot`) and ``vec`` on the target. With
+    a_d = (rows at ancilla d) / sqrt(T), as the Hadamards spread them, it
+    writes V X_d at ancilla d, X_0 = a_0 g_c - a_1 g_s and X_1 = a_0 g_s +
+    a_1 g_c: one product per clock piece, a real V on the (re, im) pairs.
+    """
+    big_t = 1 << cwidth
+    amps = np.zeros(free.size << cwidth, dtype=np.complex128)
+    amps.reshape(-1, big_t)[:, 0] = free  # the controlled rows are overwritten below
+    pins = [(*controls, (apos, d)) for d in (0, 1)]
+    src = [_solve_view(free, m - cwidth, tpos, 0, p) / math.sqrt(big_t) for p in pins]
+    dst = [_solve_view(amps, m, tpos, cwidth, p) for p in pins]
+    width = min(big_t, max(1, _SOLVE_PIECE // vec.shape[0]))
+    x, y = (np.empty((vec.shape[0], width), dtype=np.complex128) for _ in range(2))
+    for idx in np.ndindex(src[0].shape[:-2]):
+        a0, a1 = src[0][idx], src[1][idx]
+        for t in range(0, big_t, width):
+            gc, gs = g_c[:, t : t + width], g_s[:, t : t + width]
+            np.multiply(a0, gc, out=x)
+            x -= np.multiply(a1, gs, out=y)  # X_0
+            np.matmul(vec, x.view(vec.dtype), out=dst[0][idx][:, t : t + width].view(vec.dtype))
+            np.multiply(a1, gc, out=y)
+            y += np.multiply(gs, a0, out=x)  # X_1
+            np.matmul(vec, y.view(vec.dtype), out=dst[1][idx][:, t : t + width].view(vec.dtype))
+    return amps

@@ -81,6 +81,9 @@ class RunConfig:
             raise InputError("kappa_bound must be > 1")
         if not self.test_points:
             raise InputError("at least one test point is required")
+        out = Path(self.out or ".")  # checked before any estimate runs
+        if self.out and (out.is_dir() or not out.parent.is_dir()):
+            raise InputError(f"cannot write {self.out}: not a file in an existing directory")
 
 
 def _integer(name: str, value) -> int:
@@ -300,7 +303,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
         "diagnostics": {f: getattr(diag, f) for f in _DIAGNOSTIC_FIELDS},
         "results": results,
     }
-    _write_report(report, cfg.out)
+    _write(cfg.out, report)
     print(f"{'point':<20} {'cl.mean':>12} {'q.mean':>12} {'cl.var':>12} {'q.var':>12} "
           f"{'t_cl[s]':>9} {'t_q[s]':>9}")
     for rec, (tc, tq) in zip(results, timings):
@@ -341,7 +344,7 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
         )
         report["recommended_shots"] = shots_for_precision(cfg.delta, pilot)
         report["pilot_shots"] = pilot.shots
-    _write_report(report, cfg.out)
+    _write(cfg.out, report)
     print(json.dumps({k: v for k, v in report.items() if k != "config"}, indent=2, sort_keys=True))
     return report
 
@@ -381,15 +384,20 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         for r in rows
     )
     table = header + body
-    if cfg.out:
-        Path(cfg.out).write_text(table)
+    _write(cfg.out, table)
     print(table, end="")
     return rows
 
 
-def _write_report(report: dict, out: str | None) -> None:
+def _write(out: str | None, artifact: dict | str) -> None:
+    """Write a report (as JSON) or a table; a failed write (a full disk) is an input error."""
     if out:
-        Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        text = artifact if isinstance(artifact, str) else json.dumps(
+            artifact, indent=2, sort_keys=True) + "\n"
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ exact whenever every lambda * t0 * T / (2*pi) is an integer.
 the system's eigenbasis once: the basis change acts only on the target, the
 rest only on the clock and the ancilla, so the pair between them cancels.
 That rest is one fixed map per eigenvalue, simulated gate by gate once per
-config and memoized; each estimate applies it as one rotation. The clock is
-|0> until its first Hadamards, so :func:`solver_block` takes the state
-without it, enters the eigenbasis there, and returns a new state with the
-clock appended, spread by those Hadamards (:func:`statevector.spread`).
+config and memoized. The clock is |0> until its first Hadamards, so
+:func:`solver_block` enters the eigenbasis on the state without it, then
+writes the clock spread, that map and the way back into the new state with
+the clock appended, in one pass (:func:`qgpr._accel.spread_solve`).
 """
 
 from __future__ import annotations
@@ -336,9 +336,9 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     The stages between the clock spread and V (phase table, inverse QFT,
     inversion, QFT, conjugate table, Hadamards) run once per config, gate by
     gate on a small state (:func:`_solver_response`). Each call runs V^H on a
-    copy of ``state``, :func:`statevector.spread`, that response as one ancilla
-    rotation per (eigen-index, clock value), and V. Every input, the qubit cap
-    among them, is checked before anything is allocated.
+    copy of ``state``; :func:`qgpr._accel.spread_solve` then writes the spread,
+    that response and V into the new state. Every input, the qubit cap among
+    them, is checked before anything is allocated.
     """
     layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
     if layout.width(ancilla) != 1:
@@ -348,11 +348,8 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     m, tpos = layout.total_qubits, layout.positions(target)
     free = state.copy()
     _accel.apply_matrix(free.amps, vec.conj().T, tpos, m - config.clock_qubits, cpos)
-    full = sv.spread(free, clock, config.clock_qubits, controls)
-    _accel.pair_rot(full.amps, g_c, g_s, layout.start(clock), config.clock_qubits,
-                    layout.qubit(ancilla, 0), m, cpos, (tpos[0], len(tpos)))
-    _accel.apply_matrix(full.amps, vec, tpos, m, cpos)
-    return full
+    return StateVector._adopt(layout, _accel.spread_solve(
+        free.amps, vec, g_c, g_s, tpos, layout.qubit(ancilla, 0), m, config.clock_qubits, cpos))
 
 
 def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:

@@ -5,22 +5,22 @@ the most significant bits of the basis index, and within a register qubit 0
 is the most significant bit. Circuit operations change ``state.amps`` in
 place through the numpy kernels in :mod:`qgpr._accel` and return ``None``; a
 caller that still needs the state before an operation takes ``state.copy()``.
-:func:`project` (a measurement) and :func:`spread` return new states.
+:func:`project` (a measurement) returns a new state.
 
 Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, a Hadamard layer on a register (Walsh
-blocks H^(x)k of up to 4 qubits; on a new zero register, one broadcast),
-controlled reflections I - 2uu^H (a rank-1 update), the quantum Fourier
-transform on a register (an FFT along the register), clock-controlled
-Hamiltonian evolution as its definition (one controlled gate per clock value:
-the reference for :func:`qgpr.qla.solver_block`), projective measurement of a
-register, and the expectation value of an :class:`Observable` and seeded
-shot counts of its values -1, 0, +1 (one multinomial draw, whatever the shot
-count), read off views of the amplitudes without a copy. The eigendecomposition
-of a Hermitian system is memoized on the matrix contents, so a system is
-diagonalized once however many circuits use it. Real gates and the real
-eigenbasis of a real symmetric system stay real, so the kernels apply them as
-real products.
+blocks H^(x)k of up to 4 qubits), controlled reflections I - 2uu^H (a rank-1
+update), the quantum Fourier transform on a register (an FFT along the
+register), clock-controlled Hamiltonian evolution as its definition (one
+controlled gate per clock value: the reference for
+:func:`qgpr.qla.solver_block`), projective measurement of a register, and the
+expectation value of an :class:`Observable` and seeded shot counts of its
+values -1, 0, +1 (one multinomial draw, whatever the shot count), read off
+views of the amplitudes without a copy. The Hermitian check and the
+eigendecomposition of a system are memoized on the matrix contents, so a
+system is checked and diagonalized once however many circuits use it. Real
+gates and the real eigenbasis of a real symmetric system stay real, so the
+kernels apply them as real products.
 """
 
 from __future__ import annotations
@@ -251,20 +251,6 @@ def hadamard_layer(state: StateVector, register: str, controls=()) -> None:
         _accel.apply_matrix(state.amps, _WALSH[len(block) - 1], block, layout.total_qubits, cpos)
 
 
-def spread(state: StateVector, register: str, width: int, controls=()) -> StateVector:
-    """A new state: ``state`` (x) |0> on a ``width``-qubit register appended
-    last, then a Hadamard layer on it, optionally controlled. That is a
-    broadcast: each controlled row gets amplitude / sqrt(2**width) at every
-    register value, and every other row keeps its amplitude at value 0 only."""
-    layout = RegisterLayout((*state.layout.registers, (register, width)))
-    _, cpos = _gate_positions(layout, register, controls)
-    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    amps.reshape(-1, 1 << width)[:, 0] = state.amps
-    rows = _accel._pinned(amps, layout.total_qubits, cpos)
-    rows[...] = rows[(..., *[slice(0, 1)] * width)] / math.sqrt(1 << width)
-    return StateVector._adopt(layout, amps)
-
-
 def reflect(state: StateVector, u, target, controls=()) -> None:
     """Apply the reflection ``I - 2 u u^H`` to target qubits in place, optionally controlled.
 
@@ -300,20 +286,13 @@ def qft(state: StateVector, register: str, inverse: bool = False, controls=()) -
     _accel.fourier(state.amps, start, width, layout.total_qubits, cpos, inverse)
 
 
-def _check_hermitian(system: np.ndarray) -> np.ndarray:
-    a = np.asarray(system)
-    a = a.astype(np.result_type(a, float), copy=False)  # a real system stays real
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, np.abs(a).max())
-    if np.abs(a - a.conj().T).max() > _HERMITIAN_TOL * scale:
-        raise InputError("matrix is not Hermitian")
-    return a
-
-
 @functools.lru_cache(maxsize=4)
 def _eigh_of(shape: tuple[int, int], dtype: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    lam, vec = np.linalg.eigh(np.frombuffer(data, dtype=dtype).reshape(shape))
+    """Checked and diagonalized once per content; an exception is not cached."""
+    a = np.frombuffer(data, dtype=dtype).reshape(shape)
+    if np.abs(a - a.conj().T).max() > _HERMITIAN_TOL * max(1.0, np.abs(a).max()):
+        raise InputError("matrix is not Hermitian")
+    lam, vec = np.linalg.eigh(a)
     lam.setflags(write=False)
     vec.setflags(write=False)
     return lam, vec
@@ -322,11 +301,14 @@ def _eigh_of(shape: tuple[int, int], dtype: str, data: bytes) -> tuple[np.ndarra
 def hermitian_eigh(system) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, read-only.
 
-    The last few results are memoized on the matrix contents (shape, dtype
-    and bytes), so circuits that share a system diagonalize it once. A real
-    symmetric system has real eigenvectors; a complex one stays complex.
+    The last few results are memoized on the matrix contents (shape, dtype and
+    bytes), so circuits that share a system check and diagonalize it once. A
+    real symmetric system has real eigenvectors; a complex one stays complex.
     """
-    a = _check_hermitian(system)
+    a = np.asarray(system)
+    a = a.astype(np.result_type(a, float), copy=False)  # a real system stays real
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
     return _eigh_of(a.shape, a.dtype.str, a.tobytes())
 
 
@@ -376,9 +358,9 @@ def _blocks(state: StateVector, obs: Observable, bits: Sequence[int]) -> list[np
 
 
 def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Re<a|b> off the real and imaginary views; ``np.vdot`` copies a strided slice."""
-    ax = list(range(a.ndim))
-    return float(np.einsum(a.real, ax, b.real, ax, []) + np.einsum(a.imag, ax, b.imag, ax, []))
+    """Re<a|b> off the float64 views of the (re, im) pairs; ``np.vdot`` copies a strided slice."""
+    ax = list(range(a.ndim + 1))  # and a last axis over each (re, im) pair
+    return float(np.einsum(a[..., None].view(float), ax, b[..., None].view(float), ax, []))
 
 
 def expectation(state: StateVector, obs: Observable) -> float:

@@ -166,8 +166,10 @@ class TestPairRot:
         _accel.pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
-    # complex tables indexed by (target value, clock value): one 2x2 block per
-    # joint value, as the solver's response applies them
+    # spread_solve: on these 8-qubit layouts, the Hadamards on a zero clock at
+    # cstart, one 2x2 block per joint (target, clock) value with complex
+    # tables, then V. The kernel appends its clock last, so the clock block
+    # moves to the end and the other qubits keep their order
     @pytest.mark.parametrize(
         "tstart, twidth, cstart, apos, controls",
         [
@@ -186,16 +188,24 @@ class TestPairRot:
         self, rng, tstart, twidth, cstart, apos, controls
     ):
         m, cwidth = 8, 2
+        rest = [q for q in range(m) if q not in block(cstart, cwidth)]
+        tpos = tuple(rest.index(q) for q in block(tstart, twidth))
+        apos, controls = rest.index(apos), tuple((rest.index(q), v) for q, v in controls)
+        clock = block(m - cwidth, cwidth)
         shape = (1 << twidth, 1 << cwidth)
-        cos_t, sin_t = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
-        rot = np.zeros((2 * cos_t.size,) * 2, dtype=complex)
-        for k, (c, s) in enumerate(zip(cos_t.ravel(), sin_t.ravel())):
+        g_c, g_s = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        rot = np.zeros((2 * g_c.size,) * 2, dtype=complex)
+        for k, (c, s) in enumerate(zip(g_c.ravel(), g_s.ravel())):
             rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
-        amps = random_amps(rng, m)
-        tpos = block(tstart, twidth) + block(cstart, cwidth) + (apos,)
-        expected = dense_operator(rot, tpos, m, controls) @ amps
-        _accel.pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls, (tstart, twidth))
-        np.testing.assert_allclose(amps, expected, atol=1e-12)
+        free = random_amps(rng, m - cwidth)  # ancilla 1 nonzero on the controlled rows too
+        walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * cwidth)
+        spread = dense_operator(walsh, clock, m, controls) @ np.kron(free, np.eye(1 << cwidth)[0])
+        turned = dense_operator(rot, tpos + clock + (apos,), m, controls) @ spread
+        dim = 1 << twidth
+        for vec in (random_orthogonal(rng, dim), random_unitary(rng, dim)):
+            expected = dense_operator(vec, tpos, m, controls) @ turned
+            out = _accel.spread_solve(free, vec, g_c, g_s, tpos, apos, m, cwidth, controls)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 class TestFourier:

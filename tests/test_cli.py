@@ -452,3 +452,37 @@ class TestMainExitCodes:
                      "--out", str(out)]) == EXIT_OK
         report = json.loads(out.read_text())
         assert report["config"]["seed"] == 3
+
+    @pytest.mark.parametrize("command", ["predict", "sweep", "diagnose"])
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_out_is_one_line_input_error_before_any_estimate(
+        self, canonical, tmp_path, monkeypatch, capsys, command, where
+    ):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran before the --out check")
+
+        monkeypatch.setattr(cli, "predict_mean_quantum", no_estimate)
+        raw = json.loads(canonical.read_text())
+        raw["sweep"] = {"axis": "clock_qubits", "values": [4]}
+        canonical.write_text(json.dumps(raw))
+        out = tmp_path / "missing" / "r.json" if where == "missing-directory" else tmp_path
+        argv = [command, "--config", str(canonical), "--out", str(out)]
+        assert main(argv + (["--delta", "0.05"] if command == "diagnose" else [])) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot write {out}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["predict", "sweep", "diagnose"])
+    def test_failed_write_is_one_line_input_error(
+        self, canonical, tmp_path, monkeypatch, capsys, command
+    ):
+        def full_disk(self, text):
+            raise OSError(28, "No space left on device")
+
+        raw = json.loads(canonical.read_text())
+        raw["sweep"] = {"axis": "clock_qubits", "values": [4]}
+        canonical.write_text(json.dumps(raw))
+        monkeypatch.setattr(cli.Path, "write_text", full_disk)
+        out = tmp_path / "r.out"
+        assert main([command, "--config", str(canonical), "--out", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == f"input error: cannot write {out}: No space left on device\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,23 @@ class TestBuildInterferenceState:
         )
         state = build_interference_state(spec)
         assert abs(state.norm() - 1.0) <= 1e-10
+
+    def test_temporaries_above_the_state_stay_small(self, rng):
+        # 20 qubits (n = 8, clock 14: A1 B3 C1 D1 E14), a 16 MiB state: the
+        # clock spread, the solver response and V are written into it in pieces
+        a = random_spd(rng, 8)
+        cfg = config_for(a, 14, c=float(np.linalg.eigvalsh(a)[0]))
+        u, v = (make_encoding(rng.normal(size=8)) for _ in range(2))
+        spec = BilinearSpec(u, v, a, cfg)
+        build_interference_state(spec)  # warms the eigenbasis and solver-response memos
+        tracemalloc.start()
+        try:
+            state = build_interference_state(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.amps.nbytes == 16 << 20
+        assert peak - state.amps.nbytes <= 3 << 20
 
 
 class TestObservableM:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qgpr import qla
+from qgpr import _accel, qla
 from qgpr import statevector as sv
 from qgpr.exceptions import ConfigError, InputError, ZeroProbabilityError
 from qgpr.qla import (
@@ -332,8 +332,9 @@ def random_state(rng, layout):
         (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="clock")),
         (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls=[("clock", 0, 1)])),
         (_LAYOUT, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc")),
-        (_FREE, lambda s: sv.spread(s, "clock", 2, [("clock", 0, 1)])),
-        (_FREE, lambda s: sv.spread(s, "anc", 2)),
+        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc",
+                                       controls=[("clock", 1, 1)])),
+        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), clock="index", ancilla="anc")),
     ],
     ids=[
         "apply_gate-control-on-target",
@@ -457,23 +458,46 @@ def block_layout(layout_name, index_width):
 
 
 class TestSpread:
+    """_accel.spread_solve against the gate chain it writes in one pass: the
+    Hadamard layer on a zero clock appended last, the ancilla rotation by
+    (target value, clock value) tables, and V on the target, all controlled."""
+
     @pytest.mark.parametrize("width", range(1, 10))
     @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
-    def test_matches_hadamard_layer_on_a_zero_clock(self, rng, width, layout_name):
+    def test_matches_hadamard_layer_on_a_zero_clock(self, rng, monkeypatch, width, layout_name):
         layout, controls = block_layout(layout_name, 2)
-        state = random_state(rng, layout)
+        state = random_state(rng, layout)  # ancilla 1 nonzero on the controlled rows too
         before = state.amps.copy()
-        reference = with_zero_clock(state, "clock", width)
-        sv.hadamard_layer(reference, "clock", controls)
-        out = sv.spread(state, "clock", width, controls)
-        assert out.layout == reference.layout
-        assert np.abs(out.amps - reference.amps).max() <= 1e-15
+        big_t = 1 << width
+        g_c, g_s = (rng.normal(size=(4, big_t)) + 1j * rng.normal(size=(4, big_t))
+                    for _ in range(2))
+        chain = with_zero_clock(state, "clock", width)
+        sv.hadamard_layer(chain, "clock", controls)
+        full = chain.layout
+        m, cpos = full.total_qubits, sv._control_positions(full, controls)
+        tpos, apos = full.positions("index"), full.qubit("anc", 0)
+        rows = (*full.positions("clock"), apos)
+        for j in range(4):  # one (clock, ancilla) block per target value
+            rot = np.zeros((big_t, 2, big_t, 2), dtype=complex)
+            rot[np.arange(big_t), :, np.arange(big_t), :] = np.moveaxis(
+                [[g_c[j], -g_s[j]], [g_s[j], g_c[j]]], -1, 0)
+            pins = (*cpos, (tpos[0], j >> 1), (tpos[1], j & 1))
+            _accel.apply_matrix(chain.amps, rot.reshape(2 * big_t, -1), rows, m, pins)
+        real, cplx = (np.linalg.eigh(a)[1] for a in (random_spd(rng, 4), random_hermitian(rng, 4)))
+        for vec in (real, cplx):
+            expected = chain.copy()
+            sv.apply_gate(expected, vec, "index", controls)
+            for piece in (_accel._SOLVE_PIECE, 1):  # the whole clock, then one clock value a piece
+                monkeypatch.setattr(_accel, "_SOLVE_PIECE", piece)
+                out = _accel.spread_solve(state.amps, vec, g_c, g_s, tpos, apos, m, width, cpos)
+                assert np.abs(out - expected.amps).max() <= 1e-12
         np.testing.assert_array_equal(state.amps, before)
 
     def test_over_the_qubit_cap_is_an_input_error(self):
-        state = init_basis(RegisterLayout((("index", 2),)))
+        # 2 + 1 input qubits and a 21-qubit clock: the new state would be 24 qubits
+        state = init_basis(RegisterLayout((("index", 2), ("ancilla", 1))))
         with pytest.raises(InputError, match="exceeds the cap"):
-            sv.spread(state, "clock", sv.DEFAULT_QUBIT_CAP - 1)
+            solver_block(state, QlaConfig(sv.DEFAULT_QUBIT_CAP - 1, t0=0.1, c=0.5), np.eye(4))
 
 
 class TestSolverBlock:
@@ -552,7 +576,7 @@ class TestSolverBlock:
             raise AssertionError("a step ran before the checks")
 
         monkeypatch.setattr(qla, "_solver_response", no_step)  # nor the response build
-        monkeypatch.setattr(sv, "spread", no_step)
+        monkeypatch.setattr(qla._accel, "spread_solve", no_step)
         monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
         state = init_basis(RegisterLayout((("index", 3), ("ancilla", 1))))
         with pytest.raises(InputError, match="exceeds the cap"):

@@ -393,6 +393,15 @@ class TestControlledEvolution:
         assert vec.dtype == np.complex128
         np.testing.assert_allclose(vec @ np.diag(lam) @ vec.conj().T, h, atol=1e-12)
 
+    def test_non_hermitian_matrix_raises_on_every_call(self):
+        # the check runs inside the memo, which caches results, not exceptions
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])
+        sv._eigh_of.cache_clear()
+        for _ in range(2):
+            with pytest.raises(InputError, match="not Hermitian"):
+                hermitian_eigh(a)
+        assert sv._eigh_of.cache_info().currsize == 0
+
     def test_memo_tells_a_matrix_and_its_complex_cast_apart(self, rng):
         a = rng.normal(size=(4, 4))
         a = a + a.T
