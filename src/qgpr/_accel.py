@@ -4,8 +4,9 @@ Qubit positions are axis indices of the ``(2,)*m`` reshape of the amplitude
 array: position 0 is the most significant bit of the basis index. A control
 cuts its axis to a length-1 slice rather than dropping it, so positions
 index the axes of every view the kernels take. All kernels but
-:func:`spread_solve` (which writes a new state) mutate ``amps`` in place. The
-three product kernels work piece by piece: no temporary is state-sized.
+:func:`spread_solve` (which writes a new state) mutate ``amps`` in place. No
+temporary is state-sized: :func:`apply_matrix` and :func:`reflect` work piece
+by piece, :func:`spread_solve` writes its products into the new state.
 
 A real matrix (a Walsh block, X, a real eigenbasis) runs as one real product
 on the float64 view of the (re, im) pairs: half the flops of a complex one.
@@ -18,7 +19,6 @@ import math
 import numpy as np
 
 _PIECE = 1 << 14  # amplitudes per piece in apply_matrix and reflect
-_SOLVE_PIECE = 1 << 16  # amplitudes per clock piece in spread_solve; narrower is slower
 
 
 def _pinned(amps, m, pins):
@@ -121,27 +121,22 @@ def spread_solve(free, vec, g_c, g_s, tpos, apos, m, cwidth, controls=()):
     """A new ``m``-qubit state: ``free`` (x) |0> on a ``cwidth``-qubit clock
     appended last, then on the controlled rows a Hadamard layer on the clock,
     the rotation of ancilla ``apos`` by (target value, clock value) tables
-    ``g_c``, ``g_s`` (as :func:`pair_rot`) and ``vec`` on the target. With
-    a_d = (rows at ancilla d) / sqrt(T), as the Hadamards spread them, it
-    writes V X_d at ancilla d, X_0 = a_0 g_c - a_1 g_s and X_1 = a_0 g_s +
-    a_1 g_c: one product per clock piece, a real V on the (re, im) pairs.
+    ``g_c``, ``g_s`` (as :func:`pair_rot`) and ``vec`` on the target. The
+    ancilla must be |0> on the controlled rows of ``free``. With a_0 those rows
+    at ancilla 0 and W = V diag(a_0) / sqrt(T), it writes W g_c at ancilla 0 and
+    W g_s at ancilla 1: one product per ancilla value and controlled block, a
+    real one on the (re, im) pairs when V and a_0 are real.
     """
     big_t = 1 << cwidth
     amps = np.zeros(free.size << cwidth, dtype=np.complex128)
     amps.reshape(-1, big_t)[:, 0] = free  # the controlled rows are overwritten below
-    pins = [(*controls, (apos, d)) for d in (0, 1)]
-    src = [_solve_view(free, m - cwidth, tpos, 0, p) / math.sqrt(big_t) for p in pins]
-    dst = [_solve_view(amps, m, tpos, cwidth, p) for p in pins]
-    width = min(big_t, max(1, _SOLVE_PIECE // vec.shape[0]))
-    x, y = (np.empty((vec.shape[0], width), dtype=np.complex128) for _ in range(2))
-    for idx in np.ndindex(src[0].shape[:-2]):
-        a0, a1 = src[0][idx], src[1][idx]
-        for t in range(0, big_t, width):
-            gc, gs = g_c[:, t : t + width], g_s[:, t : t + width]
-            np.multiply(a0, gc, out=x)
-            x -= np.multiply(a1, gs, out=y)  # X_0
-            np.matmul(vec, x.view(vec.dtype), out=dst[0][idx][:, t : t + width].view(vec.dtype))
-            np.multiply(a1, gc, out=y)
-            y += np.multiply(gs, a0, out=x)  # X_1
-            np.matmul(vec, y.view(vec.dtype), out=dst[1][idx][:, t : t + width].view(vec.dtype))
+    src = _solve_view(free, m - cwidth, tpos, 0, (*controls, (apos, 0)))
+    dst = [_solve_view(amps, m, tpos, cwidth, (*controls, (apos, d))) for d in (0, 1)]
+    for idx in np.ndindex(src.shape[:-2]):
+        a0 = src[idx][:, 0]
+        if vec.dtype == np.float64 and not a0.imag.any():
+            a0 = a0.real
+        w = vec * (a0 / math.sqrt(big_t))
+        for g, out in zip((g_c, g_s), dst):
+            np.matmul(w, g.view(w.dtype), out=out[idx].view(w.dtype))
     return amps

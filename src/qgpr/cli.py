@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -25,6 +26,7 @@ import numpy as np
 from .classical import predict_exact
 from .estimator import (
     gpr_config,
+    interference_layout,
     predict_mean_quantum,
     predict_variance_quantum,
     shots_for_precision,
@@ -38,6 +40,7 @@ from .kernels import (
     build_model,
     diagnostics,
 )
+from .statevector import MAX_SHOTS
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -219,9 +222,12 @@ def ingest_csv(path: str, has_header: bool = False) -> TrainingSet:
         elif len(row) != width:
             raise ParseError(f"expected {width} columns, found {len(row)}", row=lineno)
         try:
-            rows.append([float(cell) for cell in row])
+            values = [float(cell) for cell in row]
         except ValueError:
             raise ParseError(f"non-numeric field in {row!r}", row=lineno) from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite field in {row!r}", row=lineno)
+        rows.append(values)
     if not rows:
         raise ParseError(f"dataset {path} contains no data rows")
     data = np.asarray(rows)
@@ -356,6 +362,14 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     if not cfg.sweep_values:
         raise InputError("sweep values must be a non-empty list")
     model = _build(cfg)
+    for value in cfg.sweep_values:  # every value, before the first estimate
+        try:
+            if cfg.sweep_axis == "clock_qubits":
+                interference_layout(model.n, value)  # a clock below 1 or past the qubit cap
+            elif not 1 <= value <= MAX_SHOTS:
+                raise InputError(f"shots must be in 1..{MAX_SHOTS}")
+        except InputError as exc:
+            raise InputError(f"sweep value {value}: {exc}") from None
     exacts = [predict_exact(model, point) for point in cfg.test_points]  # axis-independent
     rows = []
     for j, value in enumerate(sorted(cfg.sweep_values)):
@@ -377,6 +391,7 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
                 "success_fraction": float(np.mean(succ)),
             }
         )
+    _check_finite(rows, "sweep")
     header = f"# axis={cfg.sweep_axis}\naxis_value,mean_error,variance_error,success_fraction\n"
     body = "".join(
         f"{r['axis_value']},{_fmt(r['mean_error'])},{_fmt(r['variance_error'])},"
@@ -389,11 +404,26 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     return rows
 
 
+def _check_finite(value, name: str) -> None:
+    """Raise a NumericError naming the first non-finite number in a report."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{name}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{name}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise NumericError(f"{name} is {value}, not a finite number")
+
+
 def _write(out: str | None, artifact: dict | str) -> None:
-    """Write a report (as JSON) or a table; a failed write (a full disk) is an input error."""
+    """Write a report (as JSON) or a table; a failed write (a full disk) is an input error.
+    A report with a non-finite number is a numerical error, written or not."""
+    if not isinstance(artifact, str):
+        _check_finite(artifact, "report")
     if out:
         text = artifact if isinstance(artifact, str) else json.dumps(
-            artifact, indent=2, sort_keys=True) + "\n"
+            artifact, indent=2, sort_keys=True, allow_nan=False) + "\n"
         try:
             Path(out).write_text(text)
         except OSError as exc:

@@ -13,7 +13,9 @@ That rest is one fixed map per eigenvalue, simulated gate by gate once per
 config and memoized. The clock is |0> until its first Hadamards, so
 :func:`solver_block` enters the eigenbasis on the state without it, then
 writes the clock spread, that map and the way back into the new state with
-the clock appended, in one pass (:func:`qgpr._accel.spread_solve`).
+the clock appended, in one pass (:func:`qgpr._accel.spread_solve`). As in
+HHL the ancilla enters in |0> (it must, on the controlled rows), so only the
+map's ancilla-0 column is applied.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import _accel
 from . import statevector as sv
-from .exceptions import ConfigError, InputError
+from .exceptions import ConfigError, InputError, NumericError
 from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
@@ -68,7 +70,11 @@ def _check_clock(clock_qubits: int) -> None:
 
 def gershgorin_bound(system) -> float:
     """Upper bound on the largest eigenvalue: max absolute row sum."""
-    return float(np.abs(np.asarray(system)).sum(axis=1).max())
+    with np.errstate(over="ignore"):
+        bound = float(np.abs(np.asarray(system)).sum(axis=1).max())
+    if not math.isfinite(bound):
+        raise NumericError("the system's scale overflows: its largest row sum is not finite")
+    return bound
 
 
 def default_t0(system, clock_qubits: int) -> float:
@@ -337,19 +343,22 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     inversion, QFT, conjugate table, Hadamards) run once per config, gate by
     gate on a small state (:func:`_solver_response`). Each call runs V^H on a
     copy of ``state``; :func:`qgpr._accel.spread_solve` then writes the spread,
-    that response and V into the new state. Every input, the qubit cap among
-    them, is checked before anything is allocated.
+    that response and V into the new state. The ancilla must be |0> on the
+    controlled rows of ``state``. Every input, the qubit cap and that ancilla
+    among them, is checked before anything is allocated.
     """
     layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
     lam, vec, cpos = _check_solver(layout, config, system, [clock, target, ancilla], controls)
+    m, tpos, apos = layout.total_qubits, layout.positions(target), layout.qubit(ancilla, 0)
+    if np.any(_accel._pinned(state.amps, m - config.clock_qubits, (*cpos, (apos, 1)))):
+        raise InputError(f"ancilla register {ancilla!r} must be |0> on the controlled rows")
     g_c, g_s = _solver_response(lam.tobytes(), config)
-    m, tpos = layout.total_qubits, layout.positions(target)
     free = state.copy()
     _accel.apply_matrix(free.amps, vec.conj().T, tpos, m - config.clock_qubits, cpos)
     return StateVector._adopt(layout, _accel.spread_solve(
-        free.amps, vec, g_c, g_s, tpos, layout.qubit(ancilla, 0), m, config.clock_qubits, cpos))
+        free.amps, vec, g_c, g_s, tpos, apos, m, config.clock_qubits, cpos))
 
 
 def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:

@@ -4,6 +4,17 @@ import pytest
 from qgpr.kernels import KernelSpec, TrainingSet, build_model
 
 
+def zero_controlled_ancilla(amps, m, apos, controls=()):
+    """In place: the ``m``-qubit ``amps`` with the ancilla at position ``apos``
+    set to |0> on the rows ``controls`` ((position, value) pairs) select, the
+    solver's input contract; every other row keeps its amplitudes."""
+    idx = [slice(None)] * m
+    for pos, val in (*controls, (apos, 1)):
+        idx[pos] = val
+    amps.reshape((2,) * m)[tuple(idx)] = 0.0
+    return amps
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

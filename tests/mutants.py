@@ -1,0 +1,111 @@
+"""One-line mutations of the package that the test suite must catch.
+
+Each entry is (file under ``src/``, exact old text, new text, pytest
+arguments selecting the tests that must fail). For every entry the runner
+copies ``src/`` into a temporary directory, replaces the old text, which must
+occur exactly once, and runs the selection against the copy. It exits 1 if a
+selection passes on its mutant or an old text no longer occurs once, so a
+refactor of a listed line has to update its entry. pytest does not collect
+this file. Run it from the root of the repository:
+
+    python3 tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUTANTS = (
+    # the eigenvalue inversion clamps c/lambda at a full flip
+    ("qgpr/qla.py", "np.minimum(_inversion_ratios(config), 1.0)", "_inversion_ratios(config)",
+     ["tests/test_qla.py", "-k", "TestEigenvalueInversion"]),
+    # a P0 factor reads its projector at |0>
+    ("qgpr/statevector.py", 'next(bits) ^ (fac == "P0")', "next(bits)",
+     ["tests/test_statevector.py"]),
+    # the sampled standard deviation divides by shots - 1
+    ("qgpr/estimator.py", "squares / (shots - 1)", "squares / shots",
+     ["tests/test_estimator.py"]),
+    # P(-1) = (w - x) / 2 and P(+1) = (w + x) / 2, in that order
+    ("qgpr/statevector.py",
+     "[(weight - cross) / 2.0, norm2 - weight, (weight + cross) / 2.0]",
+     "[(weight + cross) / 2.0, norm2 - weight, (weight - cross) / 2.0]",
+     ["tests/test_statevector.py", "tests/test_estimator.py"]),
+    # solver_block refuses an ancilla that is not |0> on the controlled rows
+    ("qgpr/qla.py", "    if np.any(_accel._pinned(", "    if 0 and np.any(_accel._pinned(",
+     ["tests/test_qla.py", "-k", "nonzero_controlled_ancilla"]),
+    # the forward QFT is the orthonormal inverse DFT
+    ("qgpr/_accel.py", "np.fft.fft if inverse else np.fft.ifft",
+     "np.fft.ifft if inverse else np.fft.fft",
+     ["tests/test_accel.py", "-k", "TestFourier"]),
+    # uncomputation applies the conjugate phase table
+    ("qgpr/qla.py", "_accel.phase_mul(full.amps, table.conj(), *blocks)",
+     "_accel.phase_mul(full.amps, table, *blocks)",
+     ["tests/test_qla.py", "-k", "TestSolverBlock"]),
+    # --out must name a file in an existing directory
+    ("qgpr/cli.py", "out.is_dir() or not out.parent.is_dir()", "out.is_dir()",
+     ["tests/test_cli.py", "-k", "unwritable_out"]),
+    # c may exceed lambda_min by round-off only
+    ("qgpr/qla.py", "_EIG_SLACK = 1e-9", "_EIG_SLACK = 1e-3",
+     ["tests/test_qla.py", "-k", "TestConfig"]),
+    # any negative variance estimate is clamped to 0
+    ("qgpr/estimator.py", "if estimate < 0.0:", "if estimate < -1e-3:",
+     ["tests/test_estimator.py", "-k", "TestPredictVarianceQuantum"]),
+    # spread_solve: G_c at ancilla 0, G_s at ancilla 1
+    ("qgpr/_accel.py", "zip((g_c, g_s), dst)", "zip((g_s, g_c), dst)",
+     ["tests/test_qla.py", "-k", "TestSpread"]),
+    # spread_solve: the clock Hadamards' 1/sqrt(T)
+    ("qgpr/_accel.py", "vec * (a0 / math.sqrt(big_t))", "vec * a0",
+     ["tests/test_qla.py", "-k", "TestSpread"]),
+    # spread_solve: the real product only for real rows and a real V
+    ("qgpr/_accel.py",
+     "        if vec.dtype == np.float64 and not a0.imag.any():\n            a0 = a0.real\n",
+     "        a0 = a0.real\n",
+     ["tests/test_qla.py", "-k", "TestSpread"]),
+)
+
+
+def survives(path: str, old: str, new: str, selection: list[str], scratch: Path) -> str | None:
+    """Why the mutant is not killed, or None when its selection fails."""
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    target = src / path
+    text = target.read_text()
+    if text.count(old) != 1:
+        return f"old text occurs {text.count(old)} times, not once"
+    target.write_text(text.replace(old, new))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *selection],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if run.returncode == 1:  # tests ran and some failed
+        return None
+    return f"pytest exited {run.returncode}:\n{run.stdout[-2000:]}{run.stderr[-2000:]}"
+
+
+def main() -> int:
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, old, new, selection in MUTANTS:
+            start = time.perf_counter()
+            why = survives(path, old, new, selection, Path(tmp))
+            took = time.perf_counter() - start
+            first = old.strip().splitlines()[0]
+            print(f"{'killed' if why is None else 'SURVIVED'} {took:5.1f}s {path}: {first}")
+            if why is not None:
+                survivors += 1
+                print(why)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

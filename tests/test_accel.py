@@ -8,6 +8,8 @@ import pytest
 
 from qgpr import _accel
 
+from conftest import zero_controlled_ancilla
+
 I2 = np.eye(2)
 
 
@@ -197,7 +199,7 @@ class TestPairRot:
         rot = np.zeros((2 * g_c.size,) * 2, dtype=complex)
         for k, (c, s) in enumerate(zip(g_c.ravel(), g_s.ravel())):
             rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
-        free = random_amps(rng, m - cwidth)  # ancilla 1 nonzero on the controlled rows too
+        free = zero_controlled_ancilla(random_amps(rng, m - cwidth), m - cwidth, apos, controls)
         walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * cwidth)
         spread = dense_operator(walsh, clock, m, controls) @ np.kron(free, np.eye(1 << cwidth)[0])
         turned = dense_operator(rot, tpos + clock + (apos,), m, controls) @ spread

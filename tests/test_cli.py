@@ -22,6 +22,7 @@ from qgpr.cli import (
 )
 from qgpr.estimator import gpr_config, predict_mean_quantum, shots_for_precision
 from qgpr.exceptions import InputError, ParseError
+from qgpr.statevector import MAX_SHOTS
 from qgpr.kernels import SystemDiagnostics, TrainingSet, build_model, KernelSpec
 
 
@@ -75,6 +76,14 @@ class TestIngestCsv:
         p = tmp_path / "d.csv"
         p.write_text("0,2\nx,1\n")
         with pytest.raises(ParseError) as err:
+            ingest_csv(p)
+        assert err.value.row == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_field_reports_row_number(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"0,2\n1,{cell}\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
             ingest_csv(p)
         assert err.value.row == 2
 
@@ -309,6 +318,27 @@ class TestCmdSweep:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("clock_qubits", [4, 6, 30]), ("clock_qubits", [4, 0]), ("shots", [100, MAX_SHOTS + 1])],
+        ids=["clock-past-the-cap", "clock-zero", "shots-past-the-cap"],
+    )
+    def test_every_sweep_value_is_checked_before_any_estimate(
+        self, tmp_path, monkeypatch, capsys, axis, values
+    ):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran before every sweep value was checked")
+
+        monkeypatch.setattr(cli, "predict_mean_quantum", no_estimate)
+        example = Path(__file__).resolve().parents[1] / "docs" / "examples" / "sweep.json"
+        raw = json.loads(example.read_text())
+        raw.update(dataset=str(example.parent / "train.csv"), sweep={"axis": axis, "values": values})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: sweep value {values[-1]}: ") and err.count("\n") == 1
+
     def test_classical_prediction_once_per_test_point(self, tmp_path, monkeypatch):
         # the classical oracle depends on neither the clock width nor the shots
         cfgp = self._sweep_config(
@@ -366,6 +396,37 @@ class TestMainExitCodes:
         cfgp = write_config(tmp_path, dataset, noise_variance=1e-18)
         assert main(["predict", "--config", str(cfgp)]) == EXIT_NUMERIC
         assert main(["diagnose", "--config", str(cfgp)]) == EXIT_NUMERIC
+
+    def test_non_finite_estimate_is_numeric_error_naming_the_field(self, tmp_path, capsys):
+        # a target of 1e308 makes the quantum mean overflow while the classical one does not
+        example = Path(__file__).resolve().parents[1] / "docs" / "examples"
+        rows = (example / "train.csv").read_text().splitlines()
+        rows[2] = rows[2].split(",")[0] + ",1e308"
+        dataset = tmp_path / "train.csv"
+        dataset.write_text("\n".join(rows) + "\n")
+        raw = json.loads((example / "predict.json").read_text())
+        raw["dataset"] = str(dataset)
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps(raw))
+        out = tmp_path / "r.json"
+        assert main(["predict", "--config", str(cfgp), "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("numerical error: report.results[")
+        assert err[-1].endswith("is inf, not a finite number")
+        assert not out.exists()
+
+    def test_overflowing_system_scale_is_numeric_error(self, tmp_path, capsys):
+        # k(x, x) = 1e308: the largest absolute row sum of the system overflows
+        example = Path(__file__).resolve().parents[1] / "docs" / "examples"
+        raw = json.loads((example / "predict.json").read_text())
+        raw["dataset"] = str(example / "train.csv")
+        raw["kernel"]["signal_variance"] = 1e308
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps(raw))
+        assert main(["predict", "--config", str(cfgp)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: the system's scale overflows")
+        assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

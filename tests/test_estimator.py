@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qgpr import estimator
 from qgpr import statevector as sv
 from qgpr.classical import dense_inverse, predict_exact
 from qgpr.estimator import (
@@ -314,6 +315,15 @@ class TestPredictVarianceQuantum:
         res = predict_variance_quantum(model, x_star, gpr_config(model, 8), mode="exact")
         truth = predict_exact(model, x_star).variance
         assert abs(res.estimate - truth) <= 0.05 * abs(truth) + 0.01
+
+    def test_small_negative_estimate_is_clamped_to_zero(self, monkeypatch):
+        # a bilinear form just above k(x, x): the subtraction reads -5e-4
+        model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
+        k_ss = eval_kernel(model.kernel, [0.0], [0.0])
+        stub = EstimationResult(k_ss + 5e-4, 0.0, 0, 0.0, 0.0, None, 0)
+        monkeypatch.setattr(estimator, "_k_star_form", lambda *args: stub)
+        res = predict_variance_quantum(model, [0.0], gpr_config(model, 8), mode="exact")
+        assert res.estimate == 0.0
 
     def test_consistent_with_mean_path_on_k_star(self, rng):
         # replacing y by k_* in the mean estimator reproduces the bilinear

@@ -27,7 +27,7 @@ from qgpr.qla import (
 )
 from qgpr.statevector import RegisterLayout, StateVector, init_basis, project, register_component
 
-from conftest import random_spd
+from conftest import random_spd, zero_controlled_ancilla
 
 
 def clock_distribution(state, clock="clock"):
@@ -168,6 +168,13 @@ class TestConfig:
     def test_c_above_lambda_min_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(QlaConfig(3, t0=0.1, c=2.0), np.eye(2))
+
+    def test_c_a_millionth_above_lambda_min_rejected(self):
+        # the slack admits round-off in a PSD Gram part, not a relative 1e-6
+        system = np.diag([0.5, 0.9])
+        with pytest.raises(ConfigError):
+            validate_config(QlaConfig(3, t0=0.1, c=0.5 * (1 + 1e-6)), system)
+        validate_config(QlaConfig(3, t0=0.1, c=0.5), system)
 
 
 class TestPhaseEstimate:
@@ -313,6 +320,15 @@ def random_state(rng, layout):
     return StateVector(layout, amps / np.linalg.norm(amps))
 
 
+def solver_input(rng, layout, controls=()):
+    """A random state on a clock-free ``layout`` whose ancilla ``anc`` is |0> on
+    the rows ``controls`` select, as :func:`solver_block` requires."""
+    state = random_state(rng, layout)
+    zero_controlled_ancilla(state.amps, layout.total_qubits, layout.qubit("anc", 0),
+                            sv._control_positions(layout, controls))
+    return state
+
+
 @pytest.mark.parametrize(
     "layout, op",
     [
@@ -396,7 +412,7 @@ _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid
 def test_ops_act_in_place(rng, layout, op):
     """Circuit ops change the buffer and return None; solver_block, which
     appends the clock, instead returns a new state and leaves its input."""
-    state = random_state(rng, layout)
+    state = solver_input(rng, layout) if layout is _FREE else random_state(rng, layout)
     buffer, before = state.amps, state.copy()
     snapshot = state.amps.copy()
     result = op(state)
@@ -462,11 +478,8 @@ class TestSpread:
     Hadamard layer on a zero clock appended last, the ancilla rotation by
     (target value, clock value) tables, and V on the target, all controlled."""
 
-    @pytest.mark.parametrize("width", range(1, 10))
-    @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
-    def test_matches_hadamard_layer_on_a_zero_clock(self, rng, monkeypatch, width, layout_name):
-        layout, controls = block_layout(layout_name, 2)
-        state = random_state(rng, layout)  # ancilla 1 nonzero on the controlled rows too
+    @staticmethod
+    def check_against_chain(rng, state, width, controls):
         before = state.amps.copy()
         big_t = 1 << width
         g_c, g_s = (rng.normal(size=(4, big_t)) + 1j * rng.normal(size=(4, big_t))
@@ -487,11 +500,28 @@ class TestSpread:
         for vec in (real, cplx):
             expected = chain.copy()
             sv.apply_gate(expected, vec, "index", controls)
-            for piece in (_accel._SOLVE_PIECE, 1):  # the whole clock, then one clock value a piece
-                monkeypatch.setattr(_accel, "_SOLVE_PIECE", piece)
-                out = _accel.spread_solve(state.amps, vec, g_c, g_s, tpos, apos, m, width, cpos)
-                assert np.abs(out - expected.amps).max() <= 1e-12
+            out = _accel.spread_solve(state.amps, vec, g_c, g_s, tpos, apos, m, width, cpos)
+            assert np.abs(out - expected.amps).max() <= 1e-12
         np.testing.assert_array_equal(state.amps, before)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
+    def test_matches_hadamard_layer_on_a_zero_clock(self, rng, width, layout_name):
+        layout, controls = block_layout(layout_name, 2)
+        self.check_against_chain(rng, solver_input(rng, layout, controls), width, controls)
+
+    @pytest.mark.parametrize("half", [False, True], ids=["real", "half-imaginary"])
+    @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
+    def test_real_rows_match_hadamard_layer_on_a_zero_clock(self, rng, half, layout_name):
+        # real rows with a real V take the real product; with the rows whose
+        # first qubit is 1 made imaginary, some controlled blocks (or every
+        # block's target entries in part) take the complex one
+        layout, controls = block_layout(layout_name, 2)
+        state = solver_input(rng, layout, controls)
+        state.amps[:] = state.amps.real
+        if half:
+            state.amps[state.amps.shape[0] // 2 :] *= 1j
+        self.check_against_chain(rng, state, 3, controls)
 
     def test_over_the_qubit_cap_is_an_input_error(self):
         # 2 + 1 input qubits and a 21-qubit clock: the new state would be 24 qubits
@@ -511,7 +541,7 @@ class TestSolverBlock:
         cfg = QlaConfig(clock, t0=2 * math.pi * (big_t - 1) / big_t, c=0.25)  # spectrum in [0.3, 1)
         system = np.eye(1 << w, dtype=complex) * cfg.c  # padded as pad_system does, kept complex
         system[:n, :n] = random_hermitian(rng, n)
-        state = random_state(rng, layout)
+        state = solver_input(rng, layout, controls)
         before = state.amps.copy()
         out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
         reference = reference_solver(state, cfg, system, "clock", "index", "anc", controls)
@@ -525,7 +555,7 @@ class TestSolverBlock:
         # its own response rather than reuse the memoized one
         layout, controls = block_layout("before", 2)
         system = random_hermitian(rng, 4)  # spectrum in [0.3, 1)
-        state = random_state(rng, layout)
+        state = solver_input(rng, layout, controls)
         configs = [
             QlaConfig(5, t0=2 * math.pi * 31 / 32, c=0.25),
             QlaConfig(5, t0=2 * math.pi * 31 / 32, c=0.2),
@@ -546,7 +576,7 @@ class TestSolverBlock:
         cfg = QlaConfig(clock, t0=2 * math.pi * 31 / 32, c=0.25)
         system = np.eye(8) * cfg.c
         system[:5, :5] = random_spd(rng, 5, lo=0.3)  # padded as pad_system does
-        state = random_state(rng, layout)
+        state = solver_input(rng, layout, controls)
         out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
         cast = solver_block(state, cfg, system.astype(complex), "clock", "index", "anc", controls)
         assert np.abs(out.amps - cast.amps).max() <= 1e-12
@@ -582,6 +612,38 @@ class TestSolverBlock:
         with pytest.raises(InputError, match="exceeds the cap"):
             solver_block(state, QlaConfig(19, t0=0.1, c=0.5), np.eye(8))
         np.testing.assert_array_equal(state.amps, init_basis(state.layout).amps)
+
+    @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
+    def test_nonzero_controlled_ancilla_fails_before_any_step(self, rng, monkeypatch, layout_name):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the checks")
+
+        monkeypatch.setattr(qla, "_solver_response", no_step)
+        monkeypatch.setattr(qla._accel, "spread_solve", no_step)
+        monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
+        layout, controls = block_layout(layout_name, 2)
+        state = solver_input(rng, layout, controls)
+        # one small amplitude on the last controlled row with the ancilla at 1
+        bits = dict(sv._control_positions(layout, controls))
+        bits[layout.qubit("anc", 0)] = 1
+        row = [bits.get(q, 1) for q in range(layout.total_qubits)]
+        state.amps[int("".join(map(str, row)), 2)] = 1e-9
+        before = state.amps.copy()
+        with pytest.raises(InputError, match=r"must be \|0> on the controlled rows"):
+            solver_block(state, QlaConfig(2, t0=1.0, c=0.25), np.eye(4) * 0.5, "clock", "index",
+                         "anc", controls)
+        np.testing.assert_array_equal(state.amps, before)
+
+    def test_qla_solve_complex_rhs_on_a_real_system(self, rng, monkeypatch):
+        # a complex b on a real system: real V, complex ancilla-0 rows, the complex product
+        a = random_spd(rng, 5)
+        b = rng.normal(size=5) + 1j * rng.normal(size=5)
+        cfg = config_for(a, 6, c=0.2)
+        state, prob = qla_solve(b, a, cfg)
+        monkeypatch.setattr(qla, "solver_block", reference_solver)
+        ref_state, ref_prob = qla_solve(b, a, cfg)
+        assert abs(prob - ref_prob) <= 1e-12
+        assert np.abs(state.amps - ref_state.amps).max() <= 1e-12
 
 
 class TestQlaSolve:
