@@ -119,13 +119,13 @@ def _solve_view(amps, m, tpos, tail, pins):
 
 def spread_solve(free, vec, g_c, g_s, tpos, apos, m, cwidth, controls=()):
     """A new ``m``-qubit state: ``free`` (x) |0> on a ``cwidth``-qubit clock
-    appended last, then on the controlled rows a Hadamard layer on the clock,
-    the rotation of ancilla ``apos`` by (target value, clock value) tables
-    ``g_c``, ``g_s`` (as :func:`pair_rot`) and ``vec`` on the target. The
-    ancilla must be |0> on the controlled rows of ``free``. With a_0 those rows
-    at ancilla 0 and W = V diag(a_0) / sqrt(T), it writes W g_c at ancilla 0 and
-    W g_s at ancilla 1: one product per ancilla value and controlled block, a
-    real one on the (re, im) pairs when V and a_0 are real.
+    appended last, then on the controlled rows ``vec``^H on the target, a
+    Hadamard layer on the clock, the rotation of ancilla ``apos`` by (target
+    value, clock value) tables ``g_c``, ``g_s`` (as :func:`pair_rot`) and
+    ``vec`` on the target. The ancilla must be |0> on the controlled rows of
+    ``free``. With x those rows at ancilla 0, a_0 = V^H x and W = V diag(a_0) /
+    sqrt(T), it writes W g_c at ancilla 0 and W g_s at ancilla 1: one product
+    per ancilla value and controlled block, real ones when V and x are real.
     """
     big_t = 1 << cwidth
     amps = np.zeros(free.size << cwidth, dtype=np.complex128)
@@ -133,9 +133,9 @@ def spread_solve(free, vec, g_c, g_s, tpos, apos, m, cwidth, controls=()):
     src = _solve_view(free, m - cwidth, tpos, 0, (*controls, (apos, 0)))
     dst = [_solve_view(amps, m, tpos, cwidth, (*controls, (apos, d))) for d in (0, 1)]
     for idx in np.ndindex(src.shape[:-2]):
-        a0 = src[idx][:, 0]
-        if vec.dtype == np.float64 and not a0.imag.any():
-            a0 = a0.real
+        x = src[idx][:, 0]
+        real = vec.dtype == np.float64 and not x.imag.any()
+        a0 = vec.T @ x.real if real else vec.conj().T @ x
         w = vec * (a0 / math.sqrt(big_t))
         for g, out in zip((g_c, g_s), dst):
             np.matmul(w, g.view(w.dtype), out=out[idx].view(w.dtype))

@@ -40,7 +40,7 @@ from .kernels import (
     build_model,
     diagnostics,
 )
-from .statevector import MAX_SHOTS
+from .statevector import check_shots
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -248,8 +248,22 @@ def _fmt(x: float) -> str:
 # commands
 
 
-def _build(cfg: RunConfig) -> GPModel:
+def _shots(cfg: RunConfig) -> int | None:
+    """Shots per estimate: ``None`` (exact mode) unless the run is sampled."""
+    return cfg.shots if cfg.mode == "sampled" else None
+
+
+def _build(cfg: RunConfig, runs) -> GPModel:
+    """The GP model, once the data set is read and every ``(sweep value or None,
+    clock_qubits, shots)`` the command's estimates use is within the caps."""
     training = ingest_csv(cfg.dataset, cfg.has_header)
+    for value, clock, shots in runs:
+        try:
+            interference_layout(training.n, clock)  # a clock below 1 or past the qubit cap
+            if shots is not None:
+                check_shots(shots, cfg.seed)
+        except InputError as exc:
+            raise exc if value is None else InputError(f"sweep value {value}: {exc}") from None
     return build_model(training, cfg.kernel, cfg.noise_variance)
 
 
@@ -265,14 +279,13 @@ def _config_record(cfg: RunConfig) -> dict:
     return rec
 
 
-def _estimates(model: GPModel, points, qcfg, shots: int, seed: int, mode: str):
+def _estimates(model: GPModel, points, qcfg, shots: int | None, seed: int):
     """Yield (point, mean, variance, seconds) per test point: the quantum mean
     and variance of point i, both seeded ``seed + i``, and their wall time."""
-    shots = shots if mode == "sampled" else None
     for i, point in enumerate(points):
         t0 = time.perf_counter()
-        mean = predict_mean_quantum(model, point, qcfg, shots=shots, seed=seed + i, mode=mode)
-        var = predict_variance_quantum(model, point, qcfg, shots=shots, seed=seed + i, mode=mode)
+        mean = predict_mean_quantum(model, point, qcfg, shots=shots, seed=seed + i)
+        var = predict_variance_quantum(model, point, qcfg, shots=shots, seed=seed + i)
         yield point, mean, var, time.perf_counter() - t0
 
 
@@ -282,10 +295,11 @@ _DIAGNOSTIC_FIELDS = ("kappa", "row_sparsity", "min_eig")
 
 def cmd_predict(cfg: RunConfig) -> dict:
     """Classical and quantum prediction for every test point."""
-    model = _build(cfg)
+    shots = _shots(cfg)
+    model = _build(cfg, [(None, cfg.clock_qubits, shots)])
     diag = diagnostics(model)
     qcfg = gpr_config(model, cfg.clock_qubits)
-    estimates = _estimates(model, cfg.test_points, qcfg, cfg.shots, cfg.seed, cfg.mode)
+    estimates = _estimates(model, cfg.test_points, qcfg, shots, cfg.seed)
     results = []
     timings = []
     for point, mean_res, var_res, tq in estimates:
@@ -332,7 +346,8 @@ def jitter_recommendation(diag, kappa_bound: float) -> float:
 
 def cmd_diagnose(cfg: RunConfig) -> dict:
     """Conditioning and sparsity diagnostics plus shot-budget advice."""
-    model = _build(cfg)
+    pilot_shots = max(_shots(cfg) or 0, _PILOT_SHOTS)
+    model = _build(cfg, [] if cfg.delta is None else [(None, cfg.clock_qubits, pilot_shots)])
     diag = diagnostics(model)
     report = {
         "config": _config_record(cfg),
@@ -343,11 +358,8 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
     }
     if cfg.delta is not None:
         qcfg = gpr_config(model, cfg.clock_qubits)
-        pilot = predict_mean_quantum(
-            model, cfg.test_points[0], qcfg,
-            shots=max(cfg.shots, _PILOT_SHOTS) if cfg.mode == "sampled" else _PILOT_SHOTS,
-            seed=cfg.seed, mode="sampled",
-        )
+        pilot = predict_mean_quantum(model, cfg.test_points[0], qcfg, shots=pilot_shots,
+                                     seed=cfg.seed)
         report["recommended_shots"] = shots_for_precision(cfg.delta, pilot)
         report["pilot_shots"] = pilot.shots
     _write(cfg.out, report)
@@ -361,23 +373,17 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         raise InputError("sweep needs 'sweep': {'axis': 'clock_qubits'|'shots', 'values': [...]}")
     if not cfg.sweep_values:
         raise InputError("sweep values must be a non-empty list")
-    model = _build(cfg)
-    for value in cfg.sweep_values:  # every value, before the first estimate
-        try:
-            if cfg.sweep_axis == "clock_qubits":
-                interference_layout(model.n, value)  # a clock below 1 or past the qubit cap
-            elif not 1 <= value <= MAX_SHOTS:
-                raise InputError(f"shots must be in 1..{MAX_SHOTS}")
-        except InputError as exc:
-            raise InputError(f"sweep value {value}: {exc}") from None
+    runs = [
+        (value, value, _shots(cfg)) if cfg.sweep_axis == "clock_qubits"
+        else (value, cfg.clock_qubits, value)  # a shots axis samples
+        for value in sorted(cfg.sweep_values)
+    ]
+    model = _build(cfg, runs)
     exacts = [predict_exact(model, point) for point in cfg.test_points]  # axis-independent
     rows = []
-    for j, value in enumerate(sorted(cfg.sweep_values)):
-        clock = value if cfg.sweep_axis == "clock_qubits" else cfg.clock_qubits
-        shots = value if cfg.sweep_axis == "shots" else cfg.shots
-        mode = "sampled" if cfg.sweep_axis == "shots" else cfg.mode
+    for j, (value, clock, shots) in enumerate(runs):
         qcfg = gpr_config(model, clock)
-        estimates = _estimates(model, cfg.test_points, qcfg, shots, cfg.seed + j, mode)
+        estimates = _estimates(model, cfg.test_points, qcfg, shots, cfg.seed + j)
         mean_errs, var_errs, succ = [], [], []
         for (_, mres, vres, _), exact in zip(estimates, exacts):
             mean_errs.append(abs(mres.estimate - exact.mean))

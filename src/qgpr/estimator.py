@@ -16,9 +16,9 @@ so both the magnitude and the sign of the bilinear form are recovered.
 Rescaling <M> yields the GPR linear predictor (u = k_*, v = y) and, with
 u = v = k_*, the subtracted term of the predictive variance.
 
-Exact mode reads <M> straight off the amplitudes (no shot noise) and is used
-to isolate phase-estimation error; sampled mode adds shot noise: the counts
-of M's three values over the shots, one seeded multinomial draw.
+Exact mode (``shots=None``) reads <M> straight off the amplitudes (no shot
+noise) and isolates phase-estimation error; given shots, the estimate adds
+shot noise: the counts of M's three values, one seeded multinomial draw.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevector as sv
-from .exceptions import ExpansionError, InputError
+from .exceptions import ExpansionError, InputError, NumericError
 from .kernels import GPModel, build_cross, eval_kernel
 from .qla import (
     QlaConfig,
@@ -49,8 +49,6 @@ from .statevector import Observable, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
 
-MODES = ("exact", "sampled")
-
 
 @dataclass(frozen=True)
 class EstimationResult:
@@ -58,8 +56,8 @@ class EstimationResult:
 
     ``raw_mean`` is the (estimated) expectation of M; ``estimate`` is the
     rescaled quantity of interest; ``success_fraction`` the fraction of shots
-    that passed post-selection (C=1 and D=1). Exact mode reports shots = 0
-    and zero standard error.
+    that passed post-selection (C=1 and D=1). Exact mode (``shots=None``)
+    reports shots = 0 and zero standard error.
     """
 
     estimate: float
@@ -122,46 +120,34 @@ def estimate_bilinear(
     spec: BilinearSpec,
     shots: int | None = None,
     seed: int = 0,
-    mode: str = "exact",
 ) -> EstimationResult:
     """Estimate u^T A^{-1} v from the interference circuit.
 
-    The raw mean of M is rescaled by sqrt(s_u s_v) / (c c_u c_v). In sampled
-    mode the standard error is the rescaled sample standard deviation over
-    ``shots`` seeded draws.
+    The raw mean of M is rescaled by sqrt(s_u s_v) / (c c_u c_v). Exact mode
+    (``shots=None``) reads it off the amplitudes; given ``shots`` (checked with
+    ``seed`` before the state is built), the standard error is the rescaled
+    sample standard deviation over that many seeded draws.
     """
-    if mode not in MODES:
-        raise InputError(f"mode must be one of {MODES}, got {mode!r}")
+    if shots is not None:
+        sv.check_shots(shots, seed)
     state = build_interference_state(spec)
     obs = observable_M(state.layout)
-    scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v)
-    if mode == "exact":
+    if shots is None:
         raw = sv.expectation(state, obs)
         success = sv.expectation(state, Observable(state.layout, {"C": "P1", "D": "P1"}))
-        return EstimationResult(
-            estimate=raw * scale,
-            std_error=0.0,
-            shots=0,
-            raw_mean=raw,
-            success_fraction=success,
-            config=spec.config,
-            seed=seed,
-        )
-    if shots is None or shots < 1:
-        raise InputError("sampled mode needs shots >= 1")
-    minus, zero, plus = (int(k) for k in sv.sample_observable(state, obs, shots, seed))
-    raw = (plus - minus) / shots
-    squares = minus * (-1.0 - raw) ** 2 + zero * raw**2 + plus * (1.0 - raw) ** 2
-    sd = math.sqrt(squares / (shots - 1)) if shots > 1 else 0.0
-    return EstimationResult(
-        estimate=raw * scale,
-        std_error=sd / math.sqrt(shots) * scale,
-        shots=shots,
-        raw_mean=raw,
-        success_fraction=(minus + plus) / shots,
-        config=spec.config,
-        seed=seed,
-    )
+        std_error = 0.0
+    else:
+        minus, zero, plus = (int(k) for k in sv.sample_observable(state, obs, shots, seed))
+        raw, success = (plus - minus) / shots, (minus + plus) / shots
+        squares = minus * (-1.0 - raw) ** 2 + zero * raw**2 + plus * (1.0 - raw) ** 2
+        sd = math.sqrt(squares / (shots - 1)) if shots > 1 else 0.0
+        std_error = sd / math.sqrt(shots)
+
+    def rescale(x: float) -> float:  # in turn: sqrt(s_u s_v) / (c c_u c_v) can overflow
+        return x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.config.c / spec.u.c_v / spec.v.c_v
+
+    return EstimationResult(rescale(raw), rescale(std_error), shots or 0, raw, success,
+                            spec.config, seed)
 
 
 def gpr_config(model: GPModel, clock_qubits: int) -> QlaConfig:
@@ -169,7 +155,7 @@ def gpr_config(model: GPModel, clock_qubits: int) -> QlaConfig:
     return config_for(model.system, clock_qubits, model.noise_variance)
 
 
-def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed, mode):
+def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed):
     """k_*^T (K + sigma_n^2 I)^{-1} v, with v = k_* when ``v`` is None.
 
     The GPR layer always runs with c = sigma_n^2. A test point that sees no
@@ -182,7 +168,7 @@ def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed, mode
     u = make_encoding(k_star)
     v = u if v is None else make_encoding(v)
     spec = BilinearSpec(u=u, v=v, system=model.system, config=config)
-    return estimate_bilinear(spec, shots=shots, seed=seed, mode=mode)
+    return estimate_bilinear(spec, shots=shots, seed=seed)
 
 
 def predict_mean_quantum(
@@ -191,10 +177,9 @@ def predict_mean_quantum(
     config: QlaConfig,
     shots: int | None = None,
     seed: int = 0,
-    mode: str = "exact",
 ) -> EstimationResult:
     """Linear predictor k_*^T (K + sigma_n^2 I)^{-1} y via the circuit."""
-    return _k_star_form(model, x_star, config, model.training.y, shots, seed, mode)
+    return _k_star_form(model, x_star, config, model.training.y, shots, seed)
 
 
 def predict_variance_quantum(
@@ -203,14 +188,13 @@ def predict_variance_quantum(
     config: QlaConfig,
     shots: int | None = None,
     seed: int = 0,
-    mode: str = "exact",
 ) -> EstimationResult:
     """Predictive variance k(x_*, x_*) - k_*^T (K + sigma_n^2 I)^{-1} k_*.
 
     Sampling noise can push the subtraction below zero; such estimates are
     clamped to zero with a warning.
     """
-    res = _k_star_form(model, x_star, config, None, shots, seed, mode)
+    res = _k_star_form(model, x_star, config, None, shots, seed)
     estimate = eval_kernel(model.kernel, x_star, x_star) - res.estimate
     if estimate < 0.0:
         log.warning(
@@ -225,14 +209,18 @@ def predict_variance_quantum(
 def shots_for_precision(delta: float, pilot: EstimationResult) -> int:
     """Shots needed so the rescaled standard error drops to ``delta``.
 
-    Scales the pilot run's sample variance: N = ceil(var / delta^2).
+    Scales the pilot run's sample variance: N = ceil(var / delta^2). A count
+    that is not finite is a :class:`NumericError`.
     """
     if not delta > 0:  # also rejects NaN
         raise InputError("delta must be > 0")
     if pilot.shots < 100:
         raise InputError(f"pilot run has {pilot.shots} shots; need at least 100")
-    sample_var = (pilot.std_error**2) * pilot.shots
-    return max(1, math.ceil(sample_var / delta**2))
+    try:
+        return max(1, math.ceil((pilot.std_error**2) * pilot.shots / delta**2))
+    except (ZeroDivisionError, OverflowError, ValueError):  # delta^2 is 0; an inf or NaN count
+        raise NumericError(f"delta = {delta:g} at the pilot's standard error "
+                           f"{pilot.std_error:g} needs a shot count that is not finite") from None
 
 
 def neumann_row(model: GPModel, x_star, order: int) -> np.ndarray:

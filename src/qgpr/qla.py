@@ -10,12 +10,11 @@ exact whenever every lambda * t0 * T / (2*pi) is an integer.
 the system's eigenbasis once: the basis change acts only on the target, the
 rest only on the clock and the ancilla, so the pair between them cancels.
 That rest is one fixed map per eigenvalue, simulated gate by gate once per
-config and memoized. The clock is |0> until its first Hadamards, so
-:func:`solver_block` enters the eigenbasis on the state without it, then
-writes the clock spread, that map and the way back into the new state with
-the clock appended, in one pass (:func:`qgpr._accel.spread_solve`). As in
-HHL the ancilla enters in |0> (it must, on the controlled rows), so only the
-map's ancilla-0 column is applied.
+config and memoized. The clock is |0> until its first Hadamards, so one
+pass (:func:`qgpr._accel.spread_solve`) reads the state without it and writes
+the new state with the clock appended: V^H, the clock spread, that map and V.
+As in HHL the ancilla enters in |0> (it must, on the controlled rows), so only
+the ancilla-0 rows enter the eigenbasis and the map's ancilla-0 column applies.
 """
 
 from __future__ import annotations
@@ -153,7 +152,10 @@ def make_encoding(v) -> SparseEncoding:
     values = vec[support]
     support.setflags(write=False)
     values.setflags(write=False)
-    return SparseEncoding(support, values, int(vec.shape[0]), float(1.0 / np.abs(values).max()))
+    peak = float(np.abs(values).max())
+    if not math.isfinite(1.0 / peak):  # Python floats: inf past the range, not a warning
+        raise NumericError(f"1/max|v| overflows: the largest entry is {peak:g}")
+    return SparseEncoding(support, values, int(vec.shape[0]), 1.0 / peak)
 
 
 def state_prep_vector(enc: SparseEncoding, index_width: int) -> np.ndarray:
@@ -341,9 +343,9 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
 
     The stages between the clock spread and V (phase table, inverse QFT,
     inversion, QFT, conjugate table, Hadamards) run once per config, gate by
-    gate on a small state (:func:`_solver_response`). Each call runs V^H on a
-    copy of ``state``; :func:`qgpr._accel.spread_solve` then writes the spread,
-    that response and V into the new state. The ancilla must be |0> on the
+    gate on a small state (:func:`_solver_response`). Each call is then one
+    :func:`qgpr._accel.spread_solve`, which writes V^H, the spread, that
+    response and V into the new state. The ancilla must be |0> on the
     controlled rows of ``state``. Every input, the qubit cap and that ancilla
     among them, is checked before anything is allocated.
     """
@@ -355,10 +357,8 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     if np.any(_accel._pinned(state.amps, m - config.clock_qubits, (*cpos, (apos, 1)))):
         raise InputError(f"ancilla register {ancilla!r} must be |0> on the controlled rows")
     g_c, g_s = _solver_response(lam.tobytes(), config)
-    free = state.copy()
-    _accel.apply_matrix(free.amps, vec.conj().T, tpos, m - config.clock_qubits, cpos)
     return StateVector._adopt(layout, _accel.spread_solve(
-        free.amps, vec, g_c, g_s, tpos, apos, m, config.clock_qubits, cpos))
+        state.amps, vec, g_c, g_s, tpos, apos, m, config.clock_qubits, cpos))
 
 
 def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:

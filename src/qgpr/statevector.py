@@ -436,8 +436,13 @@ def sample_observable(state: StateVector, obs: Observable, shots: int, seed: int
     value probabilities, so the cost does not depend on ``shots``, and
     identical inputs give identical counts.
     """
+    check_shots(shots, seed)
+    return np.random.default_rng(seed).multinomial(shots, _value_probabilities(state, obs))
+
+
+def check_shots(shots: int, seed: int) -> None:
+    """Reject a shot count outside 1..MAX_SHOTS or a negative seed."""
     if not 1 <= shots <= MAX_SHOTS:
         raise InputError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed).multinomial(shots, _value_probabilities(state, obs))

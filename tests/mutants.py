@@ -64,10 +64,28 @@ MUTANTS = (
     ("qgpr/_accel.py", "vec * (a0 / math.sqrt(big_t))", "vec * a0",
      ["tests/test_qla.py", "-k", "TestSpread"]),
     # spread_solve: the real product only for real rows and a real V
-    ("qgpr/_accel.py",
-     "        if vec.dtype == np.float64 and not a0.imag.any():\n            a0 = a0.real\n",
-     "        a0 = a0.real\n",
+    ("qgpr/_accel.py", "a0 = vec.T @ x.real if real else vec.conj().T @ x",
+     "a0 = vec.T @ x.real", ["tests/test_qla.py", "-k", "TestSpread"]),
+    # spread_solve: a complex V enters the eigenbasis by its conjugate transpose
+    ("qgpr/_accel.py", "vec.conj().T @ x", "vec.T @ x",
      ["tests/test_qla.py", "-k", "TestSpread"]),
+    # estimate_bilinear checks shots and seed before it builds the state
+    ("qgpr/estimator.py", "    if shots is not None:\n        sv.check_shots(shots, seed)\n", "",
+     ["tests/test_estimator.py", "-k", "out_of_range_fail_before_the_state_is_built"]),
+    # the rescaling divides by c, c_u and c_v in turn, never by their product
+    ("qgpr/estimator.py",
+     "x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.config.c / spec.u.c_v / spec.v.c_v",
+     "x * (math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v))",
+     ["tests/test_cli.py", "-k", "TestTargetNearTheFloatMaximum"]),
+    # a shot recommendation that is not finite is a numerical error
+    ("qgpr/estimator.py", "    except (ZeroDivisionError, OverflowError, ValueError):", "    except ():",
+     ["tests/test_cli.py", "-k", "TestShotRecommendationNotFinite"]),
+    # the CLI checks every run's qubit and shot caps before it builds the model
+    ("qgpr/cli.py", "    for value, clock, shots in runs:", "    for value, clock, shots in ():",
+     ["tests/test_cli.py", "-k", "TestLimitsBeforeTheModel"]),
+    # a vector too small to scale to a unit entry is refused
+    ("qgpr/qla.py", "    if not math.isfinite(1.0 / peak):", "    if False:",
+     ["tests/test_qla.py", "-k", "TestMakeEncoding"]),
 )
 
 

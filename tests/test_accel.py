@@ -168,10 +168,11 @@ class TestPairRot:
         _accel.pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
-    # spread_solve: on these 8-qubit layouts, the Hadamards on a zero clock at
-    # cstart, one 2x2 block per joint (target, clock) value with complex
-    # tables, then V. The kernel appends its clock last, so the clock block
-    # moves to the end and the other qubits keep their order
+    # spread_solve: on these 8-qubit layouts, V^H on the clock-free input, the
+    # Hadamards on a zero clock at cstart, one 2x2 block per joint (target,
+    # clock) value with complex tables, then V. The kernel appends its clock
+    # last, so the clock block moves to the end and the other qubits keep
+    # their order
     @pytest.mark.parametrize(
         "tstart, twidth, cstart, apos, controls",
         [
@@ -201,10 +202,11 @@ class TestPairRot:
             rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
         free = zero_controlled_ancilla(random_amps(rng, m - cwidth), m - cwidth, apos, controls)
         walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * cwidth)
-        spread = dense_operator(walsh, clock, m, controls) @ np.kron(free, np.eye(1 << cwidth)[0])
-        turned = dense_operator(rot, tpos + clock + (apos,), m, controls) @ spread
         dim = 1 << twidth
         for vec in (random_orthogonal(rng, dim), random_unitary(rng, dim)):
+            entered = dense_operator(vec.conj().T, tpos, m - cwidth, controls) @ free
+            spread = dense_operator(walsh, clock, m, controls) @ np.kron(entered, np.eye(1 << cwidth)[0])
+            turned = dense_operator(rot, tpos + clock + (apos,), m, controls) @ spread
             expected = dense_operator(vec, tpos, m, controls) @ turned
             out = _accel.spread_solve(free, vec, g_c, g_s, tpos, apos, m, cwidth, controls)
             np.testing.assert_allclose(out, expected, atol=1e-12)

@@ -132,7 +132,7 @@ def test_criterion_04_bilinear_estimator_identity():
             cfg = QlaConfig(4, t0, c=float(lam.min()))
             u, v = rng.normal(size=4), rng.normal(size=4)
             res = estimate_bilinear(
-                BilinearSpec(make_encoding(u), make_encoding(v), a, cfg), mode="exact"
+                BilinearSpec(make_encoding(u), make_encoding(v), a, cfg)
             )
             truth = float(u @ dense_inverse(a) @ v)
             assert res.estimate == pytest.approx(truth, abs=1e-6)
@@ -160,8 +160,8 @@ def test_criterion_05_end_to_end_gpr_agreement():
                 exact = predict_exact(model, x_star)
                 for clock in (4, 6, 8):
                     cfg = gpr_config(model, clock)
-                    m = predict_mean_quantum(model, x_star, cfg, mode="exact")
-                    v = predict_variance_quantum(model, x_star, cfg, mode="exact")
+                    m = predict_mean_quantum(model, x_star, cfg)
+                    v = predict_variance_quantum(model, x_star, cfg)
                     err_m = abs(m.estimate - exact.mean)
                     err_v = abs(v.estimate - exact.variance)
                     errors[clock].extend([err_m, err_v])
@@ -183,7 +183,7 @@ def test_criterion_06_shot_noise_law():
         for shots in estimates:
             for seed in range(50):
                 res = predict_mean_quantum(
-                    model, x_star, cfg, shots=shots, seed=seed, mode="sampled"
+                    model, x_star, cfg, shots=shots, seed=seed
                 )
                 estimates[shots].append(res.estimate)
         ratio = np.std(estimates[1000], ddof=1) / np.std(estimates[100_000], ddof=1)
@@ -193,11 +193,11 @@ def test_criterion_06_shot_noise_law():
         hits = 0
         for seed in range(50):
             pilot = predict_mean_quantum(
-                model, x_star, cfg, shots=400, seed=seed, mode="sampled"
+                model, x_star, cfg, shots=400, seed=seed
             )
             n_rec = shots_for_precision(delta, pilot)
             check = predict_mean_quantum(
-                model, x_star, cfg, shots=n_rec, seed=5000 + seed, mode="sampled"
+                model, x_star, cfg, shots=n_rec, seed=5000 + seed
             )
             if check.std_error <= 1.5 * delta:
                 hits += 1

@@ -1,5 +1,7 @@
 import json
 import math
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,15 @@ from qgpr.cli import (
 from qgpr.estimator import gpr_config, predict_mean_quantum, shots_for_precision
 from qgpr.exceptions import InputError, ParseError
 from qgpr.statevector import MAX_SHOTS
-from qgpr.kernels import SystemDiagnostics, TrainingSet, build_model, KernelSpec
+from qgpr.kernels import (
+    KernelSpec,
+    SystemDiagnostics,
+    TrainingSet,
+    build_cross,
+    build_model,
+    eval_kernel,
+)
+from qgpr.qla import make_encoding
 
 
 def write_config(tmp_path, dataset, **overrides):
@@ -270,7 +280,7 @@ class TestCmdDiagnose:
         model = build_model(ingest_csv(dataset), cfg.kernel, cfg.noise_variance)
         pilot = predict_mean_quantum(
             model, cfg.test_points[0], gpr_config(model, 5),
-            shots=400, seed=cfg.seed, mode="sampled",
+            shots=400, seed=cfg.seed,
         )
         assert report["recommended_shots"] == shots_for_precision(0.05, pilot)
 
@@ -398,16 +408,11 @@ class TestMainExitCodes:
         assert main(["diagnose", "--config", str(cfgp)]) == EXIT_NUMERIC
 
     def test_non_finite_estimate_is_numeric_error_naming_the_field(self, tmp_path, capsys):
-        # a target of 1e308 makes the quantum mean overflow while the classical one does not
-        example = Path(__file__).resolve().parents[1] / "docs" / "examples"
-        rows = (example / "train.csv").read_text().splitlines()
-        rows[2] = rows[2].split(",")[0] + ",1e308"
+        # two targets of 1.75e308: with little noise the mean between them
+        # bumps about 3% above them, past the largest float
         dataset = tmp_path / "train.csv"
-        dataset.write_text("\n".join(rows) + "\n")
-        raw = json.loads((example / "predict.json").read_text())
-        raw["dataset"] = str(dataset)
-        cfgp = tmp_path / "config.json"
-        cfgp.write_text(json.dumps(raw))
+        dataset.write_text("0,1.75e308\n0.5,1.75e308\n")
+        cfgp = write_config(tmp_path, dataset, noise_variance=1e-3, test_points=[[0.25]])
         out = tmp_path / "r.json"
         assert main(["predict", "--config", str(cfgp), "--out", str(out)]) == EXIT_NUMERIC
         err = capsys.readouterr().err.splitlines()
@@ -547,3 +552,214 @@ class TestMainExitCodes:
         assert main([command, "--config", str(canonical), "--out", str(out)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err == f"input error: cannot write {out}: No space left on device\n"
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+# each config field and each CSV cell is replaced in turn by each of these
+HOSTILE = (0, -1, 1e308, -1e308, 1e-320, 2**70, "a string", [], None, True)
+
+
+def _hostile_configs():
+    """(case name, config) per hostile value in each field of the example
+    sweep config, with delta set so that diagnose runs its pilot."""
+    base = json.loads((EXAMPLES / "sweep.json").read_text())
+    base.update(dataset=str(EXAMPLES / "train.csv"), delta=0.05, has_header=False,
+                kappa_bound=1e4, out="report")
+    base["sweep"]["values"] = [4, 5]
+    paths = [(k,) for k in base] + [("kernel", k) for k in
+                                    ("family", "signal_variance", "lengthscale", "cutoff_radius")]
+    paths += [("sweep", "axis"), ("sweep", "values")]
+    for path in paths:
+        for value in HOSTILE:
+            raw = json.loads(json.dumps(base))
+            *parents, key = path
+            node = raw
+            for parent in parents:
+                node = node[parent]
+            node[key] = value
+            yield f"{'.'.join(path)}={value!r}", raw
+
+
+def _hostile_datasets():
+    """(case name, CSV text) per hostile cell value in each cell of the example data set."""
+    rows = [line.split(",") for line in (EXAMPLES / "train.csv").read_text().splitlines()]
+    for i, row in enumerate(rows):
+        for j in range(len(row)):
+            for value in (*(v for v in HOSTILE if isinstance(v, (int, float))), "a string",
+                          "nan", "inf"):
+                cells = [list(r) for r in rows]
+                cells[i][j] = str(value)
+                yield f"cell[{i}][{j}]={value!r}", "\n".join(map(",".join, cells)) + "\n"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} in a report")
+
+
+def _example_config(tmp_path, rows=None, **overrides):
+    """docs/examples/predict.json with the data set's ``rows`` (text lines) swapped
+    in when given and ``overrides`` applied; returns the config path."""
+    raw = json.loads((EXAMPLES / "predict.json").read_text())
+    raw.update(dataset=str(EXAMPLES / "train.csv" if rows is None else tmp_path / "train.csv"),
+               **overrides)
+    if rows is not None:
+        (tmp_path / "train.csv").write_text("\n".join(rows) + "\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _with_target(row: int, target: str) -> list[str]:
+    """The example data set's rows with the target of one row replaced."""
+    rows = (EXAMPLES / "train.csv").read_text().splitlines()
+    rows[row] = rows[row].split(",")[0] + "," + target
+    return rows
+
+
+class TestTargetNearTheFloatMaximum:
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_estimates_are_rescaled_without_overflow(self, tmp_path, mode):
+        # a target of 1e308 makes c_v = 1e-308, so the combined factor
+        # sqrt(s_u s_v) / (c c_u c_v) overflows although every estimate is finite
+        cfgp = _example_config(tmp_path, _with_target(2, "1e308"), mode=mode)
+        out = tmp_path / "r.json"
+        assert main(["predict", "--config", str(cfgp), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text(), parse_constant=_no_constant)
+        cfg = load_config(cfgp)
+        model = build_model(ingest_csv(cfg.dataset), cfg.kernel, cfg.noise_variance)
+        y = make_encoding(model.training.y)
+        for rec in report["results"]:
+            point = rec["test_point"]
+            u = make_encoding(build_cross(model, point))
+            for key, v in (("mean", y), ("variance", u)):
+                q = rec["quantum"][key]
+                form = float(Fraction(q["raw_mean"]) * Fraction(math.sqrt(u.s_v * v.s_v))
+                             / (Fraction(cfg.noise_variance) * Fraction(u.c_v) * Fraction(v.c_v)))
+                if key == "mean":
+                    assert q["estimate"] == pytest.approx(form, rel=1e-12)
+                elif q["estimate"] > 0.0:  # not clamped
+                    k_ss = eval_kernel(model.kernel, point, point)
+                    assert k_ss - q["estimate"] == pytest.approx(form, rel=1e-12)
+
+
+class TestShotRecommendationNotFinite:
+    """diagnose --delta exits 3 with one line when the shot count it would
+    recommend is not a finite number."""
+
+    @pytest.mark.parametrize(
+        "rows, overrides, delta",
+        [
+            (None, {}, "1e-170"),  # delta^2 underflows to 0
+            (None, {"noise_variance": 1e-320}, "0.05"),  # c = 1e-320: the count overflows
+            (_with_target(2, "-1e308"), {}, "0.05"),  # the pilot's variance is about 6e613
+        ],
+        ids=["delta-squared-underflows", "noise-variance-1e-320", "target-minus-1e308"],
+    )
+    def test_is_one_line_numeric_error(self, tmp_path, capsys, rows, overrides, delta):
+        cfgp = _example_config(tmp_path, rows, **overrides)
+        assert main(["diagnose", "--config", str(cfgp), "--delta", delta]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical error: delta = {float(delta):g} at the pilot's")
+        assert err.count("\n") == 1
+
+
+class TestLimitsBeforeTheModel:
+    """A run past the qubit or the shot cap is refused once the data set is
+    read, before the model is built."""
+
+    @staticmethod
+    def nine_rows(tmp_path, **overrides):
+        # 9 rows at clock 16: A1 B4 C1 D1 E16 is 23 qubits, one past the cap
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("".join(f"{i / 4},{math.sin(i)}\n" for i in range(9)))
+        return write_config(tmp_path, dataset, **{"clock_qubits": 16, **overrides})
+
+    @pytest.mark.parametrize(
+        "argv, overrides",
+        [
+            (["predict"], {}),
+            (["sweep"], {"sweep": {"axis": "shots", "values": [100]}}),
+            (["diagnose", "--delta", "0.05"], {}),
+            (["predict"], {"clock_qubits": 8, "mode": "sampled", "shots": MAX_SHOTS + 1}),
+        ],
+        ids=["predict", "sweep", "diagnose-delta", "sampled-predict-past-the-shot-cap"],
+    )
+    def test_refused_before_the_model_is_built(self, tmp_path, monkeypatch, capsys, argv,
+                                               overrides):
+        def no_model(*args, **kwargs):
+            raise AssertionError("the model was built before the limits were checked")
+
+        monkeypatch.setattr(cli, "build_model", no_model)
+        cfgp = self.nine_rows(tmp_path, **overrides)
+        assert main([*argv, "--config", str(cfgp)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+    def test_plain_diagnose_makes_no_estimate_and_checks_nothing(self, tmp_path):
+        assert main(["diagnose", "--config", str(self.nine_rows(tmp_path))]) == EXIT_OK
+
+
+class TestHostileValueGrid:
+    """Every hostile value in every config field and data set cell ends in exit
+    status 0, 2 or 3 within 2 s, with a one-line reason on a non-zero exit and
+    only finite numbers in what is written."""
+
+    @staticmethod
+    def run_case(command, config, capsys):
+        """Why this case fails the contract, or None."""
+        start = time.perf_counter()
+        try:
+            status = main([command, "--config", str(config)])
+        except Exception as exc:  # any exception escaping main is the failure recorded
+            return f"{type(exc).__name__}: {exc}"
+        took = time.perf_counter() - start
+        err = capsys.readouterr().err.strip().splitlines()
+        if status not in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC):
+            return f"exit status {status}"
+        if status and not err[-1].startswith(("input error:", "numerical error:")):
+            return f"exit {status} ends stderr with {err[-1:]}"
+        if took > 2.0:
+            return f"took {took:.2f} s"
+        out = json.loads(config.read_text()).get("out")
+        report = config.parent / out if isinstance(out, str) else None
+        if report is not None and report.is_file():
+            text = report.read_text()
+            report.unlink()
+            try:
+                if command == "sweep":
+                    numbers = [float(c) for line in text.splitlines()[2:] for c in line.split(",")]
+                    if not all(map(math.isfinite, numbers)):
+                        return "a non-finite number in the sweep table"
+                else:
+                    json.loads(text, parse_constant=_no_constant)
+            except ValueError as exc:
+                return f"report does not parse: {exc}"
+        return None
+
+    @pytest.mark.parametrize("command", ["predict", "sweep", "diagnose"])
+    def test_config_fields(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)  # an "out" replaced by a string writes here
+        config = tmp_path / "config.json"
+        failures = []
+        for name, raw in _hostile_configs():
+            config.write_text(json.dumps(raw))
+            why = self.run_case(command, config, capsys)
+            if why:
+                failures.append(f"{name}: {why}")
+        assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("command", ["predict", "sweep", "diagnose"])
+    def test_data_set_cells(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        raw = json.loads((EXAMPLES / "sweep.json").read_text())
+        raw.update(dataset=str(tmp_path / "train.csv"), delta=0.05, out="report")
+        raw["sweep"]["values"] = [4, 5]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        failures = []
+        for name, text in _hostile_datasets():
+            (tmp_path / "train.csv").write_text(text)
+            why = self.run_case(command, config, capsys)
+            if why:
+                failures.append(f"{name}: {why}")
+        assert not failures, "\n".join(failures)

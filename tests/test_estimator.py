@@ -173,7 +173,7 @@ class TestEstimateBilinear:
         cfg = exact_cfg(3, 1.0, c=1.0)
         e0 = np.array([1.0, 0.0])
         spec = BilinearSpec(make_encoding(e0), make_encoding(e0), np.eye(2), cfg)
-        res = estimate_bilinear(spec, mode="exact")
+        res = estimate_bilinear(spec)
         assert res.estimate == pytest.approx(1.0, abs=1e-10)
         assert res.std_error == 0.0 and res.shots == 0
 
@@ -181,7 +181,7 @@ class TestEstimateBilinear:
         cfg = exact_cfg(3, 1.0, c=1.0)
         e0 = np.array([1.0, 0.0])
         spec = BilinearSpec(make_encoding(e0), make_encoding(-e0), np.eye(2), cfg)
-        res = estimate_bilinear(spec, mode="exact")
+        res = estimate_bilinear(spec)
         assert res.estimate == pytest.approx(-1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -192,7 +192,7 @@ class TestEstimateBilinear:
             cfg = QlaConfig(6, t0, c=float(lam.min()))
             u, v = rng.normal(size=n), rng.normal(size=n)
             spec = BilinearSpec(make_encoding(u), make_encoding(v), a, cfg)
-            res = estimate_bilinear(spec, mode="exact")
+            res = estimate_bilinear(spec)
             truth = u @ dense_inverse(a) @ v
             assert res.estimate == pytest.approx(truth, abs=1e-6)
 
@@ -229,10 +229,10 @@ class TestEstimateBilinear:
         v = np.array([-0.7, 0.4])
         a = np.diag([1.0, 2.0])
         plus = estimate_bilinear(
-            BilinearSpec(make_encoding(u), make_encoding(v), a, cfg), 100_000, 0, "sampled"
+            BilinearSpec(make_encoding(u), make_encoding(v), a, cfg), 100_000, 0
         )
         minus = estimate_bilinear(
-            BilinearSpec(make_encoding(-u), make_encoding(v), a, cfg), 100_000, 1, "sampled"
+            BilinearSpec(make_encoding(-u), make_encoding(v), a, cfg), 100_000, 1
         )
         sigma = math.hypot(plus.std_error, minus.std_error)
         assert abs(plus.estimate + minus.estimate) <= 3 * sigma
@@ -244,8 +244,8 @@ class TestEstimateBilinear:
         spec = BilinearSpec(
             make_encoding([1.0, 0.5]), make_encoding([0.5, 1.0]), np.diag([1.0, 2.0]), cfg
         )
-        a = estimate_bilinear(spec, 5000, seed=9, mode="sampled")
-        b = estimate_bilinear(spec, 5000, seed=9, mode="sampled")
+        a = estimate_bilinear(spec, 5000, seed=9)
+        b = estimate_bilinear(spec, 5000, seed=9)
         assert a == b
 
     def test_length_mismatch(self):
@@ -253,19 +253,22 @@ class TestEstimateBilinear:
         with pytest.raises(InputError):
             BilinearSpec(make_encoding([1.0]), make_encoding([1.0, 2.0]), np.eye(2), cfg)
 
-    def test_bad_mode_and_missing_shots(self):
+    def test_shots_or_seed_out_of_range_fail_before_the_state_is_built(self, monkeypatch):
+        def no_state(spec):
+            raise AssertionError("the state was built before shots and seed were checked")
+
+        monkeypatch.setattr(estimator, "build_interference_state", no_state)
         cfg = exact_cfg(3, 1.0, c=1.0)
         spec = BilinearSpec(make_encoding([1.0]), make_encoding([1.0]), np.eye(1), cfg)
-        with pytest.raises(InputError):
-            estimate_bilinear(spec, mode="fast")
-        with pytest.raises(InputError):
-            estimate_bilinear(spec, mode="sampled")
+        for shots, seed in ((0, 0), (sv.MAX_SHOTS + 1, 0), (100, -1)):
+            with pytest.raises(InputError):
+                estimate_bilinear(spec, shots, seed=seed)
 
 
 class TestPredictMeanQuantum:
     def test_canonical_scalar_instance(self):
         model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
-        res = predict_mean_quantum(model, [0.0], gpr_config(model, 8), mode="exact")
+        res = predict_mean_quantum(model, [0.0], gpr_config(model, 8))
         assert res.estimate == pytest.approx(1.0, abs=1e-9)
 
     def test_single_visible_target(self, rng):
@@ -275,7 +278,7 @@ class TestPredictMeanQuantum:
         eta = 1.7
         y = np.array([0.0, 0.0, 0.0, eta])
         model = build_model(TrainingSet(X, y), spec, 1.0)
-        res = predict_mean_quantum(model, [1.2], gpr_config(model, 9), mode="exact")
+        res = predict_mean_quantum(model, [1.2], gpr_config(model, 9))
         k = build_cross(model, [1.2])
         truth = eta * (k @ np.linalg.inv(model.system))[3]
         assert res.estimate == pytest.approx(truth, rel=0.02, abs=5e-4)
@@ -283,13 +286,13 @@ class TestPredictMeanQuantum:
     def test_zero_cross_covariance_skips_circuit(self):
         spec = KernelSpec("compact-support", 1.0, 1.0, cutoff_radius=1.0)
         model = build_model(TrainingSet([[0.0]], [2.0]), spec, 1.0)
-        res = predict_mean_quantum(model, [10.0], gpr_config(model, 8), mode="exact")
+        res = predict_mean_quantum(model, [10.0], gpr_config(model, 8))
         assert res == EstimationResult(0.0, 0.0, 0, 0.0, 0.0, res.config, res.seed)
 
     def test_n4_within_tolerance(self, rng):
         model = random_se_model(rng, n=4)
         x_star = [0.4]
-        res = predict_mean_quantum(model, x_star, gpr_config(model, 8), mode="exact")
+        res = predict_mean_quantum(model, x_star, gpr_config(model, 8))
         truth = predict_exact(model, x_star).mean
         assert abs(res.estimate - truth) <= 0.05 * abs(truth) + 0.01
 
@@ -297,13 +300,13 @@ class TestPredictMeanQuantum:
 class TestPredictVarianceQuantum:
     def test_canonical_scalar_instance(self):
         model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
-        res = predict_variance_quantum(model, [0.0], gpr_config(model, 8), mode="exact")
+        res = predict_variance_quantum(model, [0.0], gpr_config(model, 8))
         assert res.estimate == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_cross_covariance_gives_prior_variance(self):
         spec = KernelSpec("compact-support", 1.3, 1.0, cutoff_radius=1.0)
         model = build_model(TrainingSet([[0.0]], [2.0]), spec, 1.0)
-        res = predict_variance_quantum(model, [10.0], gpr_config(model, 8), mode="exact")
+        res = predict_variance_quantum(model, [10.0], gpr_config(model, 8))
         assert res.estimate == pytest.approx(1.3)
         # beyond the cutoff the mean is the prior mean too
         assert predict_mean_quantum(model, [10.0], gpr_config(model, 8)).estimate == 0.0
@@ -312,7 +315,7 @@ class TestPredictVarianceQuantum:
     def test_n4_within_tolerance(self, rng):
         model = random_se_model(rng, n=4)
         x_star = [0.4]
-        res = predict_variance_quantum(model, x_star, gpr_config(model, 8), mode="exact")
+        res = predict_variance_quantum(model, x_star, gpr_config(model, 8))
         truth = predict_exact(model, x_star).variance
         assert abs(res.estimate - truth) <= 0.05 * abs(truth) + 0.01
 
@@ -322,7 +325,7 @@ class TestPredictVarianceQuantum:
         k_ss = eval_kernel(model.kernel, [0.0], [0.0])
         stub = EstimationResult(k_ss + 5e-4, 0.0, 0, 0.0, 0.0, None, 0)
         monkeypatch.setattr(estimator, "_k_star_form", lambda *args: stub)
-        res = predict_variance_quantum(model, [0.0], gpr_config(model, 8), mode="exact")
+        res = predict_variance_quantum(model, [0.0], gpr_config(model, 8))
         assert res.estimate == 0.0
 
     def test_consistent_with_mean_path_on_k_star(self, rng):
@@ -336,8 +339,8 @@ class TestPredictVarianceQuantum:
         swapped = build_model(
             TrainingSet(model.training.X, k_star), model.kernel, model.noise_variance
         )
-        mean_path = predict_mean_quantum(swapped, x_star, cfg, mode="exact")
-        var_path = predict_variance_quantum(model, x_star, cfg, mode="exact")
+        mean_path = predict_mean_quantum(swapped, x_star, cfg)
+        var_path = predict_variance_quantum(model, x_star, cfg)
         assert k_ss - var_path.estimate == pytest.approx(mean_path.estimate, abs=1e-10)
 
 
@@ -348,9 +351,9 @@ class TestGprInversionConstant:
         spec = KernelSpec("compact-support", 1.0, 1.0, cutoff_radius=1.5)
         model = build_model(TrainingSet([[0.0], [0.5], [1.0]], [1.0, -0.5, 2.0]), spec, 0.5)
         cfg = gpr_config(model, 8)
-        res = predict(model, x_star, replace(cfg, c=model.noise_variance / 2), mode="exact")
+        res = predict(model, x_star, replace(cfg, c=model.noise_variance / 2))
         assert res.config.c == model.noise_variance
-        assert res == predict(model, x_star, cfg, mode="exact")
+        assert res == predict(model, x_star, cfg)
 
 
 class TestMetamorphic:
@@ -361,8 +364,8 @@ class TestMetamorphic:
     def _quantum(self, model):
         cfg = gpr_config(model, 6)
         return (
-            predict_mean_quantum(model, self.X_STAR, cfg, mode="exact").estimate,
-            predict_variance_quantum(model, self.X_STAR, cfg, mode="exact").estimate,
+            predict_mean_quantum(model, self.X_STAR, cfg).estimate,
+            predict_variance_quantum(model, self.X_STAR, cfg).estimate,
         )
 
     def test_permuting_training_rows(self, rng):
@@ -418,10 +421,10 @@ class TestShotsForPrecision:
         hits = 0
         trials = 20
         for seed in range(trials):
-            pilot = predict_mean_quantum(model, x_star, cfg, shots=400, seed=seed, mode="sampled")
+            pilot = predict_mean_quantum(model, x_star, cfg, shots=400, seed=seed)
             n_rec = shots_for_precision(delta, pilot)
             check = predict_mean_quantum(
-                model, x_star, cfg, shots=n_rec, seed=1000 + seed, mode="sampled"
+                model, x_star, cfg, shots=n_rec, seed=1000 + seed
             )
             if check.std_error <= 1.5 * delta:
                 hits += 1
@@ -468,7 +471,7 @@ class TestShotNoiseScaling:
         for shots in ests:
             for seed in range(30):
                 res = predict_mean_quantum(
-                    model, x_star, cfg, shots=shots, seed=seed, mode="sampled"
+                    model, x_star, cfg, shots=shots, seed=seed
                 )
                 ests[shots].append(res.estimate)
         ratio = np.std(ests[1000], ddof=1) / np.std(ests[100_000], ddof=1)
@@ -508,7 +511,7 @@ class TestSampledReadout:
         # mean, sample standard deviation (ddof = 1) and success fraction of the
         # shots the counts stand for
         spec, state = random_interference_state(rng, 4, 5)
-        res = estimate_bilinear(spec, 3000, seed=7, mode="sampled")
+        res = estimate_bilinear(spec, 3000, seed=7)
         counts = sv.sample_observable(state, observable_M(state.layout), 3000, 7)
         shots = np.repeat([-1.0, 0.0, 1.0], counts)
         sd = shots.std(ddof=1) / math.sqrt(shots.size)
@@ -517,7 +520,7 @@ class TestSampledReadout:
         assert res.estimate == pytest.approx(shots.mean() * scale, rel=1e-12)
         assert res.std_error == pytest.approx(sd * scale, rel=1e-12)
         assert res.success_fraction == pytest.approx(np.mean(shots != 0.0), rel=1e-12)
-        one = estimate_bilinear(spec, 1, seed=7, mode="sampled")
+        one = estimate_bilinear(spec, 1, seed=7)
         assert one.std_error == 0.0 and one.raw_mean in (-1.0, 0.0, 1.0)
 
 

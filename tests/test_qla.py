@@ -6,7 +6,7 @@ import pytest
 
 from qgpr import _accel, qla
 from qgpr import statevector as sv
-from qgpr.exceptions import ConfigError, InputError, ZeroProbabilityError
+from qgpr.exceptions import ConfigError, InputError, NumericError, ZeroProbabilityError
 from qgpr.qla import (
     QlaConfig,
     config_for,
@@ -60,6 +60,11 @@ class TestMakeEncoding:
     def test_all_zero_rejected(self):
         with pytest.raises(InputError):
             make_encoding(np.zeros(4))
+
+    def test_subnormal_peak_is_numeric_error(self):
+        # 1/1e-320 is past the float range: no admissible scaling exists
+        with pytest.raises(NumericError, match=r"1/max\|v\| overflows"):
+            make_encoding([0.0, 1e-320, -5e-321])
 
     def test_dense_roundtrip(self, rng):
         v = rng.normal(size=6)
@@ -474,9 +479,10 @@ def block_layout(layout_name, index_width):
 
 
 class TestSpread:
-    """_accel.spread_solve against the gate chain it writes in one pass: the
-    Hadamard layer on a zero clock appended last, the ancilla rotation by
-    (target value, clock value) tables, and V on the target, all controlled."""
+    """_accel.spread_solve against the gate chain it writes in one pass: V^H on
+    the target of the clock-free input, the Hadamard layer on a zero clock
+    appended last, the ancilla rotation by (target value, clock value) tables,
+    and V on the target, all controlled."""
 
     @staticmethod
     def check_against_chain(rng, state, width, controls):
@@ -484,21 +490,22 @@ class TestSpread:
         big_t = 1 << width
         g_c, g_s = (rng.normal(size=(4, big_t)) + 1j * rng.normal(size=(4, big_t))
                     for _ in range(2))
-        chain = with_zero_clock(state, "clock", width)
-        sv.hadamard_layer(chain, "clock", controls)
-        full = chain.layout
-        m, cpos = full.total_qubits, sv._control_positions(full, controls)
-        tpos, apos = full.positions("index"), full.qubit("anc", 0)
-        rows = (*full.positions("clock"), apos)
-        for j in range(4):  # one (clock, ancilla) block per target value
-            rot = np.zeros((big_t, 2, big_t, 2), dtype=complex)
-            rot[np.arange(big_t), :, np.arange(big_t), :] = np.moveaxis(
-                [[g_c[j], -g_s[j]], [g_s[j], g_c[j]]], -1, 0)
-            pins = (*cpos, (tpos[0], j >> 1), (tpos[1], j & 1))
-            _accel.apply_matrix(chain.amps, rot.reshape(2 * big_t, -1), rows, m, pins)
         real, cplx = (np.linalg.eigh(a)[1] for a in (random_spd(rng, 4), random_hermitian(rng, 4)))
         for vec in (real, cplx):
-            expected = chain.copy()
+            entered = state.copy()
+            sv.apply_gate(entered, vec.conj().T, "index", controls)
+            expected = with_zero_clock(entered, "clock", width)
+            sv.hadamard_layer(expected, "clock", controls)
+            full = expected.layout
+            m, cpos = full.total_qubits, sv._control_positions(full, controls)
+            tpos, apos = full.positions("index"), full.qubit("anc", 0)
+            rows = (*full.positions("clock"), apos)
+            for j in range(4):  # one (clock, ancilla) block per target value
+                rot = np.zeros((big_t, 2, big_t, 2), dtype=complex)
+                rot[np.arange(big_t), :, np.arange(big_t), :] = np.moveaxis(
+                    [[g_c[j], -g_s[j]], [g_s[j], g_c[j]]], -1, 0)
+                pins = (*cpos, (tpos[0], j >> 1), (tpos[1], j & 1))
+                _accel.apply_matrix(expected.amps, rot.reshape(2 * big_t, -1), rows, m, pins)
             sv.apply_gate(expected, vec, "index", controls)
             out = _accel.spread_solve(state.amps, vec, g_c, g_s, tpos, apos, m, width, cpos)
             assert np.abs(out - expected.amps).max() <= 1e-12
