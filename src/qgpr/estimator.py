@@ -16,9 +16,11 @@ so both the magnitude and the sign of the bilinear form are recovered.
 Rescaling <M> yields the GPR linear predictor (u = k_*, v = y) and, with
 u = v = k_*, the subtracted term of the predictive variance.
 
-Exact mode (``shots=None``) reads <M> straight off the amplitudes (no shot
-noise) and isolates phase-estimation error; given shots, the estimate adds
-shot noise: the counts of M's three values, one seeded multinomial draw.
+Exact mode (``shots=None``) reads <M> and P(C=1, D=1) straight off the
+amplitudes in one readout (no shot noise) and isolates phase-estimation
+error; given shots, the estimate adds shot noise: the counts of M's three
+values, one seeded multinomial draw. M^2 is the C = D = 1 projector, so both
+modes share one standard error, sqrt((P(C=1, D=1) - <M>^2) / (shots - 1)).
 """
 
 from __future__ import annotations
@@ -126,22 +128,19 @@ def estimate_bilinear(
     The raw mean of M is rescaled by sqrt(s_u s_v) / (c c_u c_v). Exact mode
     (``shots=None``) reads it off the amplitudes; given ``shots`` (checked with
     ``seed`` before the state is built), the standard error is the rescaled
-    sample standard deviation over that many seeded draws.
+    sample standard deviation of the mean over that many seeded draws.
     """
     if shots is not None:
         sv.check_shots(shots, seed)
     state = build_interference_state(spec)
     obs = observable_M(state.layout)
     if shots is None:
-        raw = sv.expectation(state, obs)
-        success = sv.expectation(state, Observable(state.layout, {"C": "P1", "D": "P1"}))
-        std_error = 0.0
+        raw, success = sv.readout(state, obs)
     else:
-        minus, zero, plus = (int(k) for k in sv.sample_observable(state, obs, shots, seed))
+        minus, _, plus = (int(k) for k in sv.sample_observable(state, obs, shots, seed))
         raw, success = (plus - minus) / shots, (minus + plus) / shots
-        squares = minus * (-1.0 - raw) ** 2 + zero * raw**2 + plus * (1.0 - raw) ** 2
-        sd = math.sqrt(squares / (shots - 1)) if shots > 1 else 0.0
-        std_error = sd / math.sqrt(shots)
+    # M^2 is the C = D = 1 projector, so the sample variance is success - raw^2
+    std_error = math.sqrt(max(0.0, success - raw * raw) / (shots - 1)) if (shots or 0) > 1 else 0.0
 
     def rescale(x: float) -> float:  # in turn: sqrt(s_u s_v) / (c c_u c_v) can overflow
         return x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.config.c / spec.u.c_v / spec.v.c_v
@@ -159,12 +158,15 @@ def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed):
     """k_*^T (K + sigma_n^2 I)^{-1} v, with v = k_* when ``v`` is None.
 
     The GPR layer always runs with c = sigma_n^2. A test point that sees no
-    training point has k_* = 0, so the form is exactly 0 and no circuit runs.
+    training point has k_* = 0, so the form is exactly 0 and no circuit runs;
+    a sampled one still checks and records its shots.
     """
     config = replace(config, c=model.noise_variance)
     k_star = build_cross(model, x_star)
     if not k_star.any():
-        return EstimationResult(0.0, 0.0, 0, 0.0, 0.0, config, seed)
+        if shots is not None:
+            sv.check_shots(shots, seed)
+        return EstimationResult(0.0, 0.0, shots or 0, 0.0, 0.0, config, seed)
     u = make_encoding(k_star)
     v = u if v is None else make_encoding(v)
     spec = BilinearSpec(u=u, v=v, system=model.system, config=config)

@@ -19,6 +19,7 @@ from .exceptions import ConditioningError, InputError, NumericError
 SQUARED_EXPONENTIAL = "squared-exponential"
 COMPACT_SUPPORT = "compact-support"
 FAMILIES = (SQUARED_EXPONENTIAL, COMPACT_SUPPORT)
+MAX_GRAM_ENTRIES = 1 << 22  # of the Gram matrix's (n, n, d) differences: the state cap's 2^22
 
 
 def as_point(x) -> np.ndarray:
@@ -148,9 +149,14 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 
 
 def build_model(training: TrainingSet, spec: KernelSpec, noise_variance: float) -> GPModel:
-    """Build the Gram matrix and the regularized system ``K + sigma_n^2 I``."""
+    """Build the Gram matrix and the regularized system ``K + sigma_n^2 I``; a data
+    set past ``MAX_GRAM_ENTRIES`` n^2 d differences is refused before any is formed."""
     if not noise_variance > 0:  # also rejects NaN
         raise InputError("noise_variance must be > 0")
+    n, d = training.n, training.d
+    if n * n * d > MAX_GRAM_ENTRIES:
+        raise InputError(f"n = {n} points of d = {d} features need n^2 d = {n * n * d} "
+                         f"kernel differences, over the limit of {MAX_GRAM_ENTRIES}")
     gram = _k(spec, training.X, training.X)
     if not np.isfinite(gram).all():
         raise NumericError("Gram matrix has non-finite entries")

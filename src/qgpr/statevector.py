@@ -14,13 +14,14 @@ update), the quantum Fourier transform on a register (an FFT along the
 register), clock-controlled Hamiltonian evolution as its definition (one
 controlled gate per clock value: the reference for
 :func:`qgpr.qla.solver_block`), projective measurement of a register, and the
-expectation value of an :class:`Observable` and seeded shot counts of its
-values -1, 0, +1 (one multinomial draw, whatever the shot count), read off
-views of the amplitudes without a copy. The Hermitian check and the
-eigendecomposition of a system are memoized on the matrix contents, so a
-system is checked and diagonalized once however many circuits use it. Real
-gates and the real eigenbasis of a real symmetric system stay real, so the
-kernels apply them as real products.
+readout of an :class:`Observable`: its mean <M> and the weight w where every
+projector reads 1, off views of one pinned block (no copy, no pass over the
+whole state); its seeded shot counts of -1, 0, +1 are one multinomial draw
+over (w -/+ <M>) / 2 and 1 - w. One helper pins registers to values. The
+Hermitian check and the eigendecomposition of a system are memoized on the
+matrix contents, so a system is checked and diagonalized once however many
+circuits use it. Real gates and the real eigenbasis of a real symmetric
+system stay real, so the kernels apply them as real products.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -101,10 +102,6 @@ class RegisterLayout:
             raise InputError(f"register {name!r} has no qubit {j}")
         return self.start(name) + j
 
-    def value(self, basis_index: int, name: str) -> int:
-        shift = self.total_qubits - (self.start(name) + self.width(name))
-        return (basis_index >> shift) & ((1 << self.width(name)) - 1)
-
     def dims(self) -> tuple[int, ...]:
         return tuple(1 << w for _, w in self.registers)
 
@@ -172,18 +169,21 @@ class Observable:
 
 def init_basis(layout: RegisterLayout, indices: Mapping[str, int] | None = None) -> StateVector:
     """Computational basis state with the given value per register (default 0)."""
-    indices = dict(indices or {})
-    index = 0
-    for name, w in layout.registers:
-        val = int(indices.pop(name, 0))
-        if not 0 <= val < (1 << w):
-            raise InputError(f"basis index {val} overflows register {name!r} ({w} qubits)")
-        index |= val << (layout.total_qubits - (layout.start(name) + w))
-    if indices:
-        raise InputError(f"unknown registers {sorted(indices)}")
     amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    amps[index] = 1.0
+    _register_view(layout, amps, {**dict.fromkeys(layout.names, 0), **(indices or {})})[...] = 1.0
     return StateVector._adopt(layout, amps)
+
+
+def _register_view(layout: RegisterLayout, amps: np.ndarray, values: Mapping[str, int]):
+    """View of ``amps`` as the register tensor (one axis per register, in
+    layout order) with each named register pinned to its value."""
+    idx: list = [slice(None)] * len(layout.registers)
+    for name, val in values.items():
+        width = layout.width(name)  # raises for unknown names
+        if not 0 <= val < (1 << width):
+            raise InputError(f"value {val} overflows register {name!r} ({width} qubits)")
+        idx[layout.names.index(name)] = int(val)
+    return amps.reshape(layout.dims())[(*idx, ...)]  # the trailing ... keeps a 0-d result a view
 
 
 def _target_positions(layout: RegisterLayout, target) -> tuple[int, ...]:
@@ -338,37 +338,36 @@ def controlled_evolution(
         apply_gate(state, gate, target, [*bits, *controls])
 
 
-def _blocks(state: StateVector, obs: Observable, bits: Sequence[int]) -> list[np.ndarray]:
-    """The X axis's halves psi0, psi1 (or the one block without X) with the
-    projectors, in layout order, pinned to read eigenvalue indices ``bits``."""
-    if obs.layout is not state.layout and obs.layout != state.layout:
-        raise InputError("observable layout does not match state layout")
-    psi = state.amps.reshape(state.layout.dims())
-    idx: list = [slice(None)] * psi.ndim
-    bits, x_axis = iter(bits), None
-    for axis, name in enumerate(state.layout.names):
-        fac = obs.factors.get(name)
-        if fac == "X":
-            x_axis = axis
-        elif fac is not None:
-            idx[axis] = next(bits) ^ (fac == "P0")
-    if x_axis is None:
-        return [psi[tuple(idx)]]
-    return [psi[tuple(idx[:x_axis] + [half] + idx[x_axis + 1:])] for half in (0, 1)]
-
-
 def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Re<a|b> off the float64 views of the (re, im) pairs; ``np.vdot`` copies a strided slice."""
     ax = list(range(a.ndim + 1))  # and a last axis over each (re, im) pair
     return float(np.einsum(a[..., None].view(float), ax, b[..., None].view(float), ax, []))
 
 
+def readout(state: StateVector, obs: Observable) -> tuple[float, float]:
+    """``(<M>, w)`` of an observable M in one read of views of the amplitudes.
+
+    The projectors' registers are pinned once: w = |block|^2 is the weight
+    where every projector reads 1, and with an X factor <M> = 2 Re<psi0|psi1>
+    over the block's two X halves (without one, <M> = w). On a unit-norm
+    state M reads -/+1 with probability (w -/+ <M>) / 2 and 0 with 1 - w.
+    """
+    if obs.layout is not state.layout and obs.layout != state.layout:
+        raise InputError("observable layout does not match state layout")
+    pins = {name: int(fac != "P0") for name, fac in obs.factors.items() if fac != "X"}
+    block = _register_view(state.layout, state.amps, pins)
+    weight = _re_inner(block, block)
+    x = [name for name, fac in obs.factors.items() if fac == "X"]
+    if not x:
+        return weight, weight
+    axis = [name for name in state.layout.names if name not in pins].index(x[0])
+    lead = (slice(None),) * axis
+    return 2.0 * _re_inner(block[(*lead, 0)], block[(*lead, 1)]), weight
+
+
 def expectation(state: StateVector, obs: Observable) -> float:
-    """Real expectation value ``<psi|M|psi>``, read off views of the amplitudes."""
-    blocks = _blocks(state, obs, [1] * len(obs.factors))
-    if len(blocks) == 1:
-        return _re_inner(blocks[0], blocks[0])
-    return 2.0 * _re_inner(*blocks)
+    """Real expectation value ``<psi|M|psi>``: the mean of :func:`readout`."""
+    return readout(state, obs)[0]
 
 
 def project(state: StateVector, register: str, outcome: int) -> tuple[float, StateVector]:
@@ -378,53 +377,22 @@ def project(state: StateVector, register: str, outcome: int) -> tuple[float, Sta
     1e-14 of the state's squared norm raise :class:`ZeroProbabilityError`.
     """
     layout = state.layout
-    w = layout.width(register)
-    if not 0 <= outcome < (1 << w):
-        raise InputError(f"outcome {outcome} overflows register {register!r}")
-    pre = 1 << layout.start(register)
-    post = 1 << (layout.total_qubits - layout.start(register) - w)
-    cube = state.amps.reshape(pre, 1 << w, post)
-    block = cube[:, outcome, :]
+    block = _register_view(layout, state.amps, {register: outcome})
     prob = _re_inner(block, block)
     if prob <= 1e-14 * float(np.vdot(state.amps, state.amps).real):
         raise ZeroProbabilityError(
             f"outcome {outcome} of register {register!r} has probability {prob:.3e}"
         )
     amps = np.zeros_like(state.amps)
-    np.divide(block, math.sqrt(prob), out=amps.reshape(pre, 1 << w, post)[:, outcome, :])
+    np.divide(block, math.sqrt(prob), out=_register_view(layout, amps, {register: outcome}))
     return prob, StateVector._adopt(layout, amps)
 
 
 def register_component(state: StateVector, keep: str, fixed: Mapping[str, int]) -> np.ndarray:
     """Unnormalized amplitudes over ``keep`` with every other register pinned."""
-    layout = state.layout
-    missing = set(layout.names) - {keep} - set(fixed)
-    if missing:
-        raise InputError(f"registers {sorted(missing)} neither kept nor fixed")
-    idx = []
-    for name, w in layout.registers:
-        if name == keep:
-            idx.append(slice(None))
-        else:
-            val = fixed[name]
-            if not 0 <= val < (1 << w):
-                raise InputError(f"value {val} overflows register {name!r}")
-            idx.append(val)
-    return state.amps.reshape(layout.dims())[tuple(idx)].copy()
-
-
-def _value_probabilities(state: StateVector, obs: Observable) -> np.ndarray:
-    """Probabilities of the measured values (-1, 0, +1), off the block pair
-    :func:`expectation` reads: with w = |psi0|^2 + |psi1|^2 and
-    x = 2 Re<psi0|psi1> (w and x the one block's weight without X), they are
-    (w - x) / 2, |psi|^2 - w and (w + x) / 2, normalized."""
-    blocks = _blocks(state, obs, [1] * len(obs.factors))
-    weight = sum(_re_inner(b, b) for b in blocks)
-    cross = 2.0 * _re_inner(*blocks) if len(blocks) == 2 else weight
-    norm2 = float(np.vdot(state.amps, state.amps).real)
-    # an X eigenstate can leave -1e-17 in w - x, and any state in |psi|^2 - w
-    probs = np.maximum([(weight - cross) / 2.0, norm2 - weight, (weight + cross) / 2.0], 0.0)
-    return probs / probs.sum()
+    if keep not in state.layout.names or set(fixed) != set(state.layout.names) - {keep}:
+        raise InputError(f"keep one register and fix the rest, got {keep!r} and {sorted(fixed)}")
+    return _register_view(state.layout, state.amps, fixed).copy()
 
 
 def sample_observable(state: StateVector, obs: Observable, shots: int, seed: int) -> np.ndarray:
@@ -433,11 +401,16 @@ def sample_observable(state: StateVector, obs: Observable, shots: int, seed: int
     Each factor is measured in its own eigenbasis and a draw's value is the
     product of the factor eigenvalues, so it is nonzero only where every
     projector reads 1. The counts are one multinomial draw over the three
-    value probabilities, so the cost does not depend on ``shots``, and
-    identical inputs give identical counts.
+    value probabilities (w -/+ <M>) / 2 and 1 - w from :func:`readout`, so
+    the cost does not depend on ``shots``, and identical inputs give
+    identical counts. The state must be unit-norm, as every state the
+    circuit operations build is: P(0) is not read off the amplitudes.
     """
     check_shots(shots, seed)
-    return np.random.default_rng(seed).multinomial(shots, _value_probabilities(state, obs))
+    mean, weight = readout(state, obs)
+    # an X eigenstate can leave -1e-17 in w - <M>
+    probs = np.maximum([(weight - mean) / 2.0, 1.0 - weight, (weight + mean) / 2.0], 0.0)
+    return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
 def check_shots(shots: int, seed: int) -> None:

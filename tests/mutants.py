@@ -27,16 +27,28 @@ MUTANTS = (
     ("qgpr/qla.py", "np.minimum(_inversion_ratios(config), 1.0)", "_inversion_ratios(config)",
      ["tests/test_qla.py", "-k", "TestEigenvalueInversion"]),
     # a P0 factor reads its projector at |0>
-    ("qgpr/statevector.py", 'next(bits) ^ (fac == "P0")', "next(bits)",
-     ["tests/test_statevector.py"]),
-    # the sampled standard deviation divides by shots - 1
-    ("qgpr/estimator.py", "squares / (shots - 1)", "squares / shots",
-     ["tests/test_estimator.py"]),
-    # P(-1) = (w - x) / 2 and P(+1) = (w + x) / 2, in that order
+    ("qgpr/statevector.py", 'int(fac != "P0")', "1", ["tests/test_statevector.py"]),
+    # the readout takes the X halves along the X register's axis of the pinned block
     ("qgpr/statevector.py",
-     "[(weight - cross) / 2.0, norm2 - weight, (weight + cross) / 2.0]",
-     "[(weight + cross) / 2.0, norm2 - weight, (weight - cross) / 2.0]",
+     "axis = [name for name in state.layout.names if name not in pins].index(x[0])", "axis = 0",
+     ["tests/test_statevector.py", "-k", "matches_eigenbasis_reference"]),
+    # the sample variance divides by shots - 1
+    ("qgpr/estimator.py", "raw * raw) / (shots - 1)", "raw * raw) / shots",
+     ["tests/test_estimator.py"]),
+    # the sample variance of M is P(C=1,D=1) - <M>^2: M^2 is the C = D = 1 projector
+    ("qgpr/estimator.py", "max(0.0, success - raw * raw)", "max(0.0, success)",
+     ["tests/test_estimator.py"]),
+    # P(-1) = (w - <M>) / 2 and P(+1) = (w + <M>) / 2, in that order
+    ("qgpr/statevector.py",
+     "[(weight - mean) / 2.0, 1.0 - weight, (weight + mean) / 2.0]",
+     "[(weight + mean) / 2.0, 1.0 - weight, (weight - mean) / 2.0]",
      ["tests/test_statevector.py", "tests/test_estimator.py"]),
+    # a k_* = 0 test point records the shots its sampled estimate was asked for
+    ("qgpr/estimator.py", "EstimationResult(0.0, 0.0, shots or 0,", "EstimationResult(0.0, 0.0, 0,",
+     ["tests/test_cli.py", "-k", "TestTestPointOutsideEveryCutoff"]),
+    # the data set's size is checked before the Gram matrix is built
+    ("qgpr/kernels.py", "    if n * n * d > MAX_GRAM_ENTRIES:", "    if False:",
+     ["tests/test_kernels.py", "-k", "data_set_size"]),
     # solver_block refuses an ancilla that is not |0> on the controlled rows
     ("qgpr/qla.py", "    if np.any(_accel._pinned(", "    if 0 and np.any(_accel._pinned(",
      ["tests/test_qla.py", "-k", "nonzero_controlled_ancilla"]),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgpr import cli, qla
+from qgpr import cli, kernels, qla
 from qgpr import statevector as sv
 from qgpr.cli import (
     EXIT_INPUT,
@@ -763,3 +763,43 @@ class TestHostileValueGrid:
             if why:
                 failures.append(f"{name}: {why}")
         assert not failures, "\n".join(failures)
+
+
+class TestTestPointOutsideEveryCutoff:
+    """A test point beyond every training point's cutoff has k_* = 0: its forms
+    are exactly 0, and a sampled estimate records the shots it was asked for."""
+
+    @staticmethod
+    def config(tmp_path, mode):
+        kernel = {"family": "compact-support", "signal_variance": 1.0, "lengthscale": 1.0,
+                  "cutoff_radius": 1.0}
+        return _example_config(tmp_path, kernel=kernel, test_points=[[50.0]], clock_qubits=6,
+                               mode=mode, out=str(tmp_path / "report.json"))
+
+    @pytest.mark.parametrize("mode, pilot_shots", [("exact", 400), ("sampled", 10_000)])
+    def test_diagnose_pilot_records_its_shots(self, tmp_path, mode, pilot_shots):
+        cfgp = self.config(tmp_path, mode)
+        assert main(["diagnose", "--config", str(cfgp), "--delta", "0.05"]) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["pilot_shots"] == pilot_shots and report["recommended_shots"] == 1
+
+    def test_sampled_report_records_the_configured_shots(self, tmp_path):
+        assert main(["predict", "--config", str(self.config(tmp_path, "sampled"))]) == EXIT_OK
+        quantum = json.loads((tmp_path / "report.json").read_text())["results"][0]["quantum"]
+        for res in quantum.values():
+            assert res["shots"] == 10_000 and res["std_error"] == res["raw_mean"] == 0.0
+        assert quantum["mean"]["estimate"] == 0.0 and quantum["variance"]["estimate"] == 1.0
+
+
+def test_data_set_past_the_gram_limit_is_one_line_input_error(tmp_path, monkeypatch, capsys):
+    # 4,097 rows at clock 1 is A1 B13 C1 D1 E1 = 17 qubits, inside the qubit cap,
+    # but 4,097^2 kernel differences pass kernels.MAX_GRAM_ENTRIES
+    def no_gram(*args):
+        raise AssertionError("the Gram matrix was built past the data-size limit")
+
+    monkeypatch.setattr(kernels, "_k", no_gram)
+    rows = [f"{i / 100},{math.sin(i)}" for i in range(4097)]
+    cfgp = _example_config(tmp_path, rows, clock_qubits=1)
+    assert main(["predict", "--config", str(cfgp)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: n = 4097 points") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -288,6 +289,11 @@ class TestPredictMeanQuantum:
         model = build_model(TrainingSet([[0.0]], [2.0]), spec, 1.0)
         res = predict_mean_quantum(model, [10.0], gpr_config(model, 8))
         assert res == EstimationResult(0.0, 0.0, 0, 0.0, 0.0, res.config, res.seed)
+        sampled = predict_mean_quantum(model, [10.0], gpr_config(model, 8), shots=300, seed=4)
+        assert sampled == EstimationResult(0.0, 0.0, 300, 0.0, 0.0, res.config, 4)
+        for shots, seed in ((0, 0), (sv.MAX_SHOTS + 1, 0), (100, -1)):
+            with pytest.raises(InputError):
+                predict_mean_quantum(model, [10.0], gpr_config(model, 8), shots=shots, seed=seed)
 
     def test_n4_within_tolerance(self, rng):
         model = random_se_model(rng, n=4)
@@ -478,9 +484,13 @@ class TestShotNoiseScaling:
         assert 5.0 <= ratio <= 20.0  # 10x within a factor of 2
 
 
-def random_interference_state(rng, n, clock):
-    """An interference state whose <M> is well away from 0 (v is u plus noise)."""
+def random_interference_state(rng, n, clock, complex_system=False):
+    """An interference state whose <M> is well away from 0 (v is u plus noise),
+    for a real symmetric or a complex Hermitian system."""
     a = random_spd(rng, n)
+    if complex_system:
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        a = (q * np.linalg.eigvalsh(a)) @ q.conj().T
     cfg = config_for(a, clock, c=float(np.linalg.eigvalsh(a)[0]))
     u = rng.normal(size=n)
     v = u + 0.5 * rng.normal(size=n)
@@ -522,6 +532,35 @@ class TestSampledReadout:
         assert res.success_fraction == pytest.approx(np.mean(shots != 0.0), rel=1e-12)
         one = estimate_bilinear(spec, 1, seed=7)
         assert one.std_error == 0.0 and one.raw_mean in (-1.0, 0.0, 1.0)
+
+
+class TestReadout:
+    @pytest.mark.parametrize("complex_system", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n, clock", [(3, 4), (8, 6), (16, 8)])
+    def test_exact_mode_reads_the_post_selected_slices(self, rng, n, clock, complex_system):
+        # <M> = 2 Re<psi[A=0,C=1,D=1] | psi[A=1,C=1,D=1]> and P(C=1,D=1) = |psi[C=1,D=1]|^2
+        spec, state = random_interference_state(rng, n, clock, complex_system)
+        assert np.iscomplexobj(spec.system) == complex_system
+        res = estimate_bilinear(spec)
+        psi = state.amps.reshape(state.layout.dims())  # axes A, B, C, D, E
+        cross = 2.0 * np.vdot(psi[0, :, 1, 1, :], psi[1, :, 1, 1, :]).real
+        assert abs(res.raw_mean - cross) <= 1e-15
+        assert abs(res.success_fraction - np.linalg.norm(psi[:, :, 1, 1, :]) ** 2) <= 1e-15
+
+    @pytest.mark.parametrize("shots", [1, 2, 3, 100, 5000])
+    def test_std_error_is_the_three_term_sample_deviation(self, rng, shots):
+        # sum over the shots of (x - mean)^2 / (shots - 1) / shots, in exact
+        # rational arithmetic, against the one-line form sqrt((w - mean^2) / (shots - 1))
+        spec, state = random_interference_state(rng, 4, 5)
+        scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v)
+        for seed in range(6):
+            res = estimate_bilinear(spec, shots, seed=seed)
+            minus, zero, plus = map(int, sv.sample_observable(state, observable_M(state.layout),
+                                                              shots, seed))
+            mean = Fraction(plus - minus, shots)
+            squares = minus * (-1 - mean) ** 2 + zero * mean**2 + plus * (1 - mean) ** 2
+            var = squares / (shots - 1) / shots if shots > 1 else Fraction(0)
+            assert res.std_error == pytest.approx(math.sqrt(var) * scale, rel=1e-12, abs=0)
 
 
 class TestSparsifyY:

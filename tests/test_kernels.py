@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qgpr import kernels
 from qgpr.exceptions import ConditioningError, InputError
 from qgpr.kernels import (
     GPModel,
@@ -128,6 +129,25 @@ class TestBuildModel:
             dist = np.linalg.norm(X - X[i], axis=1)
             expected = max(expected, int(np.sum(dist < 1.2)))
         assert diagnostics(model).row_sparsity == expected
+
+    @pytest.mark.parametrize("d, admitted", [(1024, True), (1025, False)])
+    def test_data_set_size_is_checked_before_the_gram_matrix(self, monkeypatch, d, admitted):
+        # n = 64: n^2 d = 2^22 difference entries at d = 1024, 64^2 more at d = 1025
+        calls = []
+
+        def k_stub(spec, A, B):
+            calls.append(A.shape)
+            return np.zeros((len(A), len(B)))
+
+        monkeypatch.setattr(kernels, "_k", k_stub)
+        training = TrainingSet(np.zeros((64, d)), np.zeros(64))
+        if admitted:
+            build_model(training, SE, 1.0)
+            assert calls == [(64, d)]
+        else:
+            with pytest.raises(InputError, match="n = 64 points of d = 1025 features"):
+                build_model(training, SE, 1.0)
+            assert calls == []
 
     def test_noise_variance_positive(self):
         with pytest.raises(InputError):

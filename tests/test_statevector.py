@@ -110,12 +110,6 @@ class TestLayout:
         with pytest.raises(InputError):
             RegisterLayout((("A", 23),))
 
-    def test_value_extraction(self):
-        lay = RegisterLayout((("A", 1), ("B", 2)))
-        # basis |1>|10> has index 1*4 + 2 = 6
-        assert lay.value(6, "A") == 1
-        assert lay.value(6, "B") == 2
-
 
 class TestStateVector:
     def test_owns_its_amplitudes(self):
@@ -544,9 +538,12 @@ class TestRegisterComponent:
         np.testing.assert_array_equal(comp, [0, 0, 1, 0])
 
     def test_missing_register(self):
+        # one register missing, a kept register not in the layout, the kept one also fixed
         lay = RegisterLayout((("A", 1), ("B", 1), ("C", 1)))
-        with pytest.raises(InputError):
-            register_component(init_basis(lay), "A", {"B": 0})
+        for keep, fixed in (("A", {"B": 0}), ("Z", {"A": 0, "B": 0, "C": 0}),
+                            ("A", {"A": 0, "B": 0, "C": 0})):
+            with pytest.raises(InputError):
+                register_component(init_basis(lay), keep, fixed)
 
 
 class TestSampleObservable:
@@ -603,7 +600,8 @@ class TestSampleObservable:
         for seed in range(4):
             state = random_state(rng, lay)
             probs, counts = reference_sample(state, factors, 2000, seed)
-            got = sv._value_probabilities(state, obs)
+            mean, weight = sv.readout(state, obs)
+            got = [(weight - mean) / 2.0, 1.0 - weight, (weight + mean) / 2.0]
             np.testing.assert_allclose(got, probs, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(sample_observable(state, obs, 2000, seed=seed), counts)
 
