@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .estimator import (
 )
 from .exceptions import InputError, NumericError, ParseError
 from .kernels import (
-    FAMILIES,
     GPModel,
     KernelSpec,
     TrainingSet,
@@ -52,7 +51,8 @@ _PILOT_SHOTS = 400
 
 @dataclass
 class RunConfig:
-    """Resolved run configuration (file values with flag overrides applied)."""
+    """Resolved run configuration (file values with flag overrides applied). Checks each
+    field's type and range and makes numbers floats; ``cmd_sweep`` checks the sweep axis."""
 
     dataset: str
     kernel: KernelSpec
@@ -70,23 +70,37 @@ class RunConfig:
     sweep_values: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise InputError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        _string("dataset", self.dataset)
+        self.noise_variance = _number("noise_variance", self.noise_variance)
         if self.noise_variance <= 0:
             raise InputError("noise_variance must be > 0")
-        if self.clock_qubits < 1:
-            raise InputError("clock_qubits must be >= 1")
-        if self.shots < 1:
-            raise InputError("shots must be >= 1")
-        if self.seed < 0:
-            raise InputError("seed must be >= 0")
-        if self.kappa_bound <= 1:
-            raise InputError("kappa_bound must be > 1")
+        self.test_points = _points(self.test_points)
         if not self.test_points:
             raise InputError("at least one test point is required")
-        out = Path(self.out or ".")  # checked before any estimate runs
-        if self.out and (out.is_dir() or not out.parent.is_dir()):
-            raise InputError(f"cannot write {self.out}: not a file in an existing directory")
+        if _integer("clock_qubits", self.clock_qubits) < 1:
+            raise InputError("clock_qubits must be >= 1")
+        if _integer("shots", self.shots) < 1:
+            raise InputError("shots must be >= 1")
+        if _integer("seed", self.seed) < 0:
+            raise InputError("seed must be >= 0")
+        if _string("mode", self.mode) not in ("exact", "sampled"):
+            raise InputError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        _boolean("has_header", self.has_header)
+        self.kappa_bound = _number("kappa_bound", self.kappa_bound)
+        if self.kappa_bound <= 1:
+            raise InputError("kappa_bound must be > 1")
+        if self.delta is not None:
+            self.delta = _number("delta", self.delta)
+            if self.delta <= 0:
+                raise InputError("delta must be > 0")
+        if not isinstance(self.sweep_values, list):
+            raise InputError(f"sweep.values must be a list, got {self.sweep_values!r}")
+        for value in self.sweep_values:
+            _integer("sweep.values", value)
+        if self.out is not None and _string("out", self.out):  # checked before any estimate
+            out = Path(self.out)
+            if out.is_dir() or not out.parent.is_dir():
+                raise InputError(f"cannot write {self.out}: not a file in an existing directory")
 
 
 def _integer(name: str, value) -> int:
@@ -114,21 +128,6 @@ def _string(name: str, value) -> str:
     return value
 
 
-# top-level run fields besides test_points: name -> (type check, null allowed)
-_FIELDS = {
-    "dataset": (_string, False),
-    "noise_variance": (_number, False),
-    "clock_qubits": (_integer, False),
-    "shots": (_integer, False),
-    "seed": (_integer, False),
-    "mode": (_string, False),
-    "out": (_string, True),
-    "has_header": (_boolean, False),
-    "kappa_bound": (_number, False),
-    "delta": (_number, True),
-}
-
-
 def _points(value) -> list[list[float]]:
     """Test points as coordinate lists; a bare number is a 1-D point."""
     if not isinstance(value, list):
@@ -139,8 +138,26 @@ def _points(value) -> list[list[float]]:
     ]
 
 
+def _object(name: str, value, own, prefix: str = "") -> dict:
+    """The JSON object ``value`` as keyword arguments: its keys are the fields ``own``
+    less ``prefix``, and each of those without a default is given."""
+    if not isinstance(value, dict):
+        raise InputError(f"{name} must be an object, got {value!r}")
+    keys = {f.name.removeprefix(prefix): f for f in own}
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise InputError(f"unknown {name} fields: {sorted(unknown)}")
+    missing = [key for key, f in keys.items()
+               if key not in value and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise InputError(f"{name} needs the fields {missing}")
+    return {prefix + key: val for key, val in value.items()}
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    """Read the JSON config file, apply non-None flag overrides, check field types."""
+    """Read the JSON config file and apply the non-None flag overrides. Its keys are
+    RunConfig's fields, but ``kernel`` holds KernelSpec's and ``sweep`` each ``sweep_<key>``
+    as ``<key>``. KernelSpec checks no types, so the kernel's numbers are checked here."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -149,52 +166,16 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("config file must contain a JSON object")
-
-    kspec = raw.pop("kernel", None)
-    if not isinstance(kspec, dict) or "family" not in kspec:
-        raise InputError("config needs a 'kernel' object with a 'family' field")
-    if kspec.get("family") not in FAMILIES:
-        raise InputError(f"kernel family must be one of {FAMILIES}")
-    unknown = set(kspec) - {f.name for f in fields(KernelSpec)}
-    if unknown:
-        raise InputError(f"unknown kernel fields: {sorted(unknown)}")
-    kernel = KernelSpec(
-        family=kspec["family"],
-        signal_variance=_number("kernel.signal_variance", kspec.get("signal_variance", 1.0)),
-        lengthscale=_number("kernel.lengthscale", kspec.get("lengthscale", 1.0)),
-        cutoff_radius=(
-            _number("kernel.cutoff_radius", kspec["cutoff_radius"])
-            if kspec.get("cutoff_radius") is not None
-            else None
-        ),
-    )
-    sweep = raw.pop("sweep", None) or {}
-    if not isinstance(sweep, dict):
-        raise InputError("sweep must be an object with 'axis' and 'values'")
-    sweep_values = sweep.get("values", [])
-    if not isinstance(sweep_values, list):
-        raise InputError(f"sweep.values must be a list, got {sweep_values!r}")
-    unknown = set(raw) - set(_FIELDS) - {"test_points"}
-    if unknown:
-        raise InputError(f"unknown config fields: {sorted(unknown)}")
-    if "dataset" not in raw or "noise_variance" not in raw or "test_points" not in raw:
-        raise InputError("config needs 'dataset', 'noise_variance', and 'test_points'")
-    cfg = dict(raw)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            cfg[key] = val
-    points = _points(cfg.pop("test_points"))
-    for key, val in cfg.items():
-        check, nullable = _FIELDS[key]
-        if val is not None or not nullable:
-            cfg[key] = check(key, val)
-    return RunConfig(
-        kernel=kernel,
-        test_points=points,
-        sweep_axis=sweep.get("axis"),
-        sweep_values=[_integer("sweep.values", v) for v in sweep_values],
-        **cfg,
-    )
+    sweeps = [f for f in fields(RunConfig) if f.name.startswith("sweep_")]
+    sweep = _object("sweep", raw.pop("sweep", None) or {}, sweeps, "sweep_")
+    cfg = _object("config", raw, [f for f in fields(RunConfig) if f not in sweeps])
+    cfg.update((key, val) for key, val in (overrides or {}).items() if val is not None)
+    kernel = _object("kernel", cfg.pop("kernel"), fields(KernelSpec))
+    spec = {f.name: f for f in fields(KernelSpec)}
+    for key, val in kernel.items():  # a float field takes null where its default is None
+        if "float" in str(spec[key].type) and (val, spec[key].default) != (None, None):
+            kernel[key] = _number(f"kernel.{key}", val)
+    return RunConfig(kernel=KernelSpec(**kernel), **cfg, **sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +213,6 @@ def ingest_csv(path: str, has_header: bool = False) -> TrainingSet:
         raise ParseError(f"dataset {path} contains no data rows")
     data = np.asarray(rows)
     return TrainingSet(X=data[:, :-1], y=data[:, -1])
-
-
-def export_csv(training: TrainingSet, path: str) -> None:
-    """Write a TrainingSet back out, losslessly (shortest round-trip decimals)."""
-    lines = (",".join(_fmt(c) for c in [*xi, yi]) for xi, yi in zip(training.X, training.y))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _fmt(x: float) -> str:

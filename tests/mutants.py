@@ -2,22 +2,25 @@
 
 Each entry is (file under ``src/``, exact old text, new text, pytest
 arguments selecting the tests that must fail). For every entry the runner
-copies ``src/`` into a temporary directory, replaces the old text, which must
-occur exactly once, and runs the selection against the copy. It exits 1 if a
-selection passes on its mutant or an old text no longer occurs once, so a
-refactor of a listed line has to update its entry. pytest does not collect
-this file. Run it from the root of the repository:
+copies ``src/`` into a temporary directory of its own, replaces the old text,
+which must occur exactly once, and runs the selection against the copy. The
+entries run concurrently, one per CPU, and are reported in the order listed.
+The runner exits 1 if a selection passes on its mutant or an old text no
+longer occurs once, so a refactor of a listed line has to update its entry.
+pytest does not collect this file. Run it from the root of the repository:
 
     python3 tests/mutants.py
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -98,13 +101,21 @@ MUTANTS = (
     # a vector too small to scale to a unit entry is refused
     ("qgpr/qla.py", "    if not math.isfinite(1.0 / peak):", "    if False:",
      ["tests/test_qla.py", "-k", "TestMakeEncoding"]),
+    # a non-positive delta is refused when the config is loaded
+    ("qgpr/cli.py", "            if self.delta <= 0:", "            if False:",
+     ["tests/test_cli.py", "-k", "non_positive_delta"]),
+    # a config key that names no field is refused, at the top level, in kernel and in sweep
+    ("qgpr/cli.py", "    if unknown:\n", "    if False:\n",
+     ["tests/test_cli.py", "-k", "TestLoadConfig and unknown"]),
+    # the loader checks that the kernel's numeric fields are numbers; KernelSpec does not
+    ("qgpr/cli.py", 'kernel[key] = _number(f"kernel.{key}", val)', "kernel[key] = val",
+     ["tests/test_cli.py", "-k", "TestLoadConfig and string"]),
 )
 
 
 def survives(path: str, old: str, new: str, selection: list[str], scratch: Path) -> str | None:
     """Why the mutant is not killed, or None when its selection fails."""
     src = scratch / "src"
-    shutil.rmtree(src, ignore_errors=True)
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     target = src / path
     text = target.read_text()
@@ -121,19 +132,26 @@ def survives(path: str, old: str, new: str, selection: list[str], scratch: Path)
     return f"pytest exited {run.returncode}:\n{run.stdout[-2000:]}{run.stderr[-2000:]}"
 
 
+def timed(*entry) -> tuple[str | None, float]:
+    """``survives(*entry)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    return survives(*entry), time.perf_counter() - start
+
+
 def main() -> int:
-    survivors = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for path, old, new, selection in MUTANTS:
-            start = time.perf_counter()
-            why = survives(path, old, new, selection, Path(tmp))
-            took = time.perf_counter() - start
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(os.cpu_count()) as pool:
+        runs = [pool.submit(timed, *entry, Path(tmp) / str(i)) for i, entry in enumerate(MUTANTS)]
+        survivors = 0
+        for (path, old, _, _), run in zip(MUTANTS, runs):
+            why, took = run.result()
             first = old.strip().splitlines()[0]
             print(f"{'killed' if why is None else 'SURVIVED'} {took:5.1f}s {path}: {first}")
             if why is not None:
                 survivors += 1
                 print(why)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0
 
 

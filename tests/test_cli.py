@@ -1,6 +1,10 @@
+import importlib.util
 import json
 import math
+import re
+import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +20,6 @@ from qgpr.cli import (
     cmd_diagnose,
     cmd_predict,
     cmd_sweep,
-    export_csv,
     ingest_csv,
     jitter_recommendation,
     load_config,
@@ -28,12 +31,14 @@ from qgpr.statevector import MAX_SHOTS
 from qgpr.kernels import (
     KernelSpec,
     SystemDiagnostics,
-    TrainingSet,
     build_cross,
     build_model,
     eval_kernel,
 )
 from qgpr.qla import make_encoding
+
+
+_DROP = object()  # a config edit that deletes its key
 
 
 def write_config(tmp_path, dataset, **overrides):
@@ -103,14 +108,6 @@ class TestIngestCsv:
         ts = ingest_csv(p, has_header=True)
         assert ts.n == 1
 
-    def test_roundtrip_through_export(self, tmp_path, rng):
-        ts = TrainingSet(rng.normal(size=(8, 2)), rng.normal(size=8))
-        p = tmp_path / "out.csv"
-        export_csv(ts, p)
-        back = ingest_csv(p)
-        np.testing.assert_array_equal(back.X, ts.X)
-        np.testing.assert_array_equal(back.y, ts.y)
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             ingest_csv(tmp_path / "absent.csv")
@@ -140,6 +137,71 @@ class TestLoadConfig:
         p.write_text(json.dumps({"kernel": {"family": "squared-exponential"}}))
         with pytest.raises(InputError):
             load_config(p)
+
+    @pytest.mark.parametrize(
+        "path, value, name",
+        [
+            pytest.param(("surprise",), 1, "surprise", id="unknown-key"),
+            pytest.param(("kernel", "length_scale"), 2.0, "length_scale", id="unknown-kernel-key"),
+            pytest.param(("sweep",), {"axis": "clock_qubits", "values": [4], "step": 1}, "step",
+                         id="unknown-sweep-key"),
+            *(pytest.param((key,), _DROP, key, id=f"no-{key}")
+              for key in ("dataset", "kernel", "noise_variance", "test_points")),
+            pytest.param(("kernel", "family"), _DROP, "family", id="no-kernel-family"),
+            pytest.param(("kernel",), "squared-exponential", "kernel", id="kernel-not-an-object"),
+            pytest.param(("sweep",), "clock_qubits", "sweep", id="sweep-not-an-object"),
+            *(pytest.param(("kernel", key), "1.0", f"kernel.{key}", id=f"string-{key}")
+              for key in ("signal_variance", "lengthscale", "cutoff_radius")),
+        ],
+    )
+    def test_malformed_config_is_input_error_naming_the_field(self, canonical, path, value,
+                                                               name):
+        raw = json.loads(canonical.read_text())
+        *parents, key = path
+        node = raw
+        for parent in parents:
+            node = node[parent]
+        if value is _DROP:
+            del node[key]
+        else:
+            node[key] = value
+        canonical.write_text(json.dumps(raw))
+        with pytest.raises(InputError, match=re.escape(name)):
+            load_config(canonical)
+
+    def test_example_and_benchmark_configs(self, tmp_path, monkeypatch):
+        """The docs/examples configs and the two benchmark workloads' configs (seed 1)
+        load to these values, numbers as floats."""
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        se = {"family": "squared-exponential", "signal_variance": 1.0, "lengthscale": 1.0,
+              "cutoff_radius": None}
+        example = {"dataset": "docs/examples/train.csv", "kernel": se, "noise_variance": 0.5,
+                   "test_points": [[0.25], [1.0], [2.4]], "clock_qubits": 8, "shots": 10_000,
+                   "seed": 7, "mode": "exact", "out": None, "has_header": False,
+                   "kappa_bound": 10_000.0, "delta": None, "sweep_axis": None,
+                   "sweep_values": []}
+        bench = dict(example, dataset=str(tmp_path / "train.csv"), seed=1)
+        expected = {
+            "predict.json": example,
+            "sweep.json": dict(example, sweep_axis="clock_qubits", sweep_values=[4, 5, 6, 7, 8]),
+            "sweep-clock": dict(bench, clock_qubits=6, sweep_axis="clock_qubits",
+                                sweep_values=[6, 8, 10]),
+            "predict-sparse-sampled": dict(
+                bench, kernel=dict(se, family="compact-support", cutoff_radius=0.5),
+                shots=20_000, mode="sampled"),
+        }
+        for name, want in expected.items():
+            if name in workloads.WORKLOADS:
+                inputs = workloads.write_inputs(workloads.WORKLOADS[name], 1, tmp_path)
+                path = inputs.config_path
+                want = dict(want, test_points=[[x] for x in inputs.x_test.tolist()])
+            else:
+                path = EXAMPLES / name
+            record = asdict(load_config(str(path)))
+            assert json.dumps(record) == json.dumps(want), name  # 1 and 1.0 differ here
 
 
 class TestCmdPredict:
@@ -509,6 +571,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("delta", ["0", "-1", "-1e308"])
+    @pytest.mark.parametrize("command", ["predict", "sweep", "diagnose"])
+    def test_non_positive_delta_is_refused_before_the_data_set_is_read(
+        self, tmp_path, monkeypatch, capsys, command, delta
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("the data set was read before delta was checked")
+
+        monkeypatch.setattr(cli, "ingest_csv", no_data)
+        raw = json.loads((EXAMPLES / "sweep.json").read_text())
+        argv = [command, "--config", str(tmp_path / "config.json")]
+        if command == "diagnose":
+            argv.append(f"--delta={delta}")
+        else:
+            raw["delta"] = float(delta)
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: delta must be > 0\n"
+
     def test_missing_config_file(self, tmp_path):
         assert main(["predict", "--config", str(tmp_path / "none.json")]) == EXIT_INPUT
 
@@ -555,6 +636,7 @@ class TestMainExitCodes:
 
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 # each config field and each CSV cell is replaced in turn by each of these
 HOSTILE = (0, -1, 1e308, -1e308, 1e-320, 2**70, "a string", [], None, True)
 
