@@ -38,6 +38,7 @@ from .kernels import (
     TrainingSet,
     build_model,
     diagnostics,
+    finite_real,
 )
 from .statevector import check_shots
 
@@ -52,7 +53,7 @@ _PILOT_SHOTS = 400
 @dataclass
 class RunConfig:
     """Resolved run configuration (file values with flag overrides applied). Checks each
-    field's type and range and makes numbers floats; ``cmd_sweep`` checks the sweep axis."""
+    field's type and range and makes numbers floats; KernelSpec checks the kernel's."""
 
     dataset: str
     kernel: KernelSpec
@@ -71,7 +72,7 @@ class RunConfig:
 
     def __post_init__(self):
         _string("dataset", self.dataset)
-        self.noise_variance = _number("noise_variance", self.noise_variance)
+        self.noise_variance = finite_real("noise_variance", self.noise_variance)
         if self.noise_variance <= 0:
             raise InputError("noise_variance must be > 0")
         self.test_points = _points(self.test_points)
@@ -85,20 +86,25 @@ class RunConfig:
             raise InputError("seed must be >= 0")
         if _string("mode", self.mode) not in ("exact", "sampled"):
             raise InputError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        _boolean("has_header", self.has_header)
-        self.kappa_bound = _number("kappa_bound", self.kappa_bound)
+        if not isinstance(self.has_header, bool):
+            raise InputError(f"has_header must be true or false, got {self.has_header!r}")
+        self.kappa_bound = finite_real("kappa_bound", self.kappa_bound)
         if self.kappa_bound <= 1:
             raise InputError("kappa_bound must be > 1")
         if self.delta is not None:
-            self.delta = _number("delta", self.delta)
+            self.delta = finite_real("delta", self.delta)
             if self.delta <= 0:
                 raise InputError("delta must be > 0")
         if not isinstance(self.sweep_values, list):
             raise InputError(f"sweep.values must be a list, got {self.sweep_values!r}")
         for value in self.sweep_values:
             _integer("sweep.values", value)
-        if self.out is not None and _string("out", self.out):  # checked before any estimate
-            out = Path(self.out)
+        if self.sweep_axis not in (None, "clock_qubits", "shots"):
+            raise InputError(f"sweep.axis must be clock_qubits or shots, got {self.sweep_axis!r}")
+        if (self.sweep_axis is None) != (self.sweep_values == []):  # neither is no sweep
+            raise InputError("a sweep needs an axis and a non-empty list of values")
+        if self.out is not None:  # checked before any estimate; "" names the working directory
+            out = Path(_string("out", self.out))
             if out.is_dir() or not out.parent.is_dir():
                 raise InputError(f"cannot write {self.out}: not a file in an existing directory")
 
@@ -106,19 +112,6 @@ class RunConfig:
 def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _number(name: str, value) -> float:
-    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not numeric or not abs(value) <= sys.float_info.max:  # NaN compares false
-        raise InputError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _boolean(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise InputError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -133,22 +126,22 @@ def _points(value) -> list[list[float]]:
     if not isinstance(value, list):
         raise InputError(f"test_points must be a list of points, got {value!r}")
     return [
-        [_number("test_points coordinate", c) for c in (p if isinstance(p, list) else [p])]
+        [finite_real("test_points coordinate", c) for c in (p if isinstance(p, list) else [p])]
         for p in value
     ]
 
 
 def _object(name: str, value, own, prefix: str = "") -> dict:
     """The JSON object ``value`` as keyword arguments: its keys are the fields ``own``
-    less ``prefix``, and each of those without a default is given."""
+    less ``prefix``. Each field without a default, or under a prefix every field, is given."""
     if not isinstance(value, dict):
         raise InputError(f"{name} must be an object, got {value!r}")
     keys = {f.name.removeprefix(prefix): f for f in own}
     unknown = set(value) - set(keys)
     if unknown:
         raise InputError(f"unknown {name} fields: {sorted(unknown)}")
-    missing = [key for key, f in keys.items()
-               if key not in value and f.default is MISSING and f.default_factory is MISSING]
+    missing = [key for key, f in keys.items() if key not in value
+               and (prefix or f.default is MISSING and f.default_factory is MISSING)]
     if missing:
         raise InputError(f"{name} needs the fields {missing}")
     return {prefix + key: val for key, val in value.items()}
@@ -157,7 +150,7 @@ def _object(name: str, value, own, prefix: str = "") -> dict:
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read the JSON config file and apply the non-None flag overrides. Its keys are
     RunConfig's fields, but ``kernel`` holds KernelSpec's and ``sweep`` each ``sweep_<key>``
-    as ``<key>``. KernelSpec checks no types, so the kernel's numbers are checked here."""
+    as ``<key>`` (an absent or null ``sweep`` is none). KernelSpec and RunConfig check them."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -167,14 +160,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise InputError("config file must contain a JSON object")
     sweeps = [f for f in fields(RunConfig) if f.name.startswith("sweep_")]
-    sweep = _object("sweep", raw.pop("sweep", None) or {}, sweeps, "sweep_")
+    sweep = raw.pop("sweep", None)
+    sweep = {} if sweep is None else _object("sweep", sweep, sweeps, "sweep_")
     cfg = _object("config", raw, [f for f in fields(RunConfig) if f not in sweeps])
     cfg.update((key, val) for key, val in (overrides or {}).items() if val is not None)
     kernel = _object("kernel", cfg.pop("kernel"), fields(KernelSpec))
-    spec = {f.name: f for f in fields(KernelSpec)}
-    for key, val in kernel.items():  # a float field takes null where its default is None
-        if "float" in str(spec[key].type) and (val, spec[key].default) != (None, None):
-            kernel[key] = _number(f"kernel.{key}", val)
     return RunConfig(kernel=KernelSpec(**kernel), **cfg, **sweep)
 
 
@@ -249,7 +239,6 @@ def _errors(quantum: float, classical: float) -> dict:
 
 def _config_record(cfg: RunConfig) -> dict:
     rec = asdict(cfg)
-    rec["kernel"] = asdict(cfg.kernel)
     del rec["out"]  # the artifact location is not part of the run's identity
     return rec
 
@@ -344,10 +333,8 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
 
 def cmd_sweep(cfg: RunConfig) -> list[dict]:
     """Error scaling along a clock_qubits or shots axis, one CSV row per value."""
-    if cfg.sweep_axis not in ("clock_qubits", "shots"):
+    if cfg.sweep_axis is None:
         raise InputError("sweep needs 'sweep': {'axis': 'clock_qubits'|'shots', 'values': [...]}")
-    if not cfg.sweep_values:
-        raise InputError("sweep values must be a non-empty list")
     runs = [
         (value, value, _shots(cfg)) if cfg.sweep_axis == "clock_qubits"
         else (value, cfg.clock_qubits, value)  # a shots axis samples
@@ -402,7 +389,7 @@ def _write(out: str | None, artifact: dict | str) -> None:
     A report with a non-finite number is a numerical error, written or not."""
     if not isinstance(artifact, str):
         _check_finite(artifact, "report")
-    if out:
+    if out is not None:
         text = artifact if isinstance(artifact, str) else json.dumps(
             artifact, indent=2, sort_keys=True, allow_nan=False) + "\n"
         try:
@@ -415,8 +402,13 @@ def _write(out: str | None, artifact: dict | str) -> None:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed flag is a one-line input error, as in the config
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgpr",
         description="Quantum-assisted GPR: predict, diagnose, and sweep commands.",
     )
@@ -440,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
+        args = build_parser().parse_args(argv)
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         cfg = load_config(args.config, overrides)
         if args.command == "predict":
             cmd_predict(cfg)

@@ -9,6 +9,8 @@ the cost model of the quantum solver.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,6 +22,16 @@ SQUARED_EXPONENTIAL = "squared-exponential"
 COMPACT_SUPPORT = "compact-support"
 FAMILIES = (SQUARED_EXPONENTIAL, COMPACT_SUPPORT)
 MAX_GRAM_ENTRIES = 1 << 22  # of the Gram matrix's (n, n, d) differences: the state cap's 2^22
+
+
+def finite_real(name: str, value) -> float:
+    """``value`` as a float if it is a finite real number and not a bool, else an InputError."""
+    try:  # an integer past the float range overflows
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
 def as_point(x) -> np.ndarray:
@@ -34,7 +46,8 @@ def as_point(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Parametrized covariance function family."""
+    """Parametrized covariance function family. Its hyperparameters are finite floats, positive
+    where the family uses them; only compact-support uses ``cutoff_radius``, and needs it."""
 
     family: str
     signal_variance: float = 1.0
@@ -44,14 +57,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        # `not x > 0` also rejects NaN
-        if not self.signal_variance > 0:
-            raise InputError("signal_variance must be > 0")
-        if not self.lengthscale > 0:
-            raise InputError("lengthscale must be > 0")
-        if self.family == COMPACT_SUPPORT:
-            if self.cutoff_radius is None or not self.cutoff_radius > 0:
-                raise InputError("compact-support kernel needs cutoff_radius > 0")
+        for name in ("signal_variance", "lengthscale", "cutoff_radius"):
+            used = name != "cutoff_radius" or self.family == COMPACT_SUPPORT
+            if used or getattr(self, name) is not None:
+                object.__setattr__(self, name, finite_real(f"kernel.{name}", getattr(self, name)))
+            if used and not getattr(self, name) > 0:
+                raise InputError(f"kernel.{name} must be > 0")
 
 
 @dataclass(frozen=True)

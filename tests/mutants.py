@@ -107,9 +107,15 @@ MUTANTS = (
     # a config key that names no field is refused, at the top level, in kernel and in sweep
     ("qgpr/cli.py", "    if unknown:\n", "    if False:\n",
      ["tests/test_cli.py", "-k", "TestLoadConfig and unknown"]),
-    # the loader checks that the kernel's numeric fields are numbers; KernelSpec does not
-    ("qgpr/cli.py", 'kernel[key] = _number(f"kernel.{key}", val)', "kernel[key] = val",
-     ["tests/test_cli.py", "-k", "TestLoadConfig and string"]),
+    # KernelSpec takes only finite real numbers, not bools, as hyperparameters
+    ("qgpr/kernels.py", 'finite_real(f"kernel.{name}", getattr(self, name))',
+     "getattr(self, name)", ["tests/test_kernels.py", "-k", "not_a_finite_real"]),
+    # a sweep axis is checked when the config is loaded, whatever the command
+    ("qgpr/cli.py", '        if self.sweep_axis not in (None, "clock_qubits", "shots"):',
+     "        if False:", ["tests/test_cli.py", "-k", "malformed_sweep"]),
+    # an empty out is checked (and refused) like any other
+    ("qgpr/cli.py", "        if self.out is not None:", "        if self.out:",
+     ["tests/test_cli.py", "-k", "empty_out"]),
 )
 
 

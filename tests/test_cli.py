@@ -634,6 +634,60 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err == f"input error: cannot write {out}: No space left on device\n"
 
+    @pytest.mark.parametrize("command", ["predict", "sweep", "diagnose"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_empty_out_is_one_line_input_error_before_any_estimate(
+        self, canonical, monkeypatch, capsys, command, where
+    ):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran before the out check")
+
+        monkeypatch.setattr(cli, "predict_mean_quantum", no_estimate)
+        raw = json.loads(canonical.read_text())
+        raw["sweep"] = {"axis": "clock_qubits", "values": [4]}
+        raw.update({"out": ""} if where == "config" else {})
+        canonical.write_text(json.dumps(raw))
+        argv = [command, "--config", str(canonical), *(["--out", ""] if where == "flag" else [])]
+        assert main(argv + (["--delta", "0.05"] if command == "diagnose" else [])) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [0, [], False, "", {}, {"axis": "shots"}, {"values": [4]}, {"axis": None, "values": [4]},
+         {"axis": "bogus", "values": [4]}, {"axis": [], "values": [4]}, {"axis": 3, "values": [4]},
+         {"axis": "clock_qubits", "values": []}],
+    )
+    @pytest.mark.parametrize("command", ["predict", "diagnose"])
+    def test_malformed_sweep_is_one_line_input_error_in_every_command(
+        self, canonical, capsys, command, sweep
+    ):
+        raw = json.loads(canonical.read_text())
+        raw["sweep"] = sweep
+        canonical.write_text(json.dumps(raw))
+        assert main([command, "--config", str(canonical)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "sweep" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["predict"],
+            ["predict", "--config", "{config}", "--bogus"],
+            ["predict", "--config", "{config}", "--seed", "abc"],
+            ["predict", "--config", "{config}", "--clock-qubits", "1.5"],
+            ["predict", "--config", "{config}", "--mode", "fast"],
+            ["diagnose", "--config", "{config}", "--delta", "-1e308"],
+        ],
+        ids=["no-command", "no-config", "unknown-flag", "seed-abc", "clock-1.5", "mode-fast",
+             "delta-exponent-form"],
+    )
+    def test_malformed_flag_is_one_line_input_error(self, canonical, capsys, argv):
+        assert main([arg.format(config=canonical) for arg in argv]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -641,13 +695,19 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 HOSTILE = (0, -1, 1e308, -1e308, 1e-320, 2**70, "a string", [], None, True)
 
 
-def _hostile_configs():
-    """(case name, config) per hostile value in each field of the example
-    sweep config, with delta set so that diagnose runs its pilot."""
+def _hostile_base():
+    """The example sweep config with every field given, and delta set so that
+    diagnose runs its pilot."""
     base = json.loads((EXAMPLES / "sweep.json").read_text())
     base.update(dataset=str(EXAMPLES / "train.csv"), delta=0.05, has_header=False,
                 kappa_bound=1e4, out="report")
     base["sweep"]["values"] = [4, 5]
+    return base
+
+
+def _hostile_configs():
+    """(case name, config) per hostile value in each field of ``_hostile_base()``."""
+    base = _hostile_base()
     paths = [(k,) for k in base] + [("kernel", k) for k in
                                     ("family", "signal_variance", "lengthscale", "cutoff_radius")]
     paths += [("sweep", "axis"), ("sweep", "values")]
@@ -782,16 +842,16 @@ class TestLimitsBeforeTheModel:
 
 
 class TestHostileValueGrid:
-    """Every hostile value in every config field and data set cell ends in exit
-    status 0, 2 or 3 within 2 s, with a one-line reason on a non-zero exit and
-    only finite numbers in what is written."""
+    """Every hostile value in every config field, flag and data set cell ends in
+    exit status 0, 2 or 3 within 2 s, with a one-line reason on a non-zero exit
+    and only finite numbers in what is written."""
 
     @staticmethod
-    def run_case(command, config, capsys):
+    def run_case(command, config, capsys, flags=()):
         """Why this case fails the contract, or None."""
         start = time.perf_counter()
         try:
-            status = main([command, "--config", str(config)])
+            status = main([command, "--config", str(config), *flags])
         except Exception as exc:  # any exception escaping main is the failure recorded
             return f"{type(exc).__name__}: {exc}"
         took = time.perf_counter() - start
@@ -802,7 +862,7 @@ class TestHostileValueGrid:
             return f"exit {status} ends stderr with {err[-1:]}"
         if took > 2.0:
             return f"took {took:.2f} s"
-        out = json.loads(config.read_text()).get("out")
+        out = dict(zip(flags, flags[1:])).get("--out", json.loads(config.read_text()).get("out"))
         report = config.parent / out if isinstance(out, str) else None
         if report is not None and report.is_file():
             text = report.read_text()
@@ -831,13 +891,23 @@ class TestHostileValueGrid:
         assert not failures, "\n".join(failures)
 
     @pytest.mark.parametrize("command", ["predict", "sweep", "diagnose"])
+    def test_flags(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)  # an --out replaced by a string writes here
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(_hostile_base()))
+        failures = []
+        for flag in ("--seed", "--shots", "--clock-qubits", "--mode", "--out", "--delta"):
+            for value in HOSTILE:
+                why = self.run_case(command, config, capsys, (flag, str(value)))
+                if why:
+                    failures.append(f"{flag} {value!r}: {why}")
+        assert not failures, "\n".join(failures)
+
+    @pytest.mark.parametrize("command", ["predict", "sweep", "diagnose"])
     def test_data_set_cells(self, tmp_path, monkeypatch, capsys, command):
         monkeypatch.chdir(tmp_path)
-        raw = json.loads((EXAMPLES / "sweep.json").read_text())
-        raw.update(dataset=str(tmp_path / "train.csv"), delta=0.05, out="report")
-        raw["sweep"]["values"] = [4, 5]
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(raw))
+        config.write_text(json.dumps(dict(_hostile_base(), dataset=str(tmp_path / "train.csv"))))
         failures = []
         for name, text in _hostile_datasets():
             (tmp_path / "train.csv").write_text(text)

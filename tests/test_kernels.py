@@ -93,6 +93,24 @@ class TestKernelSpecValidation:
         with pytest.raises(InputError):
             KernelSpec("squared-exponential", 1.0, 0.0)
 
+    # a cutoff_radius the squared-exponential family does not use is still type-checked
+    @pytest.mark.parametrize("value", ["1", True, math.inf, math.nan, []])
+    @pytest.mark.parametrize(
+        "family, name",
+        [("squared-exponential", "signal_variance"), ("squared-exponential", "lengthscale"),
+         ("squared-exponential", "cutoff_radius"), ("compact-support", "cutoff_radius")],
+    )
+    def test_hyperparameter_not_a_finite_real_is_input_error_naming_it(self, family, name,
+                                                                       value):
+        kwargs = {"cutoff_radius": 1.0} if family == "compact-support" else {}
+        with pytest.raises(InputError, match=rf"^kernel\.{name} must be a finite number"):
+            KernelSpec(family, **{**kwargs, name: value})
+
+    def test_hyperparameters_are_stored_as_floats(self):
+        spec = KernelSpec("compact-support", 2, np.int64(3), cutoff_radius=np.float32(0.5))
+        values = (spec.signal_variance, spec.lengthscale, spec.cutoff_radius)
+        assert [type(v) for v in values] == [float] * 3 and values == (2.0, 3.0, 0.5)
+
 
 class TestTrainingSet:
     def test_length_mismatch(self):
