@@ -13,7 +13,6 @@ from .estimator import (
     build_interference_state,
     estimate_bilinear,
     gpr_config,
-    observable_M,
     predict_mean_quantum,
     predict_variance_quantum,
     shots_for_precision,
@@ -56,7 +55,6 @@ from .qla import (
     solver_block,
 )
 from .statevector import (
-    Observable,
     RegisterLayout,
     StateVector,
     apply_gate,

@@ -13,8 +13,10 @@ gives a random variable in {-1, 0, +1} whose mean is
     <M> = c * c_u * c_v / sqrt(s_u * s_v) * u^T A^{-1} v,
 
 so both the magnitude and the sign of the bilinear form are recovered.
-Rescaling <M> yields the GPR linear predictor (u = k_*, v = y) and, with
-u = v = k_*, the subtracted term of the predictive variance.
+The readout names M by its registers (:data:`M`): X on A, with C and D
+pinned to 1. Rescaling <M> yields the GPR linear predictor (u = k_*,
+v = y) and, with u = v = k_*, the subtracted term of the predictive
+variance.
 
 Exact mode (``shots=None``) reads <M> and P(C=1, D=1) straight off the
 amplitudes in one readout (no shot noise) and isolates phase-estimation
@@ -47,9 +49,12 @@ from .qla import (
     state_prep_unitary,  # unused here; perfbench/spans.py wraps this name
     state_prep_vector,
 )
-from .statevector import Observable, RegisterLayout, StateVector
+from .statevector import RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
+
+# M as sv.readout's (x, pins): X on A, C and D pinned to |1>
+M = ("A", {"C": 1, "D": 1})
 
 
 @dataclass(frozen=True)
@@ -111,13 +116,6 @@ def build_interference_state(spec: BilinearSpec) -> StateVector:
     return solver_block(state, spec.config, a_pad, "E", "B", "D", (("A", 0, 1), ("C", 0, 1)))
 
 
-def observable_M(layout: RegisterLayout) -> Observable:
-    """X on A, |1><1| on C and D, identity elsewhere."""
-    for name in ("A", "B", "C", "D"):
-        layout.width(name)  # raises InputError when missing
-    return Observable(layout, {"A": "X", "C": "P1", "D": "P1"})
-
-
 def estimate_bilinear(
     spec: BilinearSpec,
     shots: int | None = None,
@@ -133,11 +131,10 @@ def estimate_bilinear(
     if shots is not None:
         sv.check_shots(shots, seed)
     state = build_interference_state(spec)
-    obs = observable_M(state.layout)
     if shots is None:
-        raw, success = sv.readout(state, obs)
+        raw, success = sv.readout(state, *M)
     else:
-        minus, _, plus = (int(k) for k in sv.sample_observable(state, obs, shots, seed))
+        minus, _, plus = (int(k) for k in sv.sample_observable(state, *M, shots, seed))
         raw, success = (plus - minus) / shots, (minus + plus) / shots
     # M^2 is the C = D = 1 projector, so the sample variance is success - raw^2
     std_error = math.sqrt(max(0.0, success - raw * raw) / (shots - 1)) if (shots or 0) > 1 else 0.0

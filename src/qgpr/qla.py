@@ -404,6 +404,7 @@ def solution_overlap(state: StateVector, reference: np.ndarray, index: str = "in
 
     The clock is pinned to zero and one-qubit flag/ancilla registers to |1>,
     so clock leakage counts as infidelity rather than being renormalized away.
+    The reference must be finite, nonzero and no longer than the index register.
     """
     fixed = {}
     for name, _width in state.layout.registers:
@@ -413,6 +414,10 @@ def solution_overlap(state: StateVector, reference: np.ndarray, index: str = "in
         fixed[name] = 0 if name == "clock" else 1
     comp = sv.register_component(state, index, fixed)
     ref = np.asarray(reference, dtype=complex).reshape(-1)
+    if ref.shape[0] > comp.shape[0] or not np.isfinite(ref).all() or not ref.any():
+        raise InputError(f"reference must be a finite nonzero vector of at most "
+                         f"{comp.shape[0]} entries")
+    ref = ref / np.abs(ref).max()  # first, so the norm neither overflows nor underflows
     ref = ref / np.linalg.norm(ref)
     if ref.shape[0] < comp.shape[0]:
         ref = np.concatenate([ref, np.zeros(comp.shape[0] - ref.shape[0], dtype=complex)])

@@ -14,10 +14,11 @@ update), the quantum Fourier transform on a register (an FFT along the
 register), clock-controlled Hamiltonian evolution as its definition (one
 controlled gate per clock value: the reference for
 :func:`qgpr.qla.solver_block`), projective measurement of a register, and the
-readout of an :class:`Observable`: its mean <M> and the weight w where every
-projector reads 1, off views of one pinned block (no copy, no pass over the
-whole state); its seeded shot counts of -1, 0, +1 are one multinomial draw
-over (w -/+ <M>) / 2 and 1 - w. One helper pins registers to values. The
+readout of M = X on one one-qubit register times projectors that pin other
+registers to values: its mean <M> and the weight w where every pin holds,
+off views of the pinned amplitudes (no copy, no pass over the whole state);
+its seeded shot counts of -1, 0, +1 are one multinomial draw over
+(w -/+ <M>) / 2 and 1 - w. One helper pins registers to values. The
 Hermitian check and the eigendecomposition of a system are memoized on the
 matrix contents, so a system is checked and diagonalized once however many
 circuits use it. Real gates and the real eigenbasis of a real symmetric
@@ -47,8 +48,6 @@ MAX_SHOTS = 1 << DEFAULT_QUBIT_CAP  # as many draws as the cap admits amplitudes
 
 _UNITARY_TOL = 1e-10
 _HERMITIAN_TOL = 1e-10
-# one-qubit observable factors; P0 reads 1 on basis |0>, P1 on |1>
-_FACTORS = ("X", "P0", "P1")
 
 
 @dataclass(frozen=True)
@@ -135,32 +134,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-
-class Observable:
-    """Tensor product of one-qubit factors on named registers.
-
-    Factors are given per register name as ``"X"``, ``"P0"`` (``|0><0|``),
-    ``"P1"`` (``|1><1|``) or ``"I"``; all but ``"I"`` need a one-qubit
-    register, and at most one factor is X. Registers not mentioned carry the
-    identity. ``factors`` maps each register with a non-identity factor to its
-    letter. Each projector pins its register's axis of the amplitude tensor
-    and X pairs the two halves psi0, psi1 of its axis, so
-    <X> = 2 Re<psi0|psi1> and X reads -/+1 with probability
-    (|psi0|^2 + |psi1|^2 -/+ 2 Re<psi0|psi1>) / 2.
-    """
-
-    def __init__(self, layout: RegisterLayout, factors: Mapping[str, object]):
-        self.layout = layout
-        for name, fac in factors.items():
-            width = layout.width(name)  # raises for unknown names
-            if not isinstance(fac, str) or fac not in ("I", *_FACTORS):
-                raise InputError(f"unknown factor {fac!r} for register {name!r}")
-            if fac != "I" and width != 1:
-                raise InputError(f"factor {fac!r} on {name!r} needs a one-qubit register")
-        self.factors = {name: fac for name, fac in factors.items() if fac != "I"}
-        if list(self.factors.values()).count("X") > 1:
-            raise InputError("an observable has at most one 'X' factor")
 
 
 # ---------------------------------------------------------------------------
@@ -344,30 +317,30 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum(a[..., None].view(float), ax, b[..., None].view(float), ax, []))
 
 
-def readout(state: StateVector, obs: Observable) -> tuple[float, float]:
-    """``(<M>, w)`` of an observable M in one read of views of the amplitudes.
+def readout(state: StateVector, x: str | None, pins: Mapping[str, int]) -> tuple[float, float]:
+    """``(<M>, w)`` of M = X_x (x) the projectors ``pins``, off views of the amplitudes.
 
-    The projectors' registers are pinned once: w = |block|^2 is the weight
-    where every projector reads 1, and with an X factor <M> = 2 Re<psi0|psi1>
-    over the block's two X halves (without one, <M> = w). On a unit-norm
-    state M reads -/+1 with probability (w -/+ <M>) / 2 and 0 with 1 - w.
+    ``pins`` maps register names to the values their projectors read 1 on,
+    and ``x`` names the one-qubit register that carries X (``None`` for no
+    X). w = |psi[pins]|^2 is the weight where every pin holds, and with X
+    <M> = 2 Re<psi0|psi1> over the halves psi_b = psi[pins, x = b] (without
+    it, <M> = w). On a unit-norm state M reads -/+1 with probability
+    (w -/+ <M>) / 2 and 0 with 1 - w.
     """
-    if obs.layout is not state.layout and obs.layout != state.layout:
-        raise InputError("observable layout does not match state layout")
-    pins = {name: int(fac != "P0") for name, fac in obs.factors.items() if fac != "X"}
-    block = _register_view(state.layout, state.amps, pins)
+    layout = state.layout
+    if x is not None and (layout.width(x) != 1 or x in pins):
+        raise InputError(f"X needs a one-qubit register outside the pins, got {x!r}")
+    block = _register_view(layout, state.amps, pins)
     weight = _re_inner(block, block)
-    x = [name for name, fac in obs.factors.items() if fac == "X"]
-    if not x:
+    if x is None:
         return weight, weight
-    axis = [name for name in state.layout.names if name not in pins].index(x[0])
-    lead = (slice(None),) * axis
-    return 2.0 * _re_inner(block[(*lead, 0)], block[(*lead, 1)]), weight
+    halves = (_register_view(layout, state.amps, {**pins, x: b}) for b in (0, 1))
+    return 2.0 * _re_inner(*halves), weight
 
 
-def expectation(state: StateVector, obs: Observable) -> float:
+def expectation(state: StateVector, x: str | None, pins: Mapping[str, int]) -> float:
     """Real expectation value ``<psi|M|psi>``: the mean of :func:`readout`."""
-    return readout(state, obs)[0]
+    return readout(state, x, pins)[0]
 
 
 def project(state: StateVector, register: str, outcome: int) -> tuple[float, StateVector]:
@@ -395,19 +368,20 @@ def register_component(state: StateVector, keep: str, fixed: Mapping[str, int]) 
     return _register_view(state.layout, state.amps, fixed).copy()
 
 
-def sample_observable(state: StateVector, obs: Observable, shots: int, seed: int) -> np.ndarray:
-    """Seeded counts of the values (-1, 0, +1) over ``shots`` i.i.d. draws.
+def sample_observable(state: StateVector, x: str | None, pins: Mapping[str, int],
+                      shots: int, seed: int) -> np.ndarray:
+    """Seeded counts of M's values (-1, 0, +1) over ``shots`` i.i.d. draws.
 
-    Each factor is measured in its own eigenbasis and a draw's value is the
-    product of the factor eigenvalues, so it is nonzero only where every
-    projector reads 1. The counts are one multinomial draw over the three
-    value probabilities (w -/+ <M>) / 2 and 1 - w from :func:`readout`, so
-    the cost does not depend on ``shots``, and identical inputs give
-    identical counts. The state must be unit-norm, as every state the
-    circuit operations build is: P(0) is not read off the amplitudes.
+    M is as for :func:`readout`: X is measured in its eigenbasis and each pin
+    in the computational basis, so a draw is nonzero only where every pin
+    holds. The counts are one multinomial draw over the three value
+    probabilities (w -/+ <M>) / 2 and 1 - w from :func:`readout`, so the
+    cost does not depend on ``shots``, and identical inputs give identical
+    counts. The state must be unit-norm, as every state the circuit
+    operations build is: P(0) is not read off the amplitudes.
     """
     check_shots(shots, seed)
-    mean, weight = readout(state, obs)
+    mean, weight = readout(state, x, pins)
     # an X eigenstate can leave -1e-17 in w - <M>
     probs = np.maximum([(weight - mean) / 2.0, 1.0 - weight, (weight + mean) / 2.0], 0.0)
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())

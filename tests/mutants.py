@@ -29,12 +29,15 @@ MUTANTS = (
     # the eigenvalue inversion clamps c/lambda at a full flip
     ("qgpr/qla.py", "np.minimum(_inversion_ratios(config), 1.0)", "_inversion_ratios(config)",
      ["tests/test_qla.py", "-k", "TestEigenvalueInversion"]),
-    # a P0 factor reads its projector at |0>
-    ("qgpr/statevector.py", 'int(fac != "P0")', "1", ["tests/test_statevector.py"]),
-    # the readout takes the X halves along the X register's axis of the pinned block
-    ("qgpr/statevector.py",
-     "axis = [name for name in state.layout.names if name not in pins].index(x[0])", "axis = 0",
+    # the readout's X halves are the X register at 0 and at 1
+    ("qgpr/statevector.py", "{**pins, x: b}) for b in (0, 1)", "{**pins, x: b}) for b in (0, 0)",
      ["tests/test_statevector.py", "-k", "matches_eigenbasis_reference"]),
+    # the estimator's M pins D to 1
+    ("qgpr/estimator.py", 'M = ("A", {"C": 1, "D": 1})', 'M = ("A", {"C": 1, "D": 0})',
+     ["tests/test_estimator.py", "-k", "TestReadout"]),
+    # the readout refuses an X register that is also pinned
+    ("qgpr/statevector.py", " or x in pins", "",
+     ["tests/test_statevector.py", "-k", "readout_refuses"]),
     # the sample variance divides by shots - 1
     ("qgpr/estimator.py", "raw * raw) / (shots - 1)", "raw * raw) / shots",
      ["tests/test_estimator.py"]),

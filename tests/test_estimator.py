@@ -10,6 +10,7 @@ from qgpr import estimator
 from qgpr import statevector as sv
 from qgpr.classical import dense_inverse, predict_exact
 from qgpr.estimator import (
+    M,
     BilinearSpec,
     EstimationResult,
     build_interference_state,
@@ -17,7 +18,6 @@ from qgpr.estimator import (
     gpr_config,
     interference_layout,
     neumann_row,
-    observable_M,
     predict_mean_quantum,
     predict_variance_quantum,
     shots_for_precision,
@@ -26,7 +26,7 @@ from qgpr.estimator import (
 from qgpr.exceptions import ExpansionError, InputError
 from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval_kernel
 from qgpr.qla import QlaConfig, config_for, make_encoding
-from qgpr.statevector import Observable, RegisterLayout, expectation, init_basis
+from qgpr.statevector import RegisterLayout, expectation, init_basis
 
 from conftest import grid_spd, random_se_model, random_spd
 
@@ -94,7 +94,7 @@ class TestBuildInterferenceState:
         v = np.array([0.5])
         spec = BilinearSpec(make_encoding(u), make_encoding(v), np.array([[1.0]]), cfg)
         state = build_interference_state(spec)
-        got = expectation(state, observable_M(state.layout))
+        got = expectation(state, *M)
         assert got == pytest.approx(0.5 * 2.0, abs=1e-10)  # c_u=1/2, c_v=2 -> c_u*c_v=1; u A v = 1
         # spelled out: <M> = c c_u c_v / sqrt(s_u s_v) * u^T A^{-1} v
         assert got == pytest.approx(1.0 * 0.5 * 2.0 * (2.0 * 0.5), abs=1e-10)
@@ -142,17 +142,16 @@ class TestObservableM:
         layout = interference_layout(2, 3)
         state = init_basis(layout, {"C": 1, "D": 1})
         sv.apply_gate(state, sv.HADAMARD, ("A", 0))
-        assert expectation(state, observable_M(layout)) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(state, *M) == pytest.approx(1.0, abs=1e-12)
 
     def test_c_zero_component_scores_zero(self):
         layout = interference_layout(2, 3)
         state = init_basis(layout, {"C": 0, "D": 1})
         sv.apply_gate(state, sv.HADAMARD, ("A", 0))
-        assert expectation(state, observable_M(layout)) == pytest.approx(0.0, abs=1e-12)
+        assert expectation(state, *M) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_operator_oracle(self, rng):
         layout = RegisterLayout((("A", 1), ("B", 2), ("C", 1), ("D", 1), ("E", 2)))
-        obs = observable_M(layout)
         x = np.array([[0, 1], [1, 0]])
         p1 = np.diag([0.0, 1.0])
         dense = np.kron(np.kron(np.kron(np.kron(x, np.eye(4)), p1), p1), np.eye(4))
@@ -161,12 +160,12 @@ class TestObservableM:
             amps /= np.linalg.norm(amps)
             state = sv.StateVector(layout, amps)
             oracle = np.vdot(amps, dense @ amps).real
-            assert expectation(state, obs) == pytest.approx(oracle, abs=1e-10)
+            assert expectation(state, *M) == pytest.approx(oracle, abs=1e-10)
 
     def test_missing_register(self):
         layout = RegisterLayout((("A", 1), ("B", 1)))
         with pytest.raises(InputError):
-            observable_M(layout)
+            expectation(init_basis(layout), *M)
 
 
 class TestEstimateBilinear:
@@ -506,13 +505,12 @@ class TestSampledReadout:
         # of freedom the 1% critical value is -2 ln 0.01; a correct sampler fails
         # more than 4 of the 50 seeds with probability 1.5e-4.
         _, state = random_interference_state(rng, n, clock)
-        obs = observable_M(state.layout)
-        m = expectation(state, obs)
-        s = expectation(state, Observable(state.layout, {"C": "P1", "D": "P1"}))
+        m = expectation(state, *M)
+        s = expectation(state, None, {"C": 1, "D": 1})
         expected = 10_000 * np.array([(s - m) / 2.0, 1.0 - s, (s + m) / 2.0])
         failures = 0
         for seed in range(50):
-            counts = sv.sample_observable(state, obs, 10_000, seed)
+            counts = sv.sample_observable(state, *M, 10_000, seed)
             assert counts.sum() == 10_000
             failures += ((counts - expected) ** 2 / expected).sum() > -2.0 * math.log(0.01)
         assert failures <= 4
@@ -522,7 +520,7 @@ class TestSampledReadout:
         # shots the counts stand for
         spec, state = random_interference_state(rng, 4, 5)
         res = estimate_bilinear(spec, 3000, seed=7)
-        counts = sv.sample_observable(state, observable_M(state.layout), 3000, 7)
+        counts = sv.sample_observable(state, *M, 3000, 7)
         shots = np.repeat([-1.0, 0.0, 1.0], counts)
         sd = shots.std(ddof=1) / math.sqrt(shots.size)
         scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v)
@@ -555,8 +553,7 @@ class TestReadout:
         scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v)
         for seed in range(6):
             res = estimate_bilinear(spec, shots, seed=seed)
-            minus, zero, plus = map(int, sv.sample_observable(state, observable_M(state.layout),
-                                                              shots, seed))
+            minus, zero, plus = map(int, sv.sample_observable(state, *M, shots, seed))
             mean = Fraction(plus - minus, shots)
             squares = minus * (-1 - mean) ** 2 + zero * mean**2 + plus * (1 - mean) ** 2
             var = squares / (shots - 1) / shots if shots > 1 else Fraction(0)

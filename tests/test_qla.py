@@ -736,6 +736,27 @@ class TestQlaSolve:
         with pytest.raises(InputError):
             qla_solve(np.zeros(2), np.eye(2), cfg)
 
+    @pytest.mark.parametrize("reference", [[0.0, 0.0], [1.0, np.nan], [1.0, np.inf], [1.0, 2.0, 3.0]],
+                             ids=["zero", "nan", "inf", "longer-than-the-index"])
+    def test_overlap_refuses_a_bad_reference(self, reference):
+        # a 1-qubit index register; no RuntimeWarning and no bare numpy error
+        cfg = QlaConfig(clock_qubits=3, t0=math.pi / 2, c=0.5)
+        state, _ = qla_solve(np.array([0.3, -0.9]), np.diag([0.5, 1.0]), cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="reference"):
+                solution_overlap(state, reference)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_overlap_does_not_depend_on_the_reference_scale(self, scale):
+        cfg = QlaConfig(clock_qubits=3, t0=math.pi / 2, c=0.5)
+        state, _ = qla_solve(np.array([0.3, -0.9]), np.diag([0.5, 1.0]), cfg)
+        reference = np.array([1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solution_overlap(state, scale * reference)
+        assert got == pytest.approx(solution_overlap(state, reference), rel=1e-12)
+
 
 class TestPadSystem:
     def test_identity_when_power_of_two(self, rng):

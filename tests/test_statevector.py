@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from qgpr import statevector as sv
-from qgpr.estimator import interference_layout, observable_M
+from qgpr.estimator import M, interference_layout
 from qgpr.exceptions import InputError, ZeroProbabilityError
 from qgpr.statevector import (
     HADAMARD,
     PAULI_X,
-    Observable,
     RegisterLayout,
     StateVector,
     apply_gate,
@@ -55,16 +54,17 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-# dense matrices of the named observable factors, for the reference sampler
-DENSE_FACTORS = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "P0": np.diag([1.0, 0.0]),
-    "P1": np.diag([0.0, 1.0]),
-}
+def dense_factors(layout, x, pins):
+    """Dense one-register factors of M: X on ``x``, each pin's projector |v><v|."""
+    factors = {name: np.diag(np.arange(1 << layout.width(name)) == val).astype(float)
+               for name, val in pins.items()}
+    if x is not None:
+        factors[x] = PAULI_X
+    return factors
 
 
 def reference_sample(state, factors, shots, seed):
-    """Sampler that measures each factor in the eigenbasis ``np.linalg.eigh`` gives.
+    """Sampler that measures each dense factor in the eigenbasis ``np.linalg.eigh`` gives.
 
     It rotates every factor register of a copy of the state into that basis,
     tabulates the outcome probabilities over the factor registers in layout
@@ -78,7 +78,7 @@ def reference_sample(state, factors, shots, seed):
     for axis, name in enumerate(layout.names):
         if name not in factors:
             continue
-        vals, vecs = np.linalg.eigh(DENSE_FACTORS[factors[name]])
+        vals, vecs = np.linalg.eigh(factors[name])
         psi = np.moveaxis(np.tensordot(vecs.conj().T, psi, axes=([1], [axis])), 0, axis)
         eigvals.append(vals)
         axes.append(axis)
@@ -410,49 +410,45 @@ class TestControlledEvolution:
 class TestExpectation:
     def test_x_on_plus(self):
         state = plus_state()
-        obs = Observable(state.layout, {"Q": "X"})
-        assert expectation(state, obs) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(state, "Q", {}) == pytest.approx(1.0, abs=1e-12)
 
     def test_projector_on_zero(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
-        obs = Observable(state.layout, {"Q": "P1"})
-        assert expectation(state, obs) == pytest.approx(0.0, abs=1e-12)
+        assert expectation(state, None, {"Q": 1}) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_oracle(self, rng):
         lay = RegisterLayout((("A", 1), ("B", 2), ("C", 1)))
-        obs = Observable(lay, {"A": "X", "C": "P1"})
         dense = np.kron(np.kron(np.array([[0, 1], [1, 0]]), np.eye(4)), np.diag([0.0, 1.0]))
         for _ in range(20):
             state = random_state(rng, lay)
             oracle = np.vdot(state.amps, dense @ state.amps).real
-            assert expectation(state, obs) == pytest.approx(oracle, abs=1e-10)
+            assert expectation(state, "A", {"C": 1}) == pytest.approx(oracle, abs=1e-10)
 
-    def test_non_hermitian_factor_rejected(self):
-        lay = RegisterLayout((("Q", 1),))
-        with pytest.raises(InputError):
-            Observable(lay, {"Q": np.array([[0.0, 1.0], [0.0, 0.0]])})
+    @pytest.mark.parametrize("x", [None, "A"], ids=["projector", "x-and-projector"])
+    @pytest.mark.parametrize("value", range(4))
+    def test_two_qubit_pin_matches_dense_projector(self, rng, x, value):
+        lay = RegisterLayout((("A", 1), ("B", 2), ("C", 1)))
+        projector = np.diag(np.arange(4) == value).astype(float)
+        first = PAULI_X if x else np.eye(2)
+        dense = np.kron(np.kron(first, projector), np.eye(2))
+        for _ in range(20):
+            state = random_state(rng, lay)
+            oracle = np.vdot(state.amps, dense @ state.amps).real
+            assert expectation(state, x, {"B": value}) == pytest.approx(oracle, abs=1e-10)
 
 
 class TestObservable:
     @pytest.mark.parametrize(
-        "factors",
-        [
-            {"Q": PAULI_X},  # Hermitian, but a matrix
-            {"R": "X"},  # two-qubit register
-            {"Q": "X", "S": "X"},
-            {"Q": "Z"},
-            {"Q": 1},
-        ],
-        ids=["matrix", "x-on-two-qubits", "two-x", "unknown-letter", "not-a-string"],
+        "x, pins",
+        [("Q", {"Q": 1}), ("R", {}), (None, {"Z": 0}), ("Z", {}), (None, {"R": 4}),
+         (None, {"Q": -1})],
+        ids=["x-among-pins", "x-on-two-qubits", "unknown-pin", "unknown-x", "pin-overflows",
+             "negative-pin"],
     )
-    def test_rejects_unsupported_factor(self, factors):
-        lay = RegisterLayout((("Q", 1), ("R", 2), ("S", 1)))
+    def test_readout_refuses(self, x, pins):
+        state = init_basis(RegisterLayout((("Q", 1), ("R", 2), ("S", 1))))
         with pytest.raises(InputError):
-            Observable(lay, factors)
-
-    def test_identity_factor_is_dropped(self):
-        lay = RegisterLayout((("Q", 1), ("R", 2)))
-        assert Observable(lay, {"Q": "P1", "R": "I"}).factors == {"Q": "P1"}
+            sv.readout(state, x, pins)
 
     def test_readout_reads_views(self, rng):
         # at 20 qubits each readout allocates less than the state and leaves
@@ -461,10 +457,10 @@ class TestObservable:
         state = random_state(rng, layout)
         before = state.amps.copy()
         readouts = [
-            lambda: expectation(state, observable_M(layout)),
-            lambda: expectation(state, Observable(layout, {"C": "P1", "D": "P1"})),
-            lambda: sample_observable(state, observable_M(layout), 1000, seed=0),
-            lambda: sample_observable(state, observable_M(layout), sv.MAX_SHOTS, seed=0),
+            lambda: expectation(state, *M),
+            lambda: expectation(state, None, {"C": 1, "D": 1}),
+            lambda: sample_observable(state, *M, 1000, seed=0),
+            lambda: sample_observable(state, *M, sv.MAX_SHOTS, seed=0),
         ]
         for readout in readouts:
             assert traced_peak(readout) <= 0.01 * state.amps.nbytes
@@ -549,32 +545,29 @@ class TestRegisterComponent:
 class TestSampleObservable:
     def test_eigenstate_gives_constant_outcomes(self):
         state = init_basis(RegisterLayout((("Q", 1),)), {"Q": 1})
-        obs = Observable(state.layout, {"Q": "P1"})
-        np.testing.assert_array_equal(sample_observable(state, obs, 200, seed=3), [0, 0, 200])
+        np.testing.assert_array_equal(sample_observable(state, None, {"Q": 1}, 200, seed=3),
+                                      [0, 0, 200])
 
     def test_plus_state_x_always_one(self):
         state = plus_state()
-        obs = Observable(state.layout, {"Q": "X"})
-        np.testing.assert_array_equal(sample_observable(state, obs, 500, seed=0), [0, 0, 500])
+        np.testing.assert_array_equal(sample_observable(state, "Q", {}, 500, seed=0), [0, 0, 500])
 
     def test_determinism(self, rng):
         lay = RegisterLayout((("A", 1), ("B", 2)))
         state = random_state(rng, lay)
-        obs = Observable(lay, {"A": "X"})
-        a = sample_observable(state, obs, 1000, seed=42)
-        b = sample_observable(state, obs, 1000, seed=42)
+        a = sample_observable(state, "A", {}, 1000, seed=42)
+        b = sample_observable(state, "A", {}, 1000, seed=42)
         np.testing.assert_array_equal(a, b)
 
     def test_mean_tracks_expectation(self, rng):
         # 4-sigma band should hold for ~all seeds; allow 1 failure in 100
         lay = RegisterLayout((("A", 1), ("C", 1), ("D", 1)))
         state = random_state(rng, lay)
-        obs = Observable(lay, {"A": "X", "C": "P1", "D": "P1"})
-        target = expectation(state, obs)
+        target = expectation(state, "A", {"C": 1, "D": 1})
         shots = 100_000
         failures = 0
         for seed in range(100):
-            outcomes = shot_values(sample_observable(state, obs, shots, seed=seed))
+            outcomes = shot_values(sample_observable(state, "A", {"C": 1, "D": 1}, shots, seed=seed))
             assert outcomes.shape == (shots,)
             band = 4.0 * outcomes.std(ddof=1) / np.sqrt(shots)
             if abs(outcomes.mean() - target) > max(band, 1e-12):
@@ -582,51 +575,50 @@ class TestSampleObservable:
         assert failures <= 1
 
     @pytest.mark.parametrize(
-        "factors",
+        "x, pins",
         [
-            {"A": "X"},
-            {"C": "P0"},
-            {"D": "P1"},
-            {"A": "X", "D": "P1"},
-            {"F": "P0", "A": "X"},
-            {"A": "X", "C": "P1", "D": "P1"},
+            ("A", {}),
+            (None, {"C": 0}),
+            (None, {"D": 1}),
+            ("A", {"D": 1}),
+            ("A", {"F": 0}),
+            ("A", {"C": 1, "D": 1}),
         ],
         ids=["X", "P0", "P1", "X-P1", "P0-before-X", "M"],
     )
-    def test_matches_eigenbasis_reference(self, rng, factors):
+    def test_matches_eigenbasis_reference(self, rng, x, pins):
         # the X register is never the first, so its halves are strided views
         lay = RegisterLayout((("B", 2), ("F", 1), ("A", 1), ("C", 1), ("D", 1), ("E", 2)))
-        obs = Observable(lay, factors)
+        factors = dense_factors(lay, x, pins)
         for seed in range(4):
             state = random_state(rng, lay)
             probs, counts = reference_sample(state, factors, 2000, seed)
-            mean, weight = sv.readout(state, obs)
+            mean, weight = sv.readout(state, x, pins)
             got = [(weight - mean) / 2.0, 1.0 - weight, (weight + mean) / 2.0]
             np.testing.assert_allclose(got, probs, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(sample_observable(state, obs, 2000, seed=seed), counts)
+            np.testing.assert_array_equal(sample_observable(state, x, pins, 2000, seed=seed),
+                                          counts)
 
     def test_x_eigenstate_up_to_rounding(self, rng):
         # |psi0|^2 + |psi1|^2 - 2 Re<psi0|psi1> rounds below 0 for some of these
         lay = RegisterLayout((("B", 3), ("A", 1)))
-        obs = Observable(lay, {"A": "X"})
         for _ in range(20):
             b = rng.normal(size=8) + 1j * rng.normal(size=8)
             amps = np.kron(b / np.linalg.norm(b), [1.0, np.exp(1e-9j)]) / np.sqrt(2.0)
-            counts = sample_observable(StateVector(lay, amps), obs, 100, seed=0)
+            counts = sample_observable(StateVector(lay, amps), "A", {}, 100, seed=0)
             np.testing.assert_array_equal(counts, [0, 0, 100])
 
     def test_negative_seed(self):
         state = plus_state()
         with pytest.raises(InputError):
-            sample_observable(state, Observable(state.layout, {"Q": "X"}), 10, seed=-1)
+            sample_observable(state, "Q", {}, 10, seed=-1)
 
     def test_shots_validation(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
-        obs = Observable(state.layout, {"Q": "X"})
         with pytest.raises(InputError):
-            sample_observable(state, obs, 0, seed=0)
+            sample_observable(state, "Q", {}, 0, seed=0)
         with pytest.raises(InputError):
-            sample_observable(state, obs, sv.MAX_SHOTS + 1, seed=0)
+            sample_observable(state, "Q", {}, sv.MAX_SHOTS + 1, seed=0)
 
 
 class TestUnitarityInvariant:
