@@ -108,12 +108,12 @@ def build_interference_state(spec: BilinearSpec) -> StateVector:
     a_pad = pad_system(spec.system, 1 << w, spec.config.c)
 
     state = sv.init_basis(RegisterLayout(layout.registers[:-1]))  # E is |0> until solver_block
-    sv.apply_gate(state, sv.HADAMARD, ("A", 0))
-    sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], [("A", 0, 0)])
-    sv.apply_gate(state, sv.PAULI_X, ("D", 0), [("A", 0, 0)])
-    sv.reflect(state, state_prep_vector(spec.v, w), ["B", "C"], [("A", 0, 1)])
+    sv.apply_gate(state, sv.HADAMARD, "A")
+    sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], {"A": 0})
+    sv.apply_gate(state, sv.PAULI_X, "D", {"A": 0})
+    sv.reflect(state, state_prep_vector(spec.v, w), ["B", "C"], {"A": 1})
 
-    return solver_block(state, spec.config, a_pad, "E", "B", "D", (("A", 0, 1), ("C", 0, 1)))
+    return solver_block(state, spec.config, a_pad, "E", "B", "D", {"A": 1, "C": 1})
 
 
 def estimate_bilinear(

@@ -233,7 +233,7 @@ def phase_estimate(
     system,
     clock: str = "clock",
     target: str = "index",
-    controls=(),
+    controls=None,
     inverse: bool = False,
 ) -> None:
     """Phase estimation of the system Hamiltonian onto the clock register, in place.
@@ -292,7 +292,7 @@ def inversion_angles(config: QlaConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigenvalue_inversion(
-    state: StateVector, clock: str, ancilla: str, config: QlaConfig, controls=()
+    state: StateVector, clock: str, ancilla: str, config: QlaConfig, controls=None
 ) -> None:
     """Rotate the ancilla by 2*arcsin(c/lambda_k), controlled on clock value k, in place."""
     layout = state.layout
@@ -336,7 +336,7 @@ def _solver_response(lam: bytes, config: QlaConfig) -> tuple[np.ndarray, np.ndar
 
 
 def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
-                 target: str = "index", ancilla: str = "ancilla", controls=()) -> StateVector:
+                 target: str = "index", ancilla: str = "ancilla", controls=None) -> StateVector:
     """:func:`phase_estimate`, :func:`eigenvalue_inversion` and the inverse
     estimation on ``state`` (x) |0>_clock, the clock appended last; returns that
     new state rather than working in place, and leaves ``state`` as it was.
@@ -345,9 +345,10 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     inversion, QFT, conjugate table, Hadamards) run once per config, gate by
     gate on a small state (:func:`_solver_response`). Each call is then one
     :func:`qgpr._accel.spread_solve`, which writes V^H, the spread, that
-    response and V into the new state. The ancilla must be |0> on the
-    controlled rows of ``state``. Every input, the qubit cap and that ancilla
-    among them, is checked before anything is allocated.
+    response and V into the new state. ``controls`` maps register names to
+    the values that select the controlled rows (``{"A": 1, "C": 1}``), where
+    the ancilla must be |0>. Every input, the qubit cap and that ancilla among
+    them, is checked before anything is allocated.
     """
     layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
     if layout.width(ancilla) != 1:
@@ -406,12 +407,8 @@ def solution_overlap(state: StateVector, reference: np.ndarray, index: str = "in
     so clock leakage counts as infidelity rather than being renormalized away.
     The reference must be finite, nonzero and no longer than the index register.
     """
-    fixed = {}
-    for name, _width in state.layout.registers:
-        if name == index:
-            continue
-        # the clock returns to |0...0>; one-qubit flags post-select on |1>
-        fixed[name] = 0 if name == "clock" else 1
+    # the clock returns to |0...0>; one-qubit flags post-select on |1>
+    fixed = {name: 0 if name == "clock" else 1 for name in state.layout.names if name != index}
     comp = sv.register_component(state, index, fixed)
     ref = np.asarray(reference, dtype=complex).reshape(-1)
     if ref.shape[0] > comp.shape[0] or not np.isfinite(ref).all() or not ref.any():

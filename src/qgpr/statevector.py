@@ -18,11 +18,11 @@ readout of M = X on one one-qubit register times projectors that pin other
 registers to values: its mean <M> and the weight w where every pin holds,
 off views of the pinned amplitudes (no copy, no pass over the whole state);
 its seeded shot counts of -1, 0, +1 are one multinomial draw over
-(w -/+ <M>) / 2 and 1 - w. One helper pins registers to values. The
-Hermitian check and the eigendecomposition of a system are memoized on the
-matrix contents, so a system is checked and diagonalized once however many
-circuits use it. Real gates and the real eigenbasis of a real symmetric
-system stay real, so the kernels apply them as real products.
+(w -/+ <M>) / 2 and 1 - w. Controls, like pins, map register names to
+values; one helper checks them all. A system is checked (finite, Hermitian)
+and diagonalized once per matrix content (memoized), however many circuits
+use it. Real gates and the real eigenbasis of a real symmetric system stay
+real, so the kernels apply them as real products.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ _UNITARY_TOL = 1e-10
 _HERMITIAN_TOL = 1e-10
 
 
+def _int_in(kind: str, name: str, val, lo: int, hi: int) -> int:
+    """``val``, the ``kind`` of register ``name``, as an int: an integer, not a bool, in lo..hi."""
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or not lo <= val <= hi:
+        raise InputError(f"register {name!r}: {kind} must be an integer in {lo}..{hi}, got {val!r}")
+    return int(val)
+
+
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named qubit registers of at most ``DEFAULT_QUBIT_CAP`` qubits in all."""
@@ -57,13 +64,12 @@ class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        regs = tuple((str(n), int(w)) for n, w in self.registers)
+        regs = tuple((str(n), _int_in("width", n, w, 1, DEFAULT_QUBIT_CAP))
+                     for n, w in self.registers)
         object.__setattr__(self, "registers", regs)
         names = [n for n, _ in regs]
         if len(set(names)) != len(names):
             raise InputError(f"duplicate register names in {names}")
-        if any(w < 1 for _, w in regs):
-            raise InputError("register widths must be >= 1")
         if self.total_qubits > DEFAULT_QUBIT_CAP:
             raise InputError(
                 f"{self.total_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
@@ -96,10 +102,7 @@ class RegisterLayout:
         return tuple(range(s, s + self.width(name)))
 
     def qubit(self, name: str, j: int) -> int:
-        w = self.width(name)
-        if not 0 <= j < w:
-            raise InputError(f"register {name!r} has no qubit {j}")
-        return self.start(name) + j
+        return self.start(name) + _int_in("qubit index", name, j, 0, self.width(name) - 1)
 
     def dims(self) -> tuple[int, ...]:
         return tuple(1 << w for _, w in self.registers)
@@ -147,16 +150,25 @@ def init_basis(layout: RegisterLayout, indices: Mapping[str, int] | None = None)
     return StateVector._adopt(layout, amps)
 
 
+def _pin_values(layout: RegisterLayout, pins: Mapping[str, int] | None):
+    """``(name, width, value)`` per pin, each value checked against its register."""
+    for name, val in (pins or {}).items():
+        width = layout.width(name)  # raises for unknown names
+        yield name, width, _int_in("value", name, val, 0, (1 << width) - 1)
+
+
 def _register_view(layout: RegisterLayout, amps: np.ndarray, values: Mapping[str, int]):
     """View of ``amps`` as the register tensor (one axis per register, in
     layout order) with each named register pinned to its value."""
-    idx: list = [slice(None)] * len(layout.registers)
-    for name, val in values.items():
-        width = layout.width(name)  # raises for unknown names
-        if not 0 <= val < (1 << width):
-            raise InputError(f"value {val} overflows register {name!r} ({width} qubits)")
-        idx[layout.names.index(name)] = int(val)
+    pinned = {name: val for name, _, val in _pin_values(layout, values)}
+    idx = (pinned.get(name, slice(None)) for name in layout.names)
     return amps.reshape(layout.dims())[(*idx, ...)]  # the trailing ... keeps a 0-d result a view
+
+
+def _pin_bits(layout: RegisterLayout, pins) -> tuple[tuple[int, int], ...]:
+    """``pins`` as the kernels' (position, bit) pairs, most significant qubit first."""
+    return tuple((layout.start(name) + j, (val >> (width - 1 - j)) & 1)
+                 for name, width, val in _pin_values(layout, pins) for j in range(width))
 
 
 def _target_positions(layout: RegisterLayout, target) -> tuple[int, ...]:
@@ -171,19 +183,10 @@ def _target_positions(layout: RegisterLayout, target) -> tuple[int, ...]:
     return tuple(pos)
 
 
-def _control_positions(layout: RegisterLayout, controls) -> tuple[tuple[int, int], ...]:
-    out = []
-    for reg, qubit, val in controls:
-        if val not in (0, 1):
-            raise InputError(f"control value must be 0 or 1, got {val}")
-        out.append((layout.qubit(reg, qubit), val))
-    return tuple(out)
-
-
 def _gate_positions(layout: RegisterLayout, target, controls):
     """Target and control positions; no qubit may be both, or a target twice."""
     tpos = _target_positions(layout, target)
-    cpos = _control_positions(layout, controls)
+    cpos = _pin_bits(layout, controls)
     if len(set(tpos)) != len(tpos):
         raise InputError("a target qubit is named twice")
     if set(tpos) & {p for p, _ in cpos}:
@@ -195,12 +198,12 @@ def _gate_positions(layout: RegisterLayout, target, controls):
 # circuit operations
 
 
-def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> None:
-    """Apply a unitary to target qubits in place, optionally under qubit controls.
+def apply_gate(state: StateVector, gate: np.ndarray, target, controls=None) -> None:
+    """Apply a unitary to target qubits in place, optionally controlled.
 
     ``target`` is a register name (whole register), a ``(register, qubit)``
-    pair, or a sequence of those; ``controls`` is a sequence of
-    ``(register, qubit, value)`` triples that must all match.
+    pair, or a sequence of those; ``controls`` maps register names to the
+    values they must all hold, as :func:`readout`'s pins do.
     """
     layout = state.layout
     tpos, cpos = _gate_positions(layout, target, controls)
@@ -214,7 +217,7 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=()) -> Non
     _accel.apply_matrix(state.amps, gate, tpos, layout.total_qubits, cpos)
 
 
-def hadamard_layer(state: StateVector, register: str, controls=()) -> None:
+def hadamard_layer(state: StateVector, register: str, controls=None) -> None:
     """H on every qubit of a register in place, optionally controlled, as Walsh
     blocks H^(x)k of up to 4 qubits: one pass over the amplitudes per block."""
     layout = state.layout
@@ -224,7 +227,7 @@ def hadamard_layer(state: StateVector, register: str, controls=()) -> None:
         _accel.apply_matrix(state.amps, _WALSH[len(block) - 1], block, layout.total_qubits, cpos)
 
 
-def reflect(state: StateVector, u, target, controls=()) -> None:
+def reflect(state: StateVector, u, target, controls=None) -> None:
     """Apply the reflection ``I - 2 u u^H`` to target qubits in place, optionally controlled.
 
     ``target`` and ``controls`` are as for :func:`apply_gate`. ``u`` must be a
@@ -247,22 +250,23 @@ def qft_matrix(width: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / dim) / math.sqrt(dim)
 
 
-def qft(state: StateVector, register: str, inverse: bool = False, controls=()) -> None:
+def qft(state: StateVector, register: str, inverse: bool = False, controls=None) -> None:
     """Quantum Fourier transform (or its inverse) on one register in place, as an FFT.
 
     Forward: |j> -> T^{-1/2} sum_k exp(+2 pi i jk/T)|k> with T = 2**width; the
     inverse has exp(-2 pi i jk/T). Controls may not lie on ``register``.
     """
     layout = state.layout
-    start, width = layout.start(register), layout.width(register)
-    _, cpos = _gate_positions(layout, register, controls)
-    _accel.fourier(state.amps, start, width, layout.total_qubits, cpos, inverse)
+    tpos, cpos = _gate_positions(layout, register, controls)
+    _accel.fourier(state.amps, tpos[0], len(tpos), layout.total_qubits, cpos, inverse)
 
 
 @functools.lru_cache(maxsize=4)
 def _eigh_of(shape: tuple[int, int], dtype: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Checked and diagonalized once per content; an exception is not cached."""
     a = np.frombuffer(data, dtype=dtype).reshape(shape)
+    if not np.isfinite(a).all():  # before the subtraction: inf - inf warns, and NaN compares False
+        raise InputError("matrix has non-finite entries")
     if np.abs(a - a.conj().T).max() > _HERMITIAN_TOL * max(1.0, np.abs(a).max()):
         raise InputError("matrix is not Hermitian")
     lam, vec = np.linalg.eigh(a)
@@ -291,24 +295,23 @@ def controlled_evolution(
     target: str,
     system: np.ndarray,
     t: float,
-    controls=(),
+    controls=None,
 ) -> None:
     """Apply ``sum_tau |tau><tau| (x) exp(i * system * t * tau/T)`` (T clock states) in place.
 
     As defined, with ``system = V diag(lambda) V^H``: per clock value tau, one
     :func:`apply_gate` of ``V diag(exp(i * lambda * t * tau/T)) V^H`` on the
-    target, controlled on the clock bits (most significant first) and ``controls``.
+    target, controlled on ``controls`` and the clock holding tau.
     """
     layout = state.layout
     _gate_positions(layout, [clock, target], controls)
     lam, vec = hermitian_eigh(system)
     if lam.shape[0] != 1 << layout.width(target):
         raise InputError(f"system dimension {lam.shape[0]} does not match register {target!r}")
-    cw = layout.width(clock)
-    for tau in range(1 << cw):
-        bits = [(clock, j, (tau >> (cw - 1 - j)) & 1) for j in range(cw)]
-        gate = (vec * np.exp(1j * lam * (t * tau / (1 << cw)))) @ vec.conj().T
-        apply_gate(state, gate, target, [*bits, *controls])
+    big_t = 1 << layout.width(clock)
+    for tau in range(big_t):
+        gate = (vec * np.exp(1j * lam * (t * tau / big_t))) @ vec.conj().T
+        apply_gate(state, gate, target, {**(controls or {}), clock: tau})
 
 
 def _re_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,6 +15,15 @@ def zero_controlled_ancilla(amps, m, apos, controls=()):
     return amps
 
 
+# systems with a NaN or an inf entry: NaN passes the Hermitian test and the
+# spectrum checks, which compare, and the last one's NaN read as lambda_min < c
+non_finite_systems = pytest.mark.parametrize(
+    "system",
+    [[[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, np.inf]], [[1.0, 0.2], [0.2, np.nan]]],
+    ids=["nan", "inf", "nan-read-as-a-config-error"],
+)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -35,6 +35,15 @@ MUTANTS = (
     # the estimator's M pins D to 1
     ("qgpr/estimator.py", 'M = ("A", {"C": 1, "D": 1})', 'M = ("A", {"C": 1, "D": 0})',
      ["tests/test_estimator.py", "-k", "TestReadout"]),
+    # a pin map expands to (position, bit) pairs most significant qubit first
+    ("qgpr/statevector.py", ">> (width - 1 - j)", ">> j",
+     ["tests/test_statevector.py", "tests/test_qla.py", "-k", "two_qubit_control"]),
+    # a register width or value is an integer, not a bool or a float
+    ("qgpr/statevector.py", "isinstance(val, bool) or not isinstance(val, (int, np.integer)) or ", "",
+     ["tests/test_statevector.py", "-k", "TestRegisterValues or width_must_be"]),
+    # a system with a NaN or an inf entry is refused before it is diagonalized
+    ("qgpr/statevector.py", "    if not np.isfinite(a).all():", "    if False:",
+     ["tests/test_qla.py", "-k", "non_finite_system"]),
     # the readout refuses an X register that is also pinned
     ("qgpr/statevector.py", " or x in pins", "",
      ["tests/test_statevector.py", "-k", "readout_refuses"]),

@@ -28,7 +28,7 @@ from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval
 from qgpr.qla import QlaConfig, config_for, make_encoding
 from qgpr.statevector import RegisterLayout, expectation, init_basis
 
-from conftest import grid_spd, random_se_model, random_spd
+from conftest import grid_spd, non_finite_systems, random_se_model, random_spd
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 
@@ -183,6 +183,13 @@ class TestEstimateBilinear:
         spec = BilinearSpec(make_encoding(e0), make_encoding(-e0), np.eye(2), cfg)
         res = estimate_bilinear(spec)
         assert res.estimate == pytest.approx(-1.0, abs=1e-10)
+
+    @non_finite_systems
+    def test_non_finite_system_is_refused(self, system):
+        cfg = QlaConfig(4, t0=0.5, c=0.1)
+        spec = BilinearSpec(make_encoding([1.0, 0.5]), make_encoding([0.3, 1.0]), np.array(system), cfg)
+        with pytest.raises(InputError, match="non-finite"):
+            estimate_bilinear(spec)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matches_dense_inverse_on_grid_systems(self, rng, n):

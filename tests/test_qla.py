@@ -27,7 +27,7 @@ from qgpr.qla import (
 )
 from qgpr.statevector import RegisterLayout, StateVector, init_basis, project, register_component
 
-from conftest import random_spd, zero_controlled_ancilla
+from conftest import non_finite_systems, random_spd, zero_controlled_ancilla
 
 
 def clock_distribution(state, clock="clock"):
@@ -325,36 +325,36 @@ def random_state(rng, layout):
     return StateVector(layout, amps / np.linalg.norm(amps))
 
 
-def solver_input(rng, layout, controls=()):
+def solver_input(rng, layout, controls=None):
     """A random state on a clock-free ``layout`` whose ancilla ``anc`` is |0> on
     the rows ``controls`` select, as :func:`solver_block` requires."""
     state = random_state(rng, layout)
     zero_controlled_ancilla(state.amps, layout.total_qubits, layout.qubit("anc", 0),
-                            sv._control_positions(layout, controls))
+                            sv._pin_bits(layout, controls))
     return state
 
 
 @pytest.mark.parametrize(
     "layout, op",
     [
-        (_LAYOUT, lambda s: sv.apply_gate(s, sv.PAULI_X, ("anc", 0), [("anc", 0, 1)])),
+        (_LAYOUT, lambda s: sv.apply_gate(s, sv.PAULI_X, ("anc", 0), {"anc": 1})),
         (_LAYOUT, lambda s: sv.apply_gate(s, np.eye(4), [("anc", 0), ("anc", 0)])),
-        (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0), [("anc", 0, 1)])),
-        (_LAYOUT, lambda s: sv.qft(s, "clock", controls=[("clock", 1, 1)])),
-        (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, [("index", 0, 1)])),
-        (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, [("clock", 0, 1)])),
+        (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0), {"anc": 1})),
+        (_LAYOUT, lambda s: sv.qft(s, "clock", controls={"clock": 1})),
+        (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, {"index": 1})),
+        (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, {"clock": 2})),
         (_LAYOUT, lambda s: sv.controlled_evolution(s, "index", "index", np.eye(2), 1.0)),
-        (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("clock", 1, 1)])),
-        (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, [("anc", 0, 1)])),
+        (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, {"clock": 1})),
+        (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, {"anc": 1})),
         (_LAYOUT, lambda s: phase_estimate(s, config_for(np.eye(2), 2, c=0.5), np.eye(2),
-                                           controls=[("index", 0, 1)])),
-        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls=[("anc", 0, 1)])),
+                                           controls={"index": 1})),
+        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls={"anc": 1})),
         (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="index")),
         (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="clock")),
-        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls=[("clock", 0, 1)])),
+        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls={"clock": 2})),
         (_LAYOUT, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc")),
         (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc",
-                                       controls=[("clock", 1, 1)])),
+                                       controls={"clock": 1})),
         (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), clock="index", ancilla="anc")),
     ],
     ids=[
@@ -392,7 +392,7 @@ _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid
 @pytest.mark.parametrize(
     "layout, op",
     [
-        (_LAYOUT, lambda s: sv.apply_gate(s, sv.HADAMARD, ("anc", 0), [("index", 0, 1)])),
+        (_LAYOUT, lambda s: sv.apply_gate(s, sv.HADAMARD, ("anc", 0), {"index": 1})),
         (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0))),
         (_LAYOUT, lambda s: sv.qft(s, "clock")),
         (_LAYOUT, lambda s: sv.qft(s, "clock", inverse=True)),
@@ -440,7 +440,8 @@ def with_zero_clock(state, clock, width):
                        np.kron(state.amps, zero.amps))
 
 
-def reference_solver(state, cfg, system, clock="clock", target="index", ancilla="ancilla", controls=()):
+def reference_solver(state, cfg, system, clock="clock", target="index", ancilla="ancilla",
+                     controls=None):
     """The solver as three separate ops, each with its own basis change, on
     ``state`` (x) |0> with the clock appended last."""
     full = with_zero_clock(state, clock, cfg.clock_qubits)
@@ -460,15 +461,12 @@ def random_hermitian(rng, n, lo=0.3, hi=1.0):
 # No controls, then controls before, between and after the target and the
 # ancilla, then the two layouts qla_solve builds
 _BLOCK_LAYOUTS = {
-    "none": ((("index", None), ("anc", 1)), ()),
-    "before": ((("ctl", 2), ("index", None), ("anc", 1)),
-               (("ctl", 0, 1), ("ctl", 1, 0))),
-    "between": ((("anc", 1), ("ctl", 2), ("index", None)),
-                (("ctl", 1, 1), ("ctl", 0, 1))),
-    "after": ((("anc", 1), ("index", None), ("ctl", 2)),
-              (("ctl", 0, 0), ("ctl", 1, 1))),
-    "qla_solve-sparse": ((("index", None), ("flag", 1), ("anc", 1)), ()),
-    "qla_solve-vector": ((("index", None), ("anc", 1)), ()),
+    "none": ((("index", None), ("anc", 1)), {}),
+    "before": ((("ctl", 2), ("index", None), ("anc", 1)), {"ctl": 2}),
+    "between": ((("anc", 1), ("ctl", 2), ("index", None)), {"ctl": 3}),
+    "after": ((("anc", 1), ("index", None), ("ctl", 2)), {"ctl": 1}),
+    "qla_solve-sparse": ((("index", None), ("flag", 1), ("anc", 1)), {}),
+    "qla_solve-vector": ((("index", None), ("anc", 1)), {}),
 }
 
 
@@ -497,7 +495,7 @@ class TestSpread:
             expected = with_zero_clock(entered, "clock", width)
             sv.hadamard_layer(expected, "clock", controls)
             full = expected.layout
-            m, cpos = full.total_qubits, sv._control_positions(full, controls)
+            m, cpos = full.total_qubits, sv._pin_bits(full, controls)
             tpos, apos = full.positions("index"), full.qubit("anc", 0)
             rows = (*full.positions("clock"), apos)
             for j in range(4):  # one (clock, ancilla) block per target value
@@ -631,7 +629,7 @@ class TestSolverBlock:
         layout, controls = block_layout(layout_name, 2)
         state = solver_input(rng, layout, controls)
         # one small amplitude on the last controlled row with the ancilla at 1
-        bits = dict(sv._control_positions(layout, controls))
+        bits = dict(sv._pin_bits(layout, controls))
         bits[layout.qubit("anc", 0)] = 1
         row = [bits.get(q, 1) for q in range(layout.total_qubits)]
         state.amps[int("".join(map(str, row)), 2)] = 1e-9
@@ -640,6 +638,25 @@ class TestSolverBlock:
             solver_block(state, QlaConfig(2, t0=1.0, c=0.25), np.eye(4) * 0.5, "clock", "index",
                          "anc", controls)
         np.testing.assert_array_equal(state.amps, before)
+
+    @pytest.mark.parametrize("value", [1, 2])
+    def test_two_qubit_control_matches_dense_controlled_solver(self, rng, value):
+        # the rows where ctl holds ``value`` get the uncontrolled solver and the
+        # rest get |0> on the clock, read off the register tensor: the values
+        # 1 and 2 differ in both bits, so a control read in the wrong bit
+        # order acts on the other block
+        cfg = QlaConfig(3, t0=2 * math.pi * 7 / 8, c=0.25)
+        system = random_hermitian(rng, 4)  # spectrum in [0.3, 1)
+        state = random_state(rng, RegisterLayout((("ctl", 2), ("index", 2), ("anc", 1))))
+        state.amps.reshape(4, 4, 2)[value, :, 1] = 0.0  # the ancilla is |0> on the controlled rows
+        out = solver_block(state, cfg, system, "clock", "index", "anc", {"ctl": value})
+        block = StateVector(RegisterLayout((("index", 2), ("anc", 1))),
+                            state.amps.reshape(4, -1)[value])
+        solved = solver_block(block, cfg, system, "clock", "index", "anc")
+        zero_clock = np.eye(8)[0]
+        for k, rows in enumerate(out.amps.reshape(4, -1)):
+            expected = solved.amps if k == value else np.kron(state.amps.reshape(4, -1)[k], zero_clock)
+            assert np.abs(rows - expected).max() <= 1e-12
 
     def test_qla_solve_complex_rhs_on_a_real_system(self, rng, monkeypatch):
         # a complex b on a real system: real V, complex ancilla-0 rows, the complex product
@@ -654,6 +671,13 @@ class TestSolverBlock:
 
 
 class TestQlaSolve:
+    @non_finite_systems
+    def test_non_finite_system_is_refused(self, system):
+        cfg = QlaConfig(4, t0=0.5, c=0.1)
+        for _ in range(2):  # the memo caches no exception
+            with pytest.raises(InputError, match="non-finite"):
+                qla_solve(np.array([0.3, 1.0]), np.array(system), cfg)
+
     def test_identity_system_exact(self):
         cfg = QlaConfig(clock_qubits=3, t0=2 * math.pi / 8, c=1.0)  # lambda=1 -> bin 1
         state, prob = qla_solve(np.array([1.0, 0.0]), np.eye(2), cfg)

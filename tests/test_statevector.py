@@ -110,6 +110,14 @@ class TestLayout:
         with pytest.raises(InputError):
             RegisterLayout((("A", 23),))
 
+    @pytest.mark.parametrize("width", [2.7, 2.0, "2", True], ids=["fraction", "float", "str", "bool"])
+    def test_width_must_be_an_integer(self, width):
+        with pytest.raises(InputError, match="register 'A'"):
+            RegisterLayout((("B", 1), ("A", width)))
+
+    def test_numpy_integer_width(self):
+        assert RegisterLayout((("A", np.int64(2)),)).registers == (("A", 2),)
+
 
 class TestStateVector:
     def test_owns_its_amplitudes(self):
@@ -156,13 +164,13 @@ class TestApplyGate:
     def test_control_off_means_identity(self):
         lay = RegisterLayout((("A", 1), ("B", 1)))
         state = init_basis(lay)  # control A = 0
-        apply_gate(state, PAULI_X, ("B", 0), [("A", 0, 1)])
+        apply_gate(state, PAULI_X, ("B", 0), {"A": 1})
         np.testing.assert_array_equal(state.amps, init_basis(lay).amps)
 
     def test_control_on_fires(self):
         lay = RegisterLayout((("A", 1), ("B", 1)))
         state = init_basis(lay, {"A": 1})
-        apply_gate(state, PAULI_X, ("B", 0), [("A", 0, 1)])
+        apply_gate(state, PAULI_X, ("B", 0), {"A": 1})
         np.testing.assert_array_equal(state.amps, [0, 0, 0, 1])
 
     def test_random_unitary_preserves_norm(self, rng):
@@ -181,7 +189,26 @@ class TestApplyGate:
     def test_overlapping_target_and_control(self):
         state = init_basis(RegisterLayout((("Q", 2),)))
         with pytest.raises(InputError):
-            apply_gate(state, PAULI_X, ("Q", 0), [("Q", 0, 1)])
+            apply_gate(state, PAULI_X, ("Q", 0), {"Q": 1})
+
+    @pytest.mark.parametrize("value", [1, 2])
+    @pytest.mark.parametrize("control_first", [True, False], ids=["control-first", "target-first"])
+    def test_two_qubit_control_matches_dense_controlled_gate(self, rng, value, control_first):
+        # the values 1 and 2 differ in both bits, so a control read in the
+        # wrong bit order fires on the other block
+        gate = random_unitary(rng, 2)
+        projector = np.diag(np.arange(4) == value).astype(float)
+        parts = [(projector, gate), (np.eye(4) - projector, np.eye(2))]
+        if control_first:
+            registers = (("ctl", 2), ("t", 1))
+            dense = sum(np.kron(p, g) for p, g in parts)
+        else:
+            registers = (("t", 1), ("ctl", 2))
+            dense = sum(np.kron(g, p) for p, g in parts)
+        state = random_state(rng, RegisterLayout(registers))
+        expected = dense @ state.amps
+        apply_gate(state, gate, "t", {"ctl": value})
+        np.testing.assert_allclose(state.amps, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "gate, dtype",
@@ -214,20 +241,24 @@ class TestApplyGate:
             apply_gate(state, np.array([[1, 0], [0, 2j]]), ("Q", 0))
 
 
+_ABC = (("A", 1), ("B", 2), ("C", 1))
+_SPLIT_B = (("A", 1), ("B0", 1), ("B1", 1), ("C", 1))  # B's qubits as one-qubit registers
+
+
 class TestReflect:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize(
-        "target, controls",
+        "registers, target, controls",
         [
-            (["C", "B"], ()),  # targets out of order
-            (["C", ("A", 0)], [("B", 1, 1)]),  # control between the targets
-            ("B", [("A", 0, 0)]),  # control before the target
-            (["B", "A"], [("C", 0, 1)]),  # control after the targets
-            ([("C", 0), ("B", 0)], [("A", 0, 1), ("B", 1, 0)]),  # controls on both sides
+            (_ABC, ["C", "B"], {}),  # targets out of order
+            (_SPLIT_B, ["C", "A"], {"B1": 1}),  # control between the targets
+            (_ABC, "B", {"A": 0}),  # control before the target
+            (_ABC, ["B", "A"], {"C": 1}),  # control after the targets
+            (_SPLIT_B, ["C", "B0"], {"A": 1, "B1": 0}),  # controls on both sides
         ],
     )
-    def test_matches_dense_gate(self, rng, target, controls, dtype):
-        lay = RegisterLayout((("A", 1), ("B", 2), ("C", 1)))
+    def test_matches_dense_gate(self, rng, registers, target, controls, dtype):
+        lay = RegisterLayout(registers)
         dim = 1 << len(sv._target_positions(lay, target))
         u = rng.normal(size=dim).astype(dtype)
         if dtype is complex:
@@ -242,15 +273,15 @@ class TestReflect:
     @pytest.mark.parametrize(
         "u, target, controls",
         [
-            (np.array([1.0, 1.0]), ("B", 0), ()),  # norm sqrt(2)
-            (np.array([np.nan, 0.0]), ("B", 0), ()),
-            (np.array([1.0, 0.0, 0.0, 0.0]), ("B", 0), ()),  # one qubit needs length 2
-            (np.array([0.6, 0.8]), ("B", 0), [("B", 0, 1)]),
+            (np.array([1.0, 1.0]), "B0", {}),  # norm sqrt(2)
+            (np.array([np.nan, 0.0]), "B0", {}),
+            (np.array([1.0, 0.0, 0.0, 0.0]), "B0", {}),  # one qubit needs length 2
+            (np.array([0.6, 0.8]), "B0", {"B0": 1}),
         ],
         ids=["not-unit", "nan", "shape-mismatch", "target-control-overlap"],
     )
     def test_rejects_bad_vector_or_positions(self, u, target, controls):
-        state = init_basis(RegisterLayout((("A", 1), ("B", 2))))
+        state = init_basis(RegisterLayout((("A", 1), ("B0", 1), ("B1", 1))))
         with pytest.raises(InputError):
             reflect(state, u, target, controls)
 
@@ -284,11 +315,12 @@ class TestQft:
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize(
         "controls",
-        [(), (("A", 0, 1),), (("A", 0, 0), ("B", 1, 1), ("C", 0, 1))],
+        [{}, {"A": 1}, {"A": 0, "B1": 1, "C": 1}],
         ids=["none", "before", "both-sides"],
     )
     def test_matches_dense_reference(self, rng, width, inverse, controls):
-        lay = RegisterLayout((("A", 1), ("E", width), ("B", 2), ("C", 1)))
+        # B's qubits are one-qubit registers, so a control can take one of them
+        lay = RegisterLayout((("A", 1), ("E", width), ("B0", 1), ("B1", 1), ("C", 1)))
         mat = qft_matrix(width)
         if inverse:
             mat = mat.conj().T
@@ -300,7 +332,7 @@ class TestQft:
 
     @pytest.mark.parametrize(
         "register, controls",
-        [("E", [("E", 1, 1)]), ("E", [("A", 0, 2)]), ("F", [])],
+        [("E", {"E": 1}), ("E", {"A": 2}), ("F", {})],
         ids=["control-on-register", "bad-control-value", "unknown-register"],
     )
     def test_rejects_bad_target_or_controls(self, register, controls):
@@ -467,12 +499,39 @@ class TestObservable:
             np.testing.assert_array_equal(state.amps, before)
 
 
+# (register, value) pairs no control or pin may take on the layout (T: 1, C: 2):
+# a value that is not an integer, a bool, one that C cannot hold, a register
+# the layout lacks, and T, which the gate targets and the readout reads X on
+_BAD_REGISTER_VALUES = [("C", 0.5), ("C", True), ("C", 1.0), ("C", 4), ("C", -1), ("Z", 0),
+                        ("T", 1)]
+_BAD_REGISTER_VALUE_IDS = ["half", "bool", "float", "overflow", "negative", "unknown-register",
+                           "pinned-and-targeted"]
+
+
+class TestRegisterValues:
+    """Controls and pins name register values alike, and are checked alike."""
+
+    @pytest.mark.parametrize("name, value", _BAD_REGISTER_VALUES, ids=_BAD_REGISTER_VALUE_IDS)
+    def test_control_refuses(self, name, value):
+        state = init_basis(RegisterLayout((("T", 1), ("C", 2))), {"C": 1})
+        with pytest.raises(InputError):
+            apply_gate(state, PAULI_X, "T", {name: value})
+        np.testing.assert_array_equal(state.amps, init_basis(state.layout, {"C": 1}).amps)
+
+    @pytest.mark.parametrize("name, value", _BAD_REGISTER_VALUES, ids=_BAD_REGISTER_VALUE_IDS)
+    def test_pin_refuses(self, name, value):
+        state = init_basis(RegisterLayout((("T", 1), ("C", 2))), {"C": 1})
+        with pytest.raises(InputError):
+            sv.readout(state, "T", {name: value})
+
+
 class TestHadamardLayer:
     @pytest.mark.parametrize("width", range(1, 10))
-    @pytest.mark.parametrize("controls", [(), (("L", 0, 1),), (("L", 0, 0), ("R", 1, 1))])
+    @pytest.mark.parametrize("controls", [{}, {"L": 1}, {"L": 0, "R1": 1}])
     def test_matches_per_qubit_hadamards(self, rng, width, controls):
-        # Walsh blocks of up to 4 qubits: widths above 4 take two or three blocks
-        layout = RegisterLayout((("L", 1), ("K", width), ("R", 2)))
+        # Walsh blocks of up to 4 qubits: widths above 4 take two or three blocks;
+        # R's qubits are one-qubit registers, so a control can take one of them
+        layout = RegisterLayout((("L", 1), ("K", width), ("R0", 1), ("R1", 1)))
         state = random_state(rng, layout)
         reference = state.copy()
         hadamard_layer(state, "K", controls)
@@ -484,7 +543,7 @@ class TestHadamardLayer:
         state = random_state(rng, RegisterLayout((("K", 5),)))
         before = state.amps.copy()
         with pytest.raises(InputError):
-            hadamard_layer(state, "K", [("K", 4, 1)])
+            hadamard_layer(state, "K", {"K": 1})
         np.testing.assert_array_equal(state.amps, before)
 
 
@@ -627,6 +686,6 @@ class TestUnitarityInvariant:
         a = rng.normal(size=(4, 4))
         state = random_state(rng, lay)
         apply_gate(state, HADAMARD, ("A", 0))
-        controlled_evolution(state, "E", "B", a + a.T, 1.1, controls=[("A", 0, 1)])
+        controlled_evolution(state, "E", "B", a + a.T, 1.1, controls={"A": 1})
         qft(state, "E", inverse=True)
         assert abs(state.norm() - 1.0) <= 1e-10
