@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError, InputError, NotPositiveDefiniteError, NumericError
+from .exceptions import (ConvergenceError, InputError, NotPositiveDefiniteError, NumericError,
+                         integer)
 from .kernels import GPModel, build_cross, eval_kernel
 
 
@@ -63,11 +64,10 @@ def cg_solve(system, b, tol: float = 1e-10, max_iter: int | None = None) -> np.n
     n = b.shape[0]
     if a.shape != (n, n):
         raise InputError(f"system shape {a.shape} does not match vector length {n}")
+    max_iter = 10 * n if max_iter is None else integer("max_iter", max_iter, 0)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return np.zeros(n)
-    if max_iter is None:
-        max_iter = 10 * n
     x = np.zeros(n)
     r = b.copy()
     p = r.copy()

@@ -31,7 +31,7 @@ from .estimator import (
     predict_variance_quantum,
     shots_for_precision,
 )
-from .exceptions import InputError, NumericError, ParseError
+from .exceptions import InputError, NumericError, ParseError, integer
 from .kernels import (
     GPModel,
     KernelSpec,
@@ -78,12 +78,9 @@ class RunConfig:
         self.test_points = _points(self.test_points)
         if not self.test_points:
             raise InputError("at least one test point is required")
-        if _integer("clock_qubits", self.clock_qubits) < 1:
-            raise InputError("clock_qubits must be >= 1")
-        if _integer("shots", self.shots) < 1:
-            raise InputError("shots must be >= 1")
-        if _integer("seed", self.seed) < 0:
-            raise InputError("seed must be >= 0")
+        self.clock_qubits = integer("clock_qubits", self.clock_qubits, 1)
+        self.shots = integer("shots", self.shots, 1)
+        self.seed = integer("seed", self.seed, 0)
         if _string("mode", self.mode) not in ("exact", "sampled"):
             raise InputError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if not isinstance(self.has_header, bool):
@@ -97,8 +94,7 @@ class RunConfig:
                 raise InputError("delta must be > 0")
         if not isinstance(self.sweep_values, list):
             raise InputError(f"sweep.values must be a list, got {self.sweep_values!r}")
-        for value in self.sweep_values:
-            _integer("sweep.values", value)
+        self.sweep_values = [integer("sweep.values", value) for value in self.sweep_values]
         if self.sweep_axis not in (None, "clock_qubits", "shots"):
             raise InputError(f"sweep.axis must be clock_qubits or shots, got {self.sweep_axis!r}")
         if (self.sweep_axis is None) != (self.sweep_values == []):  # neither is no sweep
@@ -107,12 +103,6 @@ class RunConfig:
             out = Path(_string("out", self.out))
             if out.is_dir() or not out.parent.is_dir():
                 raise InputError(f"cannot write {self.out}: not a file in an existing directory")
-
-
-def _integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def _string(name: str, value) -> str:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevector as sv
-from .exceptions import ExpansionError, InputError, NumericError
+from .exceptions import ExpansionError, InputError, NumericError, integer
 from .kernels import GPModel, build_cross, eval_kernel
 from .qla import (
     QlaConfig,
@@ -228,8 +228,7 @@ def neumann_row(model: GPModel, x_star, order: int) -> np.ndarray:
     T_x = sum_{j<x} (-1)^j K^j / sigma^(2(j+1)), the Neumann expansion around
     sigma_n^2 I; valid when the spectral radius of K is below sigma_n^2.
     """
-    if order < 1:
-        raise InputError("order must be >= 1")
+    order = integer("order", order, 1)
     k = model.gram
     sigma2 = model.noise_variance
     rho = float(np.abs(np.linalg.eigvalsh(k)).max())

@@ -2,8 +2,14 @@
 
 Two top-level families map onto the CLI exit-status contract:
 ``InputError`` (bad user/caller input, exit status 2) and ``NumericError``
-(numerical or conditioning failures, exit status 3).
+(numerical or conditioning failures, exit status 3). :func:`integer` is the
+one check of what counts as an integer in range: register widths and values,
+the clock width, shots, seeds, the run config's counts, iteration counts.
 """
+
+import math
+
+import numpy as np
 
 
 class QgprError(Exception):
@@ -52,3 +58,13 @@ class ZeroProbabilityError(NumericError):
 
 class ExpansionError(NumericError):
     """Series expansion of the inverse does not converge for this system."""
+
+
+def integer(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``value`` as an int if it is an int or a numpy integer, not a bool, in
+    ``lo..hi``; else an InputError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise InputError(f"{name} {value} is not in {lo}..{hi}")
+    return int(value)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _accel
 from . import statevector as sv
-from .exceptions import ConfigError, InputError, NumericError
+from .exceptions import ConfigError, InputError, NumericError, integer
 from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
@@ -52,19 +52,13 @@ class QlaConfig:
     c: float
 
     def __post_init__(self):
-        _check_clock(self.clock_qubits)
+        integer("clock_qubits", self.clock_qubits, 1, DEFAULT_QUBIT_CAP)
         if not (self.t0 > 0 and self.c > 0):  # also rejects NaN
             raise InputError("t0 and c must both be > 0")
 
     @property
     def T(self) -> int:
         return 1 << self.clock_qubits
-
-
-def _check_clock(clock_qubits: int) -> None:
-    """Reject a clock no layout under the qubit cap holds, before 2**clock_qubits is used."""
-    if not 1 <= clock_qubits <= DEFAULT_QUBIT_CAP:
-        raise InputError(f"clock_qubits {clock_qubits} is not in 1..{DEFAULT_QUBIT_CAP}")
 
 
 def gershgorin_bound(system) -> float:
@@ -78,7 +72,7 @@ def gershgorin_bound(system) -> float:
 
 def default_t0(system, clock_qubits: int) -> float:
     """Largest safe per-step time: the top eigenvalue lands in the last clock bin."""
-    _check_clock(clock_qubits)
+    integer("clock_qubits", clock_qubits, 1, DEFAULT_QUBIT_CAP)  # before 2**clock_qubits
     big_t = 1 << clock_qubits
     return 2.0 * math.pi * (big_t - 1) / (big_t * gershgorin_bound(system))
 
@@ -304,7 +298,7 @@ def eigenvalue_inversion(
     cos_t, sin_t = inversion_angles(config)
     _accel.pair_rot(
         state.amps, cos_t, sin_t, layout.start(clock), config.clock_qubits,
-        layout.qubit(ancilla, 0), layout.total_qubits, cpos,
+        layout.start(ancilla), layout.total_qubits, cpos,
     )
 
 
@@ -354,8 +348,8 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
     lam, vec, cpos = _check_solver(layout, config, system, [clock, target, ancilla], controls)
-    m, tpos, apos = layout.total_qubits, layout.positions(target), layout.qubit(ancilla, 0)
-    if np.any(_accel._pinned(state.amps, m - config.clock_qubits, (*cpos, (apos, 1)))):
+    m, tpos, apos = layout.total_qubits, layout.positions(target), layout.start(ancilla)
+    if np.any(sv._register_view(state.layout, state.amps, {**(controls or {}), ancilla: 1})):
         raise InputError(f"ancilla register {ancilla!r} must be |0> on the controlled rows")
     g_c, g_s = _solver_response(lam.tobytes(), config)
     return StateVector._adopt(layout, _accel.spread_solve(

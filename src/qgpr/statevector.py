@@ -18,11 +18,13 @@ readout of M = X on one one-qubit register times projectors that pin other
 registers to values: its mean <M> and the weight w where every pin holds,
 off views of the pinned amplitudes (no copy, no pass over the whole state);
 its seeded shot counts of -1, 0, +1 are one multinomial draw over
-(w -/+ <M>) / 2 and 1 - w. Controls, like pins, map register names to
-values; one helper checks them all. A system is checked (finite, Hermitian)
-and diagonalized once per matrix content (memoized), however many circuits
-use it. Real gates and the real eigenbasis of a real symmetric system stay
-real, so the kernels apply them as real products.
+(w -/+ <M>) / 2 and 1 - w. Operations name registers only: a gate's target
+is a register name or a list of them (the QFT's is one name), and controls,
+like pins, map register names to values; one helper checks them all. A
+system is checked (finite, Hermitian) and diagonalized once per matrix
+content (memoized), however many circuits use it. Real gates and the real
+eigenbasis of a real symmetric system stay real, so the kernels apply them as
+real products.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _accel
-from .exceptions import InputError, ZeroProbabilityError
+from .exceptions import InputError, ZeroProbabilityError, integer
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT2_INV
@@ -50,13 +52,6 @@ _UNITARY_TOL = 1e-10
 _HERMITIAN_TOL = 1e-10
 
 
-def _int_in(kind: str, name: str, val, lo: int, hi: int) -> int:
-    """``val``, the ``kind`` of register ``name``, as an int: an integer, not a bool, in lo..hi."""
-    if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or not lo <= val <= hi:
-        raise InputError(f"register {name!r}: {kind} must be an integer in {lo}..{hi}, got {val!r}")
-    return int(val)
-
-
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named qubit registers of at most ``DEFAULT_QUBIT_CAP`` qubits in all."""
@@ -64,7 +59,7 @@ class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        regs = tuple((str(n), _int_in("width", n, w, 1, DEFAULT_QUBIT_CAP))
+        regs = tuple((str(n), integer(f"register {n!r} width", w, 1, DEFAULT_QUBIT_CAP))
                      for n, w in self.registers)
         object.__setattr__(self, "registers", regs)
         names = [n for n, _ in regs]
@@ -101,16 +96,14 @@ class RegisterLayout:
         s = self.start(name)
         return tuple(range(s, s + self.width(name)))
 
-    def qubit(self, name: str, j: int) -> int:
-        return self.start(name) + _int_in("qubit index", name, j, 0, self.width(name) - 1)
-
     def dims(self) -> tuple[int, ...]:
         return tuple(1 << w for _, w in self.registers)
 
 
 @dataclass
 class StateVector:
-    """Normalized amplitudes over a register layout."""
+    """Amplitudes over a register layout. The norm is not checked: the circuit
+    operations keep it, and :func:`sample_observable` assumes it is 1."""
 
     layout: RegisterLayout
     amps: np.ndarray = field(repr=False)
@@ -146,18 +139,21 @@ class StateVector:
 def init_basis(layout: RegisterLayout, indices: Mapping[str, int] | None = None) -> StateVector:
     """Computational basis state with the given value per register (default 0)."""
     amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    _register_view(layout, amps, {**dict.fromkeys(layout.names, 0), **(indices or {})})[...] = 1.0
+    rest = _register_view(layout, amps, indices)  # one axis per register not in ``indices``
+    rest[(0,) * rest.ndim] = 1.0
     return StateVector._adopt(layout, amps)
 
 
 def _pin_values(layout: RegisterLayout, pins: Mapping[str, int] | None):
     """``(name, width, value)`` per pin, each value checked against its register."""
+    if pins is not None and not isinstance(pins, Mapping):
+        raise InputError(f"controls and pins map register names to values, got {pins!r}")
     for name, val in (pins or {}).items():
         width = layout.width(name)  # raises for unknown names
-        yield name, width, _int_in("value", name, val, 0, (1 << width) - 1)
+        yield name, width, integer(f"register {name!r} value", val, 0, (1 << width) - 1)
 
 
-def _register_view(layout: RegisterLayout, amps: np.ndarray, values: Mapping[str, int]):
+def _register_view(layout: RegisterLayout, amps: np.ndarray, values: Mapping[str, int] | None):
     """View of ``amps`` as the register tensor (one axis per register, in
     layout order) with each named register pinned to its value."""
     pinned = {name: val for name, _, val in _pin_values(layout, values)}
@@ -171,24 +167,17 @@ def _pin_bits(layout: RegisterLayout, pins) -> tuple[tuple[int, int], ...]:
                  for name, width, val in _pin_values(layout, pins) for j in range(width))
 
 
-def _target_positions(layout: RegisterLayout, target) -> tuple[int, ...]:
-    """Resolve a register name, a (register, qubit) pair, or a list of those."""
-    if isinstance(target, str):
-        return layout.positions(target)
-    if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], str):
-        return (layout.qubit(target[0], target[1]),)
-    pos: list[int] = []
-    for item in target:
-        pos.extend(_target_positions(layout, item))
-    return tuple(pos)
-
-
 def _gate_positions(layout: RegisterLayout, target, controls):
-    """Target and control positions; no qubit may be both, or a target twice."""
-    tpos = _target_positions(layout, target)
+    """Positions of ``target``, a register name or a non-empty list of them, and
+    of the controls; no qubit may be both, or a target twice."""
+    names = [target] if isinstance(target, str) else target
+    if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+        raise InputError(f"a target is a register name or a non-empty list of them, got {target!r}")
+    # a list, not a generator: tuple() of a generator here raised sweep-clock's peak RSS 1 MiB
+    tpos = tuple([pos for name in names for pos in layout.positions(name)])
     cpos = _pin_bits(layout, controls)
     if len(set(tpos)) != len(tpos):
-        raise InputError("a target qubit is named twice")
+        raise InputError("a target register is named twice")
     if set(tpos) & {p for p, _ in cpos}:
         raise InputError("target and control qubits overlap")
     return tpos, cpos
@@ -199,11 +188,11 @@ def _gate_positions(layout: RegisterLayout, target, controls):
 
 
 def apply_gate(state: StateVector, gate: np.ndarray, target, controls=None) -> None:
-    """Apply a unitary to target qubits in place, optionally controlled.
+    """Apply a unitary to target registers in place, optionally controlled.
 
-    ``target`` is a register name (whole register), a ``(register, qubit)``
-    pair, or a sequence of those; ``controls`` maps register names to the
-    values they must all hold, as :func:`readout`'s pins do.
+    ``target`` is a register name or a non-empty list of them, the gate's
+    qubits in that order; ``controls`` maps register names to the values they
+    must all hold, as :func:`readout`'s pins do.
     """
     layout = state.layout
     tpos, cpos = _gate_positions(layout, target, controls)
@@ -228,10 +217,11 @@ def hadamard_layer(state: StateVector, register: str, controls=None) -> None:
 
 
 def reflect(state: StateVector, u, target, controls=None) -> None:
-    """Apply the reflection ``I - 2 u u^H`` to target qubits in place, optionally controlled.
+    """Apply the reflection ``I - 2 u u^H`` to target registers in place, optionally controlled.
 
-    ``target`` and ``controls`` are as for :func:`apply_gate`. ``u`` must be a
-    unit vector over the target qubits, which makes the reflection unitary.
+    ``target`` (a register name or a non-empty list of them) and ``controls``
+    are as for :func:`apply_gate`. ``u`` must be a unit vector over the target
+    qubits, which makes the reflection unitary.
     """
     layout = state.layout
     tpos, cpos = _gate_positions(layout, target, controls)
@@ -256,6 +246,8 @@ def qft(state: StateVector, register: str, inverse: bool = False, controls=None)
     Forward: |j> -> T^{-1/2} sum_k exp(+2 pi i jk/T)|k> with T = 2**width; the
     inverse has exp(-2 pi i jk/T). Controls may not lie on ``register``.
     """
+    if not isinstance(register, str):
+        raise InputError(f"qft acts on one register, named by a string, got {register!r}")
     layout = state.layout
     tpos, cpos = _gate_positions(layout, register, controls)
     _accel.fourier(state.amps, tpos[0], len(tpos), layout.total_qubits, cpos, inverse)
@@ -391,8 +383,7 @@ def sample_observable(state: StateVector, x: str | None, pins: Mapping[str, int]
 
 
 def check_shots(shots: int, seed: int) -> None:
-    """Reject a shot count outside 1..MAX_SHOTS or a negative seed."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise InputError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    """Reject a shot count that is not an integer in 1..MAX_SHOTS, or a seed that
+    is not an integer >= 0."""
+    integer("shots", shots, 1, MAX_SHOTS)
+    integer("seed", seed, 0)

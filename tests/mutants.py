@@ -38,9 +38,20 @@ MUTANTS = (
     # a pin map expands to (position, bit) pairs most significant qubit first
     ("qgpr/statevector.py", ">> (width - 1 - j)", ">> j",
      ["tests/test_statevector.py", "tests/test_qla.py", "-k", "two_qubit_control"]),
-    # a register width or value is an integer, not a bool or a float
-    ("qgpr/statevector.py", "isinstance(val, bool) or not isinstance(val, (int, np.integer)) or ", "",
+    # a register width or value is an integer, not a float
+    ("qgpr/exceptions.py",
+     "    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):", "    if False:",
      ["tests/test_statevector.py", "-k", "TestRegisterValues or width_must_be"]),
+    # an integer is not a bool: shots=True is refused, not run as one shot
+    ("qgpr/exceptions.py", "isinstance(value, bool) or ", "",
+     ["tests/test_estimator.py", "-k", "out_of_range_fail_before_the_state_is_built"]),
+    # qft takes one register name, not a list of registers or qubits
+    ("qgpr/statevector.py", "    if not isinstance(register, str):", "    if False:",
+     ["tests/test_statevector.py", "-k", "acts_on_one_register_name"]),
+    # controls and pins are mappings, not lists or tuples of pairs
+    ("qgpr/statevector.py", "    if pins is not None and not isinstance(pins, Mapping):",
+     "    if False:",
+     ["tests/test_statevector.py", "tests/test_qla.py", "-k", "must_be_a_mapping"]),
     # a system with a NaN or an inf entry is refused before it is diagonalized
     ("qgpr/statevector.py", "    if not np.isfinite(a).all():", "    if False:",
      ["tests/test_qla.py", "-k", "non_finite_system"]),
@@ -65,7 +76,7 @@ MUTANTS = (
     ("qgpr/kernels.py", "    if n * n * d > MAX_GRAM_ENTRIES:", "    if False:",
      ["tests/test_kernels.py", "-k", "data_set_size"]),
     # solver_block refuses an ancilla that is not |0> on the controlled rows
-    ("qgpr/qla.py", "    if np.any(_accel._pinned(", "    if 0 and np.any(_accel._pinned(",
+    ("qgpr/qla.py", "    if np.any(sv._register_view(", "    if 0 and np.any(sv._register_view(",
      ["tests/test_qla.py", "-k", "nonzero_controlled_ancilla"]),
     # the forward QFT is the orthonormal inverse DFT
     ("qgpr/_accel.py", "np.fft.fft if inverse else np.fft.ifft",

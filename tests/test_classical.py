@@ -102,6 +102,12 @@ class TestCgSolve:
             cg_solve(model.system, rng.normal(size=8), tol=1e-14, max_iter=1)
         assert err.value.residual is not None and err.value.residual > 1e-14
 
+    def test_iteration_count_must_be_an_integer(self):
+        # the identity converges in one iteration: only the count is wrong
+        for max_iter in (1.5, True, -1):
+            with pytest.raises(InputError, match="max_iter"):
+                cg_solve(np.eye(2), np.ones(2), max_iter=max_iter)
+
     def test_bad_tolerance(self):
         for tol in (0.0, float("nan")):
             with pytest.raises(InputError):

@@ -32,6 +32,11 @@ from conftest import grid_spd, non_finite_systems, random_se_model, random_spd
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 
+# (shots, seed) pairs a sampled estimate refuses: shots out of 1..MAX_SHOTS, a
+# negative seed, and shots or a seed that is not an integer (a bool, a float)
+_BAD_SHOTS_AND_SEEDS = ((0, 0), (sv.MAX_SHOTS + 1, 0), (100, -1), (2.5, 0), (True, 0),
+                        (1000.0, 0), (100, 1.5), (100, True))
+
 
 def exact_cfg(clock_qubits, lam_grid_unit, c):
     """Config whose clock grid is {k * lam_grid_unit}; lambda on the grid are exact."""
@@ -141,13 +146,13 @@ class TestObservableM:
     def test_plus_one_one_state(self):
         layout = interference_layout(2, 3)
         state = init_basis(layout, {"C": 1, "D": 1})
-        sv.apply_gate(state, sv.HADAMARD, ("A", 0))
+        sv.apply_gate(state, sv.HADAMARD, "A")
         assert expectation(state, *M) == pytest.approx(1.0, abs=1e-12)
 
     def test_c_zero_component_scores_zero(self):
         layout = interference_layout(2, 3)
         state = init_basis(layout, {"C": 0, "D": 1})
-        sv.apply_gate(state, sv.HADAMARD, ("A", 0))
+        sv.apply_gate(state, sv.HADAMARD, "A")
         assert expectation(state, *M) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_dense_operator_oracle(self, rng):
@@ -267,7 +272,7 @@ class TestEstimateBilinear:
         monkeypatch.setattr(estimator, "build_interference_state", no_state)
         cfg = exact_cfg(3, 1.0, c=1.0)
         spec = BilinearSpec(make_encoding([1.0]), make_encoding([1.0]), np.eye(1), cfg)
-        for shots, seed in ((0, 0), (sv.MAX_SHOTS + 1, 0), (100, -1)):
+        for shots, seed in _BAD_SHOTS_AND_SEEDS:
             with pytest.raises(InputError):
                 estimate_bilinear(spec, shots, seed=seed)
 
@@ -297,7 +302,7 @@ class TestPredictMeanQuantum:
         assert res == EstimationResult(0.0, 0.0, 0, 0.0, 0.0, res.config, res.seed)
         sampled = predict_mean_quantum(model, [10.0], gpr_config(model, 8), shots=300, seed=4)
         assert sampled == EstimationResult(0.0, 0.0, 300, 0.0, 0.0, res.config, 4)
-        for shots, seed in ((0, 0), (sv.MAX_SHOTS + 1, 0), (100, -1)):
+        for shots, seed in _BAD_SHOTS_AND_SEEDS:
             with pytest.raises(InputError):
                 predict_mean_quantum(model, [10.0], gpr_config(model, 8), shots=shots, seed=seed)
 
@@ -627,6 +632,8 @@ class TestSparsifyY:
             sparsify_y(model, [0.0], 2)
 
     def test_order_validation(self):
-        model = self._line_model(4)
-        with pytest.raises(InputError):
-            sparsify_y(model, [0.0], 0)
+        model = self._line_model(4)  # a convergent expansion: only the order is wrong
+        for order in (0, 2.5, True, 2.0):
+            for fn in (sparsify_y, neumann_row):
+                with pytest.raises(InputError, match="order"):
+                    fn(model, [0.0], order)

@@ -152,6 +152,13 @@ class TestConfig:
         with pytest.raises(InputError, match="not in 1..22"):
             config_for(np.eye(2), clock, c=0.5)
 
+    @pytest.mark.parametrize("clock", [2.5, True, "3"], ids=["fraction", "bool", "str"])
+    def test_clock_must_be_an_integer(self, clock):
+        with pytest.raises(InputError, match="clock_qubits"):
+            QlaConfig(clock, t0=1.0, c=0.5)
+        with pytest.raises(InputError, match="clock_qubits"):
+            config_for(np.eye(2), clock, c=0.5)
+
     def test_clock_width_is_capped_at_the_qubit_cap(self):
         QlaConfig(sv.DEFAULT_QUBIT_CAP, t0=1.0, c=0.5)
         with pytest.raises(InputError, match="not in 1..22"):
@@ -329,7 +336,7 @@ def solver_input(rng, layout, controls=None):
     """A random state on a clock-free ``layout`` whose ancilla ``anc`` is |0> on
     the rows ``controls`` select, as :func:`solver_block` requires."""
     state = random_state(rng, layout)
-    zero_controlled_ancilla(state.amps, layout.total_qubits, layout.qubit("anc", 0),
+    zero_controlled_ancilla(state.amps, layout.total_qubits, layout.start("anc"),
                             sv._pin_bits(layout, controls))
     return state
 
@@ -337,9 +344,9 @@ def solver_input(rng, layout, controls=None):
 @pytest.mark.parametrize(
     "layout, op",
     [
-        (_LAYOUT, lambda s: sv.apply_gate(s, sv.PAULI_X, ("anc", 0), {"anc": 1})),
-        (_LAYOUT, lambda s: sv.apply_gate(s, np.eye(4), [("anc", 0), ("anc", 0)])),
-        (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0), {"anc": 1})),
+        (_LAYOUT, lambda s: sv.apply_gate(s, sv.PAULI_X, "anc", {"anc": 1})),
+        (_LAYOUT, lambda s: sv.apply_gate(s, np.eye(4), ["anc", "anc"])),
+        (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), "anc", {"anc": 1})),
         (_LAYOUT, lambda s: sv.qft(s, "clock", controls={"clock": 1})),
         (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, {"index": 1})),
         (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", np.eye(2), 1.0, {"clock": 2})),
@@ -392,8 +399,8 @@ _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid
 @pytest.mark.parametrize(
     "layout, op",
     [
-        (_LAYOUT, lambda s: sv.apply_gate(s, sv.HADAMARD, ("anc", 0), {"index": 1})),
-        (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), ("anc", 0))),
+        (_LAYOUT, lambda s: sv.apply_gate(s, sv.HADAMARD, "anc", {"index": 1})),
+        (_LAYOUT, lambda s: sv.reflect(s, np.array([0.6, 0.8]), "anc")),
         (_LAYOUT, lambda s: sv.qft(s, "clock")),
         (_LAYOUT, lambda s: sv.qft(s, "clock", inverse=True)),
         (_LAYOUT, lambda s: sv.controlled_evolution(s, "clock", "index", _SYSTEM, 1.0)),
@@ -431,6 +438,30 @@ def test_ops_act_in_place(rng, layout, op):
     assert state.amps is buffer
     assert np.abs(state.amps - snapshot).max() > 1e-3  # the op changed the buffer
     np.testing.assert_array_equal(before.amps, snapshot)
+
+
+_CTL = RegisterLayout((("ctl", 2), ("index", 1), ("anc", 1), ("clock", 2)))
+
+
+@pytest.mark.parametrize("controls", [[("ctl", 2)], (("ctl", 2),), []],
+                         ids=["list", "tuple", "empty"])
+@pytest.mark.parametrize(
+    "layout, op",
+    [
+        (RegisterLayout(_CTL.registers[:-1]),
+         lambda s, c: solver_block(s, _CFG, _SYSTEM, ancilla="anc", controls=c)),
+        (_CTL, lambda s, c: phase_estimate(s, _CFG, _SYSTEM, controls=c)),
+        (_CTL, lambda s, c: eigenvalue_inversion(s, "clock", "anc", _CFG, c)),
+    ],
+    ids=["solver_block", "phase_estimate", "eigenvalue_inversion"],
+)
+def test_controls_must_be_a_mapping(rng, layout, op, controls):
+    # {"ctl": 2} would be valid controls; (register, value) pairs are not
+    state = random_state(rng, layout)
+    before = state.amps.copy()
+    with pytest.raises(InputError, match="map register names to values"):
+        op(state, controls)
+    np.testing.assert_array_equal(state.amps, before)
 
 
 def with_zero_clock(state, clock, width):
@@ -496,7 +527,7 @@ class TestSpread:
             sv.hadamard_layer(expected, "clock", controls)
             full = expected.layout
             m, cpos = full.total_qubits, sv._pin_bits(full, controls)
-            tpos, apos = full.positions("index"), full.qubit("anc", 0)
+            tpos, apos = full.positions("index"), full.start("anc")
             rows = (*full.positions("clock"), apos)
             for j in range(4):  # one (clock, ancilla) block per target value
                 rot = np.zeros((big_t, 2, big_t, 2), dtype=complex)
@@ -630,7 +661,7 @@ class TestSolverBlock:
         state = solver_input(rng, layout, controls)
         # one small amplitude on the last controlled row with the ancilla at 1
         bits = dict(sv._pin_bits(layout, controls))
-        bits[layout.qubit("anc", 0)] = 1
+        bits[layout.start("anc")] = 1
         row = [bits.get(q, 1) for q in range(layout.total_qubits)]
         state.amps[int("".join(map(str, row)), 2)] = 1e-9
         before = state.amps.copy()

@@ -44,7 +44,7 @@ def traced_peak(fn):
 
 def plus_state():
     state = init_basis(RegisterLayout((("Q", 1),)))
-    apply_gate(state, HADAMARD, ("Q", 0))
+    apply_gate(state, HADAMARD, "Q")
     return state
 
 
@@ -122,7 +122,7 @@ class TestLayout:
 class TestStateVector:
     def test_owns_its_amplitudes(self):
         a = np.array([1.0, 0.0], dtype=complex)
-        apply_gate(StateVector(RegisterLayout((("Q", 1),)), a), HADAMARD, ("Q", 0))
+        apply_gate(StateVector(RegisterLayout((("Q", 1),)), a), HADAMARD, "Q")
         np.testing.assert_array_equal(a, [1.0, 0.0])
 
     def test_fresh_states_allocate_once(self, rng):
@@ -156,6 +156,12 @@ class TestInitBasis:
         with pytest.raises(InputError):
             init_basis(RegisterLayout((("A", 1),)), {"A": 2})
 
+    @pytest.mark.parametrize("indices", [[("A", 1)], (("A", 1),), []],
+                             ids=["list", "tuple", "empty"])
+    def test_indices_must_be_a_mapping(self, indices):
+        with pytest.raises(InputError, match="map register names to values"):
+            init_basis(RegisterLayout((("A", 1),)), indices)
+
 
 class TestApplyGate:
     def test_hadamard(self):
@@ -164,13 +170,13 @@ class TestApplyGate:
     def test_control_off_means_identity(self):
         lay = RegisterLayout((("A", 1), ("B", 1)))
         state = init_basis(lay)  # control A = 0
-        apply_gate(state, PAULI_X, ("B", 0), {"A": 1})
+        apply_gate(state, PAULI_X, "B", {"A": 1})
         np.testing.assert_array_equal(state.amps, init_basis(lay).amps)
 
     def test_control_on_fires(self):
         lay = RegisterLayout((("A", 1), ("B", 1)))
         state = init_basis(lay, {"A": 1})
-        apply_gate(state, PAULI_X, ("B", 0), {"A": 1})
+        apply_gate(state, PAULI_X, "B", {"A": 1})
         np.testing.assert_array_equal(state.amps, [0, 0, 0, 1])
 
     def test_random_unitary_preserves_norm(self, rng):
@@ -184,12 +190,12 @@ class TestApplyGate:
     def test_non_unitary_rejected(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
         with pytest.raises(InputError):
-            apply_gate(state, np.array([[1.0, 0.0], [0.0, 2.0]]), ("Q", 0))
+            apply_gate(state, np.array([[1.0, 0.0], [0.0, 2.0]]), "Q")
 
     def test_overlapping_target_and_control(self):
         state = init_basis(RegisterLayout((("Q", 2),)))
-        with pytest.raises(InputError):
-            apply_gate(state, PAULI_X, ("Q", 0), {"Q": 1})
+        with pytest.raises(InputError, match="overlap"):
+            apply_gate(state, np.eye(4), "Q", {"Q": 1})
 
     @pytest.mark.parametrize("value", [1, 2])
     @pytest.mark.parametrize("control_first", [True, False], ids=["control-first", "target-first"])
@@ -220,7 +226,7 @@ class TestApplyGate:
         ids=["real", "integer", "complex"],
     )
     def test_real_gate_stays_real(self, rng, monkeypatch, gate, dtype):
-        lay = RegisterLayout((("A", 1), ("B", 2)))
+        lay = RegisterLayout((("A", 1), ("B0", 1), ("B1", 1)))  # B's qubits as one-qubit registers
         state = random_state(rng, lay)
         expected = np.kron(np.kron(np.eye(2), gate), np.eye(2)) @ state.amps
         seen = []
@@ -231,18 +237,42 @@ class TestApplyGate:
             original(amps, mat, *args)
 
         monkeypatch.setattr(sv._accel, "apply_matrix", recorded)
-        apply_gate(state, gate, ("B", 0))
+        apply_gate(state, gate, "B0")
         assert seen == [dtype]
         np.testing.assert_allclose(state.amps, expected, atol=1e-12)
 
     def test_non_unitary_complex_gate_rejected(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
         with pytest.raises(InputError, match="not unitary"):
-            apply_gate(state, np.array([[1, 0], [0, 2j]]), ("Q", 0))
+            apply_gate(state, np.array([[1, 0], [0, 2j]]), "Q")
 
 
 _ABC = (("A", 1), ("B", 2), ("C", 1))
 _SPLIT_B = (("A", 1), ("B0", 1), ("B1", 1), ("C", 1))  # B's qubits as one-qubit registers
+
+# targets that are neither a register name nor a non-empty list of them: a
+# (register, qubit) pair, a triple, an int, a list of an int, a nested list,
+# an empty list and a tuple of names
+_BAD_TARGETS = [("A", 0), ("A", 0, 1), 5, [3], [["A"]], [], ("A", "C")]
+_BAD_TARGET_IDS = ["pair", "triple", "int", "list-of-int", "nested", "empty", "tuple-of-names"]
+
+
+@pytest.mark.parametrize("target", _BAD_TARGETS, ids=_BAD_TARGET_IDS)
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda s, t: apply_gate(s, PAULI_X, t),
+        lambda s, t: reflect(s, np.array([0.6, 0.8]), t),
+        lambda s, t: hadamard_layer(s, t),
+    ],
+    ids=["apply_gate", "reflect", "hadamard_layer"],
+)
+def test_target_must_name_registers(rng, op, target):
+    state = random_state(rng, RegisterLayout(_ABC))
+    before = state.amps.copy()
+    with pytest.raises(InputError, match="a target is a register name"):
+        op(state, target)
+    np.testing.assert_array_equal(state.amps, before)
 
 
 class TestReflect:
@@ -259,7 +289,7 @@ class TestReflect:
     )
     def test_matches_dense_gate(self, rng, registers, target, controls, dtype):
         lay = RegisterLayout(registers)
-        dim = 1 << len(sv._target_positions(lay, target))
+        dim = 1 << len(sv._gate_positions(lay, target, controls)[0])
         u = rng.normal(size=dim).astype(dtype)
         if dtype is complex:
             u += 1j * rng.normal(size=dim)
@@ -292,7 +322,7 @@ class TestQft:
         state = random_state(rng, lay)
         dense = state.copy()
         qft(state, "Q")
-        apply_gate(dense, HADAMARD, ("Q", 0))
+        apply_gate(dense, HADAMARD, "Q")
         np.testing.assert_allclose(state.amps, dense.amps, atol=1e-12)
 
     def test_zero_state_goes_uniform(self):
@@ -339,6 +369,20 @@ class TestQft:
         lay = RegisterLayout((("A", 1), ("E", 3)))
         with pytest.raises(InputError):
             qft(init_basis(lay), register, controls=controls)
+
+    @pytest.mark.parametrize(
+        "register",
+        [["A", "C"], ["C", "A"], [("B", 1), ("B", 0)], ("B", 0), ["B"]],
+        ids=["two-registers", "reversed-registers", "reversed-qubits", "pair", "list-of-one"],
+    )
+    def test_acts_on_one_register_name(self, rng, register):
+        # a QFT over several registers, or qubits out of order, is not the
+        # dense QFT on the qubits it names: qft takes exactly one name
+        state = random_state(rng, RegisterLayout(_ABC))
+        before = state.amps.copy()
+        with pytest.raises(InputError, match="qft acts on one register"):
+            qft(state, register)
+        np.testing.assert_array_equal(state.amps, before)
 
 
 class TestControlledEvolution:
@@ -499,30 +543,31 @@ class TestObservable:
             np.testing.assert_array_equal(state.amps, before)
 
 
-# (register, value) pairs no control or pin may take on the layout (T: 1, C: 2):
-# a value that is not an integer, a bool, one that C cannot hold, a register
-# the layout lacks, and T, which the gate targets and the readout reads X on
-_BAD_REGISTER_VALUES = [("C", 0.5), ("C", True), ("C", 1.0), ("C", 4), ("C", -1), ("Z", 0),
-                        ("T", 1)]
+# controls or pins no gate or readout may take on the layout (T: 1, C: 2): a
+# value that is not an integer, a bool, one that C cannot hold, a register the
+# layout lacks, T, which the gate targets and the readout reads X on, and
+# (register, value) pairs in a list or a tuple rather than a mapping
+_BAD_REGISTER_VALUES = [{"C": 0.5}, {"C": True}, {"C": 1.0}, {"C": 4}, {"C": -1}, {"Z": 0},
+                        {"T": 1}, [("C", 1)], (("C", 1),)]
 _BAD_REGISTER_VALUE_IDS = ["half", "bool", "float", "overflow", "negative", "unknown-register",
-                           "pinned-and-targeted"]
+                           "pinned-and-targeted", "list", "tuple"]
 
 
 class TestRegisterValues:
     """Controls and pins name register values alike, and are checked alike."""
 
-    @pytest.mark.parametrize("name, value", _BAD_REGISTER_VALUES, ids=_BAD_REGISTER_VALUE_IDS)
-    def test_control_refuses(self, name, value):
+    @pytest.mark.parametrize("values", _BAD_REGISTER_VALUES, ids=_BAD_REGISTER_VALUE_IDS)
+    def test_control_refuses(self, values):
         state = init_basis(RegisterLayout((("T", 1), ("C", 2))), {"C": 1})
         with pytest.raises(InputError):
-            apply_gate(state, PAULI_X, "T", {name: value})
+            apply_gate(state, PAULI_X, "T", values)
         np.testing.assert_array_equal(state.amps, init_basis(state.layout, {"C": 1}).amps)
 
-    @pytest.mark.parametrize("name, value", _BAD_REGISTER_VALUES, ids=_BAD_REGISTER_VALUE_IDS)
-    def test_pin_refuses(self, name, value):
+    @pytest.mark.parametrize("values", _BAD_REGISTER_VALUES, ids=_BAD_REGISTER_VALUE_IDS)
+    def test_pin_refuses(self, values):
         state = init_basis(RegisterLayout((("T", 1), ("C", 2))), {"C": 1})
         with pytest.raises(InputError):
-            sv.readout(state, "T", {name: value})
+            sv.readout(state, "T", values)
 
 
 class TestHadamardLayer:
@@ -533,10 +578,12 @@ class TestHadamardLayer:
         # R's qubits are one-qubit registers, so a control can take one of them
         layout = RegisterLayout((("L", 1), ("K", width), ("R0", 1), ("R1", 1)))
         state = random_state(rng, layout)
-        reference = state.copy()
+        # the reference names K's qubits as one-qubit registers K0, K1, ...
+        split = [("L", 1), *((f"K{j}", 1) for j in range(width)), ("R0", 1), ("R1", 1)]
+        reference = StateVector(RegisterLayout(tuple(split)), state.amps)
         hadamard_layer(state, "K", controls)
         for j in range(width):
-            apply_gate(reference, HADAMARD, ("K", j), controls)
+            apply_gate(reference, HADAMARD, f"K{j}", controls)
         np.testing.assert_allclose(state.amps, reference.amps, atol=1e-13)
 
     def test_control_on_register_leaves_state_unchanged(self, rng):
@@ -674,10 +721,12 @@ class TestSampleObservable:
 
     def test_shots_validation(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
-        with pytest.raises(InputError):
-            sample_observable(state, "Q", {}, 0, seed=0)
-        with pytest.raises(InputError):
-            sample_observable(state, "Q", {}, sv.MAX_SHOTS + 1, seed=0)
+        for shots in (0, sv.MAX_SHOTS + 1, 2.5, True, 1000.0):
+            with pytest.raises(InputError, match="shots"):
+                sample_observable(state, "Q", {}, shots, seed=0)
+        for seed in (1.5, True):
+            with pytest.raises(InputError, match="seed"):
+                sample_observable(state, "Q", {}, 10, seed=seed)
 
 
 class TestUnitarityInvariant:
@@ -685,7 +734,7 @@ class TestUnitarityInvariant:
         lay = RegisterLayout((("A", 1), ("B", 2), ("E", 3)))
         a = rng.normal(size=(4, 4))
         state = random_state(rng, lay)
-        apply_gate(state, HADAMARD, ("A", 0))
+        apply_gate(state, HADAMARD, "A")
         controlled_evolution(state, "E", "B", a + a.T, 1.1, controls={"A": 1})
         qft(state, "E", inverse=True)
         assert abs(state.norm() - 1.0) <= 1e-10
