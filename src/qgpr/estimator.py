@@ -116,6 +116,15 @@ def build_interference_state(spec: BilinearSpec) -> StateVector:
     return solver_block(state, spec.config, a_pad, "E", "B", "D", {"A": 1, "C": 1})
 
 
+def _check_run(shots: int | None, seed: int) -> None:
+    """Reject a seed that is not an integer >= 0 and, unless ``shots`` is None
+    (exact mode), a shot count that is not an integer in 1..MAX_SHOTS."""
+    if shots is None:
+        integer("seed", seed, 0)
+    else:
+        sv.check_shots(shots, seed)
+
+
 def estimate_bilinear(
     spec: BilinearSpec,
     shots: int | None = None,
@@ -124,12 +133,11 @@ def estimate_bilinear(
     """Estimate u^T A^{-1} v from the interference circuit.
 
     The raw mean of M is rescaled by sqrt(s_u s_v) / (c c_u c_v). Exact mode
-    (``shots=None``) reads it off the amplitudes; given ``shots`` (checked with
-    ``seed`` before the state is built), the standard error is the rescaled
-    sample standard deviation of the mean over that many seeded draws.
+    (``shots=None``) reads it off the amplitudes; given ``shots``, the standard
+    error is the rescaled standard deviation of the mean over that many seeded
+    draws. The seed (and any shots) is checked before the state is built.
     """
-    if shots is not None:
-        sv.check_shots(shots, seed)
+    _check_run(shots, seed)
     state = build_interference_state(spec)
     if shots is None:
         raw, success = sv.readout(state, *M)
@@ -156,13 +164,12 @@ def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed):
 
     The GPR layer always runs with c = sigma_n^2. A test point that sees no
     training point has k_* = 0, so the form is exactly 0 and no circuit runs;
-    a sampled one still checks and records its shots.
+    its shots and seed are still checked, and a sampled one records its shots.
     """
     config = replace(config, c=model.noise_variance)
     k_star = build_cross(model, x_star)
     if not k_star.any():
-        if shots is not None:
-            sv.check_shots(shots, seed)
+        _check_run(shots, seed)
         return EstimationResult(0.0, 0.0, shots or 0, 0.0, 0.0, config, seed)
     u = make_encoding(k_star)
     v = u if v is None else make_encoding(v)

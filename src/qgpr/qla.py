@@ -136,8 +136,12 @@ class SparseEncoding:
 
 
 def make_encoding(v) -> SparseEncoding:
-    """Encode a vector for sparse state preparation; rejects all-zero input."""
-    vec = np.asarray(v, dtype=float).reshape(-1)
+    """Encode a real vector for sparse state preparation; rejects all-zero,
+    complex and non-numeric input."""
+    vec = np.asarray(v)
+    if vec.dtype.kind not in "iuf":  # a complex array would lose its imaginary part
+        raise InputError(f"vector must hold real numbers, got dtype {vec.dtype}")
+    vec = vec.astype(float, copy=False).reshape(-1)
     if not np.all(np.isfinite(vec)):
         raise InputError("vector has non-finite entries")
     support = np.flatnonzero(vec)
@@ -252,17 +256,17 @@ def phase_estimate(
 
 
 def _check_solver(layout: RegisterLayout, config: QlaConfig, system, registers, controls):
-    """Checks on (clock, target, ...) before any step; returns (eigenvalues, eigenvectors, cpos)."""
+    """Checks on (clock, target, ...) before any step; returns (eigenvalues, eigenvectors)."""
     clock, target = registers[:2]
     if layout.width(clock) != config.clock_qubits:
         raise InputError(
             f"clock register {clock!r} has {layout.width(clock)} qubits, "
             f"config expects {config.clock_qubits}"
         )
-    _, cpos = sv._gate_positions(layout, registers, controls)
+    sv._target_axes(layout, registers, controls)
     if len(system) != 1 << layout.width(target):
         raise InputError(f"system of size {len(system)} does not match register {target!r}")
-    return (*validate_config(config, system), cpos)
+    return validate_config(config, system)
 
 
 def _inversion_ratios(config: QlaConfig) -> np.ndarray:
@@ -294,12 +298,9 @@ def eigenvalue_inversion(
         raise InputError("clock register width does not match config")
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
-    _, cpos = sv._gate_positions(layout, [clock, ancilla], controls)
+    axes = sv._target_axes(layout, [clock, ancilla], controls)
     cos_t, sin_t = inversion_angles(config)
-    _accel.pair_rot(
-        state.amps, cos_t, sin_t, layout.start(clock), config.clock_qubits,
-        layout.start(ancilla), layout.total_qubits, cpos,
-    )
+    _accel.pair_rot(sv._register_view(layout, state.amps, controls), cos_t, sin_t, *axes)
 
 
 @functools.lru_cache(maxsize=1)
@@ -315,18 +316,17 @@ def _solver_response(lam: bytes, config: QlaConfig) -> tuple[np.ndarray, np.ndar
     layout = RegisterLayout((("target", w), ("ancilla", 1), ("clock", config.clock_qubits)))
     # sqrt(T) times the spread of sum_j |j>|0>_D: amplitude 1 wherever D = 0
     full = StateVector(layout, np.tile(np.repeat([1.0, 0.0], big_t), 1 << w))
+    tensor = full.amps.reshape(layout.dims)  # axes target, ancilla, clock
     # exp(i * lam_j * t0 * tau) per clock value tau (rows) and eigenvalue lam_j
     table = np.exp(1j * np.outer(np.arange(big_t), eigs) * config.t0)
-    blocks = (w + 1, config.clock_qubits, 0, w, layout.total_qubits)
-    _accel.phase_mul(full.amps, table, *blocks)
+    _accel.phase_mul(tensor, table, 2, 0)
     sv.qft(full, "clock", inverse=True)
     eigenvalue_inversion(full, "clock", "ancilla", config)
     sv.qft(full, "clock")
-    _accel.phase_mul(full.amps, table.conj(), *blocks)
+    _accel.phase_mul(tensor, table.conj(), 2, 0)
     sv.hadamard_layer(full, "clock")
-    full.amps.setflags(write=False)
-    g = full.amps.reshape(-1, 2, big_t)
-    return g[:, 0], g[:, 1]
+    tensor.setflags(write=False)
+    return tensor[:, 0], tensor[:, 1]
 
 
 def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
@@ -347,13 +347,17 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
-    lam, vec, cpos = _check_solver(layout, config, system, [clock, target, ancilla], controls)
-    m, tpos, apos = layout.total_qubits, layout.positions(target), layout.start(ancilla)
-    if np.any(sv._register_view(state.layout, state.amps, {**(controls or {}), ancilla: 1})):
+    lam, vec = _check_solver(layout, config, system, [clock, target, ancilla], controls)
+    pins = {**(controls or {}), ancilla: 0}
+    if np.any(sv._register_view(state.layout, state.amps, {**pins, ancilla: 1})):
         raise InputError(f"ancilla register {ancilla!r} must be |0> on the controlled rows")
     g_c, g_s = _solver_response(lam.tobytes(), config)
-    return StateVector._adopt(layout, _accel.spread_solve(
-        state.amps, vec, g_c, g_s, tpos, apos, m, config.clock_qubits, cpos))
+    amps = np.zeros(state.amps.size << config.clock_qubits, dtype=np.complex128)
+    amps.reshape(-1, config.T)[:, 0] = state.amps  # the controlled rows are overwritten below
+    (axis,) = sv._target_axes(state.layout, target, pins)
+    dst = [sv._register_view(layout, amps, {**pins, ancilla: d}) for d in (0, 1)]
+    _accel.spread_solve(sv._register_view(state.layout, state.amps, pins), dst, vec, g_c, g_s, axis)
+    return StateVector._adopt(layout, amps)
 
 
 def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:

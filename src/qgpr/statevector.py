@@ -5,12 +5,16 @@ the most significant bits of the basis index, and within a register qubit 0
 is the most significant bit. Circuit operations change ``state.amps`` in
 place through the numpy kernels in :mod:`qgpr._accel` and return ``None``; a
 caller that still needs the state before an operation takes ``state.copy()``.
-:func:`project` (a measurement) returns a new state.
+:func:`project` (a measurement) returns a new state. Each operation hands its
+kernel a view with one axis per register and the axes of its targets there;
+:func:`_register_view`, which makes every view, is the one place that pins
+registers to values, controls and readout pins alike.
 
 Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, a Hadamard layer on a register (Walsh
-blocks H^(x)k of up to 4 qubits), controlled reflections I - 2uu^H (a rank-1
-update), the quantum Fourier transform on a register (an FFT along the
+blocks H^(x)k of up to 4 qubits on its axis split into one axis per qubit,
+the only operation that needs qubits), controlled reflections I - 2uu^H (a
+rank-1 update), the quantum Fourier transform on a register (an FFT along the
 register), clock-controlled Hamiltonian evolution as its definition (one
 controlled gate per clock value: the reference for
 :func:`qgpr.qla.solver_block`), projective measurement of a register, and the
@@ -20,9 +24,9 @@ off views of the pinned amplitudes (no copy, no pass over the whole state);
 its seeded shot counts of -1, 0, +1 are one multinomial draw over
 (w -/+ <M>) / 2 and 1 - w. Operations name registers only: a gate's target
 is a register name or a list of them (the QFT's is one name), and controls,
-like pins, map register names to values; one helper checks them all. A
-system is checked (finite, Hermitian) and diagonalized once per matrix
-content (memoized), however many circuits use it. Real gates and the real
+like pins, map register names to values. A system is checked (finite,
+Hermitian) and diagonalized once per matrix content (memoized), however
+many circuits use it. Real gates and the real
 eigenbasis of a real symmetric system stay real, so the kernels apply them as
 real products.
 """
@@ -31,8 +35,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
@@ -54,50 +58,31 @@ _HERMITIAN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered named qubit registers of at most ``DEFAULT_QUBIT_CAP`` qubits in all."""
+    """Ordered named qubit registers of at most ``DEFAULT_QUBIT_CAP`` qubits in all;
+    ``names``, ``dims`` (2**width per register) and ``total_qubits`` are set once."""
 
     registers: tuple[tuple[str, int], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_qubits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        regs = tuple((str(n), integer(f"register {n!r} width", w, 1, DEFAULT_QUBIT_CAP))
-                     for n, w in self.registers)
-        object.__setattr__(self, "registers", regs)
-        names = [n for n, _ in regs]
+        regs = tuple([(str(n), integer(f"register {n!r} width", w, 1, DEFAULT_QUBIT_CAP))
+                      for n, w in self.registers])
+        names, total = [n for n, _ in regs], sum([w for _, w in regs])
         if len(set(names)) != len(names):
             raise InputError(f"duplicate register names in {names}")
-        if self.total_qubits > DEFAULT_QUBIT_CAP:
-            raise InputError(
-                f"{self.total_qubits} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}"
-            )
-
-    @property
-    def total_qubits(self) -> int:
-        return sum(w for _, w in self.registers)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.registers)
+        if total > DEFAULT_QUBIT_CAP:
+            raise InputError(f"{total} qubits exceeds the cap of {DEFAULT_QUBIT_CAP}")
+        for attr, value in (("registers", regs), ("names", tuple(names)), ("total_qubits", total),
+                            ("dims", tuple([1 << w for _, w in regs]))):
+            object.__setattr__(self, attr, value)
 
     def width(self, name: str) -> int:
         for n, w in self.registers:
             if n == name:
                 return w
         raise InputError(f"no register named {name!r}")
-
-    def start(self, name: str) -> int:
-        pos = 0
-        for n, w in self.registers:
-            if n == name:
-                return pos
-            pos += w
-        raise InputError(f"no register named {name!r}")
-
-    def positions(self, name: str) -> tuple[int, ...]:
-        s = self.start(name)
-        return tuple(range(s, s + self.width(name)))
-
-    def dims(self) -> tuple[int, ...]:
-        return tuple(1 << w for _, w in self.registers)
 
 
 @dataclass
@@ -144,43 +129,40 @@ def init_basis(layout: RegisterLayout, indices: Mapping[str, int] | None = None)
     return StateVector._adopt(layout, amps)
 
 
-def _pin_values(layout: RegisterLayout, pins: Mapping[str, int] | None):
-    """``(name, width, value)`` per pin, each value checked against its register."""
+def _pin_values(layout: RegisterLayout, pins: Mapping[str, int] | None) -> dict[str, int]:
+    """``pins`` with each value checked against its register (``layout.width``
+    raises for an unknown name)."""
     if pins is not None and not isinstance(pins, Mapping):
         raise InputError(f"controls and pins map register names to values, got {pins!r}")
-    for name, val in (pins or {}).items():
-        width = layout.width(name)  # raises for unknown names
-        yield name, width, integer(f"register {name!r} value", val, 0, (1 << width) - 1)
+    return {name: integer(f"register {name!r} value", val, 0, (1 << layout.width(name)) - 1)
+            for name, val in (pins or {}).items()}
 
 
 def _register_view(layout: RegisterLayout, amps: np.ndarray, values: Mapping[str, int] | None):
     """View of ``amps`` as the register tensor (one axis per register, in
-    layout order) with each named register pinned to its value."""
-    pinned = {name: val for name, _, val in _pin_values(layout, values)}
-    idx = (pinned.get(name, slice(None)) for name in layout.names)
-    return amps.reshape(layout.dims())[(*idx, ...)]  # the trailing ... keeps a 0-d result a view
+    layout order) with each named register pinned to its value, its axis
+    gone: the view every operation hands its kernel."""
+    pinned = _pin_values(layout, values)
+    idx = [pinned[name] if name in pinned else slice(None) for name in layout.names]
+    return amps.reshape(layout.dims)[(*idx, ...)]  # the trailing ... keeps a 0-d result a view
 
 
-def _pin_bits(layout: RegisterLayout, pins) -> tuple[tuple[int, int], ...]:
-    """``pins`` as the kernels' (position, bit) pairs, most significant qubit first."""
-    return tuple((layout.start(name) + j, (val >> (width - 1 - j)) & 1)
-                 for name, width, val in _pin_values(layout, pins) for j in range(width))
-
-
-def _gate_positions(layout: RegisterLayout, target, controls):
-    """Positions of ``target``, a register name or a non-empty list of them, and
-    of the controls; no qubit may be both, or a target twice."""
+def _target_axes(layout: RegisterLayout, target, controls) -> list[int]:
+    """Axes of ``target``, a register name or a non-empty list of them, in
+    order, in the register view that ``controls`` pin; no register may be both,
+    or a target twice."""
     names = [target] if isinstance(target, str) else target
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise InputError(f"a target is a register name or a non-empty list of them, got {target!r}")
-    # a list, not a generator: tuple() of a generator here raised sweep-clock's peak RSS 1 MiB
-    tpos = tuple([pos for name in names for pos in layout.positions(name)])
-    cpos = _pin_bits(layout, controls)
-    if len(set(tpos)) != len(tpos):
+    for name in names:
+        layout.width(name)  # raises for an unknown name
+    pinned = _pin_values(layout, controls)
+    if len(set(names)) != len(names):
         raise InputError("a target register is named twice")
-    if set(tpos) & {p for p, _ in cpos}:
-        raise InputError("target and control qubits overlap")
-    return tpos, cpos
+    if pinned.keys() & names:
+        raise InputError("target and control registers overlap")
+    free = [name for name in layout.names if name not in pinned]
+    return [free.index(name) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +176,31 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=None) -> N
     qubits in that order; ``controls`` maps register names to the values they
     must all hold, as :func:`readout`'s pins do.
     """
-    layout = state.layout
-    tpos, cpos = _gate_positions(layout, target, controls)
+    axes = _target_axes(state.layout, target, controls)
+    view = _register_view(state.layout, state.amps, controls)
     gate = np.asarray(gate)
     gate = gate.astype(np.result_type(gate, float), copy=False)  # a real gate stays real
-    dim = 1 << len(tpos)
+    dim = math.prod([view.shape[axis] for axis in axes])
     if gate.shape != (dim, dim):
-        raise InputError(f"gate shape {gate.shape} does not match {len(tpos)} qubits")
+        raise InputError(f"gate shape {gate.shape} does not match dimension {dim}")
     if np.abs(gate.conj().T @ gate - np.eye(dim)).max() > _UNITARY_TOL:
         raise InputError("gate is not unitary")
-    _accel.apply_matrix(state.amps, gate, tpos, layout.total_qubits, cpos)
+    _accel.apply_matrix(view, gate, axes)
 
 
 def hadamard_layer(state: StateVector, register: str, controls=None) -> None:
     """H on every qubit of a register in place, optionally controlled, as Walsh
-    blocks H^(x)k of up to 4 qubits: one pass over the amplitudes per block."""
-    layout = state.layout
-    tpos, cpos = _gate_positions(layout, register, controls)
-    for j in range(0, len(tpos), len(_WALSH)):
-        block = tpos[j : j + len(_WALSH)]
-        _accel.apply_matrix(state.amps, _WALSH[len(block) - 1], block, layout.total_qubits, cpos)
+    blocks H^(x)k of up to 4 qubits: one pass over the amplitudes per block.
+    The register's axis is split into one axis per qubit, a reshape that is
+    always a view."""
+    axes = _target_axes(state.layout, register, controls)
+    view = _register_view(state.layout, state.amps, controls)
+    for axis in axes:
+        width = view.shape[axis].bit_length() - 1
+        qubits = view.reshape(view.shape[:axis] + (2,) * width + view.shape[axis + 1 :])
+        for j in range(0, width, len(_WALSH)):
+            block = range(axis + j, axis + min(width, j + len(_WALSH)))
+            _accel.apply_matrix(qubits, _WALSH[len(block) - 1], block)
 
 
 def reflect(state: StateVector, u, target, controls=None) -> None:
@@ -223,14 +210,15 @@ def reflect(state: StateVector, u, target, controls=None) -> None:
     are as for :func:`apply_gate`. ``u`` must be a unit vector over the target
     qubits, which makes the reflection unitary.
     """
-    layout = state.layout
-    tpos, cpos = _gate_positions(layout, target, controls)
+    axes = _target_axes(state.layout, target, controls)
+    view = _register_view(state.layout, state.amps, controls)
     u = np.asarray(u)
-    if u.shape != (1 << len(tpos),):
-        raise InputError(f"reflection vector shape {u.shape} does not match {len(tpos)} qubits")
+    dim = math.prod([view.shape[axis] for axis in axes])
+    if u.shape != (dim,):
+        raise InputError(f"reflection vector shape {u.shape} does not match dimension {dim}")
     if not abs(np.linalg.norm(u) - 1.0) <= _UNITARY_TOL:  # also rejects NaN
         raise InputError("reflection vector is not a unit vector")
-    _accel.reflect(state.amps, u, tpos, layout.total_qubits, cpos)
+    _accel.reflect(view, u, axes)
 
 
 def qft_matrix(width: int) -> np.ndarray:
@@ -248,9 +236,8 @@ def qft(state: StateVector, register: str, inverse: bool = False, controls=None)
     """
     if not isinstance(register, str):
         raise InputError(f"qft acts on one register, named by a string, got {register!r}")
-    layout = state.layout
-    tpos, cpos = _gate_positions(layout, register, controls)
-    _accel.fourier(state.amps, tpos[0], len(tpos), layout.total_qubits, cpos, inverse)
+    (axis,) = _target_axes(state.layout, register, controls)
+    _accel.fourier(_register_view(state.layout, state.amps, controls), axis, inverse)
 
 
 @functools.lru_cache(maxsize=4)
@@ -296,7 +283,7 @@ def controlled_evolution(
     target, controlled on ``controls`` and the clock holding tau.
     """
     layout = state.layout
-    _gate_positions(layout, [clock, target], controls)
+    _target_axes(layout, [clock, target], controls)
     lam, vec = hermitian_eigh(system)
     if lam.shape[0] != 1 << layout.width(target):
         raise InputError(f"system dimension {lam.shape[0]} does not match register {target!r}")

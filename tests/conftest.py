@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
 
+from qgpr import statevector as sv
 from qgpr.kernels import KernelSpec, TrainingSet, build_model
 
 
-def zero_controlled_ancilla(amps, m, apos, controls=()):
-    """In place: the ``m``-qubit ``amps`` with the ancilla at position ``apos``
-    set to |0> on the rows ``controls`` ((position, value) pairs) select, the
-    solver's input contract; every other row keeps its amplitudes."""
-    idx = [slice(None)] * m
-    for pos, val in (*controls, (apos, 1)):
-        idx[pos] = val
-    amps.reshape((2,) * m)[tuple(idx)] = 0.0
-    return amps
+def zero_controlled_ancilla(state, ancilla, controls=None):
+    """In place: ``state`` with register ``ancilla`` set to |0> on the rows
+    ``controls`` (register names to values) select, the solver's input
+    contract; every other row keeps its amplitudes."""
+    sv._register_view(state.layout, state.amps, {**(controls or {}), ancilla: 1})[...] = 0.0
+    return state
 
 
 # systems with a NaN or an inf entry: NaN passes the Hermitian test and the

@@ -35,9 +35,6 @@ MUTANTS = (
     # the estimator's M pins D to 1
     ("qgpr/estimator.py", 'M = ("A", {"C": 1, "D": 1})', 'M = ("A", {"C": 1, "D": 0})',
      ["tests/test_estimator.py", "-k", "TestReadout"]),
-    # a pin map expands to (position, bit) pairs most significant qubit first
-    ("qgpr/statevector.py", ">> (width - 1 - j)", ">> j",
-     ["tests/test_statevector.py", "tests/test_qla.py", "-k", "two_qubit_control"]),
     # a register width or value is an integer, not a float
     ("qgpr/exceptions.py",
      "    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):", "    if False:",
@@ -83,8 +80,8 @@ MUTANTS = (
      "np.fft.ifft if inverse else np.fft.fft",
      ["tests/test_accel.py", "-k", "TestFourier"]),
     # uncomputation applies the conjugate phase table
-    ("qgpr/qla.py", "_accel.phase_mul(full.amps, table.conj(), *blocks)",
-     "_accel.phase_mul(full.amps, table, *blocks)",
+    ("qgpr/qla.py", "_accel.phase_mul(tensor, table.conj(), 2, 0)",
+     "_accel.phase_mul(tensor, table, 2, 0)",
      ["tests/test_qla.py", "-k", "TestSolverBlock"]),
     # --out must name a file in an existing directory
     ("qgpr/cli.py", "out.is_dir() or not out.parent.is_dir()", "out.is_dir()",
@@ -108,7 +105,7 @@ MUTANTS = (
     ("qgpr/_accel.py", "vec.conj().T @ x", "vec.T @ x",
      ["tests/test_qla.py", "-k", "TestSpread"]),
     # estimate_bilinear checks shots and seed before it builds the state
-    ("qgpr/estimator.py", "    if shots is not None:\n        sv.check_shots(shots, seed)\n", "",
+    ("qgpr/estimator.py", "    _check_run(shots, seed)\n    state = ", "    state = ",
      ["tests/test_estimator.py", "-k", "out_of_range_fail_before_the_state_is_built"]),
     # the rescaling divides by c, c_u and c_v in turn, never by their product
     ("qgpr/estimator.py",
@@ -139,6 +136,22 @@ MUTANTS = (
     # an empty out is checked (and refused) like any other
     ("qgpr/cli.py", "        if self.out is not None:", "        if self.out:",
      ["tests/test_cli.py", "-k", "empty_out"]),
+    # exact mode checks its seed too, where k_* = 0 as well
+    ("qgpr/estimator.py", '        integer("seed", seed, 0)\n', "        pass\n",
+     ["tests/test_estimator.py", "-k", "zero_cross_covariance_skips_circuit"]),
+    # a complex or non-numeric vector is refused, not cast to float
+    ("qgpr/qla.py", '    if vec.dtype.kind not in "iuf":', "    if False:",
+     ["tests/test_qla.py", "-k", "TestMakeEncoding"]),
+    # a gate's target axes are taken in the order its registers are named
+    ("qgpr/statevector.py", "    return [free.index(name) for name in names]",
+     "    return sorted(free.index(name) for name in names)",
+     ["tests/test_statevector.py", "-k", "TestApplyGate"]),
+    # the Walsh blocks act on the qubit axes split from the register's own axis
+    ("qgpr/statevector.py", "range(axis + j, axis + min(", "range(j, min(",
+     ["tests/test_statevector.py", "-k", "TestHadamardLayer"]),
+    # a table whose clock axis comes after its target axis is transposed first
+    ("qgpr/_accel.py", "table, axes = table.T, axes[::-1]", "table, axes = table, axes[::-1]",
+     ["tests/test_accel.py", "-k", "TestPhaseMul"]),
 )
 
 

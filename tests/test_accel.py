@@ -1,4 +1,9 @@
-"""The amplitude kernels against dense operators built qubit by qubit with np.kron."""
+"""The amplitude kernels against dense operators built qubit by qubit with np.kron.
+
+The kernels act on any view of the amplitudes; here every view is the
+``(2,)*m`` qubit tensor, with controls cut to length-1 slices and blocks of
+qubits merged into one axis where a kernel takes a register as one axis.
+"""
 
 import tracemalloc
 from functools import reduce
@@ -7,8 +12,6 @@ import numpy as np
 import pytest
 
 from qgpr import _accel
-
-from conftest import zero_controlled_ancilla
 
 I2 = np.eye(2)
 
@@ -68,6 +71,20 @@ def block(start, width):
     return tuple(range(start, start + width))
 
 
+def qubit_view(amps, m, controls=(), blocks=()):
+    """The ``(2,)*m`` view of ``amps`` with each control ``(position, value)``
+    cut to the length-1 slice at its value and each ``(start, width)`` block
+    merged into one axis; and the axes of those blocks, in the order given."""
+    idx = [slice(None)] * m
+    for pos, val in controls:
+        idx[pos] = slice(val, val + 1)
+    view = amps.reshape((2,) * m)[tuple(idx)]
+    for start, width in sorted(blocks, reverse=True):  # the later blocks first: no axis moves
+        view = view.reshape(view.shape[:start] + (1 << width,) + view.shape[start + width :])
+    assert np.shares_memory(view, amps)
+    return view, [start - sum(w - 1 for s, w in blocks if s < start) for start, _ in blocks]
+
+
 class TestDenseOperator:
     def test_single_qubit_is_kron_with_identities(self, rng):
         u = random_unitary(rng, 2)
@@ -95,7 +112,7 @@ class TestApplyMatrix:
         mat = random_unitary(rng, 1 << len(tpos))
         amps = random_amps(rng, m)
         expected = dense_operator(mat, tpos, m, controls) @ amps
-        _accel.apply_matrix(amps, mat, tpos, m, controls)
+        _accel.apply_matrix(qubit_view(amps, m, controls)[0], mat, tpos)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
     # a real matrix runs as a real product on the float64 view when the
@@ -115,7 +132,7 @@ class TestApplyMatrix:
         mat = random_orthogonal(rng, 1 << len(tpos))
         amps = random_amps(rng, m)
         expected = dense_operator(mat, tpos, m, controls) @ amps
-        _accel.apply_matrix(amps, mat, tpos, m, controls)
+        _accel.apply_matrix(qubit_view(amps, m, controls)[0], mat, tpos)
         assert amps.dtype == np.complex128
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
@@ -139,7 +156,8 @@ class TestPhaseMul:
         amps = random_amps(rng, m)
         tpos = block(cstart, cwidth) + block(tstart, twidth)
         expected = dense_operator(np.diag(table.ravel()), tpos, m, controls) @ amps
-        _accel.phase_mul(amps, table, cstart, cwidth, tstart, twidth, m, controls)
+        view, axes = qubit_view(amps, m, controls, [(cstart, cwidth), (tstart, twidth)])
+        _accel.phase_mul(view, table, *axes)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
 
@@ -165,7 +183,8 @@ class TestPairRot:
         amps = random_amps(rng, m)
         tpos = block(cstart, cwidth) + (apos,)
         expected = dense_operator(rot, tpos, m, controls) @ amps
-        _accel.pair_rot(amps, cos_t, sin_t, cstart, cwidth, apos, m, controls)
+        view, axes = qubit_view(amps, m, controls, [(cstart, cwidth), (apos, 1)])
+        _accel.pair_rot(view, cos_t, sin_t, *axes)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
     # spread_solve: on these 8-qubit layouts, V^H on the clock-free input, the
@@ -200,7 +219,8 @@ class TestPairRot:
         rot = np.zeros((2 * g_c.size,) * 2, dtype=complex)
         for k, (c, s) in enumerate(zip(g_c.ravel(), g_s.ravel())):
             rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
-        free = zero_controlled_ancilla(random_amps(rng, m - cwidth), m - cwidth, apos, controls)
+        free = random_amps(rng, m - cwidth)
+        qubit_view(free, m - cwidth, (*controls, (apos, 1)))[0][...] = 0.0  # the solver's input
         walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * cwidth)
         dim = 1 << twidth
         for vec in (random_orthogonal(rng, dim), random_unitary(rng, dim)):
@@ -208,7 +228,12 @@ class TestPairRot:
             spread = dense_operator(walsh, clock, m, controls) @ np.kron(entered, np.eye(1 << cwidth)[0])
             turned = dense_operator(rot, tpos + clock + (apos,), m, controls) @ spread
             expected = dense_operator(vec, tpos, m, controls) @ turned
-            out = _accel.spread_solve(free, vec, g_c, g_s, tpos, apos, m, cwidth, controls)
+            out = np.kron(free, np.eye(1 << cwidth)[0])  # the kernel writes the controlled rows
+            target = (tpos[0], twidth)
+            src, (axis,) = qubit_view(free, m - cwidth, (*controls, (apos, 0)), [target])
+            dst = [qubit_view(out, m, (*controls, (apos, d)), [target, (m - cwidth, cwidth)])[0]
+                   for d in (0, 1)]
+            _accel.spread_solve(src, dst, vec, g_c, g_s, axis)
             np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
@@ -238,7 +263,8 @@ class TestFourier:
             mat = mat.conj().T
         amps = random_amps(rng, m)
         expected = dense_operator(mat, block(start, width), m, controls) @ amps
-        _accel.fourier(amps, start, width, m, controls, inverse)
+        view, (axis,) = qubit_view(amps, m, controls, [(start, width)])
+        _accel.fourier(view, axis, inverse)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
 
@@ -262,7 +288,7 @@ class TestReflect:
         amps = random_amps(rng, m)
         mat = np.eye(dim) - 2.0 * np.outer(u, u.conj())
         expected = dense_operator(mat, tpos, m, controls) @ amps
-        _accel.reflect(amps, u, tpos, m, controls)
+        _accel.reflect(qubit_view(amps, m, controls)[0], u, tpos)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
 
@@ -286,21 +312,21 @@ class TestPieces:
         for mat in (random_unitary(rng, dim), random_orthogonal(rng, dim)):
             amps = random_amps(rng, m)
             expected = dense_operator(mat, tpos, m, controls) @ amps
-            _accel.apply_matrix(amps, mat, tpos, m, controls)
+            _accel.apply_matrix(qubit_view(amps, m, controls)[0], mat, tpos)
             np.testing.assert_allclose(amps, expected, atol=1e-12)
         u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         u /= np.linalg.norm(u)
         amps = random_amps(rng, m)
         reflection = np.eye(dim) - 2.0 * np.outer(u, u.conj())
         expected = dense_operator(reflection, tpos, m, controls) @ amps
-        _accel.reflect(amps, u, tpos, m, controls)
+        _accel.reflect(qubit_view(amps, m, controls)[0], u, tpos)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
     @pytest.mark.parametrize("piece, size", [(8, 8), (2, 8)])  # targets alone exceed a piece of 2
     def test_pieces_tile_the_controlled_amplitudes(self, monkeypatch, piece, size):
         monkeypatch.setattr(_accel, "_PIECE", piece)
         amps = np.arange(1 << 7, dtype=np.complex128)
-        parts = _accel._pieces(amps, (5, 2, 3), 7, ((0, 1),))
+        parts = _accel._pieces(qubit_view(amps, 7, ((0, 1),))[0], (5, 2, 3))
         assert all(p.size == size and np.shares_memory(p, amps) for p in parts)
         assert sorted(np.concatenate([p.ravel() for p in parts]).real) == list(range(64, 128))
 
@@ -313,11 +339,12 @@ class TestPieces:
         amps = random_amps(rng, m)
         mat = random_unitary(rng, dim)
         u = mat[:, 0]
+        view = qubit_view(amps, m, controls)[0]
         tracemalloc.start()
         try:
-            _accel.apply_matrix(amps, mat, tpos, m, controls)
-            _accel.apply_matrix(amps, mat.real.copy(), tpos, m, controls)
-            _accel.reflect(amps, u, tpos, m, controls)
+            _accel.apply_matrix(view, mat, tpos)
+            _accel.apply_matrix(view, mat.real.copy(), tpos)
+            _accel.reflect(view, u, tpos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -32,10 +32,12 @@ from conftest import grid_spd, non_finite_systems, random_se_model, random_spd
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 
-# (shots, seed) pairs a sampled estimate refuses: shots out of 1..MAX_SHOTS, a
-# negative seed, and shots or a seed that is not an integer (a bool, a float)
+# (shots, seed) pairs an estimate refuses: shots out of 1..MAX_SHOTS, a
+# negative seed, and shots or a seed that is not an integer (a bool, a float);
+# exact mode (shots None) draws nothing but checks the seed it records all the same
 _BAD_SHOTS_AND_SEEDS = ((0, 0), (sv.MAX_SHOTS + 1, 0), (100, -1), (2.5, 0), (True, 0),
-                        (1000.0, 0), (100, 1.5), (100, True))
+                        (1000.0, 0), (100, 1.5), (100, True),
+                        (None, 1.5), (None, "x"), (None, -3), (None, True))
 
 
 def exact_cfg(clock_qubits, lam_grid_unit, c):
@@ -552,7 +554,7 @@ class TestReadout:
         spec, state = random_interference_state(rng, n, clock, complex_system)
         assert np.iscomplexobj(spec.system) == complex_system
         res = estimate_bilinear(spec)
-        psi = state.amps.reshape(state.layout.dims())  # axes A, B, C, D, E
+        psi = state.amps.reshape(state.layout.dims)  # axes A, B, C, D, E
         cross = 2.0 * np.vdot(psi[0, :, 1, 1, :], psi[1, :, 1, 1, :]).real
         assert abs(res.raw_mean - cross) <= 1e-15
         assert abs(res.success_fraction - np.linalg.norm(psi[:, :, 1, 1, :]) ** 2) <= 1e-15

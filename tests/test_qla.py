@@ -32,7 +32,7 @@ from conftest import non_finite_systems, random_spd, zero_controlled_ancilla
 
 def clock_distribution(state, clock="clock"):
     lay = state.layout
-    probs = np.abs(state.amps.reshape(lay.dims())) ** 2
+    probs = np.abs(state.amps.reshape(lay.dims)) ** 2
     axis = lay.names.index(clock)
     other = tuple(i for i in range(len(lay.names)) if i != axis)
     return probs.sum(axis=other)
@@ -65,6 +65,18 @@ class TestMakeEncoding:
         # 1/1e-320 is past the float range: no admissible scaling exists
         with pytest.raises(NumericError, match=r"1/max\|v\| overflows"):
             make_encoding([0.0, 1e-320, -5e-321])
+
+    @pytest.mark.parametrize(
+        "v",
+        [np.array([1 + 1j, 2.0]), [1 + 1j, 2.0], ["a", 1.0], [True, False]],
+        ids=["complex-array", "complex-list", "string", "bool"],
+    )
+    def test_complex_or_non_numeric_vector_rejected(self, v):
+        # a complex array used to encode as its real part, with only a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="must hold real numbers"):
+                make_encoding(v)
 
     def test_dense_roundtrip(self, rng):
         v = rng.normal(size=6)
@@ -335,10 +347,7 @@ def random_state(rng, layout):
 def solver_input(rng, layout, controls=None):
     """A random state on a clock-free ``layout`` whose ancilla ``anc`` is |0> on
     the rows ``controls`` select, as :func:`solver_block` requires."""
-    state = random_state(rng, layout)
-    zero_controlled_ancilla(state.amps, layout.total_qubits, layout.start("anc"),
-                            sv._pin_bits(layout, controls))
-    return state
+    return zero_controlled_ancilla(random_state(rng, layout), "anc", controls)
 
 
 @pytest.mark.parametrize(
@@ -508,47 +517,50 @@ def block_layout(layout_name, index_width):
 
 
 class TestSpread:
-    """_accel.spread_solve against the gate chain it writes in one pass: V^H on
-    the target of the clock-free input, the Hadamard layer on a zero clock
-    appended last, the ancilla rotation by (target value, clock value) tables,
-    and V on the target, all controlled."""
+    """solver_block's one _accel.spread_solve pass, with random response
+    tables, against the gate chain it writes: V^H on the target of the
+    clock-free input, the Hadamard layer on a zero clock appended last, the
+    ancilla rotation by (target value, clock value) tables, and V on the
+    target, all controlled."""
 
     @staticmethod
-    def check_against_chain(rng, state, width, controls):
+    def check_against_chain(rng, monkeypatch, state, width, controls):
         before = state.amps.copy()
         big_t = 1 << width
         g_c, g_s = (rng.normal(size=(4, big_t)) + 1j * rng.normal(size=(4, big_t))
                     for _ in range(2))
-        real, cplx = (np.linalg.eigh(a)[1] for a in (random_spd(rng, 4), random_hermitian(rng, 4)))
-        for vec in (real, cplx):
+        monkeypatch.setattr(qla, "_solver_response", lambda lam, config: (g_c, g_s))
+        cfg = QlaConfig(width, t0=1.0, c=0.25)  # both spectra lie in [0.25, 1]
+        for system in (random_spd(rng, 4), random_hermitian(rng, 4)):  # real V, complex V
+            vec = sv.hermitian_eigh(system)[1]
             entered = state.copy()
             sv.apply_gate(entered, vec.conj().T, "index", controls)
             expected = with_zero_clock(entered, "clock", width)
             sv.hadamard_layer(expected, "clock", controls)
-            full = expected.layout
-            m, cpos = full.total_qubits, sv._pin_bits(full, controls)
-            tpos, apos = full.positions("index"), full.start("anc")
-            rows = (*full.positions("clock"), apos)
             for j in range(4):  # one (clock, ancilla) block per target value
                 rot = np.zeros((big_t, 2, big_t, 2), dtype=complex)
                 rot[np.arange(big_t), :, np.arange(big_t), :] = np.moveaxis(
                     [[g_c[j], -g_s[j]], [g_s[j], g_c[j]]], -1, 0)
-                pins = (*cpos, (tpos[0], j >> 1), (tpos[1], j & 1))
-                _accel.apply_matrix(expected.amps, rot.reshape(2 * big_t, -1), rows, m, pins)
+                pins = {**controls, "index": j}
+                axes = sv._target_axes(expected.layout, ["clock", "anc"], pins)
+                view = sv._register_view(expected.layout, expected.amps, pins)
+                _accel.apply_matrix(view, rot.reshape(2 * big_t, -1), axes)
             sv.apply_gate(expected, vec, "index", controls)
-            out = _accel.spread_solve(state.amps, vec, g_c, g_s, tpos, apos, m, width, cpos)
-            assert np.abs(out - expected.amps).max() <= 1e-12
+            out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
+            assert np.abs(out.amps - expected.amps).max() <= 1e-12
         np.testing.assert_array_equal(state.amps, before)
 
     @pytest.mark.parametrize("width", range(1, 10))
     @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
-    def test_matches_hadamard_layer_on_a_zero_clock(self, rng, width, layout_name):
+    def test_matches_hadamard_layer_on_a_zero_clock(self, rng, monkeypatch, width, layout_name):
         layout, controls = block_layout(layout_name, 2)
-        self.check_against_chain(rng, solver_input(rng, layout, controls), width, controls)
+        self.check_against_chain(rng, monkeypatch, solver_input(rng, layout, controls), width,
+                                 controls)
 
     @pytest.mark.parametrize("half", [False, True], ids=["real", "half-imaginary"])
     @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
-    def test_real_rows_match_hadamard_layer_on_a_zero_clock(self, rng, half, layout_name):
+    def test_real_rows_match_hadamard_layer_on_a_zero_clock(self, rng, monkeypatch, half,
+                                                            layout_name):
         # real rows with a real V take the real product; with the rows whose
         # first qubit is 1 made imaginary, some controlled blocks (or every
         # block's target entries in part) take the complex one
@@ -557,7 +569,7 @@ class TestSpread:
         state.amps[:] = state.amps.real
         if half:
             state.amps[state.amps.shape[0] // 2 :] *= 1j
-        self.check_against_chain(rng, state, 3, controls)
+        self.check_against_chain(rng, monkeypatch, state, 3, controls)
 
     def test_over_the_qubit_cap_is_an_input_error(self):
         # 2 + 1 input qubits and a 21-qubit clock: the new state would be 24 qubits
@@ -660,10 +672,8 @@ class TestSolverBlock:
         layout, controls = block_layout(layout_name, 2)
         state = solver_input(rng, layout, controls)
         # one small amplitude on the last controlled row with the ancilla at 1
-        bits = dict(sv._pin_bits(layout, controls))
-        bits[layout.start("anc")] = 1
-        row = [bits.get(q, 1) for q in range(layout.total_qubits)]
-        state.amps[int("".join(map(str, row)), 2)] = 1e-9
+        rows = sv._register_view(layout, state.amps, {**controls, "anc": 1})
+        rows[(-1,) * rows.ndim] = 1e-9
         before = state.amps.copy()
         with pytest.raises(InputError, match=r"must be \|0> on the controlled rows"):
             solver_block(state, QlaConfig(2, t0=1.0, c=0.25), np.eye(4) * 0.5, "clock", "index",

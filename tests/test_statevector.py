@@ -73,7 +73,7 @@ def reference_sample(state, factors, shots, seed):
     of ``shots`` from them.
     """
     layout = state.layout
-    psi = state.amps.reshape(layout.dims())
+    psi = state.amps.reshape(layout.dims)
     eigvals, axes = [], []
     for axis, name in enumerate(layout.names):
         if name not in factors:
@@ -187,6 +187,22 @@ class TestApplyGate:
             apply_gate(state, gate, "B")
             assert abs(state.norm() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("controls", [{}, {"B": 2}])
+    def test_targets_act_in_the_order_named(self, rng, controls):
+        # on ["C", "A"] the gate reads C as its most significant qubit, though A
+        # comes first in the layout: G[c'a', ca] against the (A, B, C) tensor
+        lay = RegisterLayout(_ABC)
+        state = random_state(rng, lay)
+        gate = random_unitary(rng, 4)
+        psi = state.amps.reshape(lay.dims)
+        expected = np.einsum("pqrs,sbr->qbp", gate.reshape(2, 2, 2, 2), psi)
+        if controls:
+            kept = np.ones(4, dtype=bool)
+            kept[controls["B"]] = False
+            expected[:, kept] = psi[:, kept]
+        apply_gate(state, gate, ["C", "A"], controls)
+        np.testing.assert_allclose(state.amps, expected.ravel(), atol=1e-12)
+
     def test_non_unitary_rejected(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
         with pytest.raises(InputError):
@@ -289,7 +305,8 @@ class TestReflect:
     )
     def test_matches_dense_gate(self, rng, registers, target, controls, dtype):
         lay = RegisterLayout(registers)
-        dim = 1 << len(sv._gate_positions(lay, target, controls)[0])
+        names = [target] if isinstance(target, str) else target
+        dim = 1 << sum(lay.width(name) for name in names)
         u = rng.normal(size=dim).astype(dtype)
         if dtype is complex:
             u += 1j * rng.normal(size=dim)
