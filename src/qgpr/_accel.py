@@ -1,10 +1,10 @@
 """Low-level statevector kernels on views of a complex amplitude array.
 
 Each kernel takes a view of the amplitudes with one axis per register (the
-controls' registers pinned away, by :func:`qgpr.statevector._register_view`)
-and the numbers of the axes it acts on. All kernels but :func:`spread_solve`
-(which reads one view and writes two views of a new state) mutate the view
-in place. :func:`apply_matrix` and :func:`reflect` work piece by piece and
+controls' registers pinned away) and the numbers of the axes it acts on, both
+from one :func:`qgpr.statevector._operand` call. All kernels but
+:func:`spread_solve` (which reads one view and writes two views of a new
+state) mutate the view in place. :func:`apply_matrix` and :func:`reflect` work piece by piece and
 :func:`spread_solve` writes its products into the new state, so none of them
 makes a state-sized temporary. :func:`fourier` does: its FFT output is the
 size of its view, the whole state when uncontrolled (a 16.1 MiB tracemalloc

@@ -64,6 +64,8 @@ def cg_solve(system, b, tol: float = 1e-10, max_iter: int | None = None) -> np.n
     n = b.shape[0]
     if a.shape != (n, n):
         raise InputError(f"system shape {a.shape} does not match vector length {n}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("system and vector must be finite")
     max_iter = 10 * n if max_iter is None else integer("max_iter", max_iter, 0)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:

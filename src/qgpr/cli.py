@@ -31,15 +31,8 @@ from .estimator import (
     predict_variance_quantum,
     shots_for_precision,
 )
-from .exceptions import InputError, NumericError, ParseError, integer
-from .kernels import (
-    GPModel,
-    KernelSpec,
-    TrainingSet,
-    build_model,
-    diagnostics,
-    finite_real,
-)
+from .exceptions import InputError, NumericError, ParseError, finite_real, integer
+from .kernels import GPModel, KernelSpec, TrainingSet, build_model, diagnostics
 from .statevector import check_shots
 
 EXIT_OK = 0

@@ -95,19 +95,19 @@ class BilinearSpec:
 
 
 def interference_layout(n: int, clock_qubits: int) -> RegisterLayout:
+    """The five registers A..E; the CLI checks a run's qubit cap with it."""
     return RegisterLayout(
         (("A", 1), ("B", index_width(n)), ("C", 1), ("D", 1), ("E", clock_qubits))
     )
 
 
 def build_interference_state(spec: BilinearSpec) -> StateVector:
-    """Run the five-register circuit up to (and including) the solver step."""
-    n = np.asarray(spec.system).shape[0]
-    w = index_width(n)
-    layout = interference_layout(n, spec.config.clock_qubits)  # checks the qubit cap
+    """Run the five-register circuit up to (and including) the solver step,
+    which appends the clock E and so checks the qubit cap."""
+    w = index_width(np.asarray(spec.system).shape[0])
     a_pad = pad_system(spec.system, 1 << w, spec.config.c)
 
-    state = sv.init_basis(RegisterLayout(layout.registers[:-1]))  # E is |0> until solver_block
+    state = sv.init_basis(RegisterLayout((("A", 1), ("B", w), ("C", 1), ("D", 1))))
     sv.apply_gate(state, sv.HADAMARD, "A")
     sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], {"A": 0})
     sv.apply_gate(state, sv.PAULI_X, "D", {"A": 0})

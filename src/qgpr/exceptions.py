@@ -4,10 +4,12 @@ Two top-level families map onto the CLI exit-status contract:
 ``InputError`` (bad user/caller input, exit status 2) and ``NumericError``
 (numerical or conditioning failures, exit status 3). :func:`integer` is the
 one check of what counts as an integer in range: register widths and values,
-the clock width, shots, seeds, the run config's counts, iteration counts.
+the clock width, shots, seeds, the run config's counts, iteration counts;
+:func:`finite_real` is the one check of a real-number parameter.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -68,3 +70,13 @@ def integer(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> in
     if not lo <= value <= hi:
         raise InputError(f"{name} {value} is not in {lo}..{hi}")
     return int(value)
+
+
+def finite_real(name: str, value) -> float:
+    """``value`` as a float if it is a finite real number and not a bool, else an InputError."""
+    try:  # an integer past the float range overflows
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise InputError(f"{name} must be a finite number, got {value!r}")

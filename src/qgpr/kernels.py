@@ -9,29 +9,17 @@ the cost model of the quantum solver.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConditioningError, InputError, NumericError
+from .exceptions import ConditioningError, InputError, NumericError, finite_real
 
 SQUARED_EXPONENTIAL = "squared-exponential"
 COMPACT_SUPPORT = "compact-support"
 FAMILIES = (SQUARED_EXPONENTIAL, COMPACT_SUPPORT)
 MAX_GRAM_ENTRIES = 1 << 22  # of the Gram matrix's (n, n, d) differences: the state cap's 2^22
-
-
-def finite_real(name: str, value) -> float:
-    """``value`` as a float if it is a finite real number and not a bool, else an InputError."""
-    try:  # an integer past the float range overflows
-        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except OverflowError:
-        pass
-    raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
 def as_point(x) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _accel
 from . import statevector as sv
-from .exceptions import ConfigError, InputError, NumericError, integer
+from .exceptions import ConfigError, InputError, NumericError, finite_real, integer
 from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
@@ -53,7 +53,7 @@ class QlaConfig:
 
     def __post_init__(self):
         integer("clock_qubits", self.clock_qubits, 1, DEFAULT_QUBIT_CAP)
-        if not (self.t0 > 0 and self.c > 0):  # also rejects NaN
+        if not (finite_real("t0", self.t0) > 0 and finite_real("c", self.c) > 0):
             raise InputError("t0 and c must both be > 0")
 
     @property
@@ -213,7 +213,7 @@ def pad_system(system, padded_dim: int, fill: float) -> np.ndarray:
     a = np.asarray(system)
     a = a.astype(np.result_type(a, float), copy=False)
     n = a.shape[0]
-    if padded_dim == n:
+    if integer("padded_dim", padded_dim, n) == n:
         return a
     out = np.eye(padded_dim, dtype=a.dtype) * fill
     out[:n, :n] = a
@@ -243,7 +243,16 @@ def phase_estimate(
     as it was. An eigenvalue lambda with lambda * t0 * T / (2*pi) = k
     integral lands exactly in clock bin k.
     """
-    _check_solver(state.layout, config, system, [clock, target], controls)
+    layout = state.layout
+    if layout.width(clock) != config.clock_qubits:
+        raise InputError(
+            f"clock register {clock!r} has {layout.width(clock)} qubits, "
+            f"config expects {config.clock_qubits}"
+        )
+    sv._operand(layout, state.amps, [clock, target], controls)  # checks only
+    if len(system) != 1 << layout.width(target):
+        raise InputError(f"system of size {len(system)} does not match register {target!r}")
+    validate_config(config, system)
     t_total = config.t0 * config.T
     if not inverse:
         sv.hadamard_layer(state, clock, controls)
@@ -253,20 +262,6 @@ def phase_estimate(
         sv.qft(state, clock, inverse=False, controls=controls)
         sv.controlled_evolution(state, clock, target, system, -t_total, controls)
         sv.hadamard_layer(state, clock, controls)
-
-
-def _check_solver(layout: RegisterLayout, config: QlaConfig, system, registers, controls):
-    """Checks on (clock, target, ...) before any step; returns (eigenvalues, eigenvectors)."""
-    clock, target = registers[:2]
-    if layout.width(clock) != config.clock_qubits:
-        raise InputError(
-            f"clock register {clock!r} has {layout.width(clock)} qubits, "
-            f"config expects {config.clock_qubits}"
-        )
-    sv._target_axes(layout, registers, controls)
-    if len(system) != 1 << layout.width(target):
-        raise InputError(f"system of size {len(system)} does not match register {target!r}")
-    return validate_config(config, system)
 
 
 def _inversion_ratios(config: QlaConfig) -> np.ndarray:
@@ -298,9 +293,9 @@ def eigenvalue_inversion(
         raise InputError("clock register width does not match config")
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
-    axes = sv._target_axes(layout, [clock, ancilla], controls)
+    view, axes = sv._operand(layout, state.amps, [clock, ancilla], controls)
     cos_t, sin_t = inversion_angles(config)
-    _accel.pair_rot(sv._register_view(layout, state.amps, controls), cos_t, sin_t, *axes)
+    _accel.pair_rot(view, cos_t, sin_t, *axes)
 
 
 @functools.lru_cache(maxsize=1)
@@ -341,22 +336,26 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     :func:`qgpr._accel.spread_solve`, which writes V^H, the spread, that
     response and V into the new state. ``controls`` maps register names to
     the values that select the controlled rows (``{"A": 1, "C": 1}``), where
-    the ancilla must be |0>. Every input, the qubit cap and that ancilla among
-    them, is checked before anything is allocated.
+    the ancilla must be |0>. Every input, the qubit cap (by appending the
+    clock) and that ancilla among them, is checked before anything is
+    allocated. The controls are resolved once per state; the rows at ancilla
+    0 and 1 are that view's two slices along the ancilla's axis.
     """
     layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
-    lam, vec = _check_solver(layout, config, system, [clock, target, ancilla], controls)
-    pins = {**(controls or {}), ancilla: 0}
-    if np.any(sv._register_view(state.layout, state.amps, {**pins, ancilla: 1})):
+    view, (axis, anc) = sv._operand(state.layout, state.amps, [target, ancilla], controls)
+    if len(system) != 1 << layout.width(target):
+        raise InputError(f"system of size {len(system)} does not match register {target!r}")
+    lam, vec = validate_config(config, system)
+    src, rows = np.moveaxis(view, anc, 0)  # the controlled rows at ancilla 0 and 1
+    if np.any(rows):
         raise InputError(f"ancilla register {ancilla!r} must be |0> on the controlled rows")
     g_c, g_s = _solver_response(lam.tobytes(), config)
     amps = np.zeros(state.amps.size << config.clock_qubits, dtype=np.complex128)
     amps.reshape(-1, config.T)[:, 0] = state.amps  # the controlled rows are overwritten below
-    (axis,) = sv._target_axes(state.layout, target, pins)
-    dst = [sv._register_view(layout, amps, {**pins, ancilla: d}) for d in (0, 1)]
-    _accel.spread_solve(sv._register_view(state.layout, state.amps, pins), dst, vec, g_c, g_s, axis)
+    dst = np.moveaxis(sv._register_view(layout, amps, controls), anc, 0)  # and the clock last
+    _accel.spread_solve(src, dst, vec, g_c, g_s, axis - (axis > anc))
     return StateVector._adopt(layout, amps)
 
 
@@ -385,6 +384,8 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
         _, state = sv.project(state, "flag", 1)
     else:
         vec = np.asarray(b).reshape(-1)
+        if vec.dtype.kind not in "iufc" or not np.isfinite(vec).all():
+            raise InputError("the right-hand side must hold finite numbers")
         if vec.shape[0] != n:
             raise InputError(f"vector length {vec.shape[0]} does not match system size {n}")
         nrm = np.linalg.norm(vec)
@@ -408,11 +409,13 @@ def solution_overlap(state: StateVector, reference: np.ndarray, index: str = "in
     # the clock returns to |0...0>; one-qubit flags post-select on |1>
     fixed = {name: 0 if name == "clock" else 1 for name in state.layout.names if name != index}
     comp = sv.register_component(state, index, fixed)
-    ref = np.asarray(reference, dtype=complex).reshape(-1)
-    if ref.shape[0] > comp.shape[0] or not np.isfinite(ref).all() or not ref.any():
+    ref = np.asarray(reference).reshape(-1)
+    if (ref.dtype.kind not in "iufc" or ref.shape[0] > comp.shape[0]
+            or not np.isfinite(ref).all() or not ref.any()):
         raise InputError(f"reference must be a finite nonzero vector of at most "
                          f"{comp.shape[0]} entries")
-    ref = ref / np.abs(ref).max()  # first, so the norm neither overflows nor underflows
+    # scaled first, so the norm neither overflows nor underflows
+    ref = ref.astype(complex) / np.abs(ref).max()
     ref = ref / np.linalg.norm(ref)
     if ref.shape[0] < comp.shape[0]:
         ref = np.concatenate([ref, np.zeros(comp.shape[0] - ref.shape[0], dtype=complex)])

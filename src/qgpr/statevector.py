@@ -5,10 +5,10 @@ the most significant bits of the basis index, and within a register qubit 0
 is the most significant bit. Circuit operations change ``state.amps`` in
 place through the numpy kernels in :mod:`qgpr._accel` and return ``None``; a
 caller that still needs the state before an operation takes ``state.copy()``.
-:func:`project` (a measurement) returns a new state. Each operation hands its
-kernel a view with one axis per register and the axes of its targets there;
-:func:`_register_view`, which makes every view, is the one place that pins
-registers to values, controls and readout pins alike.
+:func:`project` (a measurement) returns a new state. Each operation resolves
+its registers once (:func:`_operand`): the view with one axis per register
+and its targets' axes. :func:`_register_view`, which makes every view, is the
+one place that pins registers to values, controls and readout pins alike.
 
 Supported operations: computational-basis initialization, controlled
 application of arbitrary unitaries, a Hadamard layer on a register (Walsh
@@ -147,22 +147,23 @@ def _register_view(layout: RegisterLayout, amps: np.ndarray, values: Mapping[str
     return amps.reshape(layout.dims)[(*idx, ...)]  # the trailing ... keeps a 0-d result a view
 
 
-def _target_axes(layout: RegisterLayout, target, controls) -> list[int]:
-    """Axes of ``target``, a register name or a non-empty list of them, in
-    order, in the register view that ``controls`` pin; no register may be both,
-    or a target twice."""
+def _operand(layout: RegisterLayout, amps: np.ndarray, target, controls):
+    """``(view, axes)``: the register view that ``controls`` pin and the axes of
+    ``target``, a register name or a non-empty list of them, there in order;
+    no register may be both, or a target twice."""
     names = [target] if isinstance(target, str) else target
     if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
         raise InputError(f"a target is a register name or a non-empty list of them, got {target!r}")
     for name in names:
         layout.width(name)  # raises for an unknown name
-    pinned = _pin_values(layout, controls)
+    view = _register_view(layout, amps, controls)  # checks ``controls``, a mapping or None
+    pinned = controls or {}
     if len(set(names)) != len(names):
         raise InputError("a target register is named twice")
     if pinned.keys() & names:
         raise InputError("target and control registers overlap")
     free = [name for name in layout.names if name not in pinned]
-    return [free.index(name) for name in names]
+    return view, [free.index(name) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +177,15 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=None) -> N
     qubits in that order; ``controls`` maps register names to the values they
     must all hold, as :func:`readout`'s pins do.
     """
-    axes = _target_axes(state.layout, target, controls)
-    view = _register_view(state.layout, state.amps, controls)
+    view, axes = _operand(state.layout, state.amps, target, controls)
     gate = np.asarray(gate)
     gate = gate.astype(np.result_type(gate, float), copy=False)  # a real gate stays real
     dim = math.prod([view.shape[axis] for axis in axes])
     if gate.shape != (dim, dim):
         raise InputError(f"gate shape {gate.shape} does not match dimension {dim}")
-    if np.abs(gate.conj().T @ gate - np.eye(dim)).max() > _UNITARY_TOL:
+    if not np.isfinite(gate).all():  # before the product: NaN compares False, inf - inf warns
+        raise InputError("gate has non-finite entries")
+    if not np.abs(gate.conj().T @ gate - np.eye(dim)).max() <= _UNITARY_TOL:
         raise InputError("gate is not unitary")
     _accel.apply_matrix(view, gate, axes)
 
@@ -193,8 +195,7 @@ def hadamard_layer(state: StateVector, register: str, controls=None) -> None:
     blocks H^(x)k of up to 4 qubits: one pass over the amplitudes per block.
     The register's axis is split into one axis per qubit, a reshape that is
     always a view."""
-    axes = _target_axes(state.layout, register, controls)
-    view = _register_view(state.layout, state.amps, controls)
+    view, axes = _operand(state.layout, state.amps, register, controls)
     for axis in axes:
         width = view.shape[axis].bit_length() - 1
         qubits = view.reshape(view.shape[:axis] + (2,) * width + view.shape[axis + 1 :])
@@ -210,8 +211,7 @@ def reflect(state: StateVector, u, target, controls=None) -> None:
     are as for :func:`apply_gate`. ``u`` must be a unit vector over the target
     qubits, which makes the reflection unitary.
     """
-    axes = _target_axes(state.layout, target, controls)
-    view = _register_view(state.layout, state.amps, controls)
+    view, axes = _operand(state.layout, state.amps, target, controls)
     u = np.asarray(u)
     dim = math.prod([view.shape[axis] for axis in axes])
     if u.shape != (dim,):
@@ -236,8 +236,8 @@ def qft(state: StateVector, register: str, inverse: bool = False, controls=None)
     """
     if not isinstance(register, str):
         raise InputError(f"qft acts on one register, named by a string, got {register!r}")
-    (axis,) = _target_axes(state.layout, register, controls)
-    _accel.fourier(_register_view(state.layout, state.amps, controls), axis, inverse)
+    view, (axis,) = _operand(state.layout, state.amps, register, controls)
+    _accel.fourier(view, axis, inverse)
 
 
 @functools.lru_cache(maxsize=4)
@@ -283,7 +283,7 @@ def controlled_evolution(
     target, controlled on ``controls`` and the clock holding tau.
     """
     layout = state.layout
-    _target_axes(layout, [clock, target], controls)
+    _operand(layout, state.amps, [clock, target], controls)  # checks only
     lam, vec = hermitian_eigh(system)
     if lam.shape[0] != 1 << layout.width(target):
         raise InputError(f"system dimension {lam.shape[0]} does not match register {target!r}")
@@ -306,8 +306,9 @@ def readout(state: StateVector, x: str | None, pins: Mapping[str, int]) -> tuple
     and ``x`` names the one-qubit register that carries X (``None`` for no
     X). w = |psi[pins]|^2 is the weight where every pin holds, and with X
     <M> = 2 Re<psi0|psi1> over the halves psi_b = psi[pins, x = b] (without
-    it, <M> = w). On a unit-norm state M reads -/+1 with probability
-    (w -/+ <M>) / 2 and 0 with 1 - w.
+    it, <M> = w). The pins are resolved once: the halves are the two slices of
+    psi[pins] along X's axis. On a unit-norm state M reads -/+1 with
+    probability (w -/+ <M>) / 2 and 0 with 1 - w.
     """
     layout = state.layout
     if x is not None and (layout.width(x) != 1 or x in pins):
@@ -316,8 +317,8 @@ def readout(state: StateVector, x: str | None, pins: Mapping[str, int]) -> tuple
     weight = _re_inner(block, block)
     if x is None:
         return weight, weight
-    halves = (_register_view(layout, state.amps, {**pins, x: b}) for b in (0, 1))
-    return 2.0 * _re_inner(*halves), weight
+    halves = np.moveaxis(block, [n for n in layout.names if n not in pins].index(x), 0)
+    return 2.0 * _re_inner(halves[0, ...], halves[1, ...]), weight
 
 
 def expectation(state: StateVector, x: str | None, pins: Mapping[str, int]) -> float:
@@ -360,10 +361,13 @@ def sample_observable(state: StateVector, x: str | None, pins: Mapping[str, int]
     probabilities (w -/+ <M>) / 2 and 1 - w from :func:`readout`, so the
     cost does not depend on ``shots``, and identical inputs give identical
     counts. The state must be unit-norm, as every state the circuit
-    operations build is: P(0) is not read off the amplitudes.
+    operations build is: P(0) is not read off the amplitudes. A weight w
+    above 1 is refused; a norm below 1 is still not detected.
     """
     check_shots(shots, seed)
     mean, weight = readout(state, x, pins)
+    if not weight <= 1.0 + 1e-12:  # also rejects NaN
+        raise InputError(f"readout weight {weight!r} exceeds 1: the state is not unit-norm")
     # an X eigenstate can leave -1e-17 in w - <M>
     probs = np.maximum([(weight - mean) / 2.0, 1.0 - weight, (weight + mean) / 2.0], 0.0)
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())

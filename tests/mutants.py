@@ -29,8 +29,9 @@ MUTANTS = (
     # the eigenvalue inversion clamps c/lambda at a full flip
     ("qgpr/qla.py", "np.minimum(_inversion_ratios(config), 1.0)", "_inversion_ratios(config)",
      ["tests/test_qla.py", "-k", "TestEigenvalueInversion"]),
-    # the readout's X halves are the X register at 0 and at 1
-    ("qgpr/statevector.py", "{**pins, x: b}) for b in (0, 1)", "{**pins, x: b}) for b in (0, 0)",
+    # the readout's X halves are the pinned block's slices at X = 0 and at X = 1
+    ("qgpr/statevector.py", "_re_inner(halves[0, ...], halves[1, ...])",
+     "_re_inner(halves[0, ...], halves[0, ...])",
      ["tests/test_statevector.py", "-k", "matches_eigenbasis_reference"]),
     # the estimator's M pins D to 1
     ("qgpr/estimator.py", 'M = ("A", {"C": 1, "D": 1})', 'M = ("A", {"C": 1, "D": 0})',
@@ -73,7 +74,7 @@ MUTANTS = (
     ("qgpr/kernels.py", "    if n * n * d > MAX_GRAM_ENTRIES:", "    if False:",
      ["tests/test_kernels.py", "-k", "data_set_size"]),
     # solver_block refuses an ancilla that is not |0> on the controlled rows
-    ("qgpr/qla.py", "    if np.any(sv._register_view(", "    if 0 and np.any(sv._register_view(",
+    ("qgpr/qla.py", "    if np.any(rows):", "    if 0 and np.any(rows):",
      ["tests/test_qla.py", "-k", "nonzero_controlled_ancilla"]),
     # the forward QFT is the orthonormal inverse DFT
     ("qgpr/_accel.py", "np.fft.fft if inverse else np.fft.ifft",
@@ -143,8 +144,8 @@ MUTANTS = (
     ("qgpr/qla.py", '    if vec.dtype.kind not in "iuf":', "    if False:",
      ["tests/test_qla.py", "-k", "TestMakeEncoding"]),
     # a gate's target axes are taken in the order its registers are named
-    ("qgpr/statevector.py", "    return [free.index(name) for name in names]",
-     "    return sorted(free.index(name) for name in names)",
+    ("qgpr/statevector.py", "    return view, [free.index(name) for name in names]",
+     "    return view, sorted(free.index(name) for name in names)",
      ["tests/test_statevector.py", "-k", "TestApplyGate"]),
     # the Walsh blocks act on the qubit axes split from the register's own axis
     ("qgpr/statevector.py", "range(axis + j, axis + min(", "range(j, min(",
@@ -152,6 +153,12 @@ MUTANTS = (
     # a table whose clock axis comes after its target axis is transposed first
     ("qgpr/_accel.py", "table, axes = table.T, axes[::-1]", "table, axes = table, axes[::-1]",
      ["tests/test_accel.py", "-k", "TestPhaseMul"]),
+    # a gate with a NaN or an inf entry is refused, not applied
+    ("qgpr/statevector.py", "    if not np.isfinite(gate).all():", "    if False:",
+     ["tests/test_statevector.py", "-k", "non_finite_gate"]),
+    # a readout weight above 1 (a state that is not unit-norm) draws no shots
+    ("qgpr/statevector.py", "    if not weight <= 1.0 + 1e-12:", "    if False:",
+     ["tests/test_statevector.py", "-k", "weight_above_one"]),
 )
 
 

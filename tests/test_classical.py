@@ -108,6 +108,14 @@ class TestCgSolve:
             with pytest.raises(InputError, match="max_iter"):
                 cg_solve(np.eye(2), np.ones(2), max_iter=max_iter)
 
+    @pytest.mark.parametrize("system, b", [(np.eye(2), [np.nan, 1.0]),
+                                           (np.diag([1.0, np.inf]), [1.0, 1.0])],
+                             ids=["nan-vector", "inf-system"])
+    def test_non_finite_input_rejected(self, system, b):
+        # a NaN right-hand side used to come back as [nan, nan]
+        with pytest.raises(InputError, match="must be finite"):
+            cg_solve(system, b)
+
     def test_bad_tolerance(self):
         for tol in (0.0, float("nan")):
             with pytest.raises(InputError):

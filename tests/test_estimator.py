@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qgpr import estimator
+from qgpr import estimator, qla
 from qgpr import statevector as sv
 from qgpr.classical import dense_inverse, predict_exact
 from qgpr.estimator import (
@@ -218,6 +218,46 @@ class TestEstimateBilinear:
         u, v = rng.normal(size=8), rng.normal(size=8)
         res = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), a, cfg))
         assert res.estimate == pytest.approx(u @ np.linalg.solve(a, v), abs=1e-3)
+
+    def test_one_warm_estimate_builds_two_layouts(self, rng, monkeypatch):
+        # the A..D state's, and solver_block's with the clock E appended
+        a = random_spd(rng, 4)
+        cfg = config_for(a, 4, c=float(np.linalg.eigvalsh(a)[0]))
+        spec = BilinearSpec(make_encoding(rng.normal(size=4)), make_encoding(rng.normal(size=4)),
+                            a, cfg)
+        estimate_bilinear(spec)  # warms the eigenbasis and solver-response memos
+        built = []
+
+        def counted(layout, original=RegisterLayout.__post_init__):
+            built.append(tuple(name for name, _ in layout.registers))
+            original(layout)
+
+        monkeypatch.setattr(RegisterLayout, "__post_init__", counted)
+        for shots in (None, 100):
+            built.clear()
+            estimate_bilinear(spec, shots, seed=1)
+            assert built == [("A", "B", "C", "D"), ("A", "B", "C", "D", "E")]
+
+    def test_clock_over_the_qubit_cap_fails_where_solver_block_appends_it(self, monkeypatch):
+        # n = 8 with clock 17 is 23 qubits, one over the cap. Appending the
+        # clock E in solver_block is the estimate's one cap check: it comes
+        # before the response build and any clock-sized allocation
+        def no_step(*args, **kwargs):
+            raise AssertionError("a solver step ran before the cap check")
+
+        monkeypatch.setattr(qla, "_solver_response", no_step)
+        monkeypatch.setattr(qla._accel, "spread_solve", no_step)
+        spec = BilinearSpec(make_encoding(np.ones(8)), make_encoding(np.ones(8)), np.eye(8),
+                            QlaConfig(17, t0=0.1, c=0.5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="exceeds the cap") as excinfo:
+                estimate_bilinear(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "solver_block" in [entry.name for entry in excinfo.traceback]
+        assert peak <= 1 << 20
 
     def test_negating_u_negates_estimate(self, rng):
         t0 = 2 * math.pi / 16

@@ -193,6 +193,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate_config(QlaConfig(3, t0=0.1, c=2.0), np.eye(2))
 
+    @pytest.mark.parametrize("name, value", [("c", "x"), ("c", np.nan), ("t0", np.inf),
+                                             ("t0", True)])
+    def test_t0_and_c_must_be_finite_reals(self, name, value):
+        # c = "x" used to raise a bare TypeError, and t0 = inf passed
+        with pytest.raises(InputError, match=f"{name} must be a finite number"):
+            QlaConfig(3, **{"t0": 1.0, "c": 0.5, name: value})
+        if name == "c":
+            with pytest.raises(InputError, match="c must be a finite number"):
+                config_for(np.eye(2), 4, c=value)
+
     def test_c_a_millionth_above_lambda_min_rejected(self):
         # the slack admits round-off in a PSD Gram part, not a relative 1e-6
         system = np.diag([0.5, 0.9])
@@ -473,6 +483,37 @@ def test_controls_must_be_a_mapping(rng, layout, op, controls):
     np.testing.assert_array_equal(state.amps, before)
 
 
+@pytest.mark.parametrize(
+    "layout, op, passes",
+    [
+        (_CTL, lambda s: sv.apply_gate(s, sv.PAULI_X, "anc", {"ctl": 2}), 1),
+        (_CTL, lambda s: sv.hadamard_layer(s, "clock", {"ctl": 2, "anc": 1}), 1),
+        (_CTL, lambda s: sv.reflect(s, np.array([0.6, 0.8]), "anc", {"ctl": 2}), 1),
+        (_CTL, lambda s: sv.qft(s, "clock", controls={"ctl": 2}), 1),
+        (_CTL, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, {"ctl": 2}), 1),
+        (_CTL, lambda s: sv.readout(s, "anc", {"ctl": 2, "clock": 1}), 1),
+        (_CTL, lambda s: sv.sample_observable(s, "anc", {"ctl": 2}, 10, seed=0), 1),
+        (RegisterLayout(_CTL.registers[:-1]),
+         lambda s: solver_block(s, _CFG, _SYSTEM, ancilla="anc", controls={"ctl": 2}), 2),
+    ],
+    ids=["apply_gate", "hadamard_layer", "reflect", "qft", "eigenvalue_inversion", "readout",
+         "sample_observable", "solver_block"],
+)
+def test_each_op_resolves_its_registers_once(rng, monkeypatch, layout, op, passes):
+    """One _pin_values pass per state an op views: solver_block views its
+    input and the state it writes, every other op the one state."""
+    state = solver_input(rng, layout, {"ctl": 2})  # solver_block's input contract
+    seen = []
+
+    def counted(layout, pins, original=sv._pin_values):
+        seen.append(pins)
+        return original(layout, pins)
+
+    monkeypatch.setattr(sv, "_pin_values", counted)
+    op(state)
+    assert len(seen) == passes
+
+
 def with_zero_clock(state, clock, width):
     """state (x) |0> on a ``width``-qubit clock appended last."""
     zero = init_basis(RegisterLayout(((clock, width),)))
@@ -542,8 +583,7 @@ class TestSpread:
                 rot[np.arange(big_t), :, np.arange(big_t), :] = np.moveaxis(
                     [[g_c[j], -g_s[j]], [g_s[j], g_c[j]]], -1, 0)
                 pins = {**controls, "index": j}
-                axes = sv._target_axes(expected.layout, ["clock", "anc"], pins)
-                view = sv._register_view(expected.layout, expected.amps, pins)
+                view, axes = sv._operand(expected.layout, expected.amps, ["clock", "anc"], pins)
                 _accel.apply_matrix(view, rot.reshape(2 * big_t, -1), axes)
             sv.apply_gate(expected, vec, "index", controls)
             out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
@@ -801,8 +841,19 @@ class TestQlaSolve:
         with pytest.raises(InputError):
             qla_solve(np.zeros(2), np.eye(2), cfg)
 
-    @pytest.mark.parametrize("reference", [[0.0, 0.0], [1.0, np.nan], [1.0, np.inf], [1.0, 2.0, 3.0]],
-                             ids=["zero", "nan", "inf", "longer-than-the-index"])
+    @pytest.mark.parametrize("b", [[np.nan, 1.0], [np.inf, 1.0], ["a", "b"]],
+                             ids=["nan", "inf", "string"])
+    def test_non_finite_rhs_rejected(self, b):
+        # a NaN entry used to give success probability NaN with a RuntimeWarning
+        cfg = QlaConfig(clock_qubits=3, t0=0.5, c=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="finite numbers"):
+                qla_solve(b, np.eye(2), cfg)
+
+    @pytest.mark.parametrize("reference",
+                             [[0.0, 0.0], [1.0, np.nan], [1.0, np.inf], [1.0, 2.0, 3.0], "ab"],
+                             ids=["zero", "nan", "inf", "longer-than-the-index", "string"])
     def test_overlap_refuses_a_bad_reference(self, reference):
         # a 1-qubit index register; no RuntimeWarning and no bare numpy error
         cfg = QlaConfig(clock_qubits=3, t0=math.pi / 2, c=0.5)
@@ -824,6 +875,11 @@ class TestQlaSolve:
 
 
 class TestPadSystem:
+    @pytest.mark.parametrize("dim", [1, 2.5], ids=["smaller", "fraction"])
+    def test_dimension_below_the_system_or_not_an_integer_rejected(self, dim):
+        with pytest.raises(InputError, match="padded_dim"):
+            pad_system(np.eye(2), dim, 0.5)
+
     def test_identity_when_power_of_two(self, rng):
         a = random_spd(rng, 4)
         np.testing.assert_array_equal(pad_system(a, 4, 0.3), a)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,17 @@ class TestApplyGate:
         state = init_basis(RegisterLayout((("Q", 1),)))
         with pytest.raises(InputError, match="not unitary"):
             apply_gate(state, np.array([[1, 0], [0, 2j]]), "Q")
+
+    @pytest.mark.parametrize("gate", [np.full((2, 2), np.nan), [[1.0, 0.0], [0.0, np.inf]]],
+                             ids=["all-nan", "one-inf"])
+    def test_non_finite_gate_rejected(self, gate):
+        # NaN compares False with the unitarity tolerance, so it was applied
+        state = init_basis(RegisterLayout((("Q", 1),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="non-finite"):
+                apply_gate(state, gate, "Q")
+        np.testing.assert_array_equal(state.amps, [1.0, 0.0])
 
 
 _ABC = (("A", 1), ("B", 2), ("C", 1))
@@ -735,6 +747,13 @@ class TestSampleObservable:
         state = plus_state()
         with pytest.raises(InputError):
             sample_observable(state, "Q", {}, 10, seed=-1)
+
+    @pytest.mark.parametrize("x, pins", [("Q", {}), (None, {"Q": 1})], ids=["X", "P1"])
+    def test_weight_above_one_rejected(self, x, pins):
+        # 2|+> has weight 4: its shots all read +1 instead of an error
+        state = StateVector(RegisterLayout((("Q", 1),)), 2.0 * plus_state().amps)
+        with pytest.raises(InputError, match="weight .* exceeds 1"):
+            sample_observable(state, x, pins, 10, seed=0)
 
     def test_shots_validation(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
