@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (ConvergenceError, InputError, NotPositiveDefiniteError, NumericError,
-                         integer)
+                         finite_array, finite_real, integer)
 from .kernels import GPModel, build_cross, eval_kernel
 
 
@@ -31,7 +31,10 @@ class Prediction:
 
 def cholesky(system) -> CholeskyFactor:
     """Lower-triangular L with L L^T = system; fails unless the matrix is positive definite."""
-    a = np.asarray(system, dtype=float)
+    a = np.asarray(system)
+    if a.dtype.kind not in "iuf":  # only the dtype: a NaN entry fails the factorization below
+        raise InputError(f"system must hold real numbers, got dtype {a.dtype}")
+    a = a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():  # OpenBLAS lets a NaN pivot through
@@ -57,15 +60,12 @@ def cg_solve(system, b, tol: float = 1e-10, max_iter: int | None = None) -> np.n
     Converged when ||A x - b|| / ||b|| <= tol; raises ConvergenceError with
     the final relative residual after ``max_iter`` iterations.
     """
-    a = np.asarray(system, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if not tol > 0:  # also rejects NaN
-        raise InputError(f"tol must be > 0, got {tol}")
+    a = finite_array("system", system)
+    b = finite_array("vector", b).reshape(-1)
+    tol = finite_real("tol", tol, 0)
     n = b.shape[0]
     if a.shape != (n, n):
         raise InputError(f"system shape {a.shape} does not match vector length {n}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InputError("system and vector must be finite")
     max_iter = 10 * n if max_iter is None else integer("max_iter", max_iter, 0)
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
@@ -96,12 +96,12 @@ def cg_solve(system, b, tol: float = 1e-10, max_iter: int | None = None) -> np.n
 
 def dense_inverse(system) -> np.ndarray:
     """Brute-force inverse with a residual check (test oracle)."""
-    a = np.asarray(system, dtype=float)
+    a = finite_array("system", system)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"matrix is singular: {exc}") from exc
     residual = np.abs(a @ inv - np.eye(a.shape[0])).max()
-    if residual > 1e-10:
+    if not residual <= 1e-10:  # also rejects NaN
         raise NumericError(f"inverse residual {residual:.3e} exceeds 1e-10")
     return inv

@@ -65,9 +65,7 @@ class RunConfig:
 
     def __post_init__(self):
         _string("dataset", self.dataset)
-        self.noise_variance = finite_real("noise_variance", self.noise_variance)
-        if self.noise_variance <= 0:
-            raise InputError("noise_variance must be > 0")
+        self.noise_variance = finite_real("noise_variance", self.noise_variance, 0)
         self.test_points = _points(self.test_points)
         if not self.test_points:
             raise InputError("at least one test point is required")
@@ -78,13 +76,9 @@ class RunConfig:
             raise InputError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if not isinstance(self.has_header, bool):
             raise InputError(f"has_header must be true or false, got {self.has_header!r}")
-        self.kappa_bound = finite_real("kappa_bound", self.kappa_bound)
-        if self.kappa_bound <= 1:
-            raise InputError("kappa_bound must be > 1")
+        self.kappa_bound = finite_real("kappa_bound", self.kappa_bound, 1)
         if self.delta is not None:
-            self.delta = finite_real("delta", self.delta)
-            if self.delta <= 0:
-                raise InputError("delta must be > 0")
+            self.delta = finite_real("delta", self.delta, 0)
         if not isinstance(self.sweep_values, list):
             raise InputError(f"sweep.values must be a list, got {self.sweep_values!r}")
         self.sweep_values = [integer("sweep.values", value) for value in self.sweep_values]
@@ -208,8 +202,7 @@ def _build(cfg: RunConfig, runs) -> GPModel:
     for value, clock, shots in runs:
         try:
             interference_layout(training.n, clock)  # a clock below 1 or past the qubit cap
-            if shots is not None:
-                check_shots(shots, cfg.seed)
+            check_shots(shots, cfg.seed)
         except InputError as exc:
             raise exc if value is None else InputError(f"sweep value {value}: {exc}") from None
     return build_model(training, cfg.kernel, cfg.noise_variance)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevector as sv
-from .exceptions import ExpansionError, InputError, NumericError, integer
+from .exceptions import ExpansionError, InputError, NumericError, finite_real, integer
 from .kernels import GPModel, build_cross, eval_kernel
 from .qla import (
     QlaConfig,
@@ -116,15 +116,6 @@ def build_interference_state(spec: BilinearSpec) -> StateVector:
     return solver_block(state, spec.config, a_pad, "E", "B", "D", {"A": 1, "C": 1})
 
 
-def _check_run(shots: int | None, seed: int) -> None:
-    """Reject a seed that is not an integer >= 0 and, unless ``shots`` is None
-    (exact mode), a shot count that is not an integer in 1..MAX_SHOTS."""
-    if shots is None:
-        integer("seed", seed, 0)
-    else:
-        sv.check_shots(shots, seed)
-
-
 def estimate_bilinear(
     spec: BilinearSpec,
     shots: int | None = None,
@@ -137,7 +128,7 @@ def estimate_bilinear(
     error is the rescaled standard deviation of the mean over that many seeded
     draws. The seed (and any shots) is checked before the state is built.
     """
-    _check_run(shots, seed)
+    sv.check_shots(shots, seed)
     state = build_interference_state(spec)
     if shots is None:
         raw, success = sv.readout(state, *M)
@@ -169,7 +160,7 @@ def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed):
     config = replace(config, c=model.noise_variance)
     k_star = build_cross(model, x_star)
     if not k_star.any():
-        _check_run(shots, seed)
+        sv.check_shots(shots, seed)
         return EstimationResult(0.0, 0.0, shots or 0, 0.0, 0.0, config, seed)
     u = make_encoding(k_star)
     v = u if v is None else make_encoding(v)
@@ -218,8 +209,7 @@ def shots_for_precision(delta: float, pilot: EstimationResult) -> int:
     Scales the pilot run's sample variance: N = ceil(var / delta^2). A count
     that is not finite is a :class:`NumericError`.
     """
-    if not delta > 0:  # also rejects NaN
-        raise InputError("delta must be > 0")
+    delta = finite_real("delta", delta, 0)
     if pilot.shots < 100:
         raise InputError(f"pilot run has {pilot.shots} shots; need at least 100")
     try:

@@ -2,10 +2,12 @@
 
 Two top-level families map onto the CLI exit-status contract:
 ``InputError`` (bad user/caller input, exit status 2) and ``NumericError``
-(numerical or conditioning failures, exit status 3). :func:`integer` is the
-one check of what counts as an integer in range: register widths and values,
-the clock width, shots, seeds, the run config's counts, iteration counts;
-:func:`finite_real` is the one check of a real-number parameter.
+(numerical or conditioning failures, exit status 3). Three checks own every
+input number: :func:`integer`, an integer in range (widths, register values,
+shots, seeds, counts); :func:`finite_real`, a finite real above a bound
+(hyperparameters, noise variance, t0, c, delta, tolerances); and
+:func:`finite_array`, an array of finite real or complex numbers (points,
+training data, systems, vectors, gates).
 """
 
 import math
@@ -72,11 +74,27 @@ def integer(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> in
     return int(value)
 
 
-def finite_real(name: str, value) -> float:
-    """``value`` as a float if it is a finite real number and not a bool, else an InputError."""
+def finite_real(name: str, value, lo: float = -math.inf) -> float:
+    """``value`` as a float if it is a finite real number, not a bool, above ``lo``;
+    else an InputError naming ``name``."""
     try:  # an integer past the float range overflows
         if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            if not value > lo:
+                raise InputError(f"{name} must be > {lo:g}")
             return float(value)
     except OverflowError:
         pass
     raise InputError(f"{name} must be a finite number, got {value!r}")
+
+
+def finite_array(name: str, value, complex_ok: bool = False) -> np.ndarray:
+    """``value`` as a float array (complex if ``complex_ok`` and it holds complex numbers);
+    an InputError naming ``name`` for any other dtype or a NaN or inf entry."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        kind = "real or complex" if complex_ok else "real"
+        raise InputError(f"{name} must hold {kind} numbers, got dtype {arr.dtype}")
+    arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} has non-finite entries")
+    return arr

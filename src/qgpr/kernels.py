@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConditioningError, InputError, NumericError, finite_real
+from .exceptions import ConditioningError, InputError, NumericError, finite_array, finite_real
 
 SQUARED_EXPONENTIAL = "squared-exponential"
 COMPACT_SUPPORT = "compact-support"
@@ -24,11 +24,9 @@ MAX_GRAM_ENTRIES = 1 << 22  # of the Gram matrix's (n, n, d) differences: the st
 
 def as_point(x) -> np.ndarray:
     """Coerce an input point to a finite 1-D float vector."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.atleast_1d(finite_array("input point", x))
     if p.ndim != 1:
         raise InputError(f"input point must be one-dimensional, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise InputError("input point has non-finite coordinates")
     return p
 
 
@@ -48,9 +46,8 @@ class KernelSpec:
         for name in ("signal_variance", "lengthscale", "cutoff_radius"):
             used = name != "cutoff_radius" or self.family == COMPACT_SUPPORT
             if used or getattr(self, name) is not None:
-                object.__setattr__(self, name, finite_real(f"kernel.{name}", getattr(self, name)))
-            if used and not getattr(self, name) > 0:
-                raise InputError(f"kernel.{name} must be > 0")
+                value = finite_real(f"kernel.{name}", getattr(self, name), 0 if used else -np.inf)
+                object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -61,18 +58,14 @@ class TrainingSet:
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
+        X = finite_array("training X", self.X)
         if X.ndim == 1:
             X = X.reshape(-1, 1)
         if X.ndim != 2 or X.shape[0] < 1:
             raise InputError(f"training inputs must be (n, d) with n >= 1, got {X.shape}")
-        y = np.asarray(self.y, dtype=float).reshape(-1)
+        y = finite_array("training y", self.y).reshape(-1)
         if y.shape[0] != X.shape[0]:
             raise InputError(f"{X.shape[0]} points but {y.shape[0]} targets")
-        if not np.all(np.isfinite(X)):
-            raise InputError("training inputs have non-finite coordinates")
-        if not np.all(np.isfinite(y)):
-            raise InputError("training targets have non-finite values")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -150,8 +143,7 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 def build_model(training: TrainingSet, spec: KernelSpec, noise_variance: float) -> GPModel:
     """Build the Gram matrix and the regularized system ``K + sigma_n^2 I``; a data
     set past ``MAX_GRAM_ENTRIES`` n^2 d differences is refused before any is formed."""
-    if not noise_variance > 0:  # also rejects NaN
-        raise InputError("noise_variance must be > 0")
+    noise_variance = finite_real("noise_variance", noise_variance, 0)
     n, d = training.n, training.d
     if n * n * d > MAX_GRAM_ENTRIES:
         raise InputError(f"n = {n} points of d = {d} features need n^2 d = {n * n * d} "
@@ -162,7 +154,7 @@ def build_model(training: TrainingSet, spec: KernelSpec, noise_variance: float) 
     system = gram + noise_variance * np.eye(training.n)
     gram.setflags(write=False)
     system.setflags(write=False)
-    return GPModel(training, spec, float(noise_variance), gram, system)
+    return GPModel(training, spec, noise_variance, gram, system)
 
 
 def build_cross(model: GPModel, x_star) -> np.ndarray:
@@ -178,7 +170,7 @@ def diagnostics(model) -> SystemDiagnostics:
 
     Accepts a :class:`GPModel` or a raw symmetric matrix.
     """
-    system = model.system if isinstance(model, GPModel) else np.asarray(model, dtype=float)
+    system = model.system if isinstance(model, GPModel) else finite_array("system", model)
     eigs = np.linalg.eigvalsh(system)
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])
     if min_eig <= 0:

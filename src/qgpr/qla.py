@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _accel
 from . import statevector as sv
-from .exceptions import ConfigError, InputError, NumericError, finite_real, integer
+from .exceptions import ConfigError, InputError, NumericError, finite_array, finite_real, integer
 from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
@@ -53,8 +53,8 @@ class QlaConfig:
 
     def __post_init__(self):
         integer("clock_qubits", self.clock_qubits, 1, DEFAULT_QUBIT_CAP)
-        if not (finite_real("t0", self.t0) > 0 and finite_real("c", self.c) > 0):
-            raise InputError("t0 and c must both be > 0")
+        finite_real("t0", self.t0, 0)
+        finite_real("c", self.c, 0)
 
     @property
     def T(self) -> int:
@@ -64,7 +64,7 @@ class QlaConfig:
 def gershgorin_bound(system) -> float:
     """Upper bound on the largest eigenvalue: max absolute row sum."""
     with np.errstate(over="ignore"):
-        bound = float(np.abs(np.asarray(system)).sum(axis=1).max())
+        bound = float(np.abs(finite_array("system", system, complex_ok=True)).sum(axis=1).max())
     if not math.isfinite(bound):
         raise NumericError("the system's scale overflows: its largest row sum is not finite")
     return bound
@@ -138,12 +138,7 @@ class SparseEncoding:
 def make_encoding(v) -> SparseEncoding:
     """Encode a real vector for sparse state preparation; rejects all-zero,
     complex and non-numeric input."""
-    vec = np.asarray(v)
-    if vec.dtype.kind not in "iuf":  # a complex array would lose its imaginary part
-        raise InputError(f"vector must hold real numbers, got dtype {vec.dtype}")
-    vec = vec.astype(float, copy=False).reshape(-1)
-    if not np.all(np.isfinite(vec)):
-        raise InputError("vector has non-finite entries")
+    vec = finite_array("vector", v).reshape(-1)
     support = np.flatnonzero(vec)
     if support.shape[0] == 0:
         raise InputError("cannot encode an all-zero vector")
@@ -208,14 +203,15 @@ def pad_system(system, padded_dim: int, fill: float) -> np.ndarray:
 
     Padded eigenvectors have zero overlap with zero-padded input vectors, so
     solutions are unchanged; using the inversion constant as the fill keeps
-    configuration bounds intact. A complex matrix stays complex.
+    configuration bounds intact. A complex matrix stays complex. A system that needs
+    no padding comes back as it is (no fill is read), checked where it is diagonalized.
     """
     a = np.asarray(system)
-    a = a.astype(np.result_type(a, float), copy=False)
     n = a.shape[0]
     if integer("padded_dim", padded_dim, n) == n:
         return a
-    out = np.eye(padded_dim, dtype=a.dtype) * fill
+    a = finite_array("system", a, complex_ok=True)
+    out = np.eye(padded_dim, dtype=a.dtype) * finite_real("fill", fill)
     out[:n, :n] = a
     return out
 
@@ -383,9 +379,7 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
         state = prepare_sparse_state(layout, "index", "flag", b)
         _, state = sv.project(state, "flag", 1)
     else:
-        vec = np.asarray(b).reshape(-1)
-        if vec.dtype.kind not in "iufc" or not np.isfinite(vec).all():
-            raise InputError("the right-hand side must hold finite numbers")
+        vec = finite_array("right-hand side", b, complex_ok=True).reshape(-1)
         if vec.shape[0] != n:
             raise InputError(f"vector length {vec.shape[0]} does not match system size {n}")
         nrm = np.linalg.norm(vec)
@@ -409,11 +403,9 @@ def solution_overlap(state: StateVector, reference: np.ndarray, index: str = "in
     # the clock returns to |0...0>; one-qubit flags post-select on |1>
     fixed = {name: 0 if name == "clock" else 1 for name in state.layout.names if name != index}
     comp = sv.register_component(state, index, fixed)
-    ref = np.asarray(reference).reshape(-1)
-    if (ref.dtype.kind not in "iufc" or ref.shape[0] > comp.shape[0]
-            or not np.isfinite(ref).all() or not ref.any()):
-        raise InputError(f"reference must be a finite nonzero vector of at most "
-                         f"{comp.shape[0]} entries")
+    ref = finite_array("reference", reference, complex_ok=True).reshape(-1)
+    if ref.shape[0] > comp.shape[0] or not ref.any():
+        raise InputError(f"reference must be a nonzero vector of at most {comp.shape[0]} entries")
     # scaled first, so the norm neither overflows nor underflows
     ref = ref.astype(complex) / np.abs(ref).max()
     ref = ref / np.linalg.norm(ref)
@@ -427,7 +419,7 @@ def hermitianize(a) -> np.ndarray:
 
     Eigenvalues come in +/- pairs equal to the singular values of A.
     """
-    mat = np.asarray(a)
+    mat = finite_array("matrix", a, complex_ok=True)
     if mat.ndim != 2:
         raise InputError(f"expected a matrix, got shape {mat.shape}")
     p, q = mat.shape

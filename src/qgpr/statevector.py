@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .exceptions import InputError, ZeroProbabilityError, integer
+from .exceptions import InputError, ZeroProbabilityError, finite_array, finite_real, integer
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT2_INV
@@ -178,13 +178,11 @@ def apply_gate(state: StateVector, gate: np.ndarray, target, controls=None) -> N
     must all hold, as :func:`readout`'s pins do.
     """
     view, axes = _operand(state.layout, state.amps, target, controls)
-    gate = np.asarray(gate)
-    gate = gate.astype(np.result_type(gate, float), copy=False)  # a real gate stays real
+    # finite before the product (NaN compares False, inf - inf warns); a real gate stays real
+    gate = finite_array("gate", gate, complex_ok=True)
     dim = math.prod([view.shape[axis] for axis in axes])
     if gate.shape != (dim, dim):
         raise InputError(f"gate shape {gate.shape} does not match dimension {dim}")
-    if not np.isfinite(gate).all():  # before the product: NaN compares False, inf - inf warns
-        raise InputError("gate has non-finite entries")
     if not np.abs(gate.conj().T @ gate - np.eye(dim)).max() <= _UNITARY_TOL:
         raise InputError("gate is not unitary")
     _accel.apply_matrix(view, gate, axes)
@@ -262,6 +260,8 @@ def hermitian_eigh(system) -> tuple[np.ndarray, np.ndarray]:
     real symmetric system has real eigenvectors; a complex one stays complex.
     """
     a = np.asarray(system)
+    if a.dtype.kind not in "iufc":  # only the dtype: _eigh_of checks the entries once per content
+        raise InputError(f"matrix must hold real or complex numbers, got dtype {a.dtype}")
     a = a.astype(np.result_type(a, float), copy=False)  # a real system stays real
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
@@ -284,6 +284,7 @@ def controlled_evolution(
     """
     layout = state.layout
     _operand(layout, state.amps, [clock, target], controls)  # checks only
+    t = finite_real("t", t)
     lam, vec = hermitian_eigh(system)
     if lam.shape[0] != 1 << layout.width(target):
         raise InputError(f"system dimension {lam.shape[0]} does not match register {target!r}")
@@ -299,21 +300,24 @@ def _re_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum(a[..., None].view(float), ax, b[..., None].view(float), ax, []))
 
 
-def readout(state: StateVector, x: str | None, pins: Mapping[str, int]) -> tuple[float, float]:
+def readout(state: StateVector, x: str | None,
+            pins: Mapping[str, int] | None) -> tuple[float, float]:
     """``(<M>, w)`` of M = X_x (x) the projectors ``pins``, off views of the amplitudes.
 
-    ``pins`` maps register names to the values their projectors read 1 on,
-    and ``x`` names the one-qubit register that carries X (``None`` for no
-    X). w = |psi[pins]|^2 is the weight where every pin holds, and with X
-    <M> = 2 Re<psi0|psi1> over the halves psi_b = psi[pins, x = b] (without
-    it, <M> = w). The pins are resolved once: the halves are the two slices of
-    psi[pins] along X's axis. On a unit-norm state M reads -/+1 with
-    probability (w -/+ <M>) / 2 and 0 with 1 - w.
+    ``pins`` maps register names to the values their projectors read 1 on
+    (``None`` for no pins, as for controls), and ``x`` names the one-qubit
+    register that carries X (``None`` for no X). w = |psi[pins]|^2 is the
+    weight where every pin holds, and with X <M> = 2 Re<psi0|psi1> over the
+    halves psi_b = psi[pins, x = b] (without it, <M> = w). The pins are
+    resolved once: the halves are the two slices of psi[pins] along X's axis.
+    On a unit-norm state M reads -/+1 with probability (w -/+ <M>) / 2 and 0
+    with 1 - w.
     """
     layout = state.layout
+    block = _register_view(layout, state.amps, pins)  # checks ``pins``, a mapping or None
+    pins = pins or {}
     if x is not None and (layout.width(x) != 1 or x in pins):
         raise InputError(f"X needs a one-qubit register outside the pins, got {x!r}")
-    block = _register_view(layout, state.amps, pins)
     weight = _re_inner(block, block)
     if x is None:
         return weight, weight
@@ -364,7 +368,7 @@ def sample_observable(state: StateVector, x: str | None, pins: Mapping[str, int]
     operations build is: P(0) is not read off the amplitudes. A weight w
     above 1 is refused; a norm below 1 is still not detected.
     """
-    check_shots(shots, seed)
+    check_shots(integer("shots", shots), seed)  # here None is no shot count, not exact mode
     mean, weight = readout(state, x, pins)
     if not weight <= 1.0 + 1e-12:  # also rejects NaN
         raise InputError(f"readout weight {weight!r} exceeds 1: the state is not unit-norm")
@@ -373,8 +377,9 @@ def sample_observable(state: StateVector, x: str | None, pins: Mapping[str, int]
     return np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
 
 
-def check_shots(shots: int, seed: int) -> None:
-    """Reject a shot count that is not an integer in 1..MAX_SHOTS, or a seed that
-    is not an integer >= 0."""
-    integer("shots", shots, 1, MAX_SHOTS)
+def check_shots(shots: int | None, seed: int) -> None:
+    """Reject a seed that is not an integer >= 0 and, unless ``shots`` is None
+    (exact mode), a shot count that is not an integer in 1..MAX_SHOTS."""
+    if shots is not None:
+        integer("shots", shots, 1, MAX_SHOTS)
     integer("seed", seed, 0)

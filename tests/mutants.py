@@ -106,7 +106,7 @@ MUTANTS = (
     ("qgpr/_accel.py", "vec.conj().T @ x", "vec.T @ x",
      ["tests/test_qla.py", "-k", "TestSpread"]),
     # estimate_bilinear checks shots and seed before it builds the state
-    ("qgpr/estimator.py", "    _check_run(shots, seed)\n    state = ", "    state = ",
+    ("qgpr/estimator.py", "    sv.check_shots(shots, seed)\n    state = ", "    state = ",
      ["tests/test_estimator.py", "-k", "out_of_range_fail_before_the_state_is_built"]),
     # the rescaling divides by c, c_u and c_v in turn, never by their product
     ("qgpr/estimator.py",
@@ -123,13 +123,15 @@ MUTANTS = (
     ("qgpr/qla.py", "    if not math.isfinite(1.0 / peak):", "    if False:",
      ["tests/test_qla.py", "-k", "TestMakeEncoding"]),
     # a non-positive delta is refused when the config is loaded
-    ("qgpr/cli.py", "            if self.delta <= 0:", "            if False:",
+    ("qgpr/cli.py", '            self.delta = finite_real("delta", self.delta, 0)',
+     '            self.delta = finite_real("delta", self.delta)',
      ["tests/test_cli.py", "-k", "non_positive_delta"]),
     # a config key that names no field is refused, at the top level, in kernel and in sweep
     ("qgpr/cli.py", "    if unknown:\n", "    if False:\n",
      ["tests/test_cli.py", "-k", "TestLoadConfig and unknown"]),
     # KernelSpec takes only finite real numbers, not bools, as hyperparameters
-    ("qgpr/kernels.py", 'finite_real(f"kernel.{name}", getattr(self, name))',
+    ("qgpr/kernels.py",
+     'finite_real(f"kernel.{name}", getattr(self, name), 0 if used else -np.inf)',
      "getattr(self, name)", ["tests/test_kernels.py", "-k", "not_a_finite_real"]),
     # a sweep axis is checked when the config is loaded, whatever the command
     ("qgpr/cli.py", '        if self.sweep_axis not in (None, "clock_qubits", "shots"):',
@@ -138,10 +140,12 @@ MUTANTS = (
     ("qgpr/cli.py", "        if self.out is not None:", "        if self.out:",
      ["tests/test_cli.py", "-k", "empty_out"]),
     # exact mode checks its seed too, where k_* = 0 as well
-    ("qgpr/estimator.py", '        integer("seed", seed, 0)\n', "        pass\n",
+    ("qgpr/statevector.py", '    integer("seed", seed, 0)\n',
+     '    shots is None or integer("seed", seed, 0)\n',
      ["tests/test_estimator.py", "-k", "zero_cross_covariance_skips_circuit"]),
     # a complex or non-numeric vector is refused, not cast to float
-    ("qgpr/qla.py", '    if vec.dtype.kind not in "iuf":', "    if False:",
+    ("qgpr/exceptions.py", '    if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):',
+     "    if False:",
      ["tests/test_qla.py", "-k", "TestMakeEncoding"]),
     # a gate's target axes are taken in the order its registers are named
     ("qgpr/statevector.py", "    return view, [free.index(name) for name in names]",
@@ -154,11 +158,18 @@ MUTANTS = (
     ("qgpr/_accel.py", "table, axes = table.T, axes[::-1]", "table, axes = table, axes[::-1]",
      ["tests/test_accel.py", "-k", "TestPhaseMul"]),
     # a gate with a NaN or an inf entry is refused, not applied
-    ("qgpr/statevector.py", "    if not np.isfinite(gate).all():", "    if False:",
+    ("qgpr/statevector.py", '    gate = finite_array("gate", gate, complex_ok=True)',
+     "    gate = np.asarray(gate)",
      ["tests/test_statevector.py", "-k", "non_finite_gate"]),
     # a readout weight above 1 (a state that is not unit-norm) draws no shots
     ("qgpr/statevector.py", "    if not weight <= 1.0 + 1e-12:", "    if False:",
      ["tests/test_statevector.py", "-k", "weight_above_one"]),
+    # a real parameter at or below its bound is refused, not only a non-finite one
+    ("qgpr/exceptions.py", "            if not value > lo:", "            if False:",
+     ["tests/test_cli.py", "-k", "non_positive_delta"]),
+    # an array with a NaN or an inf entry is refused, not only one of the wrong dtype
+    ("qgpr/exceptions.py", "    if not np.isfinite(arr).all():", "    if False:",
+     ["tests/test_classical.py", "-k", "non_finite_input_rejected"]),
 )
 
 

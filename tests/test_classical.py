@@ -113,7 +113,7 @@ class TestCgSolve:
                              ids=["nan-vector", "inf-system"])
     def test_non_finite_input_rejected(self, system, b):
         # a NaN right-hand side used to come back as [nan, nan]
-        with pytest.raises(InputError, match="must be finite"):
+        with pytest.raises(InputError, match="has non-finite entries"):
             cg_solve(system, b)
 
     def test_bad_tolerance(self):

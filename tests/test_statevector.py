@@ -757,7 +757,7 @@ class TestSampleObservable:
 
     def test_shots_validation(self):
         state = init_basis(RegisterLayout((("Q", 1),)))
-        for shots in (0, sv.MAX_SHOTS + 1, 2.5, True, 1000.0):
+        for shots in (0, sv.MAX_SHOTS + 1, 2.5, True, 1000.0, None):  # None: not exact mode
             with pytest.raises(InputError, match="shots"):
                 sample_observable(state, "Q", {}, shots, seed=0)
         for seed in (1.5, True):
