@@ -4,12 +4,13 @@ Each kernel takes a view of the amplitudes with one axis per register (the
 controls' registers pinned away) and the numbers of the axes it acts on, both
 from one :func:`qgpr.statevector._operand` call. All kernels but
 :func:`spread_solve` (which reads one view and writes two views of a new
-state) mutate the view in place. :func:`apply_matrix` and :func:`reflect` work piece by piece and
-:func:`spread_solve` writes its products into the new state, so none of them
-makes a state-sized temporary. :func:`fourier` does: its FFT output is the
-size of its view, the whole state when uncontrolled (a 16.1 MiB tracemalloc
-peak on a 16 MiB, 20-qubit state), and the solver response in
-:mod:`qgpr.qla` runs it twice per config.
+state) mutate the view in place. No kernel bounds its temporaries, which
+come to a few times its view's size: the callers keep the views small. An
+estimate runs every gate before the solver on the clock-free state (at most
+2^14 amplitudes on the CLI path), and :func:`spread_solve` writes its
+products straight into the new state. The solver response in
+:mod:`qgpr.qla`, the one large view, is built in eigen-index chunks of at
+most ``qgpr.qla._CHUNK`` amplitudes, or of two indices on a wider clock.
 
 A real matrix (a Walsh block, X, a real eigenbasis) runs as one real product
 on the float64 view of the (re, im) pairs: half the flops of a complex one.
@@ -20,8 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_PIECE = 1 << 14  # amplitudes per piece in apply_matrix and reflect
 
 
 def _broadcast(table, ndim, *axes):
@@ -34,27 +33,13 @@ def _broadcast(table, ndim, *axes):
     return table.reshape(shape)
 
 
-def _pieces(amps, axes):
-    """``amps`` with the ``axes`` first and whole, cut on the next axes into
-    pieces of at most ``_PIECE``. A state-sized temporary, freed after each
-    gate, lets malloc hand the heap top back to the OS, so whether the next
-    estimate faults its state in again hangs on heap layout."""
-    view = np.moveaxis(amps, axes, range(len(axes)))
-    if view.size <= _PIECE:
-        return [view]
-    k, size = len(axes), view.size
-    while k < view.ndim and size > _PIECE:
-        k, size = k + 1, size // view.shape[k]
-    return [view[(slice(None),) * len(axes) + i] for i in np.ndindex(view.shape[len(axes) : k])]
-
-
 def apply_matrix(amps, mat, axes):
     """In place: ``amps <- mat(amps)`` on the ``axes``, the first the most significant."""
-    for part in _pieces(amps, axes):
-        flat = part.reshape(mat.shape[0], -1)  # copies when the view is strided
-        real = mat.dtype == np.float64 and flat.strides[-1] == flat.itemsize  # adjacent (re, im)
-        out = (mat @ flat.view(np.float64)).view(np.complex128) if real else mat @ flat
-        part[...] = out.reshape(part.shape)
+    view = np.moveaxis(amps, axes, range(len(axes)))
+    flat = view.reshape(mat.shape[0], -1)  # copies when the view is strided
+    real = mat.dtype == np.float64 and flat.strides[-1] == flat.itemsize  # adjacent (re, im)
+    out = (mat @ flat.view(np.float64)).view(np.complex128) if real else mat @ flat
+    view[...] = out.reshape(view.shape)
 
 
 def reflect(amps, u, axes):
@@ -62,9 +47,9 @@ def reflect(amps, u, axes):
 
     A rank-1 update: one overlap per amplitude block instead of a dense product.
     """
-    for part in _pieces(amps, axes):
-        coef = u.conj() @ part.reshape(u.shape[0], -1)  # copies when the view is strided
-        part -= np.multiply.outer(2.0 * u, coef).reshape(part.shape)
+    view = np.moveaxis(amps, axes, range(len(axes)))
+    coef = u.conj() @ view.reshape(u.shape[0], -1)  # copies when the view is strided
+    view -= np.multiply.outer(2.0 * u, coef).reshape(view.shape)
 
 
 def fourier(amps, axis, inverse=False):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (ConvergenceError, InputError, NotPositiveDefiniteError, NumericError,
-                         finite_array, finite_real, integer)
+                         finite_array, finite_real, integer, numeric_array)
 from .kernels import GPModel, build_cross, eval_kernel
 
 
@@ -31,12 +31,7 @@ class Prediction:
 
 def cholesky(system) -> CholeskyFactor:
     """Lower-triangular L with L L^T = system; fails unless the matrix is positive definite."""
-    a = np.asarray(system)
-    if a.dtype.kind not in "iuf":  # only the dtype: a NaN entry fails the factorization below
-        raise InputError(f"system must hold real numbers, got dtype {a.dtype}")
-    a = a.astype(float, copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    a = numeric_array("system", system, square=True).astype(float, copy=False)
     if not np.isfinite(a).all():  # OpenBLAS lets a NaN pivot through
         raise NotPositiveDefiniteError("matrix has non-finite entries")
     try:
@@ -96,7 +91,7 @@ def cg_solve(system, b, tol: float = 1e-10, max_iter: int | None = None) -> np.n
 
 def dense_inverse(system) -> np.ndarray:
     """Brute-force inverse with a residual check (test oracle)."""
-    a = finite_array("system", system)
+    a = finite_array("system", system, square=True)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:

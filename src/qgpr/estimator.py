@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevector as sv
-from .exceptions import ExpansionError, InputError, NumericError, finite_real, integer
+from .exceptions import (ExpansionError, InputError, NumericError, finite_real, integer,
+                         numeric_array)
 from .kernels import GPModel, build_cross, eval_kernel
 from .qla import (
     QlaConfig,
@@ -86,7 +87,7 @@ class BilinearSpec:
     config: QlaConfig
 
     def __post_init__(self):
-        n = np.asarray(self.system).shape[0]
+        n = numeric_array("system", self.system, complex_ok=True, square=True).shape[0]
         if self.u.length != n or self.v.length != n:
             raise InputError(
                 f"encoded vectors ({self.u.length}, {self.v.length}) do not match "

@@ -2,12 +2,13 @@
 
 Two top-level families map onto the CLI exit-status contract:
 ``InputError`` (bad user/caller input, exit status 2) and ``NumericError``
-(numerical or conditioning failures, exit status 3). Three checks own every
+(numerical or conditioning failures, exit status 3). Four checks own every
 input number: :func:`integer`, an integer in range (widths, register values,
 shots, seeds, counts); :func:`finite_real`, a finite real above a bound
-(hyperparameters, noise variance, t0, c, delta, tolerances); and
-:func:`finite_array`, an array of finite real or complex numbers (points,
-training data, systems, vectors, gates).
+(hyperparameters, noise variance, t0, c, delta, tolerances);
+:func:`numeric_array`, a rectangular (or square) array of real or complex
+numbers, its entries unread; and :func:`finite_array`, that array with every
+entry finite (points, training data, systems, vectors, gates).
 """
 
 import math
@@ -87,13 +88,26 @@ def finite_real(name: str, value, lo: float = -math.inf) -> float:
     raise InputError(f"{name} must be a finite number, got {value!r}")
 
 
-def finite_array(name: str, value, complex_ok: bool = False) -> np.ndarray:
-    """``value`` as a float array (complex if ``complex_ok`` and it holds complex numbers);
-    an InputError naming ``name`` for any other dtype or a NaN or inf entry."""
-    arr = np.asarray(value)
+def numeric_array(name: str, value, complex_ok: bool = False, square: bool = False) -> np.ndarray:
+    """``value`` as an array of real (or, if ``complex_ok``, complex) numbers, a square
+    matrix if ``square``; an InputError naming ``name`` for a ragged nesting or any other
+    dtype or shape. Reads no entry: :func:`finite_array` is the pass over them."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise InputError(f"{name} must be a rectangular array, not a ragged nesting") from None
     if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
         kind = "real or complex" if complex_ok else "real"
         raise InputError(f"{name} must hold {kind} numbers, got dtype {arr.dtype}")
+    if square and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
+        raise InputError(f"{name} must be a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def finite_array(name: str, value, complex_ok: bool = False, square: bool = False) -> np.ndarray:
+    """:func:`numeric_array` as a float array (complex if it holds complex numbers), and
+    an InputError naming ``name`` for a NaN or inf entry."""
+    arr = numeric_array(name, value, complex_ok, square)
     arr = arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
     if not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")

@@ -170,7 +170,8 @@ def diagnostics(model) -> SystemDiagnostics:
 
     Accepts a :class:`GPModel` or a raw symmetric matrix.
     """
-    system = model.system if isinstance(model, GPModel) else finite_array("system", model)
+    system = (model.system if isinstance(model, GPModel)
+              else finite_array("system", model, square=True))
     eigs = np.linalg.eigvalsh(system)
     min_eig, max_eig = float(eigs[0]), float(eigs[-1])
     if min_eig <= 0:

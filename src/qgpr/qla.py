@@ -10,11 +10,12 @@ exact whenever every lambda * t0 * T / (2*pi) is an integer.
 the system's eigenbasis once: the basis change acts only on the target, the
 rest only on the clock and the ancilla, so the pair between them cancels.
 That rest is one fixed map per eigenvalue, simulated gate by gate once per
-config and memoized. The clock is |0> until its first Hadamards, so one
-pass (:func:`qgpr._accel.spread_solve`) reads the state without it and writes
-the new state with the clock appended: V^H, the clock spread, that map and V.
-As in HHL the ancilla enters in |0> (it must, on the controlled rows), so only
-the ancilla-0 rows enter the eigenbasis and the map's ancilla-0 column applies.
+config on chunks of the eigenvalues, and memoized. The clock is |0> until
+its first Hadamards, so one pass (:func:`qgpr._accel.spread_solve`) reads
+the state without it and writes the new state with the clock appended: V^H,
+the clock spread, that map and V. As in HHL the ancilla enters in |0> (it
+must, on the controlled rows), so only the ancilla-0 rows enter the
+eigenbasis and the map's ancilla-0 column applies.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import _accel
 from . import statevector as sv
-from .exceptions import ConfigError, InputError, NumericError, finite_array, finite_real, integer
+from .exceptions import (ConfigError, InputError, NumericError, finite_array, finite_real, integer,
+                         numeric_array)
 from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
@@ -36,6 +38,7 @@ log = logging.getLogger(__name__)
 # relative slack when validating c <= lambda_min: the GPR layer sets
 # c = sigma_n^2 while the Gram part is only PSD up to round-off
 _EIG_SLACK = 1e-9
+_CHUNK = 1 << 14  # amplitudes per eigen-index chunk of the solver response build
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,9 @@ class QlaConfig:
 
 def gershgorin_bound(system) -> float:
     """Upper bound on the largest eigenvalue: max absolute row sum."""
+    a = finite_array("system", system, complex_ok=True, square=True)
     with np.errstate(over="ignore"):
-        bound = float(np.abs(finite_array("system", system, complex_ok=True)).sum(axis=1).max())
+        bound = float(np.abs(a).sum(axis=1).max())
     if not math.isfinite(bound):
         raise NumericError("the system's scale overflows: its largest row sum is not finite")
     return bound
@@ -206,7 +210,7 @@ def pad_system(system, padded_dim: int, fill: float) -> np.ndarray:
     configuration bounds intact. A complex matrix stays complex. A system that needs
     no padding comes back as it is (no fill is read), checked where it is diagonalized.
     """
-    a = np.asarray(system)
+    a = numeric_array("system", system, complex_ok=True, square=True)
     n = a.shape[0]
     if integer("padded_dim", padded_dim, n) == n:
         return a
@@ -246,9 +250,8 @@ def phase_estimate(
             f"config expects {config.clock_qubits}"
         )
     sv._operand(layout, state.amps, [clock, target], controls)  # checks only
-    if len(system) != 1 << layout.width(target):
+    if len(validate_config(config, system)[0]) != 1 << layout.width(target):
         raise InputError(f"system of size {len(system)} does not match register {target!r}")
-    validate_config(config, system)
     t_total = config.t0 * config.T
     if not inverse:
         sv.hadamard_layer(state, clock, controls)
@@ -300,24 +303,30 @@ def _solver_response(lam: bytes, config: QlaConfig) -> tuple[np.ndarray, np.ndar
     the spread and V send |j>|d>_D|0>_E to sum_tau |j>R_d|tau>, with
     R_0 = G_c|0> + G_s|1> and R_1 = -G_s|0> + G_c|1> at [j, tau]: the inversion
     rotates the ancilla per clock value and the rest acts on the clock alone.
-    Read-only and memoized (one entry: a sweep runs its configs in turn).
+    Every stage is diagonal in j: they run gate by gate on chunks of
+    eigen-indices, states of at most ``_CHUNK`` amplitudes (or two indices),
+    in place in the table returned. The input is zero at D = 1, so the phase
+    table is written into the D = 0 rows and the inverse QFT acts on them
+    alone. Read-only and memoized (one entry: a sweep runs its configs in turn).
     """
     eigs, big_t = np.frombuffer(lam), config.T
-    w = index_width(eigs.shape[0])
+    w = min(index_width(eigs.shape[0]), max(1, (_CHUNK // (2 * big_t)).bit_length() - 1))
+    rows = 1 << w  # eigen-indices per chunk, two at least
     layout = RegisterLayout((("target", w), ("ancilla", 1), ("clock", config.clock_qubits)))
-    # sqrt(T) times the spread of sum_j |j>|0>_D: amplitude 1 wherever D = 0
-    full = StateVector(layout, np.tile(np.repeat([1.0, 0.0], big_t), 1 << w))
-    tensor = full.amps.reshape(layout.dims)  # axes target, ancilla, clock
-    # exp(i * lam_j * t0 * tau) per clock value tau (rows) and eigenvalue lam_j
-    table = np.exp(1j * np.outer(np.arange(big_t), eigs) * config.t0)
-    _accel.phase_mul(tensor, table, 2, 0)
-    sv.qft(full, "clock", inverse=True)
-    eigenvalue_inversion(full, "clock", "ancilla", config)
-    sv.qft(full, "clock")
-    _accel.phase_mul(tensor, table.conj(), 2, 0)
-    sv.hadamard_layer(full, "clock")
-    tensor.setflags(write=False)
-    return tensor[:, 0], tensor[:, 1]
+    out = np.zeros((eigs.shape[0], 2, big_t), dtype=np.complex128)
+    for j in range(0, eigs.shape[0], rows):
+        tensor = out[j : j + rows]  # axes target, ancilla, clock
+        chunk = StateVector._adopt(layout, tensor.reshape(-1))
+        # sqrt(T) times the spread of sum_j |j>|0>_D, phased by exp(i * lam_j * t0 * tau)
+        table = np.exp(1j * np.outer(np.arange(big_t), eigs[j : j + rows]) * config.t0)
+        tensor[:, 0] = table.T
+        sv.qft(chunk, "clock", inverse=True, controls={"ancilla": 0})
+        eigenvalue_inversion(chunk, "clock", "ancilla", config)
+        sv.qft(chunk, "clock")
+        _accel.phase_mul(tensor, table.conj(), 2, 0)
+        sv.hadamard_layer(chunk, "clock")
+    out.setflags(write=False)
+    return out[:, 0], out[:, 1]
 
 
 def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
@@ -328,7 +337,7 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
 
     The stages between the clock spread and V (phase table, inverse QFT,
     inversion, QFT, conjugate table, Hadamards) run once per config, gate by
-    gate on a small state (:func:`_solver_response`). Each call is then one
+    gate on small states (:func:`_solver_response`). Each call is then one
     :func:`qgpr._accel.spread_solve`, which writes V^H, the spread, that
     response and V into the new state. ``controls`` maps register names to
     the values that select the controlled rows (``{"A": 1, "C": 1}``), where
@@ -341,9 +350,9 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
     view, (axis, anc) = sv._operand(state.layout, state.amps, [target, ancilla], controls)
-    if len(system) != 1 << layout.width(target):
-        raise InputError(f"system of size {len(system)} does not match register {target!r}")
     lam, vec = validate_config(config, system)
+    if len(lam) != 1 << layout.width(target):
+        raise InputError(f"system of size {len(lam)} does not match register {target!r}")
     src, rows = np.moveaxis(view, anc, 0)  # the controlled rows at ancilla 0 and 1
     if np.any(rows):
         raise InputError(f"ancilla register {ancilla!r} must be |0> on the controlled rows")
@@ -365,12 +374,9 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
     ancilla is post-selected on |1>; the success probability of that
     projection is returned alongside.
     """
-    a = np.asarray(system)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise InputError(f"system must be square, got {a.shape}")
+    n = numeric_array("system", system, complex_ok=True, square=True).shape[0]
     w = index_width(n)
-    a_pad = pad_system(a, 1 << w, config.c)
+    a_pad = pad_system(system, 1 << w, config.c)
 
     if isinstance(b, SparseEncoding):
         if b.length != n:

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _accel
-from .exceptions import InputError, ZeroProbabilityError, finite_array, finite_real, integer
+from .exceptions import (InputError, ZeroProbabilityError, finite_array, finite_real, integer,
+                         numeric_array)
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT2_INV
@@ -210,7 +211,7 @@ def reflect(state: StateVector, u, target, controls=None) -> None:
     qubits, which makes the reflection unitary.
     """
     view, axes = _operand(state.layout, state.amps, target, controls)
-    u = np.asarray(u)
+    u = numeric_array("reflection vector", u, complex_ok=True)  # its norm is checked below
     dim = math.prod([view.shape[axis] for axis in axes])
     if u.shape != (dim,):
         raise InputError(f"reflection vector shape {u.shape} does not match dimension {dim}")
@@ -259,12 +260,8 @@ def hermitian_eigh(system) -> tuple[np.ndarray, np.ndarray]:
     bytes), so circuits that share a system check and diagonalize it once. A
     real symmetric system has real eigenvectors; a complex one stays complex.
     """
-    a = np.asarray(system)
-    if a.dtype.kind not in "iufc":  # only the dtype: _eigh_of checks the entries once per content
-        raise InputError(f"matrix must hold real or complex numbers, got dtype {a.dtype}")
+    a = numeric_array("matrix", system, complex_ok=True, square=True)  # _eigh_of reads the entries
     a = a.astype(np.result_type(a, float), copy=False)  # a real system stays real
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
     return _eigh_of(a.shape, a.dtype.str, a.tobytes())
 
 

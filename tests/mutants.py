@@ -170,6 +170,27 @@ MUTANTS = (
     # an array with a NaN or an inf entry is refused, not only one of the wrong dtype
     ("qgpr/exceptions.py", "    if not np.isfinite(arr).all():", "    if False:",
      ["tests/test_classical.py", "-k", "non_finite_input_rejected"]),
+    # the response build runs every eigen-index chunk, the last one too
+    ("qgpr/qla.py", "range(0, eigs.shape[0], rows)", "range(0, eigs.shape[0] - rows, rows)",
+     ["tests/test_qla.py", "-k", "TestSolverResponse"]),
+    # each chunk's phase table holds that chunk's eigenvalues
+    ("qgpr/qla.py", "np.arange(big_t), eigs[j : j + rows]", "np.arange(big_t), eigs[:rows]",
+     ["tests/test_qla.py", "-k", "TestSolverResponse"]),
+    # the phase table is the input at D = 0, not at D = 1
+    ("qgpr/qla.py", "        tensor[:, 0] = table.T", "        tensor[:, 1] = table.T",
+     ["tests/test_qla.py", "-k", "TestSolverBlock"]),
+    # the inverse QFT runs on the D = 0 rows, where the input is
+    ("qgpr/qla.py", 'controls={"ancilla": 0}', 'controls={"ancilla": 1}',
+     ["tests/test_qla.py", "-k", "TestSolverBlock"]),
+    # a ragged nesting is an input error, not numpy's ValueError
+    ("qgpr/exceptions.py", "    except ValueError:", "    except TypeError:",
+     ["tests/test_hostile_inputs.py", "-k", "ragged"]),
+    # a system that is not a square matrix is refused before its shape is read
+    ("qgpr/exceptions.py", "    if square and (", "    if False and (",
+     ["tests/test_hostile_inputs.py", "-k", "scalar"]),
+    # a reflection vector of strings is refused by its dtype
+    ("qgpr/statevector.py", '    u = numeric_array("reflection vector", u, complex_ok=True)',
+     "    u = np.asarray(u)", ["tests/test_hostile_inputs.py", "-k", "reflect"]),
 )
 
 

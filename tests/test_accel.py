@@ -5,7 +5,6 @@ The kernels act on any view of the amplitudes; here every view is the
 qubits merged into one axis where a kernel takes a register as one axis.
 """
 
-import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -100,6 +99,8 @@ class TestApplyMatrix:
     @pytest.mark.parametrize(
         "tpos, controls",
         [
+            ((0, 1), ()),  # leading contiguous block: the view itself, uncopied
+            ((0, 1), ((6, 1),)),  # control on the last qubit: strided
             ((3,), ()),
             ((5, 2), ()),
             ((5, 2), ((0, 1), (4, 0))),
@@ -273,6 +274,8 @@ class TestReflect:
     @pytest.mark.parametrize(
         "tpos, controls",
         [
+            ((0, 1), ()),  # leading contiguous block
+            ((0, 1), ((6, 1),)),  # control on the last qubit: strided
             ((3,), ()),
             ((5, 2), ((0, 1),)),  # targets out of order, control before them
             ((1, 4), ((2, 0),)),  # control between the targets
@@ -291,61 +294,3 @@ class TestReflect:
         _accel.reflect(qubit_view(amps, m, controls)[0], u, tpos)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
-
-class TestPieces:
-    """apply_matrix and reflect cut the amplitudes into pieces of at most _PIECE."""
-
-    @pytest.mark.parametrize("piece", [1, 8, 32])
-    @pytest.mark.parametrize(
-        "tpos, controls",
-        [
-            ((0, 1), ()),  # leading block: contiguous pieces, uncopied
-            ((0, 1), ((6, 1),)),  # control on the last qubit: strided pieces
-            ((3,), ()),
-            ((5, 2), ((0, 1), (4, 0))),
-            ((6, 1, 3), ((4, 1),)),
-        ],
-    )
-    def test_kernels_match_dense_operator_in_pieces(self, rng, monkeypatch, piece, tpos, controls):
-        monkeypatch.setattr(_accel, "_PIECE", piece)
-        m, dim = 7, 1 << len(tpos)
-        for mat in (random_unitary(rng, dim), random_orthogonal(rng, dim)):
-            amps = random_amps(rng, m)
-            expected = dense_operator(mat, tpos, m, controls) @ amps
-            _accel.apply_matrix(qubit_view(amps, m, controls)[0], mat, tpos)
-            np.testing.assert_allclose(amps, expected, atol=1e-12)
-        u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        u /= np.linalg.norm(u)
-        amps = random_amps(rng, m)
-        reflection = np.eye(dim) - 2.0 * np.outer(u, u.conj())
-        expected = dense_operator(reflection, tpos, m, controls) @ amps
-        _accel.reflect(qubit_view(amps, m, controls)[0], u, tpos)
-        np.testing.assert_allclose(amps, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("piece, size", [(8, 8), (2, 8)])  # targets alone exceed a piece of 2
-    def test_pieces_tile_the_controlled_amplitudes(self, monkeypatch, piece, size):
-        monkeypatch.setattr(_accel, "_PIECE", piece)
-        amps = np.arange(1 << 7, dtype=np.complex128)
-        parts = _accel._pieces(qubit_view(amps, 7, ((0, 1),))[0], (5, 2, 3))
-        assert all(p.size == size and np.shares_memory(p, amps) for p in parts)
-        assert sorted(np.concatenate([p.ravel() for p in parts]).real) == list(range(64, 128))
-
-    @pytest.mark.parametrize(
-        "tpos, controls",
-        [((0,), ()), ((17,), ((0, 0),)), ((9, 3), ((0, 1),))],  # contiguous, then strided
-    )
-    def test_temporaries_stay_piece_sized(self, rng, tpos, controls):
-        m, dim = 18, 1 << len(tpos)
-        amps = random_amps(rng, m)
-        mat = random_unitary(rng, dim)
-        u = mat[:, 0]
-        view = qubit_view(amps, m, controls)[0]
-        tracemalloc.start()
-        try:
-            _accel.apply_matrix(view, mat, tpos)
-            _accel.apply_matrix(view, mat.real.copy(), tpos)
-            _accel.reflect(view, u, tpos)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * _accel._PIECE * amps.itemsize < amps.nbytes / 2

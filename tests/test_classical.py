@@ -139,6 +139,13 @@ class TestDenseInverse:
         with pytest.raises(NumericError):
             dense_inverse(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("system", [3.0, [1.0, 2.0], np.ones((2, 3))],
+                             ids=["scalar", "vector", "wide"])
+    def test_not_a_square_matrix_is_an_input_error(self, system):
+        # numpy's LinAlgError used to read as a singular matrix
+        with pytest.raises(InputError, match="square matrix"):
+            dense_inverse(system)
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])

@@ -9,20 +9,24 @@ import pytest
 
 from qgpr import statevector as sv
 from qgpr.classical import cg_solve, cholesky, dense_inverse, predict_exact
-from qgpr.estimator import EstimationResult, shots_for_precision
+from qgpr.estimator import BilinearSpec, EstimationResult, shots_for_precision
 from qgpr.exceptions import QgprError
 from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, diagnostics, eval_kernel
-from qgpr.qla import gershgorin_bound, hermitianize, pad_system
+from qgpr.qla import (QlaConfig, gershgorin_bound, hermitianize, make_encoding, pad_system,
+                      phase_estimate, qla_solve, solver_block)
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 TRAINING = TrainingSet([[0.0], [1.0]], [0.5, -0.5])
 MODEL = build_model(TRAINING, SE, 0.5)
 PILOT = EstimationResult(0.2, 0.01, 400, 0.1, 0.5, None, 0)
 STRINGS = [["a"]]
+RAGGED = [[1.0], [1.0, 2.0]]
+CFG = QlaConfig(2, 0.5, 0.1)
+ONE = make_encoding([1.0])
 
 
-def _state():
-    return sv.init_basis(sv.RegisterLayout((("A", 1), ("E", 2))))
+def _state(last=("E", 2)):
+    return sv.init_basis(sv.RegisterLayout((("A", 1), last)))
 
 
 PROBES = {
@@ -54,6 +58,18 @@ PROBES = {
     "controlled_evolution-string-t": lambda: sv.controlled_evolution(_state(), "E", "A",
                                                                      np.eye(2), "x"),
     "apply_gate-string-gate": lambda: sv.apply_gate(_state(), [["a", "b"], ["c", "d"]], "A"),
+    "TrainingSet-ragged-X": lambda: TrainingSet([[0.0], [1.0, 2.0]], [1.0, 2.0]),
+    "make_encoding-ragged-vector": lambda: make_encoding(RAGGED),
+    "hermitian_eigh-ragged-matrix": lambda: sv.hermitian_eigh(RAGGED),
+    "cholesky-ragged-matrix": lambda: cholesky(RAGGED),
+    "reflect-string-vector": lambda: sv.reflect(_state(), ["a", "b"], "A"),
+    "pad_system-scalar-system": lambda: pad_system(3.0, 1, 0.5),
+    "qla_solve-scalar-system": lambda: qla_solve([1.0], 3.0, CFG),
+    "BilinearSpec-scalar-system": lambda: BilinearSpec(ONE, ONE, 3.0, CFG),
+    "solver_block-scalar-system": lambda: solver_block(_state(("D", 1)), CFG, 3.0, "E", "A", "D"),
+    "phase_estimate-scalar-system": lambda: phase_estimate(_state(), CFG, 3.0, "E", "A"),
+    "gershgorin_bound-scalar-system": lambda: gershgorin_bound(3.0),
+    "diagnostics-vector-system": lambda: diagnostics([1.0, 2.0]),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -749,6 +750,45 @@ class TestSolverBlock:
         ref_state, ref_prob = qla_solve(b, a, cfg)
         assert abs(prob - ref_prob) <= 1e-12
         assert np.abs(state.amps - ref_state.amps).max() <= 1e-12
+
+
+class TestSolverResponse:
+    """_solver_response builds its table gate by gate in eigen-index chunks of
+    at most _CHUNK amplitudes (or of two eigen-indices), in place in the array
+    it returns; the chunks change no bit of the table."""
+
+    @staticmethod
+    def response_input(rng, n, clock, kind):
+        """(eigenvalue bytes, config) of a random real or complex system: the memo's key."""
+        system = random_spd(rng, n) if kind == "real" else random_hermitian(rng, n)
+        lam = sv.hermitian_eigh(system)[0]
+        return lam.tobytes(), config_for(system, clock, c=float(lam[0]))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n, clock", [(2, 1), (16, 10), (128, 8), (8, 16)])
+    def test_chunks_are_bit_identical_to_one_chunk(self, rng, monkeypatch, n, clock, kind):
+        lam, cfg = self.response_input(rng, n, clock, kind)
+        build = qla._solver_response.__wrapped__  # past the memo
+        monkeypatch.setattr(qla, "_CHUNK", n << (clock + 1))  # every eigen-index in one chunk
+        whole = build(lam, cfg)
+        # two eigen-indices a chunk, four (a _CHUNK that is no power of two), the default
+        for chunk in (1, 12 << clock, 1 << 14):
+            monkeypatch.setattr(qla, "_CHUNK", chunk)
+            for got, want in zip(build(lam, cfg), whole):
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+
+    def test_cold_build_at_the_qubit_cap_stays_within_32_mib(self, rng):
+        # n = 8 with clock 16: the 22-qubit cap. The memo itself is 16 MiB;
+        # the unchunked build peaked at 41 MiB
+        lam, cfg = self.response_input(rng, 8, 16, "real")
+        tracemalloc.start()
+        try:
+            qla._solver_response.__wrapped__(lam, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
 
 
 class TestQlaSolve:
