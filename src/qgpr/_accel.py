@@ -2,23 +2,20 @@
 
 Each kernel takes a view of the amplitudes with one axis per register (the
 controls' registers pinned away) and the numbers of the axes it acts on, both
-from one :func:`qgpr.statevector._operand` call. All kernels but
-:func:`spread_solve` (which reads one view and writes two views of a new
-state) mutate the view in place. No kernel bounds its temporaries, which
-come to a few times its view's size: the callers keep the views small. An
-estimate runs every gate before the solver on the clock-free state (at most
-2^14 amplitudes on the CLI path), and :func:`spread_solve` writes its
-products straight into the new state. The solver response in
-:mod:`qgpr.qla`, the one large view, is built in eigen-index chunks of at
-most ``qgpr.qla._CHUNK`` amplitudes, or of two indices on a wider clock.
+from one :func:`qgpr.statevector._operand` call, and mutates that view in
+place. No kernel bounds its temporaries, which come to a few times its
+view's size: the callers keep the views small. An estimate runs every gate
+before the solver on the clock-free state (at most 2^14 amplitudes on the
+CLI path), and :func:`qgpr.qla.solver_block` writes its products straight
+into the new state. The solver response in :mod:`qgpr.qla`, the one large
+view, is built in eigen-index chunks of at most ``qgpr.qla._CHUNK``
+amplitudes, or of two indices on a wider clock.
 
 A real matrix (a Walsh block, X, a real eigenbasis) runs as one real product
 on the float64 view of the (re, im) pairs: half the flops of a complex one.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -78,24 +75,3 @@ def pair_rot(amps, cos_t, sin_t, caxis, aaxis):
     a1 += sin_nd * a0  # a0 untouched until the next line
     a0[...] = new0
 
-
-def spread_solve(src, dst, vec, g_c, g_s, axis):
-    """Write the solver's rows into ``dst``, the views of a new state at
-    ancilla 0 and 1 with ``src``'s axes and the clock last. Per target vector x
-    along ``axis`` of ``src`` (the input at ancilla 0, which must be all of it):
-    ``vec``^H, a Hadamard layer on a zero clock, the ancilla rotation by (target
-    value, clock value) tables ``g_c``, ``g_s`` (as :func:`pair_rot`) and
-    ``vec``. With a_0 = V^H x and W = V diag(a_0) / sqrt(T), that is W g_c at
-    ancilla 0 and W g_s at ancilla 1: one product each, real ones when V and x
-    are real.
-    """
-    big_t = dst[0].shape[-1]
-    src = np.moveaxis(src, axis, -1)
-    dst = [np.moveaxis(out, axis, -2) for out in dst]
-    for idx in np.ndindex(src.shape[:-1]):
-        x = src[idx]
-        real = vec.dtype == np.float64 and not x.imag.any()
-        a0 = vec.T @ x.real if real else vec.conj().T @ x
-        w = vec * (a0 / math.sqrt(big_t))
-        for g, out in zip((g_c, g_s), dst):
-            np.matmul(w, g.view(w.dtype), out=out[idx].view(w.dtype))

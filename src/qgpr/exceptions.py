@@ -6,9 +6,9 @@ Two top-level families map onto the CLI exit-status contract:
 input number: :func:`integer`, an integer in range (widths, register values,
 shots, seeds, counts); :func:`finite_real`, a finite real above a bound
 (hyperparameters, noise variance, t0, c, delta, tolerances);
-:func:`numeric_array`, a rectangular (or square) array of real or complex
-numbers, its entries unread; and :func:`finite_array`, that array with every
-entry finite (points, training data, systems, vectors, gates).
+:func:`numeric_array`, a rectangular (or non-empty square) array of real or
+complex numbers, its entries unread; and :func:`finite_array`, that array with
+every entry finite (points, training data, systems, vectors, gates).
 """
 
 import math
@@ -89,8 +89,8 @@ def finite_real(name: str, value, lo: float = -math.inf) -> float:
 
 
 def numeric_array(name: str, value, complex_ok: bool = False, square: bool = False) -> np.ndarray:
-    """``value`` as an array of real (or, if ``complex_ok``, complex) numbers, a square
-    matrix if ``square``; an InputError naming ``name`` for a ragged nesting or any other
+    """``value`` as an array of real (or, if ``complex_ok``, complex) numbers, a non-empty
+    square matrix if ``square``; an InputError naming ``name`` for a ragged nesting or any other
     dtype or shape. Reads no entry: :func:`finite_array` is the pass over them."""
     try:
         arr = np.asarray(value)
@@ -99,8 +99,8 @@ def numeric_array(name: str, value, complex_ok: bool = False, square: bool = Fal
     if arr.dtype.kind not in ("iufc" if complex_ok else "iuf"):
         kind = "real or complex" if complex_ok else "real"
         raise InputError(f"{name} must hold {kind} numbers, got dtype {arr.dtype}")
-    if square and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
-        raise InputError(f"{name} must be a square matrix, got shape {arr.shape}")
+    if square and (arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0):
+        raise InputError(f"{name} must be a non-empty square matrix, got shape {arr.shape}")
     return arr
 
 

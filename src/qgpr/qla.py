@@ -11,11 +11,11 @@ the system's eigenbasis once: the basis change acts only on the target, the
 rest only on the clock and the ancilla, so the pair between them cancels.
 That rest is one fixed map per eigenvalue, simulated gate by gate once per
 config on chunks of the eigenvalues, and memoized. The clock is |0> until
-its first Hadamards, so one pass (:func:`qgpr._accel.spread_solve`) reads
-the state without it and writes the new state with the clock appended: V^H,
-the clock spread, that map and V. As in HHL the ancilla enters in |0> (it
-must, on the controlled rows), so only the ancilla-0 rows enter the
-eigenbasis and the map's ancilla-0 column applies.
+its first Hadamards, so one pass reads the state without it and writes the
+new state with the clock appended: V^H, the clock spread, that map and V.
+As in HHL the ancilla enters in |0> (it must, on the controlled rows), so
+only the ancilla-0 rows enter the eigenbasis and the map's ancilla-0 column
+applies.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import _accel
 from . import statevector as sv
-from .exceptions import (ConfigError, InputError, NumericError, finite_array, finite_real, integer,
-                         numeric_array)
+from .exceptions import (ConditioningError, ConfigError, InputError, NumericError, finite_array,
+                         finite_real, integer, numeric_array)
 from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
@@ -75,10 +75,13 @@ def gershgorin_bound(system) -> float:
 
 
 def default_t0(system, clock_qubits: int) -> float:
-    """Largest safe per-step time: the top eigenvalue lands in the last clock bin."""
+    """Largest safe per-step time: the top eigenvalue lands in the last clock bin.
+    A zero system, which has no inverse, is a ConditioningError."""
     integer("clock_qubits", clock_qubits, 1, DEFAULT_QUBIT_CAP)  # before 2**clock_qubits
-    big_t = 1 << clock_qubits
-    return 2.0 * math.pi * (big_t - 1) / (big_t * gershgorin_bound(system))
+    big_t, bound = 1 << clock_qubits, gershgorin_bound(system)
+    if bound == 0.0:
+        raise ConditioningError("a zero system has no inverse: its Gershgorin bound is 0")
+    return 2.0 * math.pi * (big_t - 1) / (big_t * bound)
 
 
 def config_for(system, clock_qubits: int, c: float) -> QlaConfig:
@@ -298,11 +301,12 @@ def eigenvalue_inversion(
 
 
 @functools.lru_cache(maxsize=1)
-def _solver_response(lam: bytes, config: QlaConfig) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(T) * (G_c, G_s) per (j, tau): :func:`solver_block`'s stages between
-    the spread and V send |j>|d>_D|0>_E to sum_tau |j>R_d|tau>, with
-    R_0 = G_c|0> + G_s|1> and R_1 = -G_s|0> + G_c|1> at [j, tau]: the inversion
-    rotates the ancilla per clock value and the rest acts on the clock alone.
+def _solver_response(lam: bytes, config: QlaConfig) -> np.ndarray:
+    """sqrt(T) * G_c and sqrt(T) * G_s at [j, 0, tau] and [j, 1, tau] of one
+    (n, 2, T) table: :func:`solver_block`'s stages between the spread and V send
+    |j>|d>_D|0>_E to sum_tau |j>R_d|tau>, with R_0 = G_c|0> + G_s|1> and
+    R_1 = -G_s|0> + G_c|1> at [j, tau]: the inversion rotates the ancilla per
+    clock value and the rest acts on the clock alone.
     Every stage is diagonal in j: they run gate by gate on chunks of
     eigen-indices, states of at most ``_CHUNK`` amplitudes (or two indices),
     in place in the table returned. The input is zero at D = 1, so the phase
@@ -326,7 +330,7 @@ def _solver_response(lam: bytes, config: QlaConfig) -> tuple[np.ndarray, np.ndar
         _accel.phase_mul(tensor, table.conj(), 2, 0)
         sv.hadamard_layer(chunk, "clock")
     out.setflags(write=False)
-    return out[:, 0], out[:, 1]
+    return out
 
 
 def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
@@ -337,14 +341,16 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
 
     The stages between the clock spread and V (phase table, inverse QFT,
     inversion, QFT, conjugate table, Hadamards) run once per config, gate by
-    gate on small states (:func:`_solver_response`). Each call is then one
-    :func:`qgpr._accel.spread_solve`, which writes V^H, the spread, that
-    response and V into the new state. ``controls`` maps register names to
-    the values that select the controlled rows (``{"A": 1, "C": 1}``), where
-    the ancilla must be |0>. Every input, the qubit cap (by appending the
+    gate on small states (:func:`_solver_response`). Each call then writes
+    V^H, the spread, that response and V into the new state, per target vector
+    x of the input at ancilla 0 (all of it): with a_0 = V^H x and
+    W = V diag(a_0) / sqrt(T), W G_c at ancilla 0 and W G_s at ancilla 1, one
+    product each, real ones when V and x are real. ``controls`` maps register
+    names to the values that select the controlled rows (``{"A": 1, "C": 1}``),
+    where the ancilla must be |0>. Every input, the qubit cap (by appending the
     clock) and that ancilla among them, is checked before anything is
-    allocated. The controls are resolved once per state; the rows at ancilla
-    0 and 1 are that view's two slices along the ancilla's axis.
+    allocated. Controls are resolved once per state; each view takes its ancilla
+    axis first and its target axis last (on the new state, before the clock).
     """
     layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
     if layout.width(ancilla) != 1:
@@ -353,14 +359,21 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     lam, vec = validate_config(config, system)
     if len(lam) != 1 << layout.width(target):
         raise InputError(f"system of size {len(lam)} does not match register {target!r}")
-    src, rows = np.moveaxis(view, anc, 0)  # the controlled rows at ancilla 0 and 1
+    src, rows = np.moveaxis(view, (anc, axis), (0, -1))  # the rows at ancilla 0 and 1
     if np.any(rows):
         raise InputError(f"ancilla register {ancilla!r} must be |0> on the controlled rows")
-    g_c, g_s = _solver_response(lam.tobytes(), config)
+    g_c, g_s = _solver_response(lam.tobytes(), config).transpose(1, 0, 2)  # ancilla 0 and 1
+    big_t = config.T
     amps = np.zeros(state.amps.size << config.clock_qubits, dtype=np.complex128)
-    amps.reshape(-1, config.T)[:, 0] = state.amps  # the controlled rows are overwritten below
-    dst = np.moveaxis(sv._register_view(layout, amps, controls), anc, 0)  # and the clock last
-    _accel.spread_solve(src, dst, vec, g_c, g_s, axis - (axis > anc))
+    amps.reshape(-1, big_t)[:, 0] = state.amps  # the controlled rows are overwritten below
+    dst = np.moveaxis(sv._register_view(layout, amps, controls), (anc, axis), (0, -2))
+    for idx in np.ndindex(src.shape[:-1]):
+        x = src[idx]
+        real = vec.dtype == np.float64 and not x.imag.any()
+        a0 = vec.T @ x.real if real else vec.conj().T @ x
+        w = vec * (a0 / math.sqrt(big_t))
+        for g, out in zip((g_c, g_s), dst):
+            np.matmul(w, g.view(w.dtype), out=out[idx].view(w.dtype))
     return StateVector._adopt(layout, amps)
 
 

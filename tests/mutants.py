@@ -3,7 +3,8 @@
 Each entry is (file under ``src/``, exact old text, new text, pytest
 arguments selecting the tests that must fail). For every entry the runner
 copies ``src/`` into a temporary directory of its own, replaces the old text,
-which must occur exactly once, and runs the selection against the copy. The
+which must occur exactly once, and runs the selection against the copy, with
+pytest's plugin autoload off (the selections need no third-party plugin). The
 entries run concurrently, one per CPU, and are reported in the order listed.
 The runner exits 1 if a selection passes on its mutant or an old text no
 longer occurs once, so a refactor of a listed line has to update its entry.
@@ -93,18 +94,27 @@ MUTANTS = (
     # any negative variance estimate is clamped to 0
     ("qgpr/estimator.py", "if estimate < 0.0:", "if estimate < -1e-3:",
      ["tests/test_estimator.py", "-k", "TestPredictVarianceQuantum"]),
-    # spread_solve: G_c at ancilla 0, G_s at ancilla 1
-    ("qgpr/_accel.py", "zip((g_c, g_s), dst)", "zip((g_s, g_c), dst)",
+    # solver_block: G_c at ancilla 0, G_s at ancilla 1
+    ("qgpr/qla.py", "zip((g_c, g_s), dst)", "zip((g_s, g_c), dst)",
      ["tests/test_qla.py", "-k", "TestSpread"]),
-    # spread_solve: the clock Hadamards' 1/sqrt(T)
-    ("qgpr/_accel.py", "vec * (a0 / math.sqrt(big_t))", "vec * a0",
+    # solver_block: the clock Hadamards' 1/sqrt(T)
+    ("qgpr/qla.py", "vec * (a0 / math.sqrt(big_t))", "vec * a0",
      ["tests/test_qla.py", "-k", "TestSpread"]),
-    # spread_solve: the real product only for real rows and a real V
-    ("qgpr/_accel.py", "a0 = vec.T @ x.real if real else vec.conj().T @ x",
+    # solver_block: the real product only for real rows and a real V
+    ("qgpr/qla.py", "a0 = vec.T @ x.real if real else vec.conj().T @ x",
      "a0 = vec.T @ x.real", ["tests/test_qla.py", "-k", "TestSpread"]),
-    # spread_solve: a complex V enters the eigenbasis by its conjugate transpose
-    ("qgpr/_accel.py", "vec.conj().T @ x", "vec.T @ x",
+    # solver_block: a complex V enters the eigenbasis by its conjugate transpose
+    ("qgpr/qla.py", "vec.conj().T @ x", "vec.T @ x",
      ["tests/test_qla.py", "-k", "TestSpread"]),
+    # solver_block: the new state's target axis comes before its clock axis
+    ("qgpr/qla.py", "(anc, axis), (0, -2)", "(anc, axis), (0, -1)",
+     ["tests/test_qla.py", "-k", "TestSpread"]),
+    # an empty system is refused, not left to numpy's reductions
+    ("qgpr/exceptions.py", " or arr.size == 0", "",
+     ["tests/test_hostile_inputs.py", "-k", "empty"]),
+    # a zero system is a conditioning error, not a division by its zero bound
+    ("qgpr/qla.py", "    if bound == 0.0:", "    if False:",
+     ["tests/test_qla.py", "-k", "zero_system"]),
     # estimate_bilinear checks shots and seed before it builds the state
     ("qgpr/estimator.py", "    sv.check_shots(shots, seed)\n    state = ", "    state = ",
      ["tests/test_estimator.py", "-k", "out_of_range_fail_before_the_state_is_built"]),
@@ -207,6 +217,7 @@ def survives(path: str, old: str, new: str, selection: list[str], scratch: Path)
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "-o", f"pythonpath={src}", *selection],
         cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"},
     )
     if run.returncode == 1:  # tests ran and some failed
         return None

@@ -188,55 +188,6 @@ class TestPairRot:
         _accel.pair_rot(view, cos_t, sin_t, *axes)
         np.testing.assert_allclose(amps, expected, atol=1e-12)
 
-    # spread_solve: on these 8-qubit layouts, V^H on the clock-free input, the
-    # Hadamards on a zero clock at cstart, one 2x2 block per joint (target,
-    # clock) value with complex tables, then V. The kernel appends its clock
-    # last, so the clock block moves to the end and the other qubits keep
-    # their order
-    @pytest.mark.parametrize(
-        "tstart, twidth, cstart, apos, controls",
-        [
-            (1, 1, 2, 0, ((7, 1),)),  # ancilla before both blocks, control after
-            (0, 1, 2, 1, ((5, 0),)),  # ancilla between the blocks
-            (0, 1, 1, 3, ((6, 1), (7, 0))),  # ancilla after both blocks
-            (2, 1, 3, 6, ((0, 1),)),  # ancilla after, control before
-            (1, 3, 4, 0, ((6, 0),)),
-            (1, 3, 5, 4, ((0, 1),)),  # ancilla between, control before
-            (0, 3, 3, 5, ((6, 1), (7, 1))),
-            (2, 3, 0, 5, ((7, 0),)),  # target after the clock
-            (4, 3, 1, 3, ((0, 1), (7, 1))),  # target after the clock, controls on both sides
-        ],
-    )
-    def test_target_clock_tables_match_dense_operator(
-        self, rng, tstart, twidth, cstart, apos, controls
-    ):
-        m, cwidth = 8, 2
-        rest = [q for q in range(m) if q not in block(cstart, cwidth)]
-        tpos = tuple(rest.index(q) for q in block(tstart, twidth))
-        apos, controls = rest.index(apos), tuple((rest.index(q), v) for q, v in controls)
-        clock = block(m - cwidth, cwidth)
-        shape = (1 << twidth, 1 << cwidth)
-        g_c, g_s = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
-        rot = np.zeros((2 * g_c.size,) * 2, dtype=complex)
-        for k, (c, s) in enumerate(zip(g_c.ravel(), g_s.ravel())):
-            rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
-        free = random_amps(rng, m - cwidth)
-        qubit_view(free, m - cwidth, (*controls, (apos, 1)))[0][...] = 0.0  # the solver's input
-        walsh = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * cwidth)
-        dim = 1 << twidth
-        for vec in (random_orthogonal(rng, dim), random_unitary(rng, dim)):
-            entered = dense_operator(vec.conj().T, tpos, m - cwidth, controls) @ free
-            spread = dense_operator(walsh, clock, m, controls) @ np.kron(entered, np.eye(1 << cwidth)[0])
-            turned = dense_operator(rot, tpos + clock + (apos,), m, controls) @ spread
-            expected = dense_operator(vec, tpos, m, controls) @ turned
-            out = np.kron(free, np.eye(1 << cwidth)[0])  # the kernel writes the controlled rows
-            target = (tpos[0], twidth)
-            src, (axis,) = qubit_view(free, m - cwidth, (*controls, (apos, 0)), [target])
-            dst = [qubit_view(out, m, (*controls, (apos, d)), [target, (m - cwidth, cwidth)])[0]
-                   for d in (0, 1)]
-            _accel.spread_solve(src, dst, vec, g_c, g_s, axis)
-            np.testing.assert_allclose(out, expected, atol=1e-12)
-
 
 class TestFourier:
     # the block at the start, middle and end of the state; controls before it,

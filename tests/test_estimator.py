@@ -246,7 +246,6 @@ class TestEstimateBilinear:
             raise AssertionError("a solver step ran before the cap check")
 
         monkeypatch.setattr(qla, "_solver_response", no_step)
-        monkeypatch.setattr(qla._accel, "spread_solve", no_step)
         spec = BilinearSpec(make_encoding(np.ones(8)), make_encoding(np.ones(8)), np.eye(8),
                             QlaConfig(17, t0=0.1, c=0.5))
         tracemalloc.start()

@@ -12,14 +12,15 @@ from qgpr.classical import cg_solve, cholesky, dense_inverse, predict_exact
 from qgpr.estimator import BilinearSpec, EstimationResult, shots_for_precision
 from qgpr.exceptions import QgprError
 from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, diagnostics, eval_kernel
-from qgpr.qla import (QlaConfig, gershgorin_bound, hermitianize, make_encoding, pad_system,
-                      phase_estimate, qla_solve, solver_block)
+from qgpr.qla import (QlaConfig, config_for, gershgorin_bound, hermitianize, make_encoding,
+                      pad_system, phase_estimate, qla_solve, solver_block)
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 TRAINING = TrainingSet([[0.0], [1.0]], [0.5, -0.5])
 MODEL = build_model(TRAINING, SE, 0.5)
 PILOT = EstimationResult(0.2, 0.01, 400, 0.1, 0.5, None, 0)
 STRINGS = [["a"]]
+EMPTY = np.zeros((0, 0))
 RAGGED = [[1.0], [1.0, 2.0]]
 CFG = QlaConfig(2, 0.5, 0.1)
 ONE = make_encoding([1.0])
@@ -70,6 +71,14 @@ PROBES = {
     "phase_estimate-scalar-system": lambda: phase_estimate(_state(), CFG, 3.0, "E", "A"),
     "gershgorin_bound-scalar-system": lambda: gershgorin_bound(3.0),
     "diagnostics-vector-system": lambda: diagnostics([1.0, 2.0]),
+    "hermitian_eigh-empty-matrix": lambda: sv.hermitian_eigh(EMPTY),
+    "gershgorin_bound-empty-system": lambda: gershgorin_bound(EMPTY),
+    "config_for-empty-system": lambda: config_for(EMPTY, 4, 0.5),
+    "dense_inverse-empty-system": lambda: dense_inverse(EMPTY),
+    "diagnostics-empty-system": lambda: diagnostics(EMPTY),
+    "qla_solve-empty-system": lambda: qla_solve(np.zeros(0), EMPTY, CFG),
+    "cholesky-empty-system": lambda: cholesky(EMPTY),
+    "pad_system-empty-system": lambda: pad_system(EMPTY, 1, 0.5),
 }
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from qgpr import _accel, qla
 from qgpr import statevector as sv
-from qgpr.exceptions import ConfigError, InputError, NumericError, ZeroProbabilityError
+from qgpr.exceptions import (ConditioningError, ConfigError, InputError, NumericError,
+                             ZeroProbabilityError)
 from qgpr.qla import (
     QlaConfig,
     config_for,
@@ -29,6 +30,7 @@ from qgpr.qla import (
 from qgpr.statevector import RegisterLayout, StateVector, init_basis, project, register_component
 
 from conftest import non_finite_systems, random_spd, zero_controlled_ancilla
+from test_accel import block, dense_operator
 
 
 def clock_distribution(state, clock="clock"):
@@ -185,6 +187,13 @@ class TestConfig:
         # the top representable bin can hold the Gershgorin bound itself
         assert gershgorin_bound(a) >= lam_max
         validate_config(cfg, a)
+
+    def test_zero_system_is_a_conditioning_error(self):
+        # its Gershgorin bound is 0: t0 used to divide by it
+        for call in (lambda: default_t0(np.zeros((2, 2)), 4),
+                     lambda: config_for(np.zeros((2, 2)), 4, 0.5)):
+            with pytest.raises(ConditioningError, match="Gershgorin bound is 0"):
+                call()
 
     def test_wraparound_rejected(self):
         with pytest.raises(ConfigError):
@@ -559,11 +568,11 @@ def block_layout(layout_name, index_width):
 
 
 class TestSpread:
-    """solver_block's one _accel.spread_solve pass, with random response
-    tables, against the gate chain it writes: V^H on the target of the
-    clock-free input, the Hadamard layer on a zero clock appended last, the
-    ancilla rotation by (target value, clock value) tables, and V on the
-    target, all controlled."""
+    """solver_block's write of the solver's rows, with random response tables,
+    against the gate chain it writes: V^H on the target of the clock-free
+    input, the Hadamard layer on a zero clock appended last, the ancilla
+    rotation by (target value, clock value) tables, and V on the target, all
+    controlled."""
 
     @staticmethod
     def check_against_chain(rng, monkeypatch, state, width, controls):
@@ -571,7 +580,8 @@ class TestSpread:
         big_t = 1 << width
         g_c, g_s = (rng.normal(size=(4, big_t)) + 1j * rng.normal(size=(4, big_t))
                     for _ in range(2))
-        monkeypatch.setattr(qla, "_solver_response", lambda lam, config: (g_c, g_s))
+        monkeypatch.setattr(qla, "_solver_response",
+                            lambda lam, config: np.stack((g_c, g_s), axis=1))
         cfg = QlaConfig(width, t0=1.0, c=0.25)  # both spectra lie in [0.25, 1]
         for system in (random_spd(rng, 4), random_hermitian(rng, 4)):  # real V, complex V
             vec = sv.hermitian_eigh(system)[1]
@@ -611,6 +621,56 @@ class TestSpread:
         if half:
             state.amps[state.amps.shape[0] // 2 :] *= 1j
         self.check_against_chain(rng, monkeypatch, state, 3, controls)
+
+    # the 8-qubit layouts of a dense reference with a two-qubit clock block at
+    # cstart: solver_block appends its clock last, so the clock block moves to
+    # the end and the other qubits keep their order, each one a register of its
+    # own but the target block. V^H, the Hadamards on the zero clock, one 2x2
+    # block per joint (target, clock) value with complex tables, then V
+    @pytest.mark.parametrize(
+        "tstart, twidth, cstart, apos, controls",
+        [
+            (1, 1, 2, 0, ((7, 1),)),  # ancilla before both blocks, control after
+            (0, 1, 2, 1, ((5, 0),)),  # ancilla between the blocks
+            (0, 1, 1, 3, ((6, 1), (7, 0))),  # ancilla after both blocks
+            (2, 1, 3, 6, ((0, 1),)),  # ancilla after, control before
+            (1, 3, 4, 0, ((6, 0),)),
+            (1, 3, 5, 4, ((0, 1),)),  # ancilla between, control before
+            (0, 3, 3, 5, ((6, 1), (7, 1))),
+            (2, 3, 0, 5, ((7, 0),)),  # target after the clock
+            (4, 3, 1, 3, ((0, 1), (7, 1))),  # target after the clock, controls on both sides
+        ],
+    )
+    def test_matches_dense_operator(self, rng, monkeypatch, tstart, twidth, cstart, apos,
+                                    controls):
+        m, cwidth = 8, 2
+        rest = [q for q in range(m) if q not in block(cstart, cwidth)]
+        tpos = tuple(rest.index(q) for q in block(tstart, twidth))
+        apos, controls = rest.index(apos), tuple((rest.index(q), v) for q, v in controls)
+        layout = RegisterLayout(tuple(
+            ("index", twidth) if q == tpos[0] else ("anc", 1) if q == apos else (f"q{q}", 1)
+            for q in range(m - cwidth) if q not in tpos[1:]))
+        pins = {f"q{q}": v for q, v in controls}
+        clock = block(m - cwidth, cwidth)
+        shape = (1 << twidth, 1 << cwidth)
+        g_c, g_s = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+        monkeypatch.setattr(qla, "_solver_response",
+                            lambda lam, config: np.stack((g_c, g_s), axis=1))
+        rot = np.zeros((2 * g_c.size,) * 2, dtype=complex)
+        for k, (c, s) in enumerate(zip(g_c.ravel(), g_s.ravel())):
+            rot[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[c, -s], [s, c]]
+        state = solver_input(rng, layout, pins)
+        walsh = np.kron(sv.HADAMARD, sv.HADAMARD)
+        dim = 1 << twidth
+        for system in (random_spd(rng, dim), random_hermitian(rng, dim)):  # real V, complex V
+            vec = sv.hermitian_eigh(system)[1]
+            entered = dense_operator(vec.conj().T, tpos, m - cwidth, controls) @ state.amps
+            spread = dense_operator(walsh, clock, m, controls) @ np.kron(entered, np.eye(1 << cwidth)[0])
+            turned = dense_operator(rot, tpos + clock + (apos,), m, controls) @ spread
+            expected = dense_operator(vec, tpos, m, controls) @ turned
+            out = solver_block(state, QlaConfig(cwidth, t0=1.0, c=0.25), system, "clock", "index",
+                               "anc", pins)
+            np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
     def test_over_the_qubit_cap_is_an_input_error(self):
         # 2 + 1 input qubits and a 21-qubit clock: the new state would be 24 qubits
@@ -695,7 +755,6 @@ class TestSolverBlock:
             raise AssertionError("a step ran before the checks")
 
         monkeypatch.setattr(qla, "_solver_response", no_step)  # nor the response build
-        monkeypatch.setattr(qla._accel, "spread_solve", no_step)
         monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
         state = init_basis(RegisterLayout((("index", 3), ("ancilla", 1))))
         with pytest.raises(InputError, match="exceeds the cap"):
@@ -708,7 +767,6 @@ class TestSolverBlock:
             raise AssertionError("a step ran before the checks")
 
         monkeypatch.setattr(qla, "_solver_response", no_step)
-        monkeypatch.setattr(qla._accel, "spread_solve", no_step)
         monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
         layout, controls = block_layout(layout_name, 2)
         state = solver_input(rng, layout, controls)
