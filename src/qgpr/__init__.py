@@ -12,7 +12,7 @@ from .estimator import (
     EstimationResult,
     build_interference_state,
     estimate_bilinear,
-    gpr_config,
+    gpr_plan,
     predict_mean_quantum,
     predict_variance_quantum,
     shots_for_precision,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .classical import predict_exact
 from .estimator import (
-    gpr_config,
+    gpr_plan,
     interference_layout,
     predict_mean_quantum,
     predict_variance_quantum,
@@ -219,13 +219,13 @@ def _config_record(cfg: RunConfig) -> dict:
     return rec
 
 
-def _estimates(model: GPModel, points, qcfg, shots: int | None, seed: int):
+def _estimates(model: GPModel, points, plan, shots: int | None, seed: int):
     """Yield (point, mean, variance, seconds) per test point: the quantum mean
     and variance of point i, both seeded ``seed + i``, and their wall time."""
     for i, point in enumerate(points):
         t0 = time.perf_counter()
-        mean = predict_mean_quantum(model, point, qcfg, shots=shots, seed=seed + i)
-        var = predict_variance_quantum(model, point, qcfg, shots=shots, seed=seed + i)
+        mean = predict_mean_quantum(model, point, plan, shots=shots, seed=seed + i)
+        var = predict_variance_quantum(model, point, plan, shots=shots, seed=seed + i)
         yield point, mean, var, time.perf_counter() - t0
 
 
@@ -238,8 +238,8 @@ def cmd_predict(cfg: RunConfig) -> dict:
     shots = _shots(cfg)
     model = _build(cfg, [(None, cfg.clock_qubits, shots)])
     diag = diagnostics(model)
-    qcfg = gpr_config(model, cfg.clock_qubits)
-    estimates = _estimates(model, cfg.test_points, qcfg, shots, cfg.seed)
+    plan = gpr_plan(model, cfg.clock_qubits)
+    estimates = _estimates(model, cfg.test_points, plan, shots, cfg.seed)
     results = []
     timings = []
     for point, mean_res, var_res, tq in estimates:
@@ -259,7 +259,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
         )
     report = {
         "config": _config_record(cfg),
-        "qla": {"clock_qubits": qcfg.clock_qubits, "t0": qcfg.t0, "c": qcfg.c},
+        "qla": {"clock_qubits": plan.clock_qubits, "t0": plan.config.t0, "c": plan.config.c},
         "diagnostics": {f: getattr(diag, f) for f in _DIAGNOSTIC_FIELDS},
         "results": results,
     }
@@ -297,8 +297,8 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
         "recommended_shots": None,
     }
     if cfg.delta is not None:
-        qcfg = gpr_config(model, cfg.clock_qubits)
-        pilot = predict_mean_quantum(model, cfg.test_points[0], qcfg, shots=pilot_shots,
+        plan = gpr_plan(model, cfg.clock_qubits)
+        pilot = predict_mean_quantum(model, cfg.test_points[0], plan, shots=pilot_shots,
                                      seed=cfg.seed)
         report["recommended_shots"] = shots_for_precision(cfg.delta, pilot)
         report["pilot_shots"] = pilot.shots
@@ -318,10 +318,11 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
     ]
     model = _build(cfg, runs)
     exacts = [predict_exact(model, point) for point in cfg.test_points]  # axis-independent
-    rows = []
+    rows, plan = [], None
     for j, (value, clock, shots) in enumerate(runs):
-        qcfg = gpr_config(model, clock)
-        estimates = _estimates(model, cfg.test_points, qcfg, shots, cfg.seed + j)
+        if plan is None or plan.clock_qubits != clock:  # a shots axis keeps one plan
+            plan = gpr_plan(model, clock)
+        estimates = _estimates(model, cfg.test_points, plan, shots, cfg.seed + j)
         mean_errs, var_errs, succ = [], [], []
         for (_, mres, vres, _), exact in zip(estimates, exacts):
             mean_errs.append(abs(mres.estimate - exact.mean))

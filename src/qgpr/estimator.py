@@ -34,17 +34,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import statevector as sv
-from .exceptions import (ExpansionError, InputError, NumericError, finite_real, integer,
-                         numeric_array)
+from . import qla
+from .exceptions import ExpansionError, InputError, NumericError, finite_real, integer
 from .kernels import GPModel, build_cross, eval_kernel
 from .qla import (
     QlaConfig,
+    SolverPlan,
     SparseEncoding,
     config_for,
     eigenvalue_inversion,  # unused here; perfbench/spans.py wraps this name
     index_width,
     make_encoding,
-    pad_system,
     phase_estimate,  # unused here; perfbench/spans.py wraps this name
     solver_block,
     state_prep_unitary,  # unused here; perfbench/spans.py wraps this name
@@ -79,15 +79,14 @@ class EstimationResult:
 
 @dataclass(frozen=True)
 class BilinearSpec:
-    """Inputs of one u^T A^{-1} v estimation."""
+    """Inputs of one u^T A^{-1} v estimation: the plan holds A's spectrum and the config."""
 
     u: SparseEncoding
     v: SparseEncoding
-    system: np.ndarray
-    config: QlaConfig
+    plan: SolverPlan
 
     def __post_init__(self):
-        n = numeric_array("system", self.system, complex_ok=True, square=True).shape[0]
+        n = self.plan.spectrum.n
         if self.u.length != n or self.v.length != n:
             raise InputError(
                 f"encoded vectors ({self.u.length}, {self.v.length}) do not match "
@@ -105,16 +104,14 @@ def interference_layout(n: int, clock_qubits: int) -> RegisterLayout:
 def build_interference_state(spec: BilinearSpec) -> StateVector:
     """Run the five-register circuit up to (and including) the solver step,
     which appends the clock E and so checks the qubit cap."""
-    w = index_width(np.asarray(spec.system).shape[0])
-    a_pad = pad_system(spec.system, 1 << w, spec.config.c)
-
+    w = index_width(spec.plan.spectrum.n)
     state = sv.init_basis(RegisterLayout((("A", 1), ("B", w), ("C", 1), ("D", 1))))
     sv.apply_gate(state, sv.HADAMARD, "A")
     sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], {"A": 0})
     sv.apply_gate(state, sv.PAULI_X, "D", {"A": 0})
     sv.reflect(state, state_prep_vector(spec.v, w), ["B", "C"], {"A": 1})
 
-    return solver_block(state, spec.config, a_pad, "E", "B", "D", {"A": 1, "C": 1})
+    return solver_block(state, spec.plan, "E", "B", "D", {"A": 1, "C": 1})
 
 
 def estimate_bilinear(
@@ -140,59 +137,51 @@ def estimate_bilinear(
     std_error = math.sqrt(max(0.0, success - raw * raw) / (shots - 1)) if (shots or 0) > 1 else 0.0
 
     def rescale(x: float) -> float:  # in turn: sqrt(s_u s_v) / (c c_u c_v) can overflow
-        return x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.config.c / spec.u.c_v / spec.v.c_v
+        return x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.plan.config.c / spec.u.c_v / spec.v.c_v
 
     return EstimationResult(rescale(raw), rescale(std_error), shots or 0, raw, success,
-                            spec.config, seed)
+                            spec.plan.config, seed)
 
 
-def gpr_config(model: GPModel, clock_qubits: int) -> QlaConfig:
-    """QlaConfig for a GP model: c = sigma_n^2 and the default safe t0."""
-    return config_for(model.system, clock_qubits, model.noise_variance)
+def gpr_plan(model: GPModel, clock_qubits: int) -> SolverPlan:
+    """The solver plan for a GP model: its spectrum, c = sigma_n^2 and the default safe t0."""
+    return qla.plan(model.spectrum, config_for(model.system, clock_qubits, model.noise_variance))
 
 
-def _k_star_form(model: GPModel, x_star, config: QlaConfig, v, shots, seed):
+def _k_star_form(model: GPModel, x_star, plan: SolverPlan, v, shots, seed):
     """k_*^T (K + sigma_n^2 I)^{-1} v, with v = k_* when ``v`` is None.
 
-    The GPR layer always runs with c = sigma_n^2. A test point that sees no
-    training point has k_* = 0, so the form is exactly 0 and no circuit runs;
+    The plan must be one of :func:`gpr_plan`'s: on the model's spectrum, with
+    c = sigma_n^2. A test point that sees no training point has k_* = 0, and
+    all-zero targets have v = 0, so the form is exactly 0 and no circuit runs;
     its shots and seed are still checked, and a sampled one records its shots.
     """
-    config = replace(config, c=model.noise_variance)
+    if plan.spectrum is not model.spectrum or plan.config.c != model.noise_variance:
+        raise InputError("a GPR estimate needs a plan from gpr_plan on its own model, "
+                         f"with c = sigma_n^2 = {model.noise_variance:g}")
     k_star = build_cross(model, x_star)
-    if not k_star.any():
+    if not (k_star.any() and (v is None or v.any())):
         sv.check_shots(shots, seed)
-        return EstimationResult(0.0, 0.0, shots or 0, 0.0, 0.0, config, seed)
+        return EstimationResult(0.0, 0.0, shots or 0, 0.0, 0.0, plan.config, seed)
     u = make_encoding(k_star)
     v = u if v is None else make_encoding(v)
-    spec = BilinearSpec(u=u, v=v, system=model.system, config=config)
-    return estimate_bilinear(spec, shots=shots, seed=seed)
+    return estimate_bilinear(BilinearSpec(u, v, plan), shots=shots, seed=seed)
 
 
-def predict_mean_quantum(
-    model: GPModel,
-    x_star,
-    config: QlaConfig,
-    shots: int | None = None,
-    seed: int = 0,
-) -> EstimationResult:
+def predict_mean_quantum(model: GPModel, x_star, plan: SolverPlan, shots: int | None = None,
+                         seed: int = 0) -> EstimationResult:
     """Linear predictor k_*^T (K + sigma_n^2 I)^{-1} y via the circuit."""
-    return _k_star_form(model, x_star, config, model.training.y, shots, seed)
+    return _k_star_form(model, x_star, plan, model.training.y, shots, seed)
 
 
-def predict_variance_quantum(
-    model: GPModel,
-    x_star,
-    config: QlaConfig,
-    shots: int | None = None,
-    seed: int = 0,
-) -> EstimationResult:
+def predict_variance_quantum(model: GPModel, x_star, plan: SolverPlan,
+                             shots: int | None = None, seed: int = 0) -> EstimationResult:
     """Predictive variance k(x_*, x_*) - k_*^T (K + sigma_n^2 I)^{-1} k_*.
 
     Sampling noise can push the subtraction below zero; such estimates are
     clamped to zero with a warning.
     """
-    res = _k_star_form(model, x_star, config, None, shots, seed)
+    res = _k_star_form(model, x_star, plan, None, shots, seed)
     estimate = eval_kernel(model.kernel, x_star, x_star) - res.estimate
     if estimate < 0.0:
         log.warning(

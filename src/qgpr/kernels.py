@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import qla
 from .exceptions import ConditioningError, InputError, NumericError, finite_array, finite_real
 
 SQUARED_EXPONENTIAL = "squared-exponential"
@@ -86,8 +87,9 @@ class GPModel:
 
     ``system = gram + noise_variance * I`` is the matrix whose inverse enters
     both the linear predictor and the predictive variance; ``factor`` is its
-    Cholesky factor and ``alpha`` the weights ``system^-1 y``, each computed on
-    first use and kept for the model's lifetime.
+    Cholesky factor, ``alpha`` the weights ``system^-1 y`` and ``spectrum`` its
+    padded eigendecomposition (fill sigma_n^2, :func:`qgpr.qla.spectrum`), each
+    computed on first use and kept for the model's lifetime.
     """
 
     training: TrainingSet
@@ -109,6 +111,10 @@ class GPModel:
     def alpha(self) -> np.ndarray:
         L = self.factor.L
         return np.linalg.solve(L.T, np.linalg.solve(L, self.training.y))
+
+    @cached_property
+    def spectrum(self) -> qla.Spectrum:
+        return qla.spectrum(self.system, self.noise_variance)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ exact whenever every lambda * t0 * T / (2*pi) is an integer.
 :func:`solver_block` runs estimation, inversion and uncomputation entering
 the system's eigenbasis once: the basis change acts only on the target, the
 rest only on the clock and the ancilla, so the pair between them cancels.
-That rest is one fixed map per eigenvalue, simulated gate by gate once per
-config on chunks of the eigenvalues, and memoized. The clock is |0> until
+That rest is one fixed map per eigenvalue, simulated gate by gate on chunks
+of the eigenvalues once per :class:`SolverPlan`: a system's :class:`Spectrum`
+(padded, checked and diagonalized once) and a config. The clock is |0> until
 its first Hadamards, so one pass reads the state without it and writes the
 new state with the clock appended: V^H, the clock spread, that map and V.
 As in HHL the ancilla enters in |0> (it must, on the controlled rows), so
@@ -20,10 +21,9 @@ applies.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,10 +103,9 @@ def config_for(system, clock_qubits: int, c: float) -> QlaConfig:
     return config
 
 
-def validate_config(config: QlaConfig, system) -> tuple[np.ndarray, np.ndarray]:
-    """Check t0 and c against the spectrum; returns (eigenvalues, eigenvectors)."""
-    eigs, vecs = sv.hermitian_eigh(system)
-    lam_min, lam_max = float(eigs[0]), float(eigs[-1])
+def validate_config(config: QlaConfig, lam: np.ndarray) -> None:
+    """Check t0 and c against a system's eigenvalues ``lam``, in ascending order."""
+    lam_min, lam_max = float(lam[0]), float(lam[-1])
     if config.t0 * lam_max >= 2.0 * math.pi:
         raise ConfigError(
             f"t0 * lambda_max = {config.t0 * lam_max:.6f} >= 2*pi: phase wraparound"
@@ -115,7 +114,6 @@ def validate_config(config: QlaConfig, system) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(
             f"inversion constant c = {config.c:.6g} exceeds lambda_min = {lam_min:.6g}"
         )
-    return eigs, vecs
 
 
 @dataclass(frozen=True)
@@ -205,27 +203,38 @@ def prepare_sparse_state(
     return state
 
 
-def pad_system(system, padded_dim: int, fill: float) -> np.ndarray:
-    """Embed the matrix in a larger dimension as a direct sum with fill * I.
-
-    Padded eigenvectors have zero overlap with zero-padded input vectors, so
-    solutions are unchanged; using the inversion constant as the fill keeps
-    configuration bounds intact. A complex matrix stays complex. A system that needs
-    no padding comes back as it is (no fill is read), checked where it is diagonalized.
-    """
-    a = numeric_array("system", system, complex_ok=True, square=True)
-    n = a.shape[0]
-    if integer("padded_dim", padded_dim, n) == n:
-        return a
-    a = finite_array("system", a, complex_ok=True)
-    out = np.eye(padded_dim, dtype=a.dtype) * finite_real("fill", fill)
-    out[:n, :n] = a
-    return out
-
-
 def index_width(n: int) -> int:
     """Qubits needed to address n entries (at least one)."""
     return max(1, math.ceil(math.log2(n)))
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """A system of size ``n`` padded to 2**index_width(n): ``lam`` (ascending) and ``vec``,
+    the padded matrix's eigenvalues and eigenvectors, read-only. Made by :func:`spectrum`."""
+
+    n: int
+    lam: np.ndarray = field(repr=False)
+    vec: np.ndarray = field(repr=False)
+
+
+def spectrum(system, fill: float) -> Spectrum:
+    """Embed the matrix in the next power of two as a direct sum with fill * I,
+    check it (finite, Hermitian) and diagonalize it, once.
+
+    Padded eigenvectors have zero overlap with zero-padded input vectors, so
+    solutions are unchanged; the inversion constant as the fill keeps
+    configuration bounds intact. A complex matrix stays complex. A system that
+    needs no padding reads no fill.
+    """
+    a = numeric_array("system", system, complex_ok=True, square=True)
+    n = a.shape[0]
+    if n != 1 << index_width(n):
+        padded = np.eye(1 << index_width(n), dtype=np.result_type(a, float))
+        padded *= finite_real("fill", fill)
+        padded[:n, :n] = a
+        a = padded
+    return Spectrum(n, *sv.hermitian_eigh(a))
 
 
 def phase_estimate(
@@ -253,7 +262,9 @@ def phase_estimate(
             f"config expects {config.clock_qubits}"
         )
     sv._operand(layout, state.amps, [clock, target], controls)  # checks only
-    if len(validate_config(config, system)[0]) != 1 << layout.width(target):
+    lam = sv.hermitian_eigh(system)[0]
+    validate_config(config, lam)
+    if len(lam) != 1 << layout.width(target):
         raise InputError(f"system of size {len(system)} does not match register {target!r}")
     t_total = config.t0 * config.T
     if not inverse:
@@ -300,8 +311,7 @@ def eigenvalue_inversion(
     _accel.pair_rot(view, cos_t, sin_t, *axes)
 
 
-@functools.lru_cache(maxsize=1)
-def _solver_response(lam: bytes, config: QlaConfig) -> np.ndarray:
+def _solver_response(eigs: np.ndarray, config: QlaConfig) -> np.ndarray:
     """sqrt(T) * G_c and sqrt(T) * G_s at [j, 0, tau] and [j, 1, tau] of one
     (n, 2, T) table: :func:`solver_block`'s stages between the spread and V send
     |j>|d>_D|0>_E to sum_tau |j>R_d|tau>, with R_0 = G_c|0> + G_s|1> and
@@ -311,9 +321,9 @@ def _solver_response(lam: bytes, config: QlaConfig) -> np.ndarray:
     eigen-indices, states of at most ``_CHUNK`` amplitudes (or two indices),
     in place in the table returned. The input is zero at D = 1, so the phase
     table is written into the D = 0 rows and the inverse QFT acts on them
-    alone. Read-only and memoized (one entry: a sweep runs its configs in turn).
+    alone. Read-only.
     """
-    eigs, big_t = np.frombuffer(lam), config.T
+    big_t = config.T
     w = min(index_width(eigs.shape[0]), max(1, (_CHUNK // (2 * big_t)).bit_length() - 1))
     rows = 1 << w  # eigen-indices per chunk, two at least
     layout = RegisterLayout((("target", w), ("ancilla", 1), ("clock", config.clock_qubits)))
@@ -333,17 +343,40 @@ def _solver_response(lam: bytes, config: QlaConfig) -> np.ndarray:
     return out
 
 
-def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "clock",
+@dataclass(frozen=True)
+class SolverPlan:
+    """All :func:`solver_block` reads: a :class:`Spectrum`, a config checked against it
+    and their read-only (n, 2, T) response (:func:`_solver_response`). Made by :func:`plan`."""
+
+    spectrum: Spectrum
+    config: QlaConfig
+    response: np.ndarray = field(repr=False)
+
+    @property
+    def clock_qubits(self) -> int:
+        return self.config.clock_qubits
+
+
+def plan(spectrum: Spectrum, config: QlaConfig) -> SolverPlan:
+    """Check the config against the spectrum and build its response, once. The
+    response is a state on (target, ancilla, clock), so the qubit cap is checked first."""
+    validate_config(config, spectrum.lam)
+    RegisterLayout((("target", index_width(spectrum.n)), ("ancilla", 1),
+                    ("clock", config.clock_qubits)))
+    return SolverPlan(spectrum, config, _solver_response(spectrum.lam, config))
+
+
+def solver_block(state: StateVector, plan: SolverPlan, clock: str = "clock",
                  target: str = "index", ancilla: str = "ancilla", controls=None) -> StateVector:
     """:func:`phase_estimate`, :func:`eigenvalue_inversion` and the inverse
     estimation on ``state`` (x) |0>_clock, the clock appended last; returns that
     new state rather than working in place, and leaves ``state`` as it was.
 
     The stages between the clock spread and V (phase table, inverse QFT,
-    inversion, QFT, conjugate table, Hadamards) run once per config, gate by
-    gate on small states (:func:`_solver_response`). Each call then writes
-    V^H, the spread, that response and V into the new state, per target vector
-    x of the input at ancilla 0 (all of it): with a_0 = V^H x and
+    inversion, QFT, conjugate table, Hadamards) ran once, when the plan was
+    made (:func:`_solver_response`). Each call writes V^H, the spread, that
+    response and V into the new state, per target vector x of the input at
+    ancilla 0 (all of it): with a_0 = V^H x and
     W = V diag(a_0) / sqrt(T), W G_c at ancilla 0 and W G_s at ancilla 1, one
     product each, real ones when V and x are real. ``controls`` maps register
     names to the values that select the controlled rows (``{"A": 1, "C": 1}``),
@@ -352,19 +385,18 @@ def solver_block(state: StateVector, config: QlaConfig, system, clock: str = "cl
     allocated. Controls are resolved once per state; each view takes its ancilla
     axis first and its target axis last (on the new state, before the clock).
     """
-    layout = RegisterLayout((*state.layout.registers, (clock, config.clock_qubits)))
+    vec, big_t = plan.spectrum.vec, plan.config.T
+    layout = RegisterLayout((*state.layout.registers, (clock, plan.clock_qubits)))
     if layout.width(ancilla) != 1:
         raise InputError(f"ancilla register {ancilla!r} must be one qubit wide")
     view, (axis, anc) = sv._operand(state.layout, state.amps, [target, ancilla], controls)
-    lam, vec = validate_config(config, system)
-    if len(lam) != 1 << layout.width(target):
-        raise InputError(f"system of size {len(lam)} does not match register {target!r}")
+    if len(vec) != 1 << layout.width(target):
+        raise InputError(f"system of size {len(vec)} does not match register {target!r}")
     src, rows = np.moveaxis(view, (anc, axis), (0, -1))  # the rows at ancilla 0 and 1
     if np.any(rows):
         raise InputError(f"ancilla register {ancilla!r} must be |0> on the controlled rows")
-    g_c, g_s = _solver_response(lam.tobytes(), config).transpose(1, 0, 2)  # ancilla 0 and 1
-    big_t = config.T
-    amps = np.zeros(state.amps.size << config.clock_qubits, dtype=np.complex128)
+    g_c, g_s = plan.response.transpose(1, 0, 2)  # ancilla 0 and 1
+    amps = np.zeros(state.amps.size << plan.clock_qubits, dtype=np.complex128)
     amps.reshape(-1, big_t)[:, 0] = state.amps  # the controlled rows are overwritten below
     dst = np.moveaxis(sv._register_view(layout, amps, controls), (anc, axis), (0, -2))
     for idx in np.ndindex(src.shape[:-1]):
@@ -387,9 +419,8 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
     ancilla is post-selected on |1>; the success probability of that
     projection is returned alongside.
     """
-    n = numeric_array("system", system, complex_ok=True, square=True).shape[0]
-    w = index_width(n)
-    a_pad = pad_system(system, 1 << w, config.c)
+    spec = spectrum(system, config.c)
+    n, w = spec.n, index_width(spec.n)
 
     if isinstance(b, SparseEncoding):
         if b.length != n:
@@ -407,7 +438,7 @@ def qla_solve(b, system, config: QlaConfig) -> tuple[StateVector, float]:
         state = sv.init_basis(RegisterLayout((("index", w), ("ancilla", 1))))
         state.amps[: 2 * n : 2] = vec / nrm  # ancilla |0>
 
-    state = solver_block(state, config, a_pad)
+    state = solver_block(state, plan(spec, config))
     success_prob, state = sv.project(state, "ancilla", 1)
     return state, success_prob
 

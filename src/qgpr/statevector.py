@@ -25,10 +25,10 @@ its seeded shot counts of -1, 0, +1 are one multinomial draw over
 (w -/+ <M>) / 2 and 1 - w. Operations name registers only: a gate's target
 is a register name or a list of them (the QFT's is one name), and controls,
 like pins, map register names to values. A system is checked (finite,
-Hermitian) and diagonalized once per matrix content (memoized), however
-many circuits use it. Real gates and the real
-eigenbasis of a real symmetric system stay real, so the kernels apply them as
-real products.
+Hermitian) and diagonalized where it enters (:func:`hermitian_eigh`); the
+solver keeps that spectrum (:func:`qgpr.qla.spectrum`) for every circuit
+that uses it. Real gates and the real eigenbasis of a real symmetric system
+stay real, so the kernels apply them as real products.
 """
 
 from __future__ import annotations
@@ -239,10 +239,13 @@ def qft(state: StateVector, register: str, inverse: bool = False, controls=None)
     _accel.fourier(view, axis, inverse)
 
 
-@functools.lru_cache(maxsize=4)
-def _eigh_of(shape: tuple[int, int], dtype: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Checked and diagonalized once per content; an exception is not cached."""
-    a = np.frombuffer(data, dtype=dtype).reshape(shape)
+def hermitian_eigh(system) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a finite Hermitian matrix, read-only.
+
+    A real symmetric system has real eigenvectors; a complex one stays complex.
+    """
+    a = numeric_array("matrix", system, complex_ok=True, square=True)
+    a = a.astype(np.result_type(a, float), copy=False)  # a real system stays real
     if not np.isfinite(a).all():  # before the subtraction: inf - inf warns, and NaN compares False
         raise InputError("matrix has non-finite entries")
     if np.abs(a - a.conj().T).max() > _HERMITIAN_TOL * max(1.0, np.abs(a).max()):
@@ -251,18 +254,6 @@ def _eigh_of(shape: tuple[int, int], dtype: str, data: bytes) -> tuple[np.ndarra
     lam.setflags(write=False)
     vec.setflags(write=False)
     return lam, vec
-
-
-def hermitian_eigh(system) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, read-only.
-
-    The last few results are memoized on the matrix contents (shape, dtype and
-    bytes), so circuits that share a system check and diagonalize it once. A
-    real symmetric system has real eigenvectors; a complex one stays complex.
-    """
-    a = numeric_array("matrix", system, complex_ok=True, square=True)  # _eigh_of reads the entries
-    a = a.astype(np.result_type(a, float), copy=False)  # a real system stays real
-    return _eigh_of(a.shape, a.dtype.str, a.tobytes())
 
 
 def controlled_evolution(

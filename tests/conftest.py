@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgpr import qla
 from qgpr import statevector as sv
 from qgpr.kernels import KernelSpec, TrainingSet, build_model
 
@@ -11,6 +12,11 @@ def zero_controlled_ancilla(state, ancilla, controls=None):
     contract; every other row keeps its amplitudes."""
     sv._register_view(state.layout, state.amps, {**(controls or {}), ancilla: 1})[...] = 0.0
     return state
+
+
+def plan_for(system, config):
+    """The solver plan of ``system`` (padded with c * I) under ``config``."""
+    return qla.plan(qla.spectrum(system, config.c), config)
 
 
 # systems with a NaN or an inf entry: NaN passes the Hermitian test and the

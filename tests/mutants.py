@@ -120,8 +120,8 @@ MUTANTS = (
      ["tests/test_estimator.py", "-k", "out_of_range_fail_before_the_state_is_built"]),
     # the rescaling divides by c, c_u and c_v in turn, never by their product
     ("qgpr/estimator.py",
-     "x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.config.c / spec.u.c_v / spec.v.c_v",
-     "x * (math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v))",
+     "x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.plan.config.c / spec.u.c_v / spec.v.c_v",
+     "x * (math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.plan.config.c * spec.u.c_v * spec.v.c_v))",
      ["tests/test_cli.py", "-k", "TestTargetNearTheFloatMaximum"]),
     # a shot recommendation that is not finite is a numerical error
     ("qgpr/estimator.py", "    except (ZeroDivisionError, OverflowError, ValueError):", "    except ():",
@@ -198,6 +198,13 @@ MUTANTS = (
     # a system that is not a square matrix is refused before its shape is read
     ("qgpr/exceptions.py", "    if square and (", "    if False and (",
      ["tests/test_hostile_inputs.py", "-k", "scalar"]),
+    # a GPR estimate refuses a plan that is not its model's, with c = sigma_n^2
+    ("qgpr/estimator.py",
+     "    if plan.spectrum is not model.spectrum or plan.config.c != model.noise_variance:",
+     "    if False:", ["tests/test_estimator.py", "-k", "foreign_plan"]),
+    # a plan checks its config against the spectrum before it builds the response
+    ("qgpr/qla.py", "    validate_config(config, spectrum.lam)\n", "",
+     ["tests/test_qla.py", "-k", "TestConfig"]),
     # a reflection vector of strings is refused by its dtype
     ("qgpr/statevector.py", '    u = numeric_array("reflection vector", u, complex_ok=True)',
      "    u = np.asarray(u)", ["tests/test_hostile_inputs.py", "-k", "reflect"]),

@@ -16,7 +16,7 @@ from qgpr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from qgpr.estimator import (
     BilinearSpec,
     estimate_bilinear,
-    gpr_config,
+    gpr_plan,
     predict_mean_quantum,
     predict_variance_quantum,
     shots_for_precision,
@@ -41,7 +41,7 @@ from qgpr.qla import (
 )
 from qgpr.statevector import RegisterLayout, project
 
-from conftest import grid_spd, random_se_model, random_spd
+from conftest import grid_spd, plan_for, random_se_model, random_spd
 
 
 @contextmanager
@@ -132,7 +132,7 @@ def test_criterion_04_bilinear_estimator_identity():
             cfg = QlaConfig(4, t0, c=float(lam.min()))
             u, v = rng.normal(size=4), rng.normal(size=4)
             res = estimate_bilinear(
-                BilinearSpec(make_encoding(u), make_encoding(v), a, cfg)
+                BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg))
             )
             truth = float(u @ dense_inverse(a) @ v)
             assert res.estimate == pytest.approx(truth, abs=1e-6)
@@ -159,9 +159,9 @@ def test_criterion_05_end_to_end_gpr_agreement():
                 x_star = [float(rng.uniform(-1, 1))]
                 exact = predict_exact(model, x_star)
                 for clock in (4, 6, 8):
-                    cfg = gpr_config(model, clock)
-                    m = predict_mean_quantum(model, x_star, cfg)
-                    v = predict_variance_quantum(model, x_star, cfg)
+                    plan = gpr_plan(model, clock)
+                    m = predict_mean_quantum(model, x_star, plan)
+                    v = predict_variance_quantum(model, x_star, plan)
                     err_m = abs(m.estimate - exact.mean)
                     err_v = abs(v.estimate - exact.variance)
                     errors[clock].extend([err_m, err_v])
@@ -176,14 +176,14 @@ def test_criterion_06_shot_noise_law():
     with criterion(6, "standard error follows shots^-1/2 and the shot planner hits its target"):
         rng = np.random.default_rng(606)
         model = random_se_model(rng, n=2)
-        cfg = gpr_config(model, 6)
+        plan = gpr_plan(model, 6)
         x_star = [0.2]
 
         estimates = {1000: [], 100_000: []}
         for shots in estimates:
             for seed in range(50):
                 res = predict_mean_quantum(
-                    model, x_star, cfg, shots=shots, seed=seed
+                    model, x_star, plan, shots=shots, seed=seed
                 )
                 estimates[shots].append(res.estimate)
         ratio = np.std(estimates[1000], ddof=1) / np.std(estimates[100_000], ddof=1)
@@ -193,11 +193,11 @@ def test_criterion_06_shot_noise_law():
         hits = 0
         for seed in range(50):
             pilot = predict_mean_quantum(
-                model, x_star, cfg, shots=400, seed=seed
+                model, x_star, plan, shots=400, seed=seed
             )
             n_rec = shots_for_precision(delta, pilot)
             check = predict_mean_quantum(
-                model, x_star, cfg, shots=n_rec, seed=5000 + seed
+                model, x_star, plan, shots=n_rec, seed=5000 + seed
             )
             if check.std_error <= 1.5 * delta:
                 hits += 1

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qgpr import cli, kernels, qla
-from qgpr import statevector as sv
 from qgpr.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -25,7 +24,7 @@ from qgpr.cli import (
     load_config,
     main,
 )
-from qgpr.estimator import gpr_config, predict_mean_quantum, shots_for_precision
+from qgpr.estimator import gpr_plan, predict_mean_quantum, shots_for_precision
 from qgpr.exceptions import InputError, ParseError
 from qgpr.statevector import MAX_SHOTS
 from qgpr.kernels import (
@@ -261,28 +260,25 @@ class TestCmdPredict:
         # two for K^-1 y once per model, then one for w per test point
         assert len(calls) == 2 + 3
 
-    def test_solver_response_built_once_per_config(self, tmp_path, monkeypatch):
+    def test_one_plan_for_every_estimate(self, tmp_path, monkeypatch):
+        # 3 test points make 6 estimates: one plan, one response, all read-only
         dataset = tmp_path / "d.csv"
         dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
         cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5], [1.0]], clock_qubits=5)
-        responses = []
-        original = qla._solver_response
+        plans, built = [], []
+        for name, seen in (("plan", plans), ("_solver_response", built)):
+            def recorded(*args, _original=getattr(qla, name), _seen=seen):
+                _seen.append(_original(*args))
+                return _seen[-1]
 
-        def recorded(*args):
-            responses.append(original(*args))
-            return responses[-1]
-
-        monkeypatch.setattr(qla, "_solver_response", recorded)
-        original.cache_clear()
+            monkeypatch.setattr(qla, name, recorded)
         report = cmd_predict(load_config(cfgp))
         assert len(report["results"]) == 3
-        assert len(responses) == 6  # a mean and a variance estimate per test point
-        assert all(response is responses[0] for response in responses)
-        info = original.cache_info()
-        assert (info.misses, info.hits) == (1, 5)
-        for table in responses[0]:
+        assert len(plans) == len(built) == 1
+        (plan,) = plans
+        for table in (plan.response, plan.spectrum.lam, plan.spectrum.vec):
             with pytest.raises(ValueError, match="read-only"):
-                table[0, 0] = 0.0
+                table[(0,) * table.ndim] = 0.0
 
     def test_system_is_diagonalized_once(self, tmp_path, monkeypatch):
         # 3 training points pad to a 4x4 system; 3 test points make 6 estimates
@@ -299,10 +295,23 @@ class TestCmdPredict:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        sv._eigh_of.cache_clear()
         report = cmd_predict(load_config(cfgp))
         assert len(report["results"]) == 3
         assert calls == ["eigh"]
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_all_zero_targets_give_an_exact_zero_mean(self, tmp_path, mode):
+        # v = y = 0: the mean runs no circuit and is exactly 0; the variance still runs one
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,0\n0.7,0\n1.3,0\n")
+        cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5]], clock_qubits=5,
+                            mode=mode)
+        for rec in cmd_predict(load_config(cfgp))["results"]:
+            mean = rec["quantum"]["mean"]
+            assert mean["estimate"] == mean["std_error"] == mean["raw_mean"] == 0.0
+            assert mean["shots"] == (2000 if mode == "sampled" else 0)
+            assert rec["classical"]["mean"] == 0.0
+            assert rec["quantum"]["variance"]["success_fraction"] > 0.0
 
     def test_report_embeds_resolved_config(self, canonical):
         report = cmd_predict(load_config(canonical, {"seed": 5}))
@@ -341,7 +350,7 @@ class TestCmdDiagnose:
         report = cmd_diagnose(cfg)
         model = build_model(ingest_csv(dataset), cfg.kernel, cfg.noise_variance)
         pilot = predict_mean_quantum(
-            model, cfg.test_points[0], gpr_config(model, 5),
+            model, cfg.test_points[0], gpr_plan(model, 5),
             shots=400, seed=cfg.seed,
         )
         assert report["recommended_shots"] == shots_for_precision(0.05, pilot)
@@ -357,6 +366,39 @@ class TestCmdSweep:
         cfgp = self._sweep_config(tmp_path, sweep={"axis": "clock_qubits", "values": [5]})
         rows = cmd_sweep(load_config(cfgp))
         assert len(rows) == 1 and rows[0]["axis_value"] == 5
+
+    @pytest.mark.parametrize("axis, values, widths", [("clock_qubits", [3, 4, 5], [3, 4, 5]),
+                                                      ("shots", [100, 200, 300], [8])])
+    def test_one_eigh_and_one_response_per_clock_width(self, tmp_path, monkeypatch, axis, values,
+                                                       widths):
+        # 3 training points pad to a 4x4 system: diagonalized once for the
+        # model, while each clock width builds its own response (a shots axis, one)
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
+        cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5]],
+                            sweep={"axis": axis, "values": values})
+        shapes, clocks = [], []
+        eigh, response = np.linalg.eigh, qla._solver_response
+
+        def counted_eigh(a):
+            shapes.append(np.shape(a))
+            return eigh(a)
+
+        def counted_response(lam, config):
+            clocks.append(config.clock_qubits)
+            return response(lam, config)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(qla, "_solver_response", counted_response)
+        assert len(cmd_sweep(load_config(cfgp))) == 3
+        assert shapes == [(4, 4)] and clocks == widths
+
+    def test_all_zero_targets(self, tmp_path):
+        # v = y = 0: the mean is exactly 0, as is the classical one
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,0\n0.7,0\n")
+        cfgp = write_config(tmp_path, dataset, sweep={"axis": "clock_qubits", "values": [4, 5]})
+        assert [row["mean_error"] for row in cmd_sweep(load_config(cfgp))] == [0.0, 0.0]
 
     def test_clock_sweep_error_trend(self, tmp_path):
         cfgp = self._sweep_config(tmp_path, sweep={"axis": "clock_qubits", "values": [4, 8]})

@@ -15,7 +15,7 @@ from qgpr.estimator import (
     EstimationResult,
     build_interference_state,
     estimate_bilinear,
-    gpr_config,
+    gpr_plan,
     interference_layout,
     neumann_row,
     predict_mean_quantum,
@@ -28,7 +28,7 @@ from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval
 from qgpr.qla import QlaConfig, config_for, make_encoding
 from qgpr.statevector import RegisterLayout, expectation, init_basis
 
-from conftest import grid_spd, non_finite_systems, random_se_model, random_spd
+from conftest import grid_spd, non_finite_systems, plan_for, random_se_model, random_spd
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 
@@ -89,7 +89,7 @@ class TestBuildInterferenceState:
         cfg = exact_cfg(3, 1.0, c=1.0)
         u = np.array([0.8, -0.5])
         v = np.array([0.25, 1.0])
-        spec = BilinearSpec(make_encoding(u), make_encoding(v), np.diag(lam), cfg)
+        spec = BilinearSpec(make_encoding(u), make_encoding(v), plan_for(np.diag(lam), cfg))
         state = build_interference_state(spec)
         expected = displayed_state(u, v, lam, cfg)
         np.testing.assert_allclose(state.amps, expected, atol=1e-8)
@@ -99,7 +99,7 @@ class TestBuildInterferenceState:
         cfg = exact_cfg(3, 1.0, c=1.0)
         u = np.array([2.0])
         v = np.array([0.5])
-        spec = BilinearSpec(make_encoding(u), make_encoding(v), np.array([[1.0]]), cfg)
+        spec = BilinearSpec(make_encoding(u), make_encoding(v), plan_for(np.array([[1.0]]), cfg))
         state = build_interference_state(spec)
         got = expectation(state, *M)
         assert got == pytest.approx(0.5 * 2.0, abs=1e-10)  # c_u=1/2, c_v=2 -> c_u*c_v=1; u A v = 1
@@ -112,7 +112,7 @@ class TestBuildInterferenceState:
         lam = np.array([1.0, 1.0])
         cfg = exact_cfg(3, 1.0, c=1.0)
         u = np.array([0.6, -1.0])
-        spec = BilinearSpec(make_encoding(u), make_encoding(u), np.eye(2), cfg)
+        spec = BilinearSpec(make_encoding(u), make_encoding(u), plan_for(np.eye(2), cfg))
         state = build_interference_state(spec)
         expected = displayed_state(u, u, lam, cfg)
         np.testing.assert_allclose(state.amps, expected, atol=1e-8)
@@ -121,7 +121,7 @@ class TestBuildInterferenceState:
         a, _ = grid_spd(rng, 4, 5, t0=2 * math.pi / 32)
         cfg = QlaConfig(5, t0=2 * math.pi / 32, c=1.0)
         spec = BilinearSpec(
-            make_encoding(rng.normal(size=4)), make_encoding(rng.normal(size=4)), a, cfg
+            make_encoding(rng.normal(size=4)), make_encoding(rng.normal(size=4)), plan_for(a, cfg)
         )
         state = build_interference_state(spec)
         assert abs(state.norm() - 1.0) <= 1e-10
@@ -132,8 +132,7 @@ class TestBuildInterferenceState:
         a = random_spd(rng, 8)
         cfg = config_for(a, 14, c=float(np.linalg.eigvalsh(a)[0]))
         u, v = (make_encoding(rng.normal(size=8)) for _ in range(2))
-        spec = BilinearSpec(u, v, a, cfg)
-        build_interference_state(spec)  # warms the eigenbasis and solver-response memos
+        spec = BilinearSpec(u, v, plan_for(a, cfg))  # the plan holds the eigenbasis and response
         tracemalloc.start()
         try:
             state = build_interference_state(spec)
@@ -179,7 +178,7 @@ class TestEstimateBilinear:
     def test_identity_system_unit_vectors(self):
         cfg = exact_cfg(3, 1.0, c=1.0)
         e0 = np.array([1.0, 0.0])
-        spec = BilinearSpec(make_encoding(e0), make_encoding(e0), np.eye(2), cfg)
+        spec = BilinearSpec(make_encoding(e0), make_encoding(e0), plan_for(np.eye(2), cfg))
         res = estimate_bilinear(spec)
         assert res.estimate == pytest.approx(1.0, abs=1e-10)
         assert res.std_error == 0.0 and res.shots == 0
@@ -187,16 +186,15 @@ class TestEstimateBilinear:
     def test_sign_recovered(self):
         cfg = exact_cfg(3, 1.0, c=1.0)
         e0 = np.array([1.0, 0.0])
-        spec = BilinearSpec(make_encoding(e0), make_encoding(-e0), np.eye(2), cfg)
+        spec = BilinearSpec(make_encoding(e0), make_encoding(-e0), plan_for(np.eye(2), cfg))
         res = estimate_bilinear(spec)
         assert res.estimate == pytest.approx(-1.0, abs=1e-10)
 
     @non_finite_systems
     def test_non_finite_system_is_refused(self, system):
         cfg = QlaConfig(4, t0=0.5, c=0.1)
-        spec = BilinearSpec(make_encoding([1.0, 0.5]), make_encoding([0.3, 1.0]), np.array(system), cfg)
         with pytest.raises(InputError, match="non-finite"):
-            estimate_bilinear(spec)
+            plan_for(np.array(system), cfg)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matches_dense_inverse_on_grid_systems(self, rng, n):
@@ -205,7 +203,7 @@ class TestEstimateBilinear:
             a, lam = grid_spd(rng, n, 6, t0)
             cfg = QlaConfig(6, t0, c=float(lam.min()))
             u, v = rng.normal(size=n), rng.normal(size=n)
-            spec = BilinearSpec(make_encoding(u), make_encoding(v), a, cfg)
+            spec = BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg))
             res = estimate_bilinear(spec)
             truth = u @ dense_inverse(a) @ v
             assert res.estimate == pytest.approx(truth, abs=1e-6)
@@ -216,7 +214,7 @@ class TestEstimateBilinear:
         a = random_spd(rng, 8)
         cfg = config_for(a, 16, c=float(np.linalg.eigvalsh(a)[0]))
         u, v = rng.normal(size=8), rng.normal(size=8)
-        res = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), a, cfg))
+        res = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg)))
         assert res.estimate == pytest.approx(u @ np.linalg.solve(a, v), abs=1e-3)
 
     def test_one_warm_estimate_builds_two_layouts(self, rng, monkeypatch):
@@ -224,8 +222,7 @@ class TestEstimateBilinear:
         a = random_spd(rng, 4)
         cfg = config_for(a, 4, c=float(np.linalg.eigvalsh(a)[0]))
         spec = BilinearSpec(make_encoding(rng.normal(size=4)), make_encoding(rng.normal(size=4)),
-                            a, cfg)
-        estimate_bilinear(spec)  # warms the eigenbasis and solver-response memos
+                            plan_for(a, cfg))
         built = []
 
         def counted(layout, original=RegisterLayout.__post_init__):
@@ -239,15 +236,14 @@ class TestEstimateBilinear:
             assert built == [("A", "B", "C", "D"), ("A", "B", "C", "D", "E")]
 
     def test_clock_over_the_qubit_cap_fails_where_solver_block_appends_it(self, monkeypatch):
-        # n = 8 with clock 17 is 23 qubits, one over the cap. Appending the
-        # clock E in solver_block is the estimate's one cap check: it comes
-        # before the response build and any clock-sized allocation
-        def no_step(*args, **kwargs):
-            raise AssertionError("a solver step ran before the cap check")
-
-        monkeypatch.setattr(qla, "_solver_response", no_step)
-        spec = BilinearSpec(make_encoding(np.ones(8)), make_encoding(np.ones(8)), np.eye(8),
-                            QlaConfig(17, t0=0.1, c=0.5))
+        # n = 8 with clock 17 is 23 qubits, one over the cap, while the plan's
+        # response is 21 (a zero-cost stand-in here). Appending the clock E in
+        # solver_block is the estimate's one cap check: it comes before any
+        # clock-sized allocation
+        monkeypatch.setattr(qla, "_solver_response", lambda lam, config: np.broadcast_to(
+            np.zeros((1, 1, 1), dtype=complex), (len(lam), 2, config.T)))
+        spec = BilinearSpec(make_encoding(np.ones(8)), make_encoding(np.ones(8)),
+                            plan_for(np.eye(8), QlaConfig(17, t0=0.1, c=0.5)))
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="exceeds the cap") as excinfo:
@@ -263,8 +259,9 @@ class TestEstimateBilinear:
         a, lam = grid_spd(rng, 4, 4, t0)
         cfg = QlaConfig(4, t0, c=float(lam.min()))
         u, v = rng.normal(size=4), rng.normal(size=4)
-        plus = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), a, cfg))
-        minus = estimate_bilinear(BilinearSpec(make_encoding(-u), make_encoding(v), a, cfg))
+        plan = plan_for(a, cfg)
+        plus = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), plan))
+        minus = estimate_bilinear(BilinearSpec(make_encoding(-u), make_encoding(v), plan))
         assert minus.estimate == pytest.approx(-plus.estimate, abs=1e-12)
 
     def test_symmetry_in_u_and_v(self, rng):
@@ -272,8 +269,9 @@ class TestEstimateBilinear:
         a, lam = grid_spd(rng, 4, 4, t0)
         cfg = QlaConfig(4, t0, c=float(lam.min()))
         u, v = rng.normal(size=4), rng.normal(size=4)
-        r_uv = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), a, cfg))
-        r_vu = estimate_bilinear(BilinearSpec(make_encoding(v), make_encoding(u), a, cfg))
+        plan = plan_for(a, cfg)
+        r_uv = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), plan))
+        r_vu = estimate_bilinear(BilinearSpec(make_encoding(v), make_encoding(u), plan))
         assert r_uv.estimate == pytest.approx(r_vu.estimate, abs=1e-6)
 
     def test_sampled_sign_recovery(self):
@@ -282,10 +280,10 @@ class TestEstimateBilinear:
         v = np.array([-0.7, 0.4])
         a = np.diag([1.0, 2.0])
         plus = estimate_bilinear(
-            BilinearSpec(make_encoding(u), make_encoding(v), a, cfg), 100_000, 0
+            BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg)), 100_000, 0
         )
         minus = estimate_bilinear(
-            BilinearSpec(make_encoding(-u), make_encoding(v), a, cfg), 100_000, 1
+            BilinearSpec(make_encoding(-u), make_encoding(v), plan_for(a, cfg)), 100_000, 1
         )
         sigma = math.hypot(plus.std_error, minus.std_error)
         assert abs(plus.estimate + minus.estimate) <= 3 * sigma
@@ -295,7 +293,7 @@ class TestEstimateBilinear:
     def test_sampled_determinism(self):
         cfg = exact_cfg(3, 1.0, c=1.0)
         spec = BilinearSpec(
-            make_encoding([1.0, 0.5]), make_encoding([0.5, 1.0]), np.diag([1.0, 2.0]), cfg
+            make_encoding([1.0, 0.5]), make_encoding([0.5, 1.0]), plan_for(np.diag([1.0, 2.0]), cfg)
         )
         a = estimate_bilinear(spec, 5000, seed=9)
         b = estimate_bilinear(spec, 5000, seed=9)
@@ -304,7 +302,7 @@ class TestEstimateBilinear:
     def test_length_mismatch(self):
         cfg = exact_cfg(3, 1.0, c=1.0)
         with pytest.raises(InputError):
-            BilinearSpec(make_encoding([1.0]), make_encoding([1.0, 2.0]), np.eye(2), cfg)
+            BilinearSpec(make_encoding([1.0]), make_encoding([1.0, 2.0]), plan_for(np.eye(2), cfg))
 
     def test_shots_or_seed_out_of_range_fail_before_the_state_is_built(self, monkeypatch):
         def no_state(spec):
@@ -312,7 +310,7 @@ class TestEstimateBilinear:
 
         monkeypatch.setattr(estimator, "build_interference_state", no_state)
         cfg = exact_cfg(3, 1.0, c=1.0)
-        spec = BilinearSpec(make_encoding([1.0]), make_encoding([1.0]), np.eye(1), cfg)
+        spec = BilinearSpec(make_encoding([1.0]), make_encoding([1.0]), plan_for(np.eye(1), cfg))
         for shots, seed in _BAD_SHOTS_AND_SEEDS:
             with pytest.raises(InputError):
                 estimate_bilinear(spec, shots, seed=seed)
@@ -321,7 +319,7 @@ class TestEstimateBilinear:
 class TestPredictMeanQuantum:
     def test_canonical_scalar_instance(self):
         model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
-        res = predict_mean_quantum(model, [0.0], gpr_config(model, 8))
+        res = predict_mean_quantum(model, [0.0], gpr_plan(model, 8))
         assert res.estimate == pytest.approx(1.0, abs=1e-9)
 
     def test_single_visible_target(self, rng):
@@ -331,7 +329,7 @@ class TestPredictMeanQuantum:
         eta = 1.7
         y = np.array([0.0, 0.0, 0.0, eta])
         model = build_model(TrainingSet(X, y), spec, 1.0)
-        res = predict_mean_quantum(model, [1.2], gpr_config(model, 9))
+        res = predict_mean_quantum(model, [1.2], gpr_plan(model, 9))
         k = build_cross(model, [1.2])
         truth = eta * (k @ np.linalg.inv(model.system))[3]
         assert res.estimate == pytest.approx(truth, rel=0.02, abs=5e-4)
@@ -339,18 +337,18 @@ class TestPredictMeanQuantum:
     def test_zero_cross_covariance_skips_circuit(self):
         spec = KernelSpec("compact-support", 1.0, 1.0, cutoff_radius=1.0)
         model = build_model(TrainingSet([[0.0]], [2.0]), spec, 1.0)
-        res = predict_mean_quantum(model, [10.0], gpr_config(model, 8))
+        res = predict_mean_quantum(model, [10.0], gpr_plan(model, 8))
         assert res == EstimationResult(0.0, 0.0, 0, 0.0, 0.0, res.config, res.seed)
-        sampled = predict_mean_quantum(model, [10.0], gpr_config(model, 8), shots=300, seed=4)
+        sampled = predict_mean_quantum(model, [10.0], gpr_plan(model, 8), shots=300, seed=4)
         assert sampled == EstimationResult(0.0, 0.0, 300, 0.0, 0.0, res.config, 4)
         for shots, seed in _BAD_SHOTS_AND_SEEDS:
             with pytest.raises(InputError):
-                predict_mean_quantum(model, [10.0], gpr_config(model, 8), shots=shots, seed=seed)
+                predict_mean_quantum(model, [10.0], gpr_plan(model, 8), shots=shots, seed=seed)
 
     def test_n4_within_tolerance(self, rng):
         model = random_se_model(rng, n=4)
         x_star = [0.4]
-        res = predict_mean_quantum(model, x_star, gpr_config(model, 8))
+        res = predict_mean_quantum(model, x_star, gpr_plan(model, 8))
         truth = predict_exact(model, x_star).mean
         assert abs(res.estimate - truth) <= 0.05 * abs(truth) + 0.01
 
@@ -358,22 +356,22 @@ class TestPredictMeanQuantum:
 class TestPredictVarianceQuantum:
     def test_canonical_scalar_instance(self):
         model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
-        res = predict_variance_quantum(model, [0.0], gpr_config(model, 8))
+        res = predict_variance_quantum(model, [0.0], gpr_plan(model, 8))
         assert res.estimate == pytest.approx(0.5, abs=1e-9)
 
     def test_zero_cross_covariance_gives_prior_variance(self):
         spec = KernelSpec("compact-support", 1.3, 1.0, cutoff_radius=1.0)
         model = build_model(TrainingSet([[0.0]], [2.0]), spec, 1.0)
-        res = predict_variance_quantum(model, [10.0], gpr_config(model, 8))
+        res = predict_variance_quantum(model, [10.0], gpr_plan(model, 8))
         assert res.estimate == pytest.approx(1.3)
         # beyond the cutoff the mean is the prior mean too
-        assert predict_mean_quantum(model, [10.0], gpr_config(model, 8)).estimate == 0.0
+        assert predict_mean_quantum(model, [10.0], gpr_plan(model, 8)).estimate == 0.0
         assert predict_exact(model, [10.0]).mean == 0.0
 
     def test_n4_within_tolerance(self, rng):
         model = random_se_model(rng, n=4)
         x_star = [0.4]
-        res = predict_variance_quantum(model, x_star, gpr_config(model, 8))
+        res = predict_variance_quantum(model, x_star, gpr_plan(model, 8))
         truth = predict_exact(model, x_star).variance
         assert abs(res.estimate - truth) <= 0.05 * abs(truth) + 0.01
 
@@ -383,7 +381,7 @@ class TestPredictVarianceQuantum:
         k_ss = eval_kernel(model.kernel, [0.0], [0.0])
         stub = EstimationResult(k_ss + 5e-4, 0.0, 0, 0.0, 0.0, None, 0)
         monkeypatch.setattr(estimator, "_k_star_form", lambda *args: stub)
-        res = predict_variance_quantum(model, [0.0], gpr_config(model, 8))
+        res = predict_variance_quantum(model, [0.0], gpr_plan(model, 8))
         assert res.estimate == 0.0
 
     def test_consistent_with_mean_path_on_k_star(self, rng):
@@ -391,27 +389,39 @@ class TestPredictVarianceQuantum:
         # value subtracted by the variance estimator
         model = random_se_model(rng, n=4)
         x_star = [0.3]
-        cfg = gpr_config(model, 7)
         k_star = build_cross(model, x_star)
         k_ss = eval_kernel(model.kernel, x_star, x_star)
         swapped = build_model(
             TrainingSet(model.training.X, k_star), model.kernel, model.noise_variance
         )
-        mean_path = predict_mean_quantum(swapped, x_star, cfg)
-        var_path = predict_variance_quantum(model, x_star, cfg)
+        mean_path = predict_mean_quantum(swapped, x_star, gpr_plan(swapped, 7))
+        var_path = predict_variance_quantum(model, x_star, gpr_plan(model, 7))
         assert k_ss - var_path.estimate == pytest.approx(mean_path.estimate, abs=1e-10)
 
 
 class TestGprInversionConstant:
     @pytest.mark.parametrize("predict", [predict_mean_quantum, predict_variance_quantum])
     @pytest.mark.parametrize("x_star", [[0.4], [10.0]], ids=["circuit", "zero-k_star"])
-    def test_c_is_forced_to_noise_variance(self, predict, x_star):
+    def test_foreign_plan_is_refused(self, monkeypatch, predict, x_star):
+        # a plan with another c on the model's own spectrum, and another
+        # model's plan of the same system: both refused before any circuit runs
         spec = KernelSpec("compact-support", 1.0, 1.0, cutoff_radius=1.5)
-        model = build_model(TrainingSet([[0.0], [0.5], [1.0]], [1.0, -0.5, 2.0]), spec, 0.5)
-        cfg = gpr_config(model, 8)
-        res = predict(model, x_star, replace(cfg, c=model.noise_variance / 2))
-        assert res.config.c == model.noise_variance
-        assert res == predict(model, x_star, cfg)
+        training = TrainingSet([[0.0], [0.5], [1.0]], [1.0, -0.5, 2.0])
+        model, twin = (build_model(training, spec, 0.5) for _ in range(2))
+        plan = gpr_plan(model, 8)
+        assert plan.config.c == model.noise_variance
+        foreign = (qla.plan(model.spectrum, replace(plan.config, c=model.noise_variance / 2)),
+                   gpr_plan(twin, 8))
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran on a foreign plan")
+
+        monkeypatch.setattr(estimator, "estimate_bilinear", no_estimate)
+        for other in foreign:
+            with pytest.raises(InputError, match="gpr_plan"):
+                predict(model, x_star, other)
+        monkeypatch.undo()
+        assert predict(model, x_star, plan).config.c == model.noise_variance
 
 
 class TestMetamorphic:
@@ -420,10 +430,10 @@ class TestMetamorphic:
     X_STAR = [0.3]
 
     def _quantum(self, model):
-        cfg = gpr_config(model, 6)
+        plan = gpr_plan(model, 6)
         return (
-            predict_mean_quantum(model, self.X_STAR, cfg).estimate,
-            predict_variance_quantum(model, self.X_STAR, cfg).estimate,
+            predict_mean_quantum(model, self.X_STAR, plan).estimate,
+            predict_variance_quantum(model, self.X_STAR, plan).estimate,
         )
 
     def test_permuting_training_rows(self, rng):
@@ -473,16 +483,16 @@ class TestShotsForPrecision:
 
     def test_achieves_target(self, rng):
         model = random_se_model(rng, n=2)
-        cfg = gpr_config(model, 5)
+        plan = gpr_plan(model, 5)
         x_star = [0.1]
         delta = 0.08
         hits = 0
         trials = 20
         for seed in range(trials):
-            pilot = predict_mean_quantum(model, x_star, cfg, shots=400, seed=seed)
+            pilot = predict_mean_quantum(model, x_star, plan, shots=400, seed=seed)
             n_rec = shots_for_precision(delta, pilot)
             check = predict_mean_quantum(
-                model, x_star, cfg, shots=n_rec, seed=1000 + seed
+                model, x_star, plan, shots=n_rec, seed=1000 + seed
             )
             if check.std_error <= 1.5 * delta:
                 hits += 1
@@ -523,13 +533,13 @@ def test_nan_hyperparameter_is_input_error(make):
 class TestShotNoiseScaling:
     def test_std_error_shrinks_like_root_shots(self, rng):
         model = random_se_model(rng, n=2)
-        cfg = gpr_config(model, 5)
+        plan = gpr_plan(model, 5)
         x_star = [0.2]
         ests = {1000: [], 100_000: []}
         for shots in ests:
             for seed in range(30):
                 res = predict_mean_quantum(
-                    model, x_star, cfg, shots=shots, seed=seed
+                    model, x_star, plan, shots=shots, seed=seed
                 )
                 ests[shots].append(res.estimate)
         ratio = np.std(ests[1000], ddof=1) / np.std(ests[100_000], ddof=1)
@@ -546,7 +556,7 @@ def random_interference_state(rng, n, clock, complex_system=False):
     cfg = config_for(a, clock, c=float(np.linalg.eigvalsh(a)[0]))
     u = rng.normal(size=n)
     v = u + 0.5 * rng.normal(size=n)
-    spec = BilinearSpec(make_encoding(u), make_encoding(v), a, cfg)
+    spec = BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg))
     return spec, build_interference_state(spec)
 
 
@@ -576,7 +586,7 @@ class TestSampledReadout:
         counts = sv.sample_observable(state, *M, 3000, 7)
         shots = np.repeat([-1.0, 0.0, 1.0], counts)
         sd = shots.std(ddof=1) / math.sqrt(shots.size)
-        scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v)
+        scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.plan.config.c * spec.u.c_v * spec.v.c_v)
         assert res.raw_mean == pytest.approx(shots.mean(), rel=1e-12)
         assert res.estimate == pytest.approx(shots.mean() * scale, rel=1e-12)
         assert res.std_error == pytest.approx(sd * scale, rel=1e-12)
@@ -591,7 +601,7 @@ class TestReadout:
     def test_exact_mode_reads_the_post_selected_slices(self, rng, n, clock, complex_system):
         # <M> = 2 Re<psi[A=0,C=1,D=1] | psi[A=1,C=1,D=1]> and P(C=1,D=1) = |psi[C=1,D=1]|^2
         spec, state = random_interference_state(rng, n, clock, complex_system)
-        assert np.iscomplexobj(spec.system) == complex_system
+        assert np.iscomplexobj(spec.plan.spectrum.vec) == complex_system
         res = estimate_bilinear(spec)
         psi = state.amps.reshape(state.layout.dims)  # axes A, B, C, D, E
         cross = 2.0 * np.vdot(psi[0, :, 1, 1, :], psi[1, :, 1, 1, :]).real
@@ -603,7 +613,7 @@ class TestReadout:
         # sum over the shots of (x - mean)^2 / (shots - 1) / shots, in exact
         # rational arithmetic, against the one-line form sqrt((w - mean^2) / (shots - 1))
         spec, state = random_interference_state(rng, 4, 5)
-        scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.config.c * spec.u.c_v * spec.v.c_v)
+        scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.plan.config.c * spec.u.c_v * spec.v.c_v)
         for seed in range(6):
             res = estimate_bilinear(spec, shots, seed=seed)
             minus, zero, plus = map(int, sv.sample_observable(state, *M, shots, seed))

@@ -9,11 +9,11 @@ import pytest
 
 from qgpr import statevector as sv
 from qgpr.classical import cg_solve, cholesky, dense_inverse, predict_exact
-from qgpr.estimator import BilinearSpec, EstimationResult, shots_for_precision
+from qgpr.estimator import EstimationResult, shots_for_precision
 from qgpr.exceptions import QgprError
 from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, diagnostics, eval_kernel
 from qgpr.qla import (QlaConfig, config_for, gershgorin_bound, hermitianize, make_encoding,
-                      pad_system, phase_estimate, qla_solve, solver_block)
+                      phase_estimate, qla_solve, spectrum)
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 TRAINING = TrainingSet([[0.0], [1.0]], [0.5, -0.5])
@@ -23,11 +23,10 @@ STRINGS = [["a"]]
 EMPTY = np.zeros((0, 0))
 RAGGED = [[1.0], [1.0, 2.0]]
 CFG = QlaConfig(2, 0.5, 0.1)
-ONE = make_encoding([1.0])
 
 
-def _state(last=("E", 2)):
-    return sv.init_basis(sv.RegisterLayout((("A", 1), last)))
+def _state():
+    return sv.init_basis(sv.RegisterLayout((("A", 1), ("E", 2))))
 
 
 PROBES = {
@@ -54,8 +53,8 @@ PROBES = {
     "build_model-string-noise": lambda: build_model(TRAINING, SE, "x"),
     "shots_for_precision-inf-delta": lambda: shots_for_precision(np.inf, PILOT),
     "shots_for_precision-string-delta": lambda: shots_for_precision("x", PILOT),
-    "pad_system-string-fill": lambda: pad_system(np.eye(3), 4, "x"),
-    "pad_system-nan-fill": lambda: pad_system(np.eye(3), 4, np.nan),
+    "spectrum-string-fill": lambda: spectrum(np.eye(3), "x"),
+    "spectrum-nan-fill": lambda: spectrum(np.eye(3), np.nan),
     "controlled_evolution-string-t": lambda: sv.controlled_evolution(_state(), "E", "A",
                                                                      np.eye(2), "x"),
     "apply_gate-string-gate": lambda: sv.apply_gate(_state(), [["a", "b"], ["c", "d"]], "A"),
@@ -64,10 +63,9 @@ PROBES = {
     "hermitian_eigh-ragged-matrix": lambda: sv.hermitian_eigh(RAGGED),
     "cholesky-ragged-matrix": lambda: cholesky(RAGGED),
     "reflect-string-vector": lambda: sv.reflect(_state(), ["a", "b"], "A"),
-    "pad_system-scalar-system": lambda: pad_system(3.0, 1, 0.5),
+    "spectrum-scalar-system": lambda: spectrum(3.0, 0.5),
+    "spectrum-vector-system": lambda: spectrum([1.0, 2.0], 0.5),
     "qla_solve-scalar-system": lambda: qla_solve([1.0], 3.0, CFG),
-    "BilinearSpec-scalar-system": lambda: BilinearSpec(ONE, ONE, 3.0, CFG),
-    "solver_block-scalar-system": lambda: solver_block(_state(("D", 1)), CFG, 3.0, "E", "A", "D"),
     "phase_estimate-scalar-system": lambda: phase_estimate(_state(), CFG, 3.0, "E", "A"),
     "gershgorin_bound-scalar-system": lambda: gershgorin_bound(3.0),
     "diagnostics-vector-system": lambda: diagnostics([1.0, 2.0]),
@@ -78,7 +76,7 @@ PROBES = {
     "diagnostics-empty-system": lambda: diagnostics(EMPTY),
     "qla_solve-empty-system": lambda: qla_solve(np.zeros(0), EMPTY, CFG),
     "cholesky-empty-system": lambda: cholesky(EMPTY),
-    "pad_system-empty-system": lambda: pad_system(EMPTY, 1, 0.5),
+    "spectrum-empty-system": lambda: spectrum(EMPTY, 0.5),
 }
 
 

@@ -171,6 +171,16 @@ class TestBuildModel:
         with pytest.raises(InputError):
             build_model(TrainingSet([[0.0]], [1.0]), SE, 0.0)
 
+    def test_spectrum_is_kept_for_the_model_lifetime(self, rng):
+        # 3 points pad to 4 with sigma_n^2 I, diagonalized on first use only
+        model = random_se_model(rng, n=3, noise_variance=0.3)
+        spectrum = model.spectrum
+        assert model.spectrum is spectrum and spectrum.n == 3
+        padded = np.eye(4) * 0.3
+        padded[:3, :3] = model.system
+        rebuilt = (spectrum.vec * spectrum.lam) @ spectrum.vec.T
+        np.testing.assert_allclose(rebuilt, padded, atol=1e-12)
+
 
 class TestBuildCross:
     def test_at_training_point(self):

@@ -17,7 +17,6 @@ from qgpr.qla import (
     gershgorin_bound,
     hermitianize,
     make_encoding,
-    pad_system,
     phase_estimate,
     prepare_sparse_state,
     qla_solve,
@@ -25,11 +24,10 @@ from qgpr.qla import (
     solver_block,
     state_prep_unitary,
     state_prep_vector,
-    validate_config,
 )
 from qgpr.statevector import RegisterLayout, StateVector, init_basis, project, register_component
 
-from conftest import non_finite_systems, random_spd, zero_controlled_ancilla
+from conftest import non_finite_systems, plan_for, random_spd, zero_controlled_ancilla
 from test_accel import block, dense_operator
 
 
@@ -186,7 +184,7 @@ class TestConfig:
         assert cfg.t0 * lam_max < 2 * math.pi
         # the top representable bin can hold the Gershgorin bound itself
         assert gershgorin_bound(a) >= lam_max
-        validate_config(cfg, a)
+        plan_for(a, cfg)
 
     def test_zero_system_is_a_conditioning_error(self):
         # its Gershgorin bound is 0: t0 used to divide by it
@@ -197,11 +195,11 @@ class TestConfig:
 
     def test_wraparound_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config(QlaConfig(3, t0=7.0, c=0.5), np.eye(2))
+            plan_for(np.eye(2), QlaConfig(3, t0=7.0, c=0.5))
 
     def test_c_above_lambda_min_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config(QlaConfig(3, t0=0.1, c=2.0), np.eye(2))
+            plan_for(np.eye(2), QlaConfig(3, t0=0.1, c=2.0))
 
     @pytest.mark.parametrize("name, value", [("c", "x"), ("c", np.nan), ("t0", np.inf),
                                              ("t0", True)])
@@ -217,8 +215,8 @@ class TestConfig:
         # the slack admits round-off in a PSD Gram part, not a relative 1e-6
         system = np.diag([0.5, 0.9])
         with pytest.raises(ConfigError):
-            validate_config(QlaConfig(3, t0=0.1, c=0.5 * (1 + 1e-6)), system)
-        validate_config(QlaConfig(3, t0=0.1, c=0.5), system)
+            plan_for(system, QlaConfig(3, t0=0.1, c=0.5 * (1 + 1e-6)))
+        plan_for(system, QlaConfig(3, t0=0.1, c=0.5))
 
 
 class TestPhaseEstimate:
@@ -357,6 +355,7 @@ class TestEigenvalueInversion:
 _LAYOUT = RegisterLayout((("index", 1), ("anc", 1), ("clock", 2)))
 _FREE = RegisterLayout(_LAYOUT.registers[:-1])  # solver_block appends the clock
 _CFG = QlaConfig(clock_qubits=2, t0=1.0, c=0.5)
+_IDENTITY = plan_for(np.eye(2), _CFG)
 
 
 def random_state(rng, layout):
@@ -384,14 +383,14 @@ def solver_input(rng, layout, controls=None):
         (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG, {"anc": 1})),
         (_LAYOUT, lambda s: phase_estimate(s, config_for(np.eye(2), 2, c=0.5), np.eye(2),
                                            controls={"index": 1})),
-        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls={"anc": 1})),
-        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="index")),
-        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="clock")),
-        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc", controls={"clock": 2})),
-        (_LAYOUT, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc")),
-        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), ancilla="anc",
+        (_FREE, lambda s: solver_block(s, _IDENTITY, ancilla="anc", controls={"anc": 1})),
+        (_FREE, lambda s: solver_block(s, _IDENTITY, ancilla="index")),
+        (_FREE, lambda s: solver_block(s, _IDENTITY, ancilla="clock")),
+        (_FREE, lambda s: solver_block(s, _IDENTITY, ancilla="anc", controls={"clock": 2})),
+        (_LAYOUT, lambda s: solver_block(s, _IDENTITY, ancilla="anc")),
+        (_FREE, lambda s: solver_block(s, _IDENTITY, ancilla="anc",
                                        controls={"clock": 1})),
-        (_FREE, lambda s: solver_block(s, _CFG, np.eye(2), clock="index", ancilla="anc")),
+        (_FREE, lambda s: solver_block(s, _IDENTITY, clock="index", ancilla="anc")),
     ],
     ids=[
         "apply_gate-control-on-target",
@@ -423,6 +422,7 @@ def test_overlapping_qubits_are_input_errors(rng, layout, op):
 
 
 _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid for _CFG
+_PLAN = plan_for(_SYSTEM, _CFG)
 
 
 @pytest.mark.parametrize(
@@ -436,7 +436,7 @@ _SYSTEM = np.array([[1.0, 0.3], [0.3, 0.8]])  # eigenvalues 0.58 and 1.22: valid
         (_LAYOUT, lambda s: eigenvalue_inversion(s, "clock", "anc", _CFG)),
         (_LAYOUT, lambda s: phase_estimate(s, _CFG, _SYSTEM)),
         (_LAYOUT, lambda s: phase_estimate(s, _CFG, _SYSTEM, inverse=True)),
-        (_FREE, lambda s: solver_block(s, _CFG, _SYSTEM, ancilla="anc")),
+        (_FREE, lambda s: solver_block(s, _PLAN, ancilla="anc")),
     ],
     ids=[
         "apply_gate",
@@ -478,7 +478,7 @@ _CTL = RegisterLayout((("ctl", 2), ("index", 1), ("anc", 1), ("clock", 2)))
     "layout, op",
     [
         (RegisterLayout(_CTL.registers[:-1]),
-         lambda s, c: solver_block(s, _CFG, _SYSTEM, ancilla="anc", controls=c)),
+         lambda s, c: solver_block(s, _PLAN, ancilla="anc", controls=c)),
         (_CTL, lambda s, c: phase_estimate(s, _CFG, _SYSTEM, controls=c)),
         (_CTL, lambda s, c: eigenvalue_inversion(s, "clock", "anc", _CFG, c)),
     ],
@@ -504,7 +504,7 @@ def test_controls_must_be_a_mapping(rng, layout, op, controls):
         (_CTL, lambda s: sv.readout(s, "anc", {"ctl": 2, "clock": 1}), 1),
         (_CTL, lambda s: sv.sample_observable(s, "anc", {"ctl": 2}, 10, seed=0), 1),
         (RegisterLayout(_CTL.registers[:-1]),
-         lambda s: solver_block(s, _CFG, _SYSTEM, ancilla="anc", controls={"ctl": 2}), 2),
+         lambda s: solver_block(s, _PLAN, ancilla="anc", controls={"ctl": 2}), 2),
     ],
     ids=["apply_gate", "hadamard_layer", "reflect", "qft", "eigenvalue_inversion", "readout",
          "sample_observable", "solver_block"],
@@ -534,12 +534,20 @@ def with_zero_clock(state, clock, width):
 def reference_solver(state, cfg, system, clock="clock", target="index", ancilla="ancilla",
                      controls=None):
     """The solver as three separate ops, each with its own basis change, on
-    ``state`` (x) |0> with the clock appended last."""
+    ``state`` (x) |0> with the clock appended last; ``system`` is already padded."""
     full = with_zero_clock(state, clock, cfg.clock_qubits)
     phase_estimate(full, cfg, system, clock=clock, target=target, controls=controls)
     eigenvalue_inversion(full, clock, ancilla, cfg, controls=controls)
     phase_estimate(full, cfg, system, clock=clock, target=target, controls=controls, inverse=True)
     return full
+
+
+def padded(a, fill):
+    """``a`` in the top-left corner of fill * I of the next power-of-two size,
+    as :func:`qla.spectrum` pads it; a complex matrix stays complex."""
+    out = np.eye(1 << qla.index_width(len(a)), dtype=a.dtype) * fill
+    out[: len(a), : len(a)] = a
+    return out
 
 
 def random_hermitian(rng, n, lo=0.3, hi=1.0):
@@ -597,7 +605,7 @@ class TestSpread:
                 view, axes = sv._operand(expected.layout, expected.amps, ["clock", "anc"], pins)
                 _accel.apply_matrix(view, rot.reshape(2 * big_t, -1), axes)
             sv.apply_gate(expected, vec, "index", controls)
-            out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
+            out = solver_block(state, plan_for(system, cfg), "clock", "index", "anc", controls)
             assert np.abs(out.amps - expected.amps).max() <= 1e-12
         np.testing.assert_array_equal(state.amps, before)
 
@@ -668,15 +676,15 @@ class TestSpread:
             spread = dense_operator(walsh, clock, m, controls) @ np.kron(entered, np.eye(1 << cwidth)[0])
             turned = dense_operator(rot, tpos + clock + (apos,), m, controls) @ spread
             expected = dense_operator(vec, tpos, m, controls) @ turned
-            out = solver_block(state, QlaConfig(cwidth, t0=1.0, c=0.25), system, "clock", "index",
-                               "anc", pins)
+            out = solver_block(state, plan_for(system, QlaConfig(cwidth, t0=1.0, c=0.25)), "clock",
+                               "index", "anc", pins)
             np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
     def test_over_the_qubit_cap_is_an_input_error(self):
-        # 2 + 1 input qubits and a 21-qubit clock: the new state would be 24 qubits
-        state = init_basis(RegisterLayout((("index", 2), ("ancilla", 1))))
+        # a 2-qubit target, the ancilla and a 21-qubit clock: the response,
+        # like the new state, would be 24 qubits
         with pytest.raises(InputError, match="exceeds the cap"):
-            solver_block(state, QlaConfig(sv.DEFAULT_QUBIT_CAP - 1, t0=0.1, c=0.5), np.eye(4))
+            plan_for(np.eye(4), QlaConfig(sv.DEFAULT_QUBIT_CAP - 1, t0=0.1, c=0.5))
 
 
 class TestSolverBlock:
@@ -688,22 +696,22 @@ class TestSolverBlock:
         layout, controls = block_layout(layout_name, w)
         big_t = 1 << clock
         cfg = QlaConfig(clock, t0=2 * math.pi * (big_t - 1) / big_t, c=0.25)  # spectrum in [0.3, 1)
-        system = np.eye(1 << w, dtype=complex) * cfg.c  # padded as pad_system does, kept complex
-        system[:n, :n] = random_hermitian(rng, n)
+        system = random_hermitian(rng, n)
         state = solver_input(rng, layout, controls)
         before = state.amps.copy()
-        out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
-        reference = reference_solver(state, cfg, system, "clock", "index", "anc", controls)
+        out = solver_block(state, plan_for(system, cfg), "clock", "index", "anc", controls)
+        reference = reference_solver(state, cfg, padded(system, cfg.c), "clock", "index", "anc",
+                                     controls)
         assert out.layout == reference.layout
         assert np.abs(out.amps - reference.amps).max() <= 1e-12
         np.testing.assert_array_equal(state.amps, before)
 
-    def test_response_memo_is_keyed_on_the_whole_config(self, rng):
-        # one system, configs run in turn that differ from the one before only
-        # in c, then only in t0, then only in the clock width: each must build
-        # its own response rather than reuse the memoized one
+    def test_each_config_matches_through_its_own_plan(self, rng):
+        # one spectrum, configs that differ from the one before only in c,
+        # then only in t0, then only in the clock width: one plan each
         layout, controls = block_layout("before", 2)
         system = random_hermitian(rng, 4)  # spectrum in [0.3, 1)
+        spectrum = qla.spectrum(system, 0.2)
         state = solver_input(rng, layout, controls)
         configs = [
             QlaConfig(5, t0=2 * math.pi * 31 / 32, c=0.25),
@@ -711,23 +719,21 @@ class TestSolverBlock:
             QlaConfig(5, t0=2 * math.pi * 21 / 32, c=0.2),
             QlaConfig(4, t0=2 * math.pi * 21 / 32, c=0.2),
         ]
-        qla._solver_response.cache_clear()
         for cfg in configs:
-            out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
+            out = solver_block(state, qla.plan(spectrum, cfg), "clock", "index", "anc", controls)
             reference = reference_solver(state, cfg, system, "clock", "index", "anc", controls)
             assert np.abs(out.amps - reference.amps).max() <= 1e-12
-        assert qla._solver_response.cache_info().misses == len(configs)
 
     @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
     def test_real_system_matches_its_complex_cast(self, rng, layout_name):
         layout, controls = block_layout(layout_name, 3)
         clock = 5
         cfg = QlaConfig(clock, t0=2 * math.pi * 31 / 32, c=0.25)
-        system = np.eye(8) * cfg.c
-        system[:5, :5] = random_spd(rng, 5, lo=0.3)  # padded as pad_system does
+        system = random_spd(rng, 5, lo=0.3)  # padded to 8
         state = solver_input(rng, layout, controls)
-        out = solver_block(state, cfg, system, "clock", "index", "anc", controls)
-        cast = solver_block(state, cfg, system.astype(complex), "clock", "index", "anc", controls)
+        out = solver_block(state, plan_for(system, cfg), "clock", "index", "anc", controls)
+        cast = solver_block(state, plan_for(system.astype(complex), cfg), "clock", "index", "anc",
+                            controls)
         assert np.abs(out.amps - cast.amps).max() <= 1e-12
 
     @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "vector"])
@@ -737,7 +743,8 @@ class TestSolverBlock:
         cfg = config_for(a, 6, c=0.2)
         rhs = make_encoding(b) if sparse else b
         state, prob = qla_solve(rhs, a, cfg)
-        monkeypatch.setattr(qla, "solver_block", reference_solver)
+        monkeypatch.setattr(qla, "solver_block", lambda state, plan: reference_solver(
+            state, plan.config, padded(a, cfg.c)))
         ref_state, ref_prob = qla_solve(rhs, a, cfg)
         assert abs(prob - ref_prob) <= 1e-12
         assert np.abs(state.amps - ref_state.amps).max() <= 1e-12
@@ -746,19 +753,26 @@ class TestSolverBlock:
         layout = RegisterLayout((("index", 1), ("ancilla", 1)))
         state = init_basis(layout)
         with pytest.raises(InputError):
-            solver_block(state, QlaConfig(2, t0=0.1, c=0.5), np.eye(4))
+            solver_block(state, plan_for(np.eye(4), QlaConfig(2, t0=0.1, c=0.5)))
         np.testing.assert_array_equal(state.amps, init_basis(layout).amps)
 
     def test_over_the_qubit_cap_fails_before_any_step(self, monkeypatch):
-        # 3 + 1 input qubits and a 19-qubit clock: 23 qubits, one over the cap
+        # a 3-qubit target, the ancilla and a 19-qubit clock: a 23-qubit response,
+        # refused before it is built. Its 18-qubit clock fits the plan (a zero-cost
+        # stand-in here), but a 1-qubit control puts the new state at 23 qubits
         def no_step(*args, **kwargs):
             raise AssertionError("a step ran before the checks")
 
-        monkeypatch.setattr(qla, "_solver_response", no_step)  # nor the response build
-        monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
-        state = init_basis(RegisterLayout((("index", 3), ("ancilla", 1))))
+        monkeypatch.setattr(qla, "_solver_response", no_step)
         with pytest.raises(InputError, match="exceeds the cap"):
-            solver_block(state, QlaConfig(19, t0=0.1, c=0.5), np.eye(8))
+            plan_for(np.eye(8), QlaConfig(19, t0=0.1, c=0.5))
+        monkeypatch.setattr(qla, "_solver_response", lambda lam, config: np.broadcast_to(
+            np.zeros((1, 1, 1), dtype=complex), (len(lam), 2, config.T)))
+        plan = plan_for(np.eye(8), QlaConfig(18, t0=0.1, c=0.5))
+        monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
+        state = init_basis(RegisterLayout((("index", 3), ("ancilla", 1), ("ctl", 1))))
+        with pytest.raises(InputError, match="exceeds the cap"):
+            solver_block(state, plan)
         np.testing.assert_array_equal(state.amps, init_basis(state.layout).amps)
 
     @pytest.mark.parametrize("layout_name", list(_BLOCK_LAYOUTS))
@@ -766,7 +780,7 @@ class TestSolverBlock:
         def no_step(*args, **kwargs):
             raise AssertionError("a step ran before the checks")
 
-        monkeypatch.setattr(qla, "_solver_response", no_step)
+        plan = plan_for(np.eye(4) * 0.5, QlaConfig(2, t0=1.0, c=0.25))
         monkeypatch.setattr(qla._accel, "apply_matrix", no_step)
         layout, controls = block_layout(layout_name, 2)
         state = solver_input(rng, layout, controls)
@@ -775,8 +789,7 @@ class TestSolverBlock:
         rows[(-1,) * rows.ndim] = 1e-9
         before = state.amps.copy()
         with pytest.raises(InputError, match=r"must be \|0> on the controlled rows"):
-            solver_block(state, QlaConfig(2, t0=1.0, c=0.25), np.eye(4) * 0.5, "clock", "index",
-                         "anc", controls)
+            solver_block(state, plan, "clock", "index", "anc", controls)
         np.testing.assert_array_equal(state.amps, before)
 
     @pytest.mark.parametrize("value", [1, 2])
@@ -789,10 +802,11 @@ class TestSolverBlock:
         system = random_hermitian(rng, 4)  # spectrum in [0.3, 1)
         state = random_state(rng, RegisterLayout((("ctl", 2), ("index", 2), ("anc", 1))))
         state.amps.reshape(4, 4, 2)[value, :, 1] = 0.0  # the ancilla is |0> on the controlled rows
-        out = solver_block(state, cfg, system, "clock", "index", "anc", {"ctl": value})
+        plan = plan_for(system, cfg)
+        out = solver_block(state, plan, "clock", "index", "anc", {"ctl": value})
         block = StateVector(RegisterLayout((("index", 2), ("anc", 1))),
                             state.amps.reshape(4, -1)[value])
-        solved = solver_block(block, cfg, system, "clock", "index", "anc")
+        solved = solver_block(block, plan, "clock", "index", "anc")
         zero_clock = np.eye(8)[0]
         for k, rows in enumerate(out.amps.reshape(4, -1)):
             expected = solved.amps if k == value else np.kron(state.amps.reshape(4, -1)[k], zero_clock)
@@ -804,7 +818,8 @@ class TestSolverBlock:
         b = rng.normal(size=5) + 1j * rng.normal(size=5)
         cfg = config_for(a, 6, c=0.2)
         state, prob = qla_solve(b, a, cfg)
-        monkeypatch.setattr(qla, "solver_block", reference_solver)
+        monkeypatch.setattr(qla, "solver_block", lambda state, plan: reference_solver(
+            state, plan.config, padded(a, cfg.c)))
         ref_state, ref_prob = qla_solve(b, a, cfg)
         assert abs(prob - ref_prob) <= 1e-12
         assert np.abs(state.amps - ref_state.amps).max() <= 1e-12
@@ -817,16 +832,16 @@ class TestSolverResponse:
 
     @staticmethod
     def response_input(rng, n, clock, kind):
-        """(eigenvalue bytes, config) of a random real or complex system: the memo's key."""
+        """(eigenvalues, config) of a random real or complex system."""
         system = random_spd(rng, n) if kind == "real" else random_hermitian(rng, n)
         lam = sv.hermitian_eigh(system)[0]
-        return lam.tobytes(), config_for(system, clock, c=float(lam[0]))
+        return lam, config_for(system, clock, c=float(lam[0]))
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n, clock", [(2, 1), (16, 10), (128, 8), (8, 16)])
     def test_chunks_are_bit_identical_to_one_chunk(self, rng, monkeypatch, n, clock, kind):
         lam, cfg = self.response_input(rng, n, clock, kind)
-        build = qla._solver_response.__wrapped__  # past the memo
+        build = qla._solver_response
         monkeypatch.setattr(qla, "_CHUNK", n << (clock + 1))  # every eigen-index in one chunk
         whole = build(lam, cfg)
         # two eigen-indices a chunk, four (a _CHUNK that is no power of two), the default
@@ -837,12 +852,12 @@ class TestSolverResponse:
                 assert not got.flags.writeable
 
     def test_cold_build_at_the_qubit_cap_stays_within_32_mib(self, rng):
-        # n = 8 with clock 16: the 22-qubit cap. The memo itself is 16 MiB;
+        # n = 8 with clock 16: the 22-qubit cap. The table itself is 16 MiB;
         # the unchunked build peaked at 41 MiB
         lam, cfg = self.response_input(rng, 8, 16, "real")
         tracemalloc.start()
         try:
-            qla._solver_response.__wrapped__(lam, cfg)
+            qla._solver_response(lam, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -853,9 +868,8 @@ class TestQlaSolve:
     @non_finite_systems
     def test_non_finite_system_is_refused(self, system):
         cfg = QlaConfig(4, t0=0.5, c=0.1)
-        for _ in range(2):  # the memo caches no exception
-            with pytest.raises(InputError, match="non-finite"):
-                qla_solve(np.array([0.3, 1.0]), np.array(system), cfg)
+        with pytest.raises(InputError, match="non-finite"):
+            qla_solve(np.array([0.3, 1.0]), np.array(system), cfg)
 
     def test_identity_system_exact(self):
         cfg = QlaConfig(clock_qubits=3, t0=2 * math.pi / 8, c=1.0)  # lambda=1 -> bin 1
@@ -973,21 +987,27 @@ class TestQlaSolve:
         assert got == pytest.approx(solution_overlap(state, reference), rel=1e-12)
 
 
-class TestPadSystem:
-    @pytest.mark.parametrize("dim", [1, 2.5], ids=["smaller", "fraction"])
-    def test_dimension_below_the_system_or_not_an_integer_rejected(self, dim):
-        with pytest.raises(InputError, match="padded_dim"):
-            pad_system(np.eye(2), dim, 0.5)
-
+class TestSpectrum:
     def test_identity_when_power_of_two(self, rng):
         a = random_spd(rng, 4)
-        np.testing.assert_array_equal(pad_system(a, 4, 0.3), a)
+        spectrum = qla.spectrum(a, 0.3)
+        assert spectrum.n == 4
+        for got, want in zip((spectrum.lam, spectrum.vec), sv.hermitian_eigh(a)):
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
 
     def test_block_structure(self):
-        out = pad_system(np.full((3, 3), 2.0), 4, 0.7)
-        assert out.shape == (4, 4)
-        assert out[3, 3] == 0.7
-        np.testing.assert_array_equal(out[:3, 3], np.zeros(3))
+        spectrum = qla.spectrum(np.full((3, 3), 2.0), 0.7)
+        assert spectrum.n == 3 and spectrum.vec.shape == (4, 4)
+        rebuilt = (spectrum.vec * spectrum.lam) @ spectrum.vec.T
+        np.testing.assert_allclose(rebuilt, padded(np.full((3, 3), 2.0), 0.7), atol=1e-12)
+
+    def test_plan_answers_its_clock_width(self):
+        # a plan stands where a config did: callers read its clock width off it
+        cfg = QlaConfig(3, t0=1.0, c=0.5)
+        plan = plan_for(np.eye(3), cfg)
+        assert plan.clock_qubits == 3 and plan.config is cfg
+        assert plan.response.shape == (4, 2, 8) and not plan.response.flags.writeable
 
 
 class TestHermitianize:
