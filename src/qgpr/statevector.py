@@ -68,8 +68,13 @@ class RegisterLayout:
     total_qubits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        regs = tuple([(str(n), integer(f"register {n!r} width", w, 1, DEFAULT_QUBIT_CAP))
-                      for n, w in self.registers])
+        try:
+            regs = tuple([(str(n), integer(f"register {n!r} width", w, 1, DEFAULT_QUBIT_CAP))
+                          for n, w in self.registers])
+        except InputError:  # a width's own message
+            raise
+        except (TypeError, ValueError):  # an entry, or the registers, that do not unpack
+            raise InputError(f"registers are (name, width) pairs, got {self.registers!r}") from None
         names, total = [n for n, _ in regs], sum([w for _, w in regs])
         if len(set(names)) != len(names):
             raise InputError(f"duplicate register names in {names}")
@@ -96,7 +101,7 @@ class StateVector:
 
     def __post_init__(self):
         # a copy, so the in-place operations never write to the caller's array
-        amps = np.array(self.amps, dtype=np.complex128)
+        amps = np.array(finite_array("amplitudes", self.amps, complex_ok=True), dtype=np.complex128)
         if amps.shape != (1 << self.layout.total_qubits,):
             raise InputError(
                 f"amplitude vector has length {amps.shape}, layout needs "

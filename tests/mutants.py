@@ -208,6 +208,12 @@ MUTANTS = (
     # a reflection vector of strings is refused by its dtype
     ("qgpr/statevector.py", '    u = numeric_array("reflection vector", u, complex_ok=True)',
      "    u = np.asarray(u)", ["tests/test_hostile_inputs.py", "-k", "reflect"]),
+    # a state's amplitudes are finite numbers: not strings, bools, NaN or a ragged nesting
+    ("qgpr/statevector.py", 'finite_array("amplitudes", self.amps, complex_ok=True)',
+     "np.asarray(self.amps)", ["tests/test_hostile_inputs.py", "-k", "StateVector"]),
+    # a layout's registers are (name, width) pairs, refused with an InputError otherwise
+    ("qgpr/statevector.py", "except (TypeError, ValueError):", "except ():",
+     ["tests/test_hostile_inputs.py", "-k", "RegisterLayout"]),
 )
 
 

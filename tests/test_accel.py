@@ -12,23 +12,9 @@ import pytest
 
 from qgpr import _accel
 
+from cases import random_amps, random_orthogonal, random_unitary
+
 I2 = np.eye(2)
-
-
-def random_amps(rng, m):
-    amps = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
-    return (amps / np.linalg.norm(amps)).astype(np.complex128)
-
-
-def random_unitary(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_orthogonal(rng, dim):
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
-    return q * np.sign(np.diag(r))
 
 
 def ket_bra(a, b):
@@ -235,11 +221,7 @@ class TestReflect:
     )
     def test_matches_dense_operator(self, rng, tpos, controls, dtype):
         m, dim = 7, 1 << len(tpos)
-        u = rng.normal(size=dim).astype(dtype)
-        if dtype is complex:
-            u += 1j * rng.normal(size=dim)
-        u /= np.linalg.norm(u)
-        amps = random_amps(rng, m)
+        u, amps = random_amps(rng, len(tpos), real=dtype is float), random_amps(rng, m)
         mat = np.eye(dim) - 2.0 * np.outer(u, u.conj())
         expected = dense_operator(mat, tpos, m, controls) @ amps
         _accel.reflect(qubit_view(amps, m, controls)[0], u, tpos)

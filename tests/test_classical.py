@@ -5,6 +5,7 @@ from qgpr.classical import cg_solve, cholesky, dense_inverse, predict_exact
 from qgpr.exceptions import ConvergenceError, InputError, NotPositiveDefiniteError, NumericError
 from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval_kernel
 
+from cases import random_spd
 from conftest import random_se_model
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
@@ -130,8 +131,7 @@ class TestDenseInverse:
         np.testing.assert_allclose(dense_inverse(np.diag([1.0, 4.0])), np.diag([1.0, 0.25]))
 
     def test_residual_bound(self, rng):
-        a = rng.normal(size=(6, 6))
-        spd = a @ a.T + 6 * np.eye(6)
+        spd = random_spd(rng, 6)
         inv = dense_inverse(spd)
         assert np.abs(spd @ inv - np.eye(6)).max() <= 1e-10
 

@@ -8,7 +8,7 @@ import pytest
 
 from qgpr import estimator, qla
 from qgpr import statevector as sv
-from qgpr.classical import dense_inverse, predict_exact
+from qgpr.classical import predict_exact
 from qgpr.estimator import (
     M,
     BilinearSpec,
@@ -25,10 +25,11 @@ from qgpr.estimator import (
 )
 from qgpr.exceptions import ExpansionError, InputError
 from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval_kernel
-from qgpr.qla import QlaConfig, config_for, make_encoding
+from qgpr.qla import QlaConfig, make_encoding
 from qgpr.statevector import RegisterLayout, expectation, init_basis
 
-from conftest import grid_spd, non_finite_systems, plan_for, random_se_model, random_spd
+from cases import SEED, TAU, agree, case, plan_for, random_state
+from conftest import non_finite_systems, random_se_model
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 
@@ -117,22 +118,14 @@ class TestBuildInterferenceState:
         expected = displayed_state(u, u, lam, cfg)
         np.testing.assert_allclose(state.amps, expected, atol=1e-8)
 
-    def test_norm_is_one(self, rng):
-        a, _ = grid_spd(rng, 4, 5, t0=2 * math.pi / 32)
-        cfg = QlaConfig(5, t0=2 * math.pi / 32, c=1.0)
-        spec = BilinearSpec(
-            make_encoding(rng.normal(size=4)), make_encoding(rng.normal(size=4)), plan_for(a, cfg)
-        )
-        state = build_interference_state(spec)
+    def test_norm_is_one(self):
+        state = build_interference_state(case("grid", 4, "grid", 5, 1.0, TAU / 32).spec())
         assert abs(state.norm() - 1.0) <= 1e-10
 
-    def test_temporaries_above_the_state_stay_small(self, rng):
+    def test_temporaries_above_the_state_stay_small(self):
         # 20 qubits (n = 8, clock 14: A1 B3 C1 D1 E14), a 16 MiB state: the
         # clock spread, the solver response and V are written into it in pieces
-        a = random_spd(rng, 8)
-        cfg = config_for(a, 14, c=float(np.linalg.eigvalsh(a)[0]))
-        u, v = (make_encoding(rng.normal(size=8)) for _ in range(2))
-        spec = BilinearSpec(u, v, plan_for(a, cfg))  # the plan holds the eigenbasis and response
+        spec = case("temporaries", 8, clock=14).spec()  # the plan holds V and the response
         tracemalloc.start()
         try:
             state = build_interference_state(spec)
@@ -162,10 +155,8 @@ class TestObservableM:
         p1 = np.diag([0.0, 1.0])
         dense = np.kron(np.kron(np.kron(np.kron(x, np.eye(4)), p1), p1), np.eye(4))
         for _ in range(10):
-            amps = rng.normal(size=128) + 1j * rng.normal(size=128)
-            amps /= np.linalg.norm(amps)
-            state = sv.StateVector(layout, amps)
-            oracle = np.vdot(amps, dense @ amps).real
+            state = random_state(rng, layout)
+            oracle = np.vdot(state.amps, dense @ state.amps).real
             assert expectation(state, *M) == pytest.approx(oracle, abs=1e-10)
 
     def test_missing_register(self):
@@ -197,32 +188,13 @@ class TestEstimateBilinear:
             plan_for(np.array(system), cfg)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_matches_dense_inverse_on_grid_systems(self, rng, n):
-        t0 = 2 * math.pi / 64
-        for _ in range(3):
-            a, lam = grid_spd(rng, n, 6, t0)
-            cfg = QlaConfig(6, t0, c=float(lam.min()))
-            u, v = rng.normal(size=n), rng.normal(size=n)
-            spec = BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg))
-            res = estimate_bilinear(spec)
-            truth = u @ dense_inverse(a) @ v
-            assert res.estimate == pytest.approx(truth, abs=1e-6)
+    def test_matches_dense_inverse_on_grid_systems(self, n):
+        for seed in range(SEED, SEED + 3):
+            agree(case("grid", n, "grid", 6, t0=TAU / 64, seed=seed, estimate=1e-6))
 
-    def test_exact_at_the_qubit_cap(self, rng):
-        # n = 8 with clock 16 is A1 + B3 + C1 + D1 + E16 = 22 qubits, the default cap
-        assert interference_layout(8, 16).total_qubits == sv.DEFAULT_QUBIT_CAP
-        a = random_spd(rng, 8)
-        cfg = config_for(a, 16, c=float(np.linalg.eigvalsh(a)[0]))
-        u, v = rng.normal(size=8), rng.normal(size=8)
-        res = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg)))
-        assert res.estimate == pytest.approx(u @ np.linalg.solve(a, v), abs=1e-3)
-
-    def test_one_warm_estimate_builds_two_layouts(self, rng, monkeypatch):
+    def test_one_warm_estimate_builds_two_layouts(self, monkeypatch):
         # the A..D state's, and solver_block's with the clock E appended
-        a = random_spd(rng, 4)
-        cfg = config_for(a, 4, c=float(np.linalg.eigvalsh(a)[0]))
-        spec = BilinearSpec(make_encoding(rng.normal(size=4)), make_encoding(rng.normal(size=4)),
-                            plan_for(a, cfg))
+        spec = case("layouts", 4, clock=4).spec()
         built = []
 
         def counted(layout, original=RegisterLayout.__post_init__):
@@ -254,22 +226,16 @@ class TestEstimateBilinear:
         assert "solver_block" in [entry.name for entry in excinfo.traceback]
         assert peak <= 1 << 20
 
-    def test_negating_u_negates_estimate(self, rng):
-        t0 = 2 * math.pi / 16
-        a, lam = grid_spd(rng, 4, 4, t0)
-        cfg = QlaConfig(4, t0, c=float(lam.min()))
-        u, v = rng.normal(size=4), rng.normal(size=4)
-        plan = plan_for(a, cfg)
+    def test_negating_u_negates_estimate(self):
+        grid = case("grid", 4, "grid", 4, t0=TAU / 16)
+        u, v, plan = grid.u, grid.v, grid.spec().plan
         plus = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), plan))
         minus = estimate_bilinear(BilinearSpec(make_encoding(-u), make_encoding(v), plan))
         assert minus.estimate == pytest.approx(-plus.estimate, abs=1e-12)
 
-    def test_symmetry_in_u_and_v(self, rng):
-        t0 = 2 * math.pi / 16
-        a, lam = grid_spd(rng, 4, 4, t0)
-        cfg = QlaConfig(4, t0, c=float(lam.min()))
-        u, v = rng.normal(size=4), rng.normal(size=4)
-        plan = plan_for(a, cfg)
+    def test_symmetry_in_u_and_v(self):
+        grid = case("grid", 4, "grid", 4, t0=TAU / 16)
+        u, v, plan = grid.u, grid.v, grid.spec().plan
         r_uv = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), plan))
         r_vu = estimate_bilinear(BilinearSpec(make_encoding(v), make_encoding(u), plan))
         assert r_uv.estimate == pytest.approx(r_vu.estimate, abs=1e-6)
@@ -546,28 +512,20 @@ class TestShotNoiseScaling:
         assert 5.0 <= ratio <= 20.0  # 10x within a factor of 2
 
 
-def random_interference_state(rng, n, clock, complex_system=False):
-    """An interference state whose <M> is well away from 0 (v is u plus noise),
-    for a real symmetric or a complex Hermitian system."""
-    a = random_spd(rng, n)
-    if complex_system:
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        a = (q * np.linalg.eigvalsh(a)) @ q.conj().T
-    cfg = config_for(a, clock, c=float(np.linalg.eigvalsh(a)[0]))
-    u = rng.normal(size=n)
-    v = u + 0.5 * rng.normal(size=n)
-    spec = BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg))
+def interference_state(n, clock, kind="real"):
+    """The spec of a ``kind`` case with c = lambda_min, and its interference state."""
+    spec = case(kind, n, kind, clock).spec()
     return spec, build_interference_state(spec)
 
 
 class TestSampledReadout:
     @pytest.mark.parametrize("n, clock", [(2, 3), (5, 6), (8, 8)])
-    def test_counts_fit_the_exact_distribution(self, rng, n, clock):
+    def test_counts_fit_the_exact_distribution(self, n, clock):
         # Pearson chi-square of M's counts against P(M = -/+1) = (P(C=1,D=1) -/+ <M>) / 2
         # and P(M = 0) = 1 - P(C=1,D=1), both read in exact mode. With 2 degrees
         # of freedom the 1% critical value is -2 ln 0.01; a correct sampler fails
         # more than 4 of the 50 seeds with probability 1.5e-4.
-        _, state = random_interference_state(rng, n, clock)
+        _, state = interference_state(n, clock)
         m = expectation(state, *M)
         s = expectation(state, None, {"C": 1, "D": 1})
         expected = 10_000 * np.array([(s - m) / 2.0, 1.0 - s, (s + m) / 2.0])
@@ -578,10 +536,10 @@ class TestSampledReadout:
             failures += ((counts - expected) ** 2 / expected).sum() > -2.0 * math.log(0.01)
         assert failures <= 4
 
-    def test_estimate_reads_the_counts(self, rng):
+    def test_estimate_reads_the_counts(self):
         # mean, sample standard deviation (ddof = 1) and success fraction of the
         # shots the counts stand for
-        spec, state = random_interference_state(rng, 4, 5)
+        spec, state = interference_state(4, 5)
         res = estimate_bilinear(spec, 3000, seed=7)
         counts = sv.sample_observable(state, *M, 3000, 7)
         shots = np.repeat([-1.0, 0.0, 1.0], counts)
@@ -596,12 +554,12 @@ class TestSampledReadout:
 
 
 class TestReadout:
-    @pytest.mark.parametrize("complex_system", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("n, clock", [(3, 4), (8, 6), (16, 8)])
-    def test_exact_mode_reads_the_post_selected_slices(self, rng, n, clock, complex_system):
+    def test_exact_mode_reads_the_post_selected_slices(self, n, clock, kind):
         # <M> = 2 Re<psi[A=0,C=1,D=1] | psi[A=1,C=1,D=1]> and P(C=1,D=1) = |psi[C=1,D=1]|^2
-        spec, state = random_interference_state(rng, n, clock, complex_system)
-        assert np.iscomplexobj(spec.plan.spectrum.vec) == complex_system
+        spec, state = interference_state(n, clock, kind)
+        assert np.iscomplexobj(spec.plan.spectrum.vec) == (kind == "complex")
         res = estimate_bilinear(spec)
         psi = state.amps.reshape(state.layout.dims)  # axes A, B, C, D, E
         cross = 2.0 * np.vdot(psi[0, :, 1, 1, :], psi[1, :, 1, 1, :]).real
@@ -609,10 +567,10 @@ class TestReadout:
         assert abs(res.success_fraction - np.linalg.norm(psi[:, :, 1, 1, :]) ** 2) <= 1e-15
 
     @pytest.mark.parametrize("shots", [1, 2, 3, 100, 5000])
-    def test_std_error_is_the_three_term_sample_deviation(self, rng, shots):
+    def test_std_error_is_the_three_term_sample_deviation(self, shots):
         # sum over the shots of (x - mean)^2 / (shots - 1) / shots, in exact
         # rational arithmetic, against the one-line form sqrt((w - mean^2) / (shots - 1))
-        spec, state = random_interference_state(rng, 4, 5)
+        spec, state = interference_state(4, 5)
         scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.plan.config.c * spec.u.c_v * spec.v.c_v)
         for seed in range(6):
             res = estimate_bilinear(spec, shots, seed=seed)

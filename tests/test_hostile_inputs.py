@@ -77,6 +77,13 @@ PROBES = {
     "qla_solve-empty-system": lambda: qla_solve(np.zeros(0), EMPTY, CFG),
     "cholesky-empty-system": lambda: cholesky(EMPTY),
     "spectrum-empty-system": lambda: spectrum(EMPTY, 0.5),
+    "StateVector-string-amplitudes": lambda: sv.StateVector(_state().layout, ["a"] * 8),
+    "StateVector-ragged-amplitudes": lambda: sv.StateVector(_state().layout, RAGGED),
+    "StateVector-nan-amplitudes": lambda: sv.StateVector(_state().layout, [np.nan] + [0.0] * 7),
+    "StateVector-bool-amplitudes": lambda: sv.StateVector(_state().layout, np.ones(8, bool)),
+    "RegisterLayout-entry-without-width": lambda: sv.RegisterLayout((("A",),)),
+    "RegisterLayout-string-registers": lambda: sv.RegisterLayout("AB"),
+    "RegisterLayout-none-registers": lambda: sv.RegisterLayout(None),
 }
 
 

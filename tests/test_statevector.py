@@ -26,11 +26,7 @@ from qgpr.statevector import (
     sample_observable,
 )
 
-
-def random_state(rng, layout):
-    n = 1 << layout.total_qubits
-    amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return StateVector(layout, amps / np.linalg.norm(amps))
+from cases import random_amps, random_hermitian, random_spd, random_state, random_unitary
 
 
 def traced_peak(fn):
@@ -47,12 +43,6 @@ def plus_state():
     state = init_basis(RegisterLayout((("Q", 1),)))
     apply_gate(state, HADAMARD, "Q")
     return state
-
-
-def random_unitary(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def dense_factors(layout, x, pins):
@@ -318,11 +308,8 @@ class TestReflect:
     def test_matches_dense_gate(self, rng, registers, target, controls, dtype):
         lay = RegisterLayout(registers)
         names = [target] if isinstance(target, str) else target
-        dim = 1 << sum(lay.width(name) for name in names)
-        u = rng.normal(size=dim).astype(dtype)
-        if dtype is complex:
-            u += 1j * rng.normal(size=dim)
-        u /= np.linalg.norm(u)
+        width = sum(lay.width(name) for name in names)
+        u, dim = random_amps(rng, width, real=dtype is float), 1 << width
         state = random_state(rng, lay)
         dense = state.copy()
         reflect(state, u, target, controls)
@@ -420,8 +407,7 @@ class TestControlledEvolution:
         amps = np.zeros(16, dtype=complex)
         amps[0], amps[1] = 0.6, 0.8j  # clock |0>, target superposed
         state = StateVector(lay, amps.copy())
-        a = rng.normal(size=(2, 2))
-        controlled_evolution(state, "clock", "t", a + a.T, 1.7)
+        controlled_evolution(state, "clock", "t", random_spd(rng, 2), 1.7)
         np.testing.assert_allclose(state.amps, amps, atol=1e-12)
 
     def test_per_branch_phase_oracle(self, rng):
@@ -440,10 +426,10 @@ class TestControlledEvolution:
 
     def test_norm_preserved(self, rng):
         lay = RegisterLayout((("clock", 3), ("t", 2)))
-        a = rng.normal(size=(4, 4))
+        a = random_spd(rng, 4)
         for _ in range(10):
             state = random_state(rng, lay)
-            controlled_evolution(state, "clock", "t", a + a.T, 2.2)
+            controlled_evolution(state, "clock", "t", a, 2.2)
             assert abs(state.norm() - 1.0) <= 1e-12
 
     def test_dimension_mismatch(self, rng):
@@ -463,9 +449,7 @@ class TestControlledEvolution:
         assert not lam.flags.writeable and not vec.flags.writeable
 
     def test_real_system_keeps_a_real_eigenbasis(self, rng):
-        a = rng.normal(size=(4, 4))
-        a = a + a.T
-        h = a + 1j * np.triu(a, 1) - 1j * np.triu(a, 1).T
+        a, h = random_spd(rng, 4), random_hermitian(rng, 4)
         assert hermitian_eigh(a)[1].dtype == np.float64
         assert hermitian_eigh(a.astype(np.float32))[1].dtype == np.float64
         lam, vec = hermitian_eigh(h)
@@ -703,8 +687,7 @@ class TestSampleObservable:
         # |psi0|^2 + |psi1|^2 - 2 Re<psi0|psi1> rounds below 0 for some of these
         lay = RegisterLayout((("B", 3), ("A", 1)))
         for _ in range(20):
-            b = rng.normal(size=8) + 1j * rng.normal(size=8)
-            amps = np.kron(b / np.linalg.norm(b), [1.0, np.exp(1e-9j)]) / np.sqrt(2.0)
+            amps = np.kron(random_amps(rng, 3), [1.0, np.exp(1e-9j)]) / np.sqrt(2.0)
             counts = sample_observable(StateVector(lay, amps), "A", {}, 100, seed=0)
             np.testing.assert_array_equal(counts, [0, 0, 100])
 
@@ -733,9 +716,8 @@ class TestSampleObservable:
 class TestUnitarityInvariant:
     def test_operations_preserve_norm(self, rng):
         lay = RegisterLayout((("A", 1), ("B", 2), ("E", 3)))
-        a = rng.normal(size=(4, 4))
         state = random_state(rng, lay)
         apply_gate(state, HADAMARD, "A")
-        controlled_evolution(state, "E", "B", a + a.T, 1.1, controls={"A": 1})
+        controlled_evolution(state, "E", "B", random_spd(rng, 4), 1.1, controls={"A": 1})
         qft(state, "E", inverse=True)
         assert abs(state.norm() - 1.0) <= 1e-10
