@@ -213,12 +213,13 @@ def neumann_row(model: GPModel, x_star, order: int) -> np.ndarray:
     """Row vector k_*^T T_x for the truncated series of (K + sigma_n^2 I)^{-1}.
 
     T_x = sum_{j<x} (-1)^j K^j / sigma^(2(j+1)), the Neumann expansion around
-    sigma_n^2 I; valid when the spectral radius of K is below sigma_n^2.
+    sigma_n^2 I; valid when the spectral radius of K, max |lambda_i(system) - sigma_n^2|, is
+    below sigma_n^2 (its eigenvalues read from ``model.spectrum``).
     """
     order = integer("order", order, 1)
     k = model.gram
     sigma2 = model.noise_variance
-    rho = float(np.abs(np.linalg.eigvalsh(k)).max())
+    rho = float(np.abs(model.spectrum.system_lam - sigma2).max())
     if rho >= sigma2:
         raise ExpansionError(
             f"spectral radius of K ({rho:.4g}) is not below sigma_n^2 ({sigma2:.4g}); "

@@ -87,9 +87,9 @@ class GPModel:
 
     ``system = gram + noise_variance * I`` is the matrix whose inverse enters
     both the linear predictor and the predictive variance; ``factor`` is its
-    Cholesky factor, ``alpha`` the weights ``system^-1 y`` and ``spectrum`` its
-    padded eigendecomposition (fill sigma_n^2, :func:`qgpr.qla.spectrum`), each
-    computed on first use and kept for the model's lifetime.
+    Cholesky factor, ``alpha`` the weights ``system^-1 y`` and ``spectrum`` its one
+    eigendecomposition, padded with sigma_n^2 (:func:`qgpr.qla.spectrum`), which every
+    eigenvalue question reads; each computed on first use and kept for the model's lifetime.
     """
 
     training: TrainingSet
@@ -171,18 +171,13 @@ def build_cross(model: GPModel, x_star) -> np.ndarray:
     return _k(model.kernel, model.training.X, p[None])[:, 0]
 
 
-def diagnostics(model) -> SystemDiagnostics:
-    """Condition number, max row sparsity, and smallest eigenvalue of the system.
-
-    Accepts a :class:`GPModel` or a raw symmetric matrix.
-    """
-    system = (model.system if isinstance(model, GPModel)
-              else finite_array("system", model, square=True))
-    eigs = np.linalg.eigvalsh(system)
-    min_eig, max_eig = float(eigs[0]), float(eigs[-1])
+def diagnostics(model: GPModel) -> SystemDiagnostics:
+    """Condition number, max row sparsity, and smallest eigenvalue of the model's system:
+    its own eigenvalues, read from ``model.spectrum``, never the padding's."""
+    min_eig, max_eig = model.spectrum.system_lam[[0, -1]].tolist()
     if min_eig <= 0:
         raise ConditioningError(
             f"system is not positive definite (smallest eigenvalue {min_eig:.3e})"
         )
-    row_sparsity = int(np.max(np.count_nonzero(system, axis=1)))
+    row_sparsity = int(np.max(np.count_nonzero(model.system, axis=1)))
     return SystemDiagnostics(kappa=max_eig / min_eig, row_sparsity=row_sparsity, min_eig=min_eig)

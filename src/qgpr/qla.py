@@ -11,7 +11,7 @@ the system's eigenbasis once: the basis change acts only on the target, the
 rest only on the clock and the ancilla, so the pair between them cancels.
 That rest is one fixed map per eigenvalue, simulated gate by gate on chunks
 of the eigenvalues once per :class:`SolverPlan`: a system's :class:`Spectrum`
-(padded, checked and diagonalized once) and a config. The clock is |0> until
+(checked, diagonalized once and padded) and a config. The clock is |0> until
 its first Hadamards, so one pass reads the state without it and writes the
 new state with the clock appended: V^H, the clock spread, that map and V.
 As in HHL the ancilla enters in |0> (it must, on the controlled rows), so
@@ -30,7 +30,7 @@ import numpy as np
 from . import _accel
 from . import statevector as sv
 from .exceptions import (ConditioningError, ConfigError, InputError, NumericError, finite_array,
-                         finite_real, integer, numeric_array)
+                         finite_real, integer)
 from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
 
 log = logging.getLogger(__name__)
@@ -104,8 +104,8 @@ def config_for(system, clock_qubits: int, c: float) -> QlaConfig:
 
 
 def validate_config(config: QlaConfig, lam: np.ndarray) -> None:
-    """Check t0 and c against a system's eigenvalues ``lam``, in ascending order."""
-    lam_min, lam_max = float(lam[0]), float(lam[-1])
+    """Check t0 and c against a system's eigenvalues ``lam``, in any order."""
+    lam_min, lam_max = float(lam.min()), float(lam.max())
     if config.t0 * lam_max >= 2.0 * math.pi:
         raise ConfigError(
             f"t0 * lambda_max = {config.t0 * lam_max:.6f} >= 2*pi: phase wraparound"
@@ -210,31 +210,37 @@ def index_width(n: int) -> int:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A system of size ``n`` padded to 2**index_width(n): ``lam`` (ascending) and ``vec``,
-    the padded matrix's eigenvalues and eigenvectors, read-only. Made by :func:`spectrum`."""
+    """The eigenvalues ``lam`` and eigenvectors ``vec`` of a system of size ``n`` padded to
+    2**index_width(n) by direct sum with fill * I, read-only: the system's own eigenpairs,
+    ascending (``system_lam``), then the fill's. Made by :func:`spectrum`."""
 
     n: int
     lam: np.ndarray = field(repr=False)
     vec: np.ndarray = field(repr=False)
 
+    @property
+    def system_lam(self) -> np.ndarray:
+        return self.lam[: self.n]
+
 
 def spectrum(system, fill: float) -> Spectrum:
-    """Embed the matrix in the next power of two as a direct sum with fill * I,
-    check it (finite, Hermitian) and diagonalize it, once.
+    """Check the matrix (finite, Hermitian), diagonalize it once, and pad that to the next
+    power of two as a direct sum with fill * I: ``lam`` gains fill, ``vec`` blockdiag(vec, I).
 
     Padded eigenvectors have zero overlap with zero-padded input vectors, so
     solutions are unchanged; the inversion constant as the fill keeps
     configuration bounds intact. A complex matrix stays complex. A system that
     needs no padding reads no fill.
     """
-    a = numeric_array("system", system, complex_ok=True, square=True)
-    n = a.shape[0]
-    if n != 1 << index_width(n):
-        padded = np.eye(1 << index_width(n), dtype=np.result_type(a, float))
-        padded *= finite_real("fill", fill)
-        padded[:n, :n] = a
-        a = padded
-    return Spectrum(n, *sv.hermitian_eigh(a))
+    lam, vec = sv.hermitian_eigh(system)
+    n, size = lam.shape[0], 1 << index_width(lam.shape[0])
+    if size != n:
+        padded = np.eye(size, dtype=vec.dtype)
+        padded[:n, :n] = vec
+        lam, vec = np.concatenate([lam, np.full(size - n, finite_real("fill", fill))]), padded
+        lam.setflags(write=False)
+        vec.setflags(write=False)
+    return Spectrum(n, lam, vec)
 
 
 def phase_estimate(

@@ -249,10 +249,7 @@ def hermitian_eigh(system) -> tuple[np.ndarray, np.ndarray]:
 
     A real symmetric system has real eigenvectors; a complex one stays complex.
     """
-    a = numeric_array("matrix", system, complex_ok=True, square=True)
-    a = a.astype(np.result_type(a, float), copy=False)  # a real system stays real
-    if not np.isfinite(a).all():  # before the subtraction: inf - inf warns, and NaN compares False
-        raise InputError("matrix has non-finite entries")
+    a = finite_array("matrix", system, complex_ok=True, square=True)  # a real system stays real
     if np.abs(a - a.conj().T).max() > _HERMITIAN_TOL * max(1.0, np.abs(a).max()):
         raise InputError("matrix is not Hermitian")
     lam, vec = np.linalg.eigh(a)

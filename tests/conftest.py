@@ -20,6 +20,19 @@ def rng():
     return np.random.default_rng(SEED)
 
 
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """(name, shape) of every np.linalg.eigh and eigvalsh call the test makes, in order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def random_se_model(rng, n, d=1, noise_variance=0.5, lengthscale=1.0):
     """Random squared-exponential model with inputs in [-2, 2]^d."""
     X = rng.uniform(-2.0, 2.0, size=(n, d))

@@ -52,7 +52,7 @@ MUTANTS = (
      "    if False:",
      ["tests/test_statevector.py", "tests/test_qla.py", "-k", "must_be_a_mapping"]),
     # a system with a NaN or an inf entry is refused before it is diagonalized
-    ("qgpr/statevector.py", "    if not np.isfinite(a).all():", "    if False:",
+    ("qgpr/statevector.py", 'finite_array("matrix", system', 'numeric_array("matrix", system',
      ["tests/test_qla.py", "-k", "non_finite_system"]),
     # the readout refuses an X register that is also pinned
     ("qgpr/statevector.py", " or x in pins", "",
@@ -214,6 +214,14 @@ MUTANTS = (
     # a layout's registers are (name, width) pairs, refused with an InputError otherwise
     ("qgpr/statevector.py", "except (TypeError, ValueError):", "except ():",
      ["tests/test_hostile_inputs.py", "-k", "RegisterLayout"]),
+    # the diagnostics read the system's own eigenvalues, not its padding
+    ("qgpr/kernels.py", "model.spectrum.system_lam", "model.spectrum.lam",
+     ["tests/test_kernels.py", "-k", "TestDiagnostics"]),
+    # the wraparound check reads the largest eigenvalue, wherever the padding puts it
+    ("qgpr/qla.py", "lam.max()", "lam[-1]", ["tests/test_qla.py", "-k", "TestConfig"]),
+    # the padded indices of the eigenbasis are the identity block of the direct sum
+    ("qgpr/qla.py", "np.eye(size, dtype=vec.dtype)", "np.zeros((size, size), dtype=vec.dtype)",
+     ["tests/test_qla.py", "-k", "TestSpectrum"]),
 )
 
 

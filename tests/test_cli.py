@@ -280,24 +280,15 @@ class TestCmdPredict:
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = 0.0
 
-    def test_system_is_diagonalized_once(self, tmp_path, monkeypatch):
-        # 3 training points pad to a 4x4 system; 3 test points make 6 estimates
+    def test_system_is_diagonalized_once(self, tmp_path, eigen_calls):
+        # 3 training points, 3 test points: the report's kappa and min_eig and
+        # the plan's 4x4 padded spectrum all read one eigh of the 3x3 system
         dataset = tmp_path / "d.csv"
         dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
         cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5], [1.0]], clock_qubits=5)
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-
-            def counted(a, *args, _original=original, _name=name, **kwargs):
-                if np.shape(a) == (4, 4):
-                    calls.append(_name)
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counted)
         report = cmd_predict(load_config(cfgp))
         assert len(report["results"]) == 3
-        assert calls == ["eigh"]
+        assert eigen_calls == [("eigh", (3, 3))]
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_all_zero_targets_give_an_exact_zero_mean(self, tmp_path, mode):
@@ -342,6 +333,16 @@ class TestCmdDiagnose:
         max_eig = 101.0 * 0.02
         assert (max_eig + delta) / (0.02 + delta) == pytest.approx(bound)
 
+    @pytest.mark.parametrize("delta", [None, 0.05], ids=["plain", "delta"])
+    def test_system_is_diagonalized_once(self, tmp_path, eigen_calls, delta):
+        # kappa, min_eig and the pilot's padded 4x4 spectrum read one eigh of the 3x3 system
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
+        cfgp = write_config(tmp_path, dataset, clock_qubits=5)
+        report = cmd_diagnose(load_config(cfgp, {"delta": delta}))
+        assert (report["recommended_shots"] is None) == (delta is None)
+        assert eigen_calls == [("eigh", (3, 3))]
+
     def test_shot_recommendation_matches_pilot_oracle(self, tmp_path):
         dataset = tmp_path / "d.csv"
         dataset.write_text("0,2\n0.5,1\n")
@@ -369,29 +370,24 @@ class TestCmdSweep:
 
     @pytest.mark.parametrize("axis, values, widths", [("clock_qubits", [3, 4, 5], [3, 4, 5]),
                                                       ("shots", [100, 200, 300], [8])])
-    def test_one_eigh_and_one_response_per_clock_width(self, tmp_path, monkeypatch, axis, values,
-                                                       widths):
-        # 3 training points pad to a 4x4 system: diagonalized once for the
-        # model, while each clock width builds its own response (a shots axis, one)
+    def test_one_eigh_and_one_response_per_clock_width(self, tmp_path, monkeypatch, eigen_calls,
+                                                       axis, values, widths):
+        # 3 training points pad to a 4x4 system: the 3x3 system is diagonalized
+        # once for the model, while each clock width builds its own response
+        # (a shots axis, one)
         dataset = tmp_path / "d.csv"
         dataset.write_text("0,2\n0.7,1\n1.3,0.5\n")
         cfgp = write_config(tmp_path, dataset, test_points=[[0.1], [0.5]],
                             sweep={"axis": axis, "values": values})
-        shapes, clocks = [], []
-        eigh, response = np.linalg.eigh, qla._solver_response
-
-        def counted_eigh(a):
-            shapes.append(np.shape(a))
-            return eigh(a)
+        clocks, response = [], qla._solver_response
 
         def counted_response(lam, config):
             clocks.append(config.clock_qubits)
             return response(lam, config)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         monkeypatch.setattr(qla, "_solver_response", counted_response)
         assert len(cmd_sweep(load_config(cfgp))) == 3
-        assert shapes == [(4, 4)] and clocks == widths
+        assert eigen_calls == [("eigh", (3, 3))] and clocks == widths
 
     def test_all_zero_targets(self, tmp_path):
         # v = y = 0: the mean is exactly 0, as is the classical one

@@ -635,6 +635,13 @@ class TestSparsifyY:
         t2 = np.eye(8) / sigma2 - model.gram / sigma2**2
         np.testing.assert_allclose(neumann_row(model, x_star, 2), k_star @ t2, atol=1e-12)
 
+    def test_system_is_diagonalized_once(self, eigen_calls):
+        # three test points read the spectral radius off one eigh of the 3x3 system
+        model = self._line_model(3)
+        for x_star in ([0.0], [0.8], [1.6]):
+            sparsify_y(model, x_star, 2)
+        assert eigen_calls == [("eigh", (3, 3))]
+
     def test_divergent_expansion_rejected(self, rng):
         model = random_se_model(rng, n=4, noise_variance=0.05)  # rho(K) > sigma^2
         with pytest.raises(ExpansionError):

@@ -11,7 +11,7 @@ from qgpr import statevector as sv
 from qgpr.classical import cg_solve, cholesky, dense_inverse, predict_exact
 from qgpr.estimator import EstimationResult, shots_for_precision
 from qgpr.exceptions import QgprError
-from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, diagnostics, eval_kernel
+from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval_kernel
 from qgpr.qla import (QlaConfig, config_for, gershgorin_bound, hermitianize, make_encoding,
                       phase_estimate, qla_solve, spectrum)
 
@@ -44,7 +44,6 @@ PROBES = {
     "cg_solve-complex-vector": lambda: cg_solve(np.eye(2), [1j, 1.0]),
     "cholesky-string-matrix": lambda: cholesky(STRINGS),
     "dense_inverse-string-matrix": lambda: dense_inverse(STRINGS),
-    "diagnostics-string-matrix": lambda: diagnostics(STRINGS),
     "hermitianize-string-matrix": lambda: hermitianize(STRINGS),
     "gershgorin_bound-string-matrix": lambda: gershgorin_bound(STRINGS),
     "hermitian_eigh-string-matrix": lambda: sv.hermitian_eigh(STRINGS),
@@ -68,12 +67,10 @@ PROBES = {
     "qla_solve-scalar-system": lambda: qla_solve([1.0], 3.0, CFG),
     "phase_estimate-scalar-system": lambda: phase_estimate(_state(), CFG, 3.0, "E", "A"),
     "gershgorin_bound-scalar-system": lambda: gershgorin_bound(3.0),
-    "diagnostics-vector-system": lambda: diagnostics([1.0, 2.0]),
     "hermitian_eigh-empty-matrix": lambda: sv.hermitian_eigh(EMPTY),
     "gershgorin_bound-empty-system": lambda: gershgorin_bound(EMPTY),
     "config_for-empty-system": lambda: config_for(EMPTY, 4, 0.5),
     "dense_inverse-empty-system": lambda: dense_inverse(EMPTY),
-    "diagnostics-empty-system": lambda: diagnostics(EMPTY),
     "qla_solve-empty-system": lambda: qla_solve(np.zeros(0), EMPTY, CFG),
     "cholesky-empty-system": lambda: cholesky(EMPTY),
     "spectrum-empty-system": lambda: spectrum(EMPTY, 0.5),

@@ -215,15 +215,33 @@ class TestBuildCross:
             build_cross(model, [0.0])
 
 
+def far_apart(n, noise_variance):
+    """n SE points 100 apart: the Gram matrix is exactly I, the system (1 + sigma_n^2) I."""
+    return build_model(TrainingSet(100.0 * np.arange(n), np.ones(n)), SE, noise_variance)
+
+
 class TestDiagnostics:
     def test_scaled_identity(self):
-        d = diagnostics(2.0 * np.eye(4))
-        assert d.kappa == pytest.approx(1.0)
+        d = diagnostics(far_apart(4, 1.0))
+        assert d.kappa == 1.0
         assert d.row_sparsity == 1
-        assert d.min_eig == pytest.approx(2.0)
+        assert d.min_eig == 2.0
 
-    def test_diagonal(self):
-        assert diagnostics(np.diag([1.0, 4.0])).kappa == pytest.approx(4.0)
+    def test_padding_does_not_enter(self):
+        # n = 3 pads to 4 with sigma_n^2 = 0.5 below the system's lambda_min = 1.5:
+        # the padded spectrum would read min_eig 0.5 and kappa 3
+        model = far_apart(3, 0.5)
+        assert model.spectrum.lam.shape == (4,)
+        d = diagnostics(model)
+        assert d.min_eig == 1.5 and d.kappa == 1.0
+
+    def test_two_points_closed_form(self):
+        # points 1 apart: the system [[1.5, k], [k, 1.5]], k = exp(-1/2), has eigenvalues 1.5 -+ k
+        model = build_model(TrainingSet([[0.0], [1.0]], [1.0, 2.0]), SE, 0.5)
+        k = math.exp(-0.5)
+        d = diagnostics(model)
+        assert d.kappa == pytest.approx((1.5 + k) / (1.5 - k), rel=1e-14)
+        assert d.min_eig == pytest.approx(1.5 - k, rel=1e-14)
 
     def test_kappa_matches_eigendecomposition_oracle(self, rng):
         model = random_se_model(rng, n=8)
@@ -232,8 +250,10 @@ class TestDiagnostics:
         assert d.kappa == pytest.approx(eigs[-1] / eigs[0], rel=1e-10)
 
     def test_non_invertible_system(self):
+        # duplicate points with noise 1e-18: the system is exactly [[1, 1], [1, 1]]
+        model = build_model(TrainingSet([[0.0], [0.0]], [1.0, 1.0]), SE, 1e-18)
         with pytest.raises(ConditioningError):
-            diagnostics(np.zeros((2, 2)))
+            diagnostics(model)
 
 
 class TestInvariants:

@@ -200,6 +200,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             plan_for(np.eye(2), QlaConfig(3, t0=7.0, c=0.5))
 
+    def test_wraparound_rejected_on_a_padded_system(self):
+        # a 3x3 system pads with c: its lambda_max 2 is not the last entry of lam
+        with pytest.raises(ConfigError, match="wraparound"):
+            plan_for(np.diag([1.0, 1.5, 2.0]), QlaConfig(3, t0=4.0, c=0.5))
+
     def test_c_above_lambda_min_rejected(self):
         with pytest.raises(ConfigError):
             plan_for(np.eye(2), QlaConfig(3, t0=0.1, c=2.0))
@@ -853,6 +858,16 @@ class TestSpectrum:
         for got, want in zip((spectrum.lam, spectrum.vec), sv.hermitian_eigh(a)):
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
+
+    def test_system_eigenpairs_come_first(self, rng):
+        # a direct sum: the 5x5 system's own eigh, then fill * I on the 3 padded indices
+        a = random_spd(rng, 5)
+        spectrum = qla.spectrum(a, 0.3)
+        lam, vec = sv.hermitian_eigh(a)
+        np.testing.assert_array_equal(spectrum.system_lam, lam)
+        np.testing.assert_array_equal(spectrum.lam[5:], [0.3] * 3)
+        np.testing.assert_array_equal(spectrum.vec, padded(vec, 1.0))
+        assert not (spectrum.lam.flags.writeable or spectrum.vec.flags.writeable)
 
     def test_block_structure(self):
         spectrum = qla.spectrum(np.full((3, 3), 2.0), 0.7)
