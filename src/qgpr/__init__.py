@@ -6,7 +6,7 @@ that estimates the GPR linear predictor and predictive variance, validated
 against an exact classical oracle.
 """
 
-from .classical import CholeskyFactor, Prediction, cg_solve, cholesky, dense_inverse, predict_exact
+from .classical import Prediction, cg_solve, cholesky, dense_inverse, predict_exact
 from .estimator import (
     BilinearSpec,
     EstimationResult,

@@ -1,9 +1,9 @@
 """Exact classical GPR inference: the ground truth the quantum estimator is
 checked against, plus a conjugate-gradient baseline and a brute-force inverse.
 
-All linear algebra is dense numpy (LAPACK underneath): the O(n^3) Cholesky
-factorization and the weights system^-1 y are computed once per model
-(``GPModel.factor``, ``GPModel.alpha``) and shared by its test points.
+All linear algebra is dense numpy (LAPACK underneath): :func:`predict_exact`
+pays the O(n^3) Cholesky factorization once per call and one solve for the
+targets and every test point's cross-covariance together.
 """
 
 from __future__ import annotations
@@ -19,34 +19,36 @@ from .kernels import GPModel, build_cross, eval_kernel
 
 
 @dataclass(frozen=True)
-class CholeskyFactor:
-    L: np.ndarray
-
-
-@dataclass(frozen=True)
 class Prediction:
     mean: float
     variance: float
 
 
-def cholesky(system) -> CholeskyFactor:
-    """Lower-triangular L with L L^T = system; fails unless the matrix is positive definite."""
+def cholesky(system) -> np.ndarray:
+    """The lower-triangular array L with L L^T = system; fails unless it is positive definite."""
     a = numeric_array("system", system, square=True).astype(float, copy=False)
     if not np.isfinite(a).all():  # OpenBLAS lets a NaN pivot through
         raise NotPositiveDefiniteError("matrix has non-finite entries")
     try:
-        return CholeskyFactor(np.linalg.cholesky(a))
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"matrix is not positive definite ({exc})") from exc
 
 
-def predict_exact(model: GPModel, x_star) -> Prediction:
-    """Posterior mean and variance at the test point via Cholesky solves."""
-    k_star = build_cross(model, x_star)
-    k_ss = eval_kernel(model.kernel, x_star, x_star)
-    w = np.linalg.solve(model.factor.L, k_star)
+def predict_exact(model: GPModel, points: list) -> list[Prediction]:
+    """Posterior mean and variance at each point of the list ``points`` (Rasmussen &
+    Williams, Algorithm 2.1): one Cholesky factor L and one solve z = L^-1 [y, k_*1, ...,
+    k_*m] serve them all; mean_i = z_i . z_y and variance_i = k(x_i, x_i) - |z_i|^2. Each
+    call factors the system, so one call per point pays O(n^3) per point: pass them together.
+    """
+    if not isinstance(points, list):
+        raise InputError(f"test points must be a list of points, got {points!r}")
+    cross = [build_cross(model, x) for x in points]
+    k_ss = np.array([eval_kernel(model.kernel, x, x) for x in points])
+    z = np.linalg.solve(cholesky(model.system), np.column_stack([model.training.y, *cross]))
     with np.errstate(over="ignore"):  # a mean past the float range reads inf, not a warning
-        return Prediction(mean=float(k_star @ model.alpha), variance=float(k_ss - w @ w))
+        means, variances = z[:, 0] @ z[:, 1:], k_ss - (z[:, 1:] ** 2).sum(0)
+    return [Prediction(float(m), float(v)) for m, v in zip(means, variances)]
 
 
 def cg_solve(system, b, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:

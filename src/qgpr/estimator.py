@@ -197,16 +197,18 @@ def shots_for_precision(delta: float, pilot: EstimationResult) -> int:
     """Shots needed so the rescaled standard error drops to ``delta``.
 
     Scales the pilot run's sample variance: N = ceil(var / delta^2). A count
-    that is not finite is a :class:`NumericError`.
+    that is not finite is a :class:`NumericError`, one past ``MAX_SHOTS`` the
+    :class:`InputError` an estimate asked for it would raise.
     """
     delta = finite_real("delta", delta, 0)
     if pilot.shots < 100:
         raise InputError(f"pilot run has {pilot.shots} shots; need at least 100")
     try:
-        return max(1, math.ceil((pilot.std_error**2) * pilot.shots / delta**2))
+        shots = max(1, math.ceil((pilot.std_error**2) * pilot.shots / delta**2))
     except (ZeroDivisionError, OverflowError, ValueError):  # delta^2 is 0; an inf or NaN count
         raise NumericError(f"delta = {delta:g} at the pilot's standard error "
                            f"{pilot.std_error:g} needs a shot count that is not finite") from None
+    return integer("recommended_shots", shots, 1, sv.MAX_SHOTS)
 
 
 def neumann_row(model: GPModel, x_star, order: int) -> np.ndarray:

@@ -86,10 +86,9 @@ class GPModel:
     """Training data, kernel, noise variance, and derived matrices.
 
     ``system = gram + noise_variance * I`` is the matrix whose inverse enters
-    both the linear predictor and the predictive variance; ``factor`` is its
-    Cholesky factor, ``alpha`` the weights ``system^-1 y`` and ``spectrum`` its one
+    both the linear predictor and the predictive variance; ``spectrum`` is its one
     eigendecomposition, padded with sigma_n^2 (:func:`qgpr.qla.spectrum`), which every
-    eigenvalue question reads; each computed on first use and kept for the model's lifetime.
+    eigenvalue question reads, computed on first use and kept for the model's lifetime.
     """
 
     training: TrainingSet
@@ -101,16 +100,6 @@ class GPModel:
     @property
     def n(self) -> int:
         return self.training.n
-
-    @cached_property
-    def factor(self):
-        from .classical import cholesky  # a module-level import would be circular
-        return cholesky(self.system)
-
-    @cached_property
-    def alpha(self) -> np.ndarray:
-        L = self.factor.L
-        return np.linalg.solve(L.T, np.linalg.solve(L, self.training.y))
 
     @cached_property
     def spectrum(self) -> qla.Spectrum:

@@ -222,6 +222,16 @@ MUTANTS = (
     # the padded indices of the eigenbasis are the identity block of the direct sum
     ("qgpr/qla.py", "np.eye(size, dtype=vec.dtype)", "np.zeros((size, size), dtype=vec.dtype)",
      ["tests/test_qla.py", "-k", "TestSpectrum"]),
+    # the exact mean is z_* . z_y, with z = L^-1 [y, k_*1, ...]
+    ("qgpr/classical.py", "z[:, 0] @ z[:, 1:]", "(z[:, 1:] ** 2).sum(0)",
+     ["tests/test_classical.py", "-k", "TestPredictExact or TestOracleAgreement"]),
+    # the exact variance subtracts |z_*|^2 from k(x, x)
+    ("qgpr/classical.py", "k_ss - (z[:, 1:] ** 2)", "k_ss + (z[:, 1:] ** 2)",
+     ["tests/test_classical.py", "-k", "TestPredictExact or TestOracleAgreement"]),
+    # a shot recommendation past MAX_SHOTS is refused, as predict would refuse it
+    ("qgpr/estimator.py", '"recommended_shots", shots, 1, sv.MAX_SHOTS)',
+     '"recommended_shots", shots, 1, 2 * sv.MAX_SHOTS)',
+     ["tests/test_estimator.py", "-k", "TestShotsForPrecision"]),
 )
 
 

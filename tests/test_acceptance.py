@@ -66,7 +66,7 @@ def test_criterion_01_classical_oracle_correctness():
             k_ss = eval_kernel(model.kernel, x_star, x_star)
             y = model.training.y
 
-            pred = predict_exact(model, x_star)
+            (pred,) = predict_exact(model, [x_star])
             inv = dense_inverse(model.system)
             mean_inv = k @ inv @ y
             var_inv = k_ss - k @ inv @ k
@@ -134,7 +134,7 @@ def test_criterion_05_end_to_end_gpr_agreement():
                 y = np.sin(1.5 * X[:, 0]) + 0.2 * rng.normal(size=n)
                 model = build_model(TrainingSet(X, y), spec, 0.5)
                 x_star = [float(rng.uniform(-1, 1))]
-                exact = predict_exact(model, x_star)
+                (exact,) = predict_exact(model, [x_star])
                 for clock in (4, 6, 8):
                     plan = gpr_plan(model, clock)
                     m = predict_mean_quantum(model, x_star, plan)

@@ -13,15 +13,14 @@ SE = KernelSpec("squared-exponential", 1.0, 1.0)
 
 class TestCholesky:
     def test_scalar(self):
-        np.testing.assert_array_equal(cholesky([[4.0]]).L, [[2.0]])
+        np.testing.assert_array_equal(cholesky([[4.0]]), [[2.0]])
 
     def test_scaled_identity(self):
-        fac = cholesky(2.0 * np.eye(3))
-        np.testing.assert_allclose(fac.L, np.sqrt(2.0) * np.eye(3))
+        np.testing.assert_allclose(cholesky(2.0 * np.eye(3)), np.sqrt(2.0) * np.eye(3))
 
     def test_reconstructs_se_system(self, rng):
         model = random_se_model(rng, n=8)
-        L = cholesky(model.system).L
+        L = cholesky(model.system)
         err = np.linalg.norm(L @ L.T - model.system) / np.linalg.norm(model.system)
         assert err <= 1e-10
         assert np.all(np.diag(L) > 0)
@@ -54,27 +53,38 @@ class TestPredictExact:
     def test_canonical_scalar_instance(self):
         # K = [[1]], sigma_n^2 = 1, k_* = [1], y = [2] -> mean 1, variance 0.5
         model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
-        pred = predict_exact(model, [0.0])
+        (pred,) = predict_exact(model, [[0.0]])
         assert pred.mean == pytest.approx(1.0, abs=1e-12)
         assert pred.variance == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_cross_covariance(self):
         spec = KernelSpec("compact-support", 1.0, 1.0, cutoff_radius=1.0)
         model = build_model(TrainingSet([[0.0], [0.4]], [3.0, -1.0]), spec, 0.5)
-        pred = predict_exact(model, [50.0])
+        (pred,) = predict_exact(model, [[50.0]])
         assert pred.mean == 0.0
         assert pred.variance == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_inverse_oracle(self, rng):
         model = random_se_model(rng, n=8, d=2)
         x_star = rng.normal(size=2)
-        pred = predict_exact(model, x_star)
+        (pred,) = predict_exact(model, [x_star])
         inv = np.linalg.inv(model.system)
         k = build_cross(model, x_star)
         mean = k @ inv @ model.training.y
         var = eval_kernel(model.kernel, x_star, x_star) - k @ inv @ k
         assert pred.mean == pytest.approx(mean, rel=1e-8)
         assert pred.variance == pytest.approx(var, rel=1e-8)
+
+    def test_empty_list(self):
+        model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
+        assert predict_exact(model, []) == []
+
+    @pytest.mark.parametrize("points", [np.array([[0.0]]), ([0.0],), [0.0, 1.0, [0.5, 0.5]]],
+                             ids=["array", "tuple", "mixed-dimension"])
+    def test_refuses_anything_but_a_list_of_points(self, points):
+        model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
+        with pytest.raises(InputError):
+            predict_exact(model, points)
 
 
 class TestCgSolve:
@@ -90,7 +100,7 @@ class TestCgSolve:
         model = random_se_model(rng, n=8)
         b = rng.normal(size=8)
         x_cg = cg_solve(model.system, b, tol=1e-10)
-        L = cholesky(model.system).L
+        L = cholesky(model.system)
         x_ch = np.linalg.solve(L.T, np.linalg.solve(L, b))
         assert np.abs(x_cg - x_ch).max() <= 1e-8
 
@@ -151,32 +161,30 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_three_solver_paths_agree(self, rng, n):
         model = random_se_model(rng, n=n)
-        x_star = rng.normal(size=1)
-        k = build_cross(model, x_star)
-        k_ss = eval_kernel(model.kernel, x_star, x_star)
+        points = [rng.normal(size=1) for _ in range(5)]
         y = model.training.y
-
-        pred = predict_exact(model, x_star)
-
         inv = dense_inverse(model.system)
-        mean_inv = k @ inv @ y
-        var_inv = k_ss - k @ inv @ k
+        mean_cg = cg_solve(model.system, y, tol=1e-12)
 
-        mean_cg = k @ cg_solve(model.system, y, tol=1e-12)
-        var_cg = k_ss - k @ cg_solve(model.system, k, tol=1e-12)
+        for x_star, pred in zip(points, predict_exact(model, points), strict=True):
+            k = build_cross(model, x_star)
+            k_ss = eval_kernel(model.kernel, x_star, x_star)
+            mean_inv = k @ inv @ y
+            var_inv = k_ss - k @ inv @ k
+            var_cg = k_ss - k @ cg_solve(model.system, k, tol=1e-12)
 
-        ref = abs(pred.mean) + 1e-12
-        assert abs(pred.mean - mean_inv) / ref <= 1e-8
-        assert abs(pred.mean - mean_cg) / ref <= 1e-8
-        refv = abs(pred.variance) + 1e-12
-        assert abs(pred.variance - var_inv) / refv <= 1e-8
-        assert abs(pred.variance - var_cg) / refv <= 1e-8
+            ref = abs(pred.mean) + 1e-12
+            assert abs(pred.mean - mean_inv) / ref <= 1e-8
+            assert abs(pred.mean - k @ mean_cg) / ref <= 1e-8
+            refv = abs(pred.variance) + 1e-12
+            assert abs(pred.variance - var_inv) / refv <= 1e-8
+            assert abs(pred.variance - var_cg) / refv <= 1e-8
 
     def test_variance_bounds(self, rng):
         for n in (2, 4, 8):
             model = random_se_model(rng, n=n)
-            x_star = rng.normal(size=1)
-            pred = predict_exact(model, x_star)
-            k_ss = eval_kernel(model.kernel, x_star, x_star)
-            assert pred.variance >= -1e-10
-            assert pred.variance <= k_ss + 1e-10
+            points = [rng.normal(size=1) for _ in range(3)]
+            for x_star, pred in zip(points, predict_exact(model, points)):
+                k_ss = eval_kernel(model.kernel, x_star, x_star)
+                assert pred.variance >= -1e-10
+                assert pred.variance <= k_ss + 1e-10

@@ -257,8 +257,8 @@ class TestCmdPredict:
         monkeypatch.setattr(np.linalg, "solve", counted)
         report = cmd_predict(load_config(cfgp))
         assert len(report["results"]) == 3
-        # two for K^-1 y once per model, then one for w per test point
-        assert len(calls) == 2 + 3
+        # one solve against [y, k_*1, k_*2, k_*3] for the whole job
+        assert calls == [(3, 1 + 3)]
 
     def test_one_plan_for_every_estimate(self, tmp_path, monkeypatch):
         # 3 test points make 6 estimates: one plan, one response, all read-only
@@ -454,17 +454,17 @@ class TestCmdSweep:
         cfgp = self._sweep_config(
             tmp_path, test_points=[[0.1], [0.5]], sweep={"axis": "clock_qubits", "values": [3, 4, 5]}
         )
-        points = []
+        calls = []
         original = cli.predict_exact
 
-        def counted(model, point):
-            points.append(point)
-            return original(model, point)
+        def counted(model, points):
+            calls.append(points)
+            return original(model, points)
 
         monkeypatch.setattr(cli, "predict_exact", counted)
         rows = cmd_sweep(load_config(cfgp))
         assert len(rows) == 3
-        assert points == [[0.1], [0.5]]
+        assert calls == [[[0.1], [0.5]]]
 
     def test_one_shots_value_reproduces_predict(self, tmp_path):
         # sweep value j = 0 seeds point i with seed + i, as predict does
@@ -843,6 +843,15 @@ class TestShotRecommendationNotFinite:
         assert err.count("\n") == 1
 
 
+def test_shot_recommendation_past_the_shot_cap_is_one_line_input_error(tmp_path, capsys):
+    # the example's pilot recommends about 6e7 shots at delta 0.001, which predict refuses
+    cfgp = _example_config(tmp_path, out=str(tmp_path / "report.json"))
+    assert main(["diagnose", "--config", str(cfgp), "--delta", "0.001"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"input error: recommended_shots \d+ is not in 1\.\.{MAX_SHOTS}\n", err)
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestLimitsBeforeTheModel:
     """A run past the qubit or the shot cap is refused once the data set is
     read, before the model is built."""
@@ -861,8 +870,14 @@ class TestLimitsBeforeTheModel:
             (["sweep"], {"sweep": {"axis": "shots", "values": [100]}}),
             (["diagnose", "--delta", "0.05"], {}),
             (["predict"], {"clock_qubits": 8, "mode": "sampled", "shots": MAX_SHOTS + 1}),
+            (["predict"], {"clock_qubits": 8, "test_points": [[0.1, 0.2]]}),
+            (["sweep"], {"clock_qubits": 8, "test_points": [[0.1], [0.1, 0.2]],
+                         "sweep": {"axis": "clock_qubits", "values": [4]}}),
+            (["diagnose", "--delta", "0.05"], {"clock_qubits": 8, "test_points": [[0.1, 0.2]]}),
         ],
-        ids=["predict", "sweep", "diagnose-delta", "sampled-predict-past-the-shot-cap"],
+        ids=["predict", "sweep", "diagnose-delta", "sampled-predict-past-the-shot-cap",
+             "predict-test-point-dimension", "sweep-test-point-dimension",
+             "diagnose-delta-test-point-dimension"],
     )
     def test_refused_before_the_model_is_built(self, tmp_path, monkeypatch, capsys, argv,
                                                overrides):
@@ -876,7 +891,8 @@ class TestLimitsBeforeTheModel:
         assert err.startswith("input error: ") and err.count("\n") == 1
 
     def test_plain_diagnose_makes_no_estimate_and_checks_nothing(self, tmp_path):
-        assert main(["diagnose", "--config", str(self.nine_rows(tmp_path))]) == EXIT_OK
+        cfgp = self.nine_rows(tmp_path, test_points=[[0.1, 0.2]])
+        assert main(["diagnose", "--config", str(cfgp)]) == EXIT_OK
 
 
 class TestHostileValueGrid:

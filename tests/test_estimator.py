@@ -315,7 +315,7 @@ class TestPredictMeanQuantum:
         model = random_se_model(rng, n=4)
         x_star = [0.4]
         res = predict_mean_quantum(model, x_star, gpr_plan(model, 8))
-        truth = predict_exact(model, x_star).mean
+        truth = predict_exact(model, [x_star])[0].mean
         assert abs(res.estimate - truth) <= 0.05 * abs(truth) + 0.01
 
 
@@ -332,13 +332,13 @@ class TestPredictVarianceQuantum:
         assert res.estimate == pytest.approx(1.3)
         # beyond the cutoff the mean is the prior mean too
         assert predict_mean_quantum(model, [10.0], gpr_plan(model, 8)).estimate == 0.0
-        assert predict_exact(model, [10.0]).mean == 0.0
+        assert predict_exact(model, [[10.0]])[0].mean == 0.0
 
     def test_n4_within_tolerance(self, rng):
         model = random_se_model(rng, n=4)
         x_star = [0.4]
         res = predict_variance_quantum(model, x_star, gpr_plan(model, 8))
-        truth = predict_exact(model, x_star).variance
+        truth = predict_exact(model, [x_star])[0].variance
         assert abs(res.estimate - truth) <= 0.05 * abs(truth) + 0.01
 
     def test_small_negative_estimate_is_clamped_to_zero(self, monkeypatch):
@@ -425,7 +425,7 @@ class TestMetamorphic:
         mean_s, var_s = self._quantum(scaled)
         assert mean_s == pytest.approx(alpha * mean, rel=1e-12, abs=1e-12)
         assert var_s == pytest.approx(var, rel=0, abs=1e-12)
-        exact, exact_s = predict_exact(model, self.X_STAR), predict_exact(scaled, self.X_STAR)
+        (exact,), (exact_s,) = (predict_exact(m, [self.X_STAR]) for m in (model, scaled))
         assert exact_s.mean == pytest.approx(alpha * exact.mean, rel=1e-12, abs=1e-12)
         assert exact_s.variance == pytest.approx(exact.variance, rel=0, abs=1e-12)
 
@@ -440,6 +440,13 @@ class TestShotsForPrecision:
     def test_inverse_square_law(self):
         assert shots_for_precision(0.05, self._pilot(0.1, 100)) == 400
         assert shots_for_precision(0.025, self._pilot(0.1, 100)) == 1600
+
+    def test_count_past_the_shot_cap_is_refused(self):
+        # std_error 1 at delta 1 recommends the pilot's own count
+        assert shots_for_precision(1.0, self._pilot(1.0, sv.MAX_SHOTS)) == sv.MAX_SHOTS
+        with pytest.raises(InputError, match=f"^recommended_shots {sv.MAX_SHOTS + 1} is not in "
+                                             f"1..{sv.MAX_SHOTS}$"):
+            shots_for_precision(1.0, self._pilot(1.0, sv.MAX_SHOTS + 1))
 
     def test_requires_real_pilot(self):
         with pytest.raises(InputError):

@@ -34,8 +34,9 @@ PROBES = {
     "eval_kernel-complex-point": lambda: eval_kernel(SE, 1j, 1.0),
     "build_cross-string-point": lambda: build_cross(MODEL, "ab"),
     "build_cross-complex-point": lambda: build_cross(MODEL, 1j),
-    "predict_exact-string-point": lambda: predict_exact(MODEL, "ab"),
-    "predict_exact-complex-point": lambda: predict_exact(MODEL, 1j),
+    "predict_exact-string-point": lambda: predict_exact(MODEL, ["ab"]),
+    "predict_exact-complex-point": lambda: predict_exact(MODEL, [1j]),
+    "predict_exact-non-list": lambda: predict_exact(MODEL, 1j),
     "TrainingSet-string-X": lambda: TrainingSet([["a"], ["b"]], [0.5, -0.5]),
     "TrainingSet-complex-y": lambda: TrainingSet([[0.0], [1.0]], [0.5j, -0.5]),
     "cg_solve-string-tol": lambda: cg_solve(np.eye(2), np.ones(2), tol="x"),
