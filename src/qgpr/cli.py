@@ -233,7 +233,7 @@ def _estimates(model: GPModel, points, plan, shots: int | None, seed: int):
         yield point, mean, var, time.perf_counter() - t0
 
 
-_QUANTUM_FIELDS = ("estimate", "std_error", "raw_mean", "success_fraction", "shots")
+_QUANTUM_FIELDS = ("estimate", "std_error", "raw_mean", "success_fraction", "shots", "clamped")
 _DIAGNOSTIC_FIELDS = ("kappa", "row_sparsity", "min_eig")
 
 
@@ -263,7 +263,8 @@ def cmd_predict(cfg: RunConfig) -> dict:
         )
     report = {
         "config": _config_record(cfg),
-        "qla": {"clock_qubits": plan.clock_qubits, "t0": plan.config.t0, "c": plan.config.c},
+        "qla": {"clock_qubits": plan.clock_qubits, "t0": plan.config.t0, "c": plan.config.c,
+                "clamped_bins": plan.config.clamped_bins},
         "diagnostics": {f: getattr(diag, f) for f in _DIAGNOSTIC_FIELDS},
         "results": results,
     }
@@ -304,6 +305,7 @@ def cmd_diagnose(cfg: RunConfig) -> dict:
                                      seed=cfg.seed)
         report["recommended_shots"] = shots_for_precision(cfg.delta, pilot)
         report["pilot_shots"] = pilot.shots
+        report["clamped_bins"] = plan.config.clamped_bins
     _write(cfg.out, report)
     print(json.dumps({k: v for k, v in report.items() if k != "config"}, indent=2, sort_keys=True))
     return report
@@ -325,24 +327,28 @@ def cmd_sweep(cfg: RunConfig) -> list[dict]:
         if plan is None or plan.clock_qubits != clock:  # a shots axis keeps one plan
             plan = gpr_plan(model, clock)
         estimates = _estimates(model, cfg.test_points, plan, shots, cfg.seed + j)
-        mean_errs, var_errs, succ = [], [], []
+        mean_errs, var_errs, succ, clamped = [], [], [], 0
         for (_, mres, vres, _), exact in zip(estimates, exacts):
             mean_errs.append(abs(mres.estimate - exact.mean))
             var_errs.append(abs(vres.estimate - exact.variance))
             succ.append(mres.success_fraction)
+            clamped += vres.clamped
         rows.append(
             {
                 "axis_value": value,
                 "mean_error": float(np.mean(mean_errs)),
                 "variance_error": float(np.mean(var_errs)),
                 "success_fraction": float(np.mean(succ)),
+                "clamped_bins": plan.config.clamped_bins,
+                "clamped_variances": clamped,
             }
         )
     _check_finite(rows, "sweep")
-    header = f"# axis={cfg.sweep_axis}\naxis_value,mean_error,variance_error,success_fraction\n"
+    header = (f"# axis={cfg.sweep_axis}\naxis_value,mean_error,variance_error,success_fraction,"
+              "clamped_bins,clamped_variances\n")
     body = "".join(
         f"{r['axis_value']},{_fmt(r['mean_error'])},{_fmt(r['variance_error'])},"
-        f"{_fmt(r['success_fraction'])}\n"
+        f"{_fmt(r['success_fraction'])},{r['clamped_bins']},{r['clamped_variances']}\n"
         for r in rows
     )
     table = header + body

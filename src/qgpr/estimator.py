@@ -27,7 +27,6 @@ modes share one standard error, sqrt((P(C=1, D=1) - <M>^2) / (shots - 1)).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -52,8 +51,6 @@ from .qla import (
 )
 from .statevector import RegisterLayout, StateVector
 
-log = logging.getLogger(__name__)
-
 # M as sv.readout's (x, pins): X on A, C and D pinned to |1>
 M = ("A", {"C": 1, "D": 1})
 
@@ -65,7 +62,8 @@ class EstimationResult:
     ``raw_mean`` is the (estimated) expectation of M; ``estimate`` is the
     rescaled quantity of interest; ``success_fraction`` the fraction of shots
     that passed post-selection (C=1 and D=1). Exact mode (``shots=None``)
-    reports shots = 0 and zero standard error.
+    reports shots = 0 and zero standard error. ``clamped`` marks a variance
+    estimate that came out negative and was set to 0.
     """
 
     estimate: float
@@ -75,6 +73,7 @@ class EstimationResult:
     success_fraction: float
     config: QlaConfig | None
     seed: int | None
+    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -178,18 +177,13 @@ def predict_variance_quantum(model: GPModel, x_star, plan: SolverPlan,
                              shots: int | None = None, seed: int = 0) -> EstimationResult:
     """Predictive variance k(x_*, x_*) - k_*^T (K + sigma_n^2 I)^{-1} k_*.
 
-    Sampling noise can push the subtraction below zero; such estimates are
-    clamped to zero with a warning.
+    Shot noise, or in exact mode the clock's resolution, can push the
+    subtraction below zero; such an estimate is set to 0 and marked ``clamped``.
     """
     res = _k_star_form(model, x_star, plan, None, shots, seed)
     estimate = eval_kernel(model.kernel, x_star, x_star) - res.estimate
     if estimate < 0.0:
-        log.warning(
-            "variance estimate %.3e clamped to 0 (sampling noise exceeds the "
-            "true variance)",
-            estimate,
-        )
-        estimate = 0.0
+        return replace(res, estimate=0.0, clamped=True)
     return replace(res, estimate=estimate)
 
 

@@ -16,11 +16,12 @@ import numpy as np
 
 from . import qla
 from .exceptions import ConditioningError, InputError, NumericError, finite_array, finite_real
+from .statevector import DEFAULT_QUBIT_CAP
 
 SQUARED_EXPONENTIAL = "squared-exponential"
 COMPACT_SUPPORT = "compact-support"
 FAMILIES = (SQUARED_EXPONENTIAL, COMPACT_SUPPORT)
-MAX_GRAM_ENTRIES = 1 << 22  # of the Gram matrix's (n, n, d) differences: the state cap's 2^22
+MAX_GRAM_ENTRIES = 1 << DEFAULT_QUBIT_CAP  # Gram differences (n^2 d): one per amplitude at the cap
 
 
 def as_point(x) -> np.ndarray:

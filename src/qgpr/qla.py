@@ -21,7 +21,6 @@ applies.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -32,8 +31,6 @@ from . import statevector as sv
 from .exceptions import (ConditioningError, ConfigError, InputError, NumericError, finite_array,
                          finite_real, integer)
 from .statevector import DEFAULT_QUBIT_CAP, RegisterLayout, StateVector
-
-log = logging.getLogger(__name__)
 
 # relative slack when validating c <= lambda_min: the GPR layer sets
 # c = sigma_n^2 while the Gram part is only PSD up to round-off
@@ -63,6 +60,12 @@ class QlaConfig:
     def T(self) -> int:
         return 1 << self.clock_qubits
 
+    @property
+    def clamped_bins(self) -> int:
+        """Clock bins whose ratio c/lambda_k exceeds one, which the inversion
+        clamps to a full flip; it depends only on (T, t0, c)."""
+        return int(np.count_nonzero(_inversion_ratios(self) > 1.0))
+
 
 def gershgorin_bound(system) -> float:
     """Upper bound on the largest eigenvalue: max absolute row sum."""
@@ -85,22 +88,8 @@ def default_t0(system, clock_qubits: int) -> float:
 
 
 def config_for(system, clock_qubits: int, c: float) -> QlaConfig:
-    """QlaConfig with the default wraparound-safe t0 for this matrix.
-
-    Logs a warning when the eigenvalue inversion will clamp clock bins. The
-    clamp depends only on (T, t0, c), so it is reported once per config
-    rather than once per circuit.
-    """
-    config = QlaConfig(clock_qubits, default_t0(system, clock_qubits), c)
-    clamped = int(np.count_nonzero(_inversion_ratios(config) > 1.0))
-    if clamped:
-        log.warning(
-            "eigenvalue inversion clamped %d of %d clock bins (c/lambda > 1); "
-            "the clock resolution is coarse for this c",
-            clamped,
-            config.T - 1,
-        )
-    return config
+    """QlaConfig with the default wraparound-safe t0 for this matrix."""
+    return QlaConfig(clock_qubits, default_t0(system, clock_qubits), c)
 
 
 def validate_config(config: QlaConfig, lam: np.ndarray) -> None:
@@ -295,7 +284,7 @@ def inversion_angles(config: QlaConfig) -> tuple[np.ndarray, np.ndarray]:
     Clock value k maps to the eigenvalue estimate 2*pi*k/(t0*T); the ancilla
     is rotated so its |1> amplitude is c/lambda_k. Bin 0 gets no rotation
     (failed estimation; removed by post-selection) and ratios above one are
-    clamped to a full flip (:func:`config_for` logs how many).
+    clamped to a full flip (:attr:`QlaConfig.clamped_bins` counts them).
     """
     sin_t = np.zeros(config.T)
     sin_t[1:] = np.minimum(_inversion_ratios(config), 1.0)

@@ -30,6 +30,9 @@ MUTANTS = (
     # the eigenvalue inversion clamps c/lambda at a full flip
     ("qgpr/qla.py", "np.minimum(_inversion_ratios(config), 1.0)", "_inversion_ratios(config)",
      ["tests/test_qla.py", "-k", "TestEigenvalueInversion"]),
+    # a bin with c/lambda exactly 1 is a full flip, not a clamped bin
+    ("qgpr/qla.py", "_inversion_ratios(self) > 1.0", "_inversion_ratios(self) >= 1.0",
+     ["tests/test_qla.py", "-k", "TestEigenvalueInversion"]),
     # the readout's X halves are the pinned block's slices at X = 0 and at X = 1
     ("qgpr/statevector.py", "_re_inner(halves[0, ...], halves[1, ...])",
      "_re_inner(halves[0, ...], halves[0, ...])",
@@ -93,6 +96,9 @@ MUTANTS = (
      ["tests/test_qla.py", "-k", "TestConfig"]),
     # any negative variance estimate is clamped to 0
     ("qgpr/estimator.py", "if estimate < 0.0:", "if estimate < -1e-3:",
+     ["tests/test_estimator.py", "-k", "TestPredictVarianceQuantum"]),
+    # a clamped variance estimate says so
+    ("qgpr/estimator.py", "replace(res, estimate=0.0, clamped=True)", "replace(res, estimate=0.0)",
      ["tests/test_estimator.py", "-k", "TestPredictVarianceQuantum"]),
     # solver_block: G_c at ancilla 0, G_s at ancilla 1
     ("qgpr/qla.py", "zip((g_c, g_s), dst)", "zip((g_s, g_c), dst)",

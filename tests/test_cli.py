@@ -304,6 +304,21 @@ class TestCmdPredict:
             assert rec["classical"]["mean"] == 0.0
             assert rec["quantum"]["variance"]["success_fraction"] > 0.0
 
+    def test_clamped_flags_exactly_the_variances_written_as_zero(self, tmp_path, capsys):
+        # 1,000 shots at 13 points across the example data set: shot noise pushes
+        # some variance estimates below zero, and only those are written as 0.0
+        cfgp = _example_config(tmp_path, mode="sampled", shots=1000,
+                               test_points=[[x / 4] for x in range(13)])
+        out = tmp_path / "r.json"
+        assert main(["predict", "--config", str(cfgp), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text())
+        variances = [rec["quantum"]["variance"] for rec in report["results"]]
+        assert 0 < sum(v["clamped"] for v in variances) < len(variances)
+        assert all(v["clamped"] == (v["estimate"] == 0.0) for v in variances)
+        assert not any(rec["quantum"]["mean"]["clamped"] for rec in report["results"])
+        assert report["qla"]["clamped_bins"] == 21  # of 255 at clock 8
+
     def test_report_embeds_resolved_config(self, canonical):
         report = cmd_predict(load_config(canonical, {"seed": 5}))
         assert report["config"]["seed"] == 5
@@ -341,6 +356,7 @@ class TestCmdDiagnose:
         cfgp = write_config(tmp_path, dataset, clock_qubits=5)
         report = cmd_diagnose(load_config(cfgp, {"delta": delta}))
         assert (report["recommended_shots"] is None) == (delta is None)
+        assert ("clamped_bins" in report) == (delta is not None)  # a plain one builds no plan
         assert eigen_calls == [("eigh", (3, 3))]
 
     def test_shot_recommendation_matches_pilot_oracle(self, tmp_path):
@@ -355,6 +371,7 @@ class TestCmdDiagnose:
             shots=400, seed=cfg.seed,
         )
         assert report["recommended_shots"] == shots_for_precision(0.05, pilot)
+        assert report["clamped_bins"] == gpr_plan(model, 5).config.clamped_bins > 0
 
 
 class TestCmdSweep:
@@ -411,15 +428,22 @@ class TestCmdSweep:
         cmd_sweep(load_config(cfgp, {"out": str(out2)}))
         assert out1.read_bytes() == out2.read_bytes()
         header = out1.read_text().splitlines()[1]
-        assert header == "axis_value,mean_error,variance_error,success_fraction"
+        assert header == ("axis_value,mean_error,variance_error,success_fraction,"
+                          "clamped_bins,clamped_variances")
 
-    def test_clamp_warning_once_per_clock_width(self, tmp_path, caplog):
+    def test_clamped_bins_per_clock_width(self, tmp_path, caplog):
         # lambda_max ~ 2.78 and c = 1 clamp the low bins at clock 4 and 5
+        out = tmp_path / "s.csv"
         cfgp = self._sweep_config(tmp_path, sweep={"axis": "clock_qubits", "values": [4, 5]})
-        with caplog.at_level("WARNING", logger="qgpr.qla"):
-            cmd_sweep(load_config(cfgp))
-        assert len(caplog.records) == 2
-        assert all("clamped" in rec.getMessage() for rec in caplog.records)
+        with caplog.at_level("DEBUG"):
+            cmd_sweep(load_config(cfgp, {"out": str(out)}))
+        assert caplog.records == []
+        lines = out.read_text().splitlines()
+        header = lines[1].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        assert [row["axis_value"] for row in rows] == ["4", "5"]
+        assert all(int(row["clamped_bins"]) > 0 for row in rows)
+        assert int(rows[1]["clamped_bins"]) > int(rows[0]["clamped_bins"])
 
     def test_clock_value_above_the_qubit_cap_is_one_line_input_error(self, tmp_path, capsys):
         # rejected before anything of size 2**40 is allocated
@@ -473,7 +497,8 @@ class TestCmdSweep:
         raw.update(dataset=str(example.parent / "train.csv"), mode="sampled", shots=500)
         path = tmp_path / "config.json"
         path.write_text(json.dumps({**raw, "sweep": {"axis": "shots", "values": [500]}}))
-        results = cmd_predict(load_config(path))["results"]
+        report = cmd_predict(load_config(path))
+        results = report["results"]
         (row,) = cmd_sweep(load_config(path))
         assert row["mean_error"] == np.mean([r["errors"]["mean"]["absolute"] for r in results])
         assert row["variance_error"] == np.mean(
@@ -482,6 +507,8 @@ class TestCmdSweep:
         assert row["success_fraction"] == np.mean(
             [r["quantum"]["mean"]["success_fraction"] for r in results]
         )
+        assert row["clamped_bins"] == report["qla"]["clamped_bins"]
+        assert row["clamped_variances"] == sum(r["quantum"]["variance"]["clamped"] for r in results)
 
     def test_missing_sweep_section(self, tmp_path):
         cfgp = self._sweep_config(tmp_path)

@@ -348,7 +348,11 @@ class TestPredictVarianceQuantum:
         stub = EstimationResult(k_ss + 5e-4, 0.0, 0, 0.0, 0.0, None, 0)
         monkeypatch.setattr(estimator, "_k_star_form", lambda *args: stub)
         res = predict_variance_quantum(model, [0.0], gpr_plan(model, 8))
-        assert res.estimate == 0.0
+        assert res.estimate == 0.0 and res.clamped is True
+        # just below k(x, x) the variance reads +5e-4, unclamped
+        stub = replace(stub, estimate=k_ss - 5e-4)
+        res = predict_variance_quantum(model, [0.0], gpr_plan(model, 8))
+        assert res.estimate == pytest.approx(5e-4) and res.clamped is False
 
     def test_consistent_with_mean_path_on_k_star(self, rng):
         # replacing y by k_* in the mean estimator reproduces the bilinear

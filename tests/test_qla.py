@@ -349,15 +349,25 @@ class TestEigenvalueInversion:
             expected[2 * k + 1] = weights[k] * ratio
         np.testing.assert_allclose(state.amps, expected, atol=1e-12)
 
-    def test_clamp_logged(self, caplog):
+    def test_clamped_bins_counted_not_logged(self, caplog):
         # T=4 and lambda_max = 1 put bin 1 at lambda = 1/3 < c; bin 2 (2/3) is not
-        # clamped. The config logs it once; the circuits that use it do not.
-        with caplog.at_level("WARNING", logger="qgpr.qla"):
+        # clamped. The config counts it; neither it nor the circuits log a record.
+        with caplog.at_level("DEBUG"):
             cfg = config_for(np.eye(2), 2, c=0.5)
             self._run(1, cfg)
             self._run(2, cfg)
-        messages = [rec.getMessage() for rec in caplog.records]
-        assert len(messages) == 1 and "clamped 1 of 3 clock bins" in messages[0]
+        assert cfg.clamped_bins == 1
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("cfg", [
+        QlaConfig(clock_qubits=3, t0=2 * math.pi / (8 * 0.8), c=0.8),
+        QlaConfig(clock_qubits=3, t0=math.pi / 2, c=0.5),
+        QlaConfig(clock_qubits=3, t0=2 * math.pi / 8, c=1.0),
+        QlaConfig(clock_qubits=2, t0=1.3, c=0.4),
+    ])
+    def test_no_bin_clamped_up_to_a_unit_ratio(self, cfg):
+        # the first three put lambda_1 = c exactly on the clock grid: a full flip, no clamp
+        assert cfg.clamped_bins == 0
 
 
 _LAYOUT = RegisterLayout((("index", 1), ("anc", 1), ("clock", 2)))
