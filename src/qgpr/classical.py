@@ -2,8 +2,8 @@
 checked against, plus a conjugate-gradient baseline and a brute-force inverse.
 
 All linear algebra is dense numpy (LAPACK underneath): :func:`predict_exact`
-pays the O(n^3) Cholesky factorization once per call and one solve for the
-targets and every test point's cross-covariance together.
+pays the O(n^3) Cholesky factorization once per call and one blocked forward
+substitution for the targets and every test point's cross-covariance together.
 """
 
 from __future__ import annotations
@@ -37,15 +37,21 @@ def cholesky(system) -> np.ndarray:
 
 def predict_exact(model: GPModel, points: list) -> list[Prediction]:
     """Posterior mean and variance at each point of the list ``points`` (Rasmussen &
-    Williams, Algorithm 2.1): one Cholesky factor L and one solve z = L^-1 [y, k_*1, ...,
-    k_*m] serve them all; mean_i = z_i . z_y and variance_i = k(x_i, x_i) - |z_i|^2. Each
-    call factors the system, so one call per point pays O(n^3) per point: pass them together.
+    Williams, Algorithm 2.1): one Cholesky factor L and one forward substitution z = L^-1
+    [y, k_*1, ..., k_*m] serve them all; mean_i = z_i . z_y and variance_i = k(x_i, x_i) -
+    |z_i|^2. Each call factors the system, so one call per point pays O(n^3) per point: pass
+    them together. The substitution, O(n^2 m) where a general solve pays an LU on L, solves
+    each 128-row diagonal block once one product has taken off the rows above it.
     """
     if not isinstance(points, list):
         raise InputError(f"test points must be a list of points, got {points!r}")
     cross = [build_cross(model, x) for x in points]
     k_ss = np.array([eval_kernel(model.kernel, x, x) for x in points])
-    z = np.linalg.solve(cholesky(model.system), np.column_stack([model.training.y, *cross]))
+    L, b = cholesky(model.system), np.column_stack([model.training.y, *cross])
+    z = np.empty_like(b)
+    for i in range(0, len(L), 128):
+        j = i + 128
+        z[i:j] = np.linalg.solve(L[i:j, i:j], b[i:j] - L[i:j, :i] @ z[:i])
     with np.errstate(over="ignore"):  # a mean past the float range reads inf, not a warning
         means, variances = z[:, 0] @ z[:, 1:], k_ss - (z[:, 1:] ** 2).sum(0)
     return [Prediction(float(m), float(v)) for m, v in zip(means, variances)]

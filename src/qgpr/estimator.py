@@ -76,23 +76,6 @@ class EstimationResult:
     clamped: bool = False
 
 
-@dataclass(frozen=True)
-class BilinearSpec:
-    """Inputs of one u^T A^{-1} v estimation: the plan holds A's spectrum and the config."""
-
-    u: SparseEncoding
-    v: SparseEncoding
-    plan: SolverPlan
-
-    def __post_init__(self):
-        n = self.plan.spectrum.n
-        if self.u.length != n or self.v.length != n:
-            raise InputError(
-                f"encoded vectors ({self.u.length}, {self.v.length}) do not match "
-                f"system size {n}"
-            )
-
-
 def interference_layout(n: int, clock_qubits: int) -> RegisterLayout:
     """The five registers A..E; the CLI checks a run's qubit cap with it."""
     return RegisterLayout(
@@ -100,24 +83,25 @@ def interference_layout(n: int, clock_qubits: int) -> RegisterLayout:
     )
 
 
-def build_interference_state(spec: BilinearSpec) -> StateVector:
-    """Run the five-register circuit up to (and including) the solver step,
-    which appends the clock E and so checks the qubit cap."""
-    w = index_width(spec.plan.spectrum.n)
+def build_interference_state(u: SparseEncoding, v: SparseEncoding, plan: SolverPlan) -> StateVector:
+    """Run the five-register circuit for u^T A^{-1} v, A the plan's system, up to (and
+    including) the solver step, which appends the clock E and so checks the qubit cap.
+    Both encodings must match the system size; that is checked before any state is built."""
+    n = plan.spectrum.n
+    if u.length != n or v.length != n:
+        raise InputError(f"encoded vectors ({u.length}, {v.length}) do not match system size {n}")
+    w = index_width(n)
     state = sv.init_basis(RegisterLayout((("A", 1), ("B", w), ("C", 1), ("D", 1))))
     sv.apply_gate(state, sv.HADAMARD, "A")
-    sv.reflect(state, state_prep_vector(spec.u, w), ["B", "C"], {"A": 0})
+    sv.reflect(state, state_prep_vector(u, w), ["B", "C"], {"A": 0})
     sv.apply_gate(state, sv.PAULI_X, "D", {"A": 0})
-    sv.reflect(state, state_prep_vector(spec.v, w), ["B", "C"], {"A": 1})
+    sv.reflect(state, state_prep_vector(v, w), ["B", "C"], {"A": 1})
 
-    return solver_block(state, spec.plan, "E", "B", "D", {"A": 1, "C": 1})
+    return solver_block(state, plan, "E", "B", "D", {"A": 1, "C": 1})
 
 
-def estimate_bilinear(
-    spec: BilinearSpec,
-    shots: int | None = None,
-    seed: int = 0,
-) -> EstimationResult:
+def estimate_bilinear(u: SparseEncoding, v: SparseEncoding, plan: SolverPlan,
+                      shots: int | None = None, seed: int = 0) -> EstimationResult:
     """Estimate u^T A^{-1} v from the interference circuit.
 
     The raw mean of M is rescaled by sqrt(s_u s_v) / (c c_u c_v). Exact mode
@@ -126,7 +110,7 @@ def estimate_bilinear(
     draws. The seed (and any shots) is checked before the state is built.
     """
     sv.check_shots(shots, seed)
-    state = build_interference_state(spec)
+    state = build_interference_state(u, v, plan)
     if shots is None:
         raw, success = sv.readout(state, *M)
     else:
@@ -136,10 +120,10 @@ def estimate_bilinear(
     std_error = math.sqrt(max(0.0, success - raw * raw) / (shots - 1)) if (shots or 0) > 1 else 0.0
 
     def rescale(x: float) -> float:  # in turn: sqrt(s_u s_v) / (c c_u c_v) can overflow
-        return x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.plan.config.c / spec.u.c_v / spec.v.c_v
+        return x * math.sqrt(u.s_v * v.s_v) / plan.config.c / u.c_v / v.c_v
 
     return EstimationResult(rescale(raw), rescale(std_error), shots or 0, raw, success,
-                            spec.plan.config, seed)
+                            plan.config, seed)
 
 
 def gpr_plan(model: GPModel, clock_qubits: int) -> SolverPlan:
@@ -164,7 +148,7 @@ def _k_star_form(model: GPModel, x_star, plan: SolverPlan, v, shots, seed):
         return EstimationResult(0.0, 0.0, shots or 0, 0.0, 0.0, plan.config, seed)
     u = make_encoding(k_star)
     v = u if v is None else make_encoding(v)
-    return estimate_bilinear(BilinearSpec(u, v, plan), shots=shots, seed=seed)
+    return estimate_bilinear(u, v, plan, shots=shots, seed=seed)
 
 
 def predict_mean_quantum(model: GPModel, x_star, plan: SolverPlan, shots: int | None = None,
@@ -198,7 +182,7 @@ def shots_for_precision(delta: float, pilot: EstimationResult) -> int:
     if pilot.shots < 100:
         raise InputError(f"pilot run has {pilot.shots} shots; need at least 100")
     try:
-        shots = max(1, math.ceil((pilot.std_error**2) * pilot.shots / delta**2))
+        shots = max(1, math.ceil((pilot.std_error**2) * pilot.shots / (delta * delta)))
     except (ZeroDivisionError, OverflowError, ValueError):  # delta^2 is 0; an inf or NaN count
         raise NumericError(f"delta = {delta:g} at the pilot's standard error "
                            f"{pilot.std_error:g} needs a shot count that is not finite") from None

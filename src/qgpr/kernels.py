@@ -52,7 +52,7 @@ class KernelSpec:
                 object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSet:
     """Training inputs (n x d) and targets (n,)."""
 
@@ -82,7 +82,7 @@ class TrainingSet:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GPModel:
     """Training data, kernel, noise variance, and derived matrices.
 

@@ -105,7 +105,7 @@ def validate_config(config: QlaConfig, lam: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseEncoding:
     """Sparse real vector in the form used for amplitude encoding.
 
@@ -197,7 +197,7 @@ def index_width(n: int) -> int:
     return max(1, math.ceil(math.log2(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """The eigenvalues ``lam`` and eigenvectors ``vec`` of a system of size ``n`` padded to
     2**index_width(n) by direct sum with fill * I, read-only: the system's own eigenpairs,
@@ -338,7 +338,7 @@ def _solver_response(eigs: np.ndarray, config: QlaConfig) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverPlan:
     """All :func:`solver_block` reads: a :class:`Spectrum`, a config checked against it
     and their read-only (n, 2, T) response (:func:`_solver_response`). Made by :func:`plan`."""

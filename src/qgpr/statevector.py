@@ -91,7 +91,7 @@ class RegisterLayout:
         raise InputError(f"no register named {name!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     """Amplitudes over a register layout. The norm is not checked: the circuit
     operations keep it, and :func:`sample_observable` assumes it is 1."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from qgpr import qla
 from qgpr import statevector as sv
-from qgpr.estimator import BilinearSpec, estimate_bilinear
+from qgpr.estimator import estimate_bilinear
 from qgpr.qla import QlaConfig, config_for, eigenvalue_inversion, make_encoding, phase_estimate
 from qgpr.statevector import RegisterLayout, StateVector
 
@@ -136,9 +136,9 @@ class Case:
     config: QlaConfig
     references: dict
 
-    def spec(self) -> BilinearSpec:
-        return BilinearSpec(make_encoding(self.u), make_encoding(self.v),
-                            plan_for(self.system, self.config))
+    def inputs(self) -> tuple[qla.SparseEncoding, qla.SparseEncoding, qla.SolverPlan]:
+        """The (u, v, plan) of an estimate of u^T A^{-1} v."""
+        return make_encoding(self.u), make_encoding(self.v), plan_for(self.system, self.config)
 
 
 def case(name, n, kind="real", clock=8, c=None, t0=None, seed=SEED, lo=0.25, complex_v=False,
@@ -221,7 +221,7 @@ def agree(case, via="none"):
             gap = read["solver"] = _solver_gap(case, via)
             assert gap <= refs["solver"], f"{case.name} via {via}: the solver is off by {gap:.3g}"
         if "estimate" in refs:  # the exact-mode estimate against Re u^T A^{-1} v
-            got = read["estimate"] = estimate_bilinear(case.spec()).estimate
+            got = read["estimate"] = estimate_bilinear(*case.inputs()).estimate
             want = read["oracle"] = float((case.u @ np.linalg.solve(a, case.v)).real)
             assert abs(got - want) <= refs["estimate"], f"{case.name}: {got} off the oracle {want}"
         if "overlap" in refs:  # the least fidelity of qla_solve's state with A^{-1} v

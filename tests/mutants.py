@@ -126,8 +126,8 @@ MUTANTS = (
      ["tests/test_estimator.py", "-k", "out_of_range_fail_before_the_state_is_built"]),
     # the rescaling divides by c, c_u and c_v in turn, never by their product
     ("qgpr/estimator.py",
-     "x * math.sqrt(spec.u.s_v * spec.v.s_v) / spec.plan.config.c / spec.u.c_v / spec.v.c_v",
-     "x * (math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.plan.config.c * spec.u.c_v * spec.v.c_v))",
+     "x * math.sqrt(u.s_v * v.s_v) / plan.config.c / u.c_v / v.c_v",
+     "x * (math.sqrt(u.s_v * v.s_v) / (plan.config.c * u.c_v * v.c_v))",
      ["tests/test_cli.py", "-k", "TestTargetNearTheFloatMaximum"]),
     # a shot recommendation that is not finite is a numerical error
     ("qgpr/estimator.py", "    except (ZeroDivisionError, OverflowError, ValueError):", "    except ():",
@@ -238,6 +238,15 @@ MUTANTS = (
     ("qgpr/estimator.py", '"recommended_shots", shots, 1, sv.MAX_SHOTS)',
      '"recommended_shots", shots, 1, 2 * sv.MAX_SHOTS)',
      ["tests/test_estimator.py", "-k", "TestShotsForPrecision"]),
+    # both encodings match the plan's system size, checked before any state is built
+    ("qgpr/estimator.py", "    if u.length != n or v.length != n:", "    if False:",
+     ["tests/test_estimator.py", "-k", "length_mismatch"]),
+    # each block row of the forward substitution takes off the rows above it
+    ("qgpr/classical.py", " - L[i:j, :i] @ z[:i]", "",
+     ["tests/test_classical.py", "-k", "blocked_substitution"]),
+    # delta is squared by multiplication: past the float range it is inf, not an OverflowError
+    ("qgpr/estimator.py", "(delta * delta)", "delta**2",
+     ["tests/test_estimator.py", "tests/test_cli.py", "-k", "square_overflows"]),
 )
 
 

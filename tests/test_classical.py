@@ -75,6 +75,18 @@ class TestPredictExact:
         assert pred.mean == pytest.approx(mean, rel=1e-8)
         assert pred.variance == pytest.approx(var, rel=1e-8)
 
+    @pytest.mark.parametrize("n", [257, 300])  # two full 128-row blocks and a partial one
+    def test_blocked_substitution_matches_a_dense_triangular_solve(self, rng, n):
+        model = random_se_model(rng, n=n, lengthscale=0.3)
+        points = [[x] for x in rng.uniform(-2.0, 2.0, 5)]
+        L = cholesky(model.system)
+        z = np.linalg.solve(L, np.column_stack([model.training.y,
+                                                *(build_cross(model, x) for x in points)]))
+        for pred, z_i, x in zip(predict_exact(model, points), z[:, 1:].T, points):
+            assert pred.mean == pytest.approx(z_i @ z[:, 0], rel=1e-12)
+            assert pred.variance == pytest.approx(eval_kernel(model.kernel, x, x) - z_i @ z_i,
+                                                  rel=1e-12)
+
     def test_empty_list(self):
         model = build_model(TrainingSet([[0.0]], [2.0]), SE, 1.0)
         assert predict_exact(model, []) == []

@@ -870,6 +870,14 @@ class TestShotRecommendationNotFinite:
         assert err.count("\n") == 1
 
 
+def test_delta_whose_square_overflows_recommends_one_shot(tmp_path, capsys):
+    # past about 1.34e154, delta^2 is inf: the count is 0, raised to one shot
+    cfgp = _example_config(tmp_path, out=str(tmp_path / "report.json"))
+    assert main(["diagnose", "--config", str(cfgp), "--delta", "1e160"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "report.json").read_text())["recommended_shots"] == 1
+
+
 def test_shot_recommendation_past_the_shot_cap_is_one_line_input_error(tmp_path, capsys):
     # the example's pilot recommends about 6e7 shots at delta 0.001, which predict refuses
     cfgp = _example_config(tmp_path, out=str(tmp_path / "report.json"))

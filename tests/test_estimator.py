@@ -11,7 +11,6 @@ from qgpr import statevector as sv
 from qgpr.classical import predict_exact
 from qgpr.estimator import (
     M,
-    BilinearSpec,
     EstimationResult,
     build_interference_state,
     estimate_bilinear,
@@ -90,8 +89,8 @@ class TestBuildInterferenceState:
         cfg = exact_cfg(3, 1.0, c=1.0)
         u = np.array([0.8, -0.5])
         v = np.array([0.25, 1.0])
-        spec = BilinearSpec(make_encoding(u), make_encoding(v), plan_for(np.diag(lam), cfg))
-        state = build_interference_state(spec)
+        state = build_interference_state(make_encoding(u), make_encoding(v),
+                                         plan_for(np.diag(lam), cfg))
         expected = displayed_state(u, v, lam, cfg)
         np.testing.assert_allclose(state.amps, expected, atol=1e-8)
 
@@ -100,8 +99,8 @@ class TestBuildInterferenceState:
         cfg = exact_cfg(3, 1.0, c=1.0)
         u = np.array([2.0])
         v = np.array([0.5])
-        spec = BilinearSpec(make_encoding(u), make_encoding(v), plan_for(np.array([[1.0]]), cfg))
-        state = build_interference_state(spec)
+        state = build_interference_state(make_encoding(u), make_encoding(v),
+                                         plan_for(np.array([[1.0]]), cfg))
         got = expectation(state, *M)
         assert got == pytest.approx(0.5 * 2.0, abs=1e-10)  # c_u=1/2, c_v=2 -> c_u*c_v=1; u A v = 1
         # spelled out: <M> = c c_u c_v / sqrt(s_u s_v) * u^T A^{-1} v
@@ -113,22 +112,22 @@ class TestBuildInterferenceState:
         lam = np.array([1.0, 1.0])
         cfg = exact_cfg(3, 1.0, c=1.0)
         u = np.array([0.6, -1.0])
-        spec = BilinearSpec(make_encoding(u), make_encoding(u), plan_for(np.eye(2), cfg))
-        state = build_interference_state(spec)
+        state = build_interference_state(make_encoding(u), make_encoding(u),
+                                         plan_for(np.eye(2), cfg))
         expected = displayed_state(u, u, lam, cfg)
         np.testing.assert_allclose(state.amps, expected, atol=1e-8)
 
     def test_norm_is_one(self):
-        state = build_interference_state(case("grid", 4, "grid", 5, 1.0, TAU / 32).spec())
+        state = build_interference_state(*case("grid", 4, "grid", 5, 1.0, TAU / 32).inputs())
         assert abs(state.norm() - 1.0) <= 1e-10
 
     def test_temporaries_above_the_state_stay_small(self):
         # 20 qubits (n = 8, clock 14: A1 B3 C1 D1 E14), a 16 MiB state: the
         # clock spread, the solver response and V are written into it in pieces
-        spec = case("temporaries", 8, clock=14).spec()  # the plan holds V and the response
+        inputs = case("temporaries", 8, clock=14).inputs()  # the plan holds V and the response
         tracemalloc.start()
         try:
-            state = build_interference_state(spec)
+            state = build_interference_state(*inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -169,16 +168,14 @@ class TestEstimateBilinear:
     def test_identity_system_unit_vectors(self):
         cfg = exact_cfg(3, 1.0, c=1.0)
         e0 = np.array([1.0, 0.0])
-        spec = BilinearSpec(make_encoding(e0), make_encoding(e0), plan_for(np.eye(2), cfg))
-        res = estimate_bilinear(spec)
+        res = estimate_bilinear(make_encoding(e0), make_encoding(e0), plan_for(np.eye(2), cfg))
         assert res.estimate == pytest.approx(1.0, abs=1e-10)
         assert res.std_error == 0.0 and res.shots == 0
 
     def test_sign_recovered(self):
         cfg = exact_cfg(3, 1.0, c=1.0)
         e0 = np.array([1.0, 0.0])
-        spec = BilinearSpec(make_encoding(e0), make_encoding(-e0), plan_for(np.eye(2), cfg))
-        res = estimate_bilinear(spec)
+        res = estimate_bilinear(make_encoding(e0), make_encoding(-e0), plan_for(np.eye(2), cfg))
         assert res.estimate == pytest.approx(-1.0, abs=1e-10)
 
     @non_finite_systems
@@ -194,7 +191,7 @@ class TestEstimateBilinear:
 
     def test_one_warm_estimate_builds_two_layouts(self, monkeypatch):
         # the A..D state's, and solver_block's with the clock E appended
-        spec = case("layouts", 4, clock=4).spec()
+        inputs = case("layouts", 4, clock=4).inputs()
         built = []
 
         def counted(layout, original=RegisterLayout.__post_init__):
@@ -204,7 +201,7 @@ class TestEstimateBilinear:
         monkeypatch.setattr(RegisterLayout, "__post_init__", counted)
         for shots in (None, 100):
             built.clear()
-            estimate_bilinear(spec, shots, seed=1)
+            estimate_bilinear(*inputs, shots, seed=1)
             assert built == [("A", "B", "C", "D"), ("A", "B", "C", "D", "E")]
 
     def test_clock_over_the_qubit_cap_fails_where_solver_block_appends_it(self, monkeypatch):
@@ -214,12 +211,12 @@ class TestEstimateBilinear:
         # clock-sized allocation
         monkeypatch.setattr(qla, "_solver_response", lambda lam, config: np.broadcast_to(
             np.zeros((1, 1, 1), dtype=complex), (len(lam), 2, config.T)))
-        spec = BilinearSpec(make_encoding(np.ones(8)), make_encoding(np.ones(8)),
-                            plan_for(np.eye(8), QlaConfig(17, t0=0.1, c=0.5)))
+        inputs = (make_encoding(np.ones(8)), make_encoding(np.ones(8)),
+                  plan_for(np.eye(8), QlaConfig(17, t0=0.1, c=0.5)))
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="exceeds the cap") as excinfo:
-                estimate_bilinear(spec)
+                estimate_bilinear(*inputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,16 +225,16 @@ class TestEstimateBilinear:
 
     def test_negating_u_negates_estimate(self):
         grid = case("grid", 4, "grid", 4, t0=TAU / 16)
-        u, v, plan = grid.u, grid.v, grid.spec().plan
-        plus = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), plan))
-        minus = estimate_bilinear(BilinearSpec(make_encoding(-u), make_encoding(v), plan))
+        u, v, plan = grid.u, grid.v, grid.inputs()[2]
+        plus = estimate_bilinear(make_encoding(u), make_encoding(v), plan)
+        minus = estimate_bilinear(make_encoding(-u), make_encoding(v), plan)
         assert minus.estimate == pytest.approx(-plus.estimate, abs=1e-12)
 
     def test_symmetry_in_u_and_v(self):
         grid = case("grid", 4, "grid", 4, t0=TAU / 16)
-        u, v, plan = grid.u, grid.v, grid.spec().plan
-        r_uv = estimate_bilinear(BilinearSpec(make_encoding(u), make_encoding(v), plan))
-        r_vu = estimate_bilinear(BilinearSpec(make_encoding(v), make_encoding(u), plan))
+        u, v, plan = grid.u, grid.v, grid.inputs()[2]
+        r_uv = estimate_bilinear(make_encoding(u), make_encoding(v), plan)
+        r_vu = estimate_bilinear(make_encoding(v), make_encoding(u), plan)
         assert r_uv.estimate == pytest.approx(r_vu.estimate, abs=1e-6)
 
     def test_sampled_sign_recovery(self):
@@ -245,12 +242,9 @@ class TestEstimateBilinear:
         u = np.array([0.9, 0.2])
         v = np.array([-0.7, 0.4])
         a = np.diag([1.0, 2.0])
-        plus = estimate_bilinear(
-            BilinearSpec(make_encoding(u), make_encoding(v), plan_for(a, cfg)), 100_000, 0
-        )
-        minus = estimate_bilinear(
-            BilinearSpec(make_encoding(-u), make_encoding(v), plan_for(a, cfg)), 100_000, 1
-        )
+        plan = plan_for(a, cfg)
+        plus = estimate_bilinear(make_encoding(u), make_encoding(v), plan, 100_000, 0)
+        minus = estimate_bilinear(make_encoding(-u), make_encoding(v), plan, 100_000, 1)
         sigma = math.hypot(plus.std_error, minus.std_error)
         assert abs(plus.estimate + minus.estimate) <= 3 * sigma
         truth = u @ np.linalg.inv(a) @ v
@@ -258,28 +252,34 @@ class TestEstimateBilinear:
 
     def test_sampled_determinism(self):
         cfg = exact_cfg(3, 1.0, c=1.0)
-        spec = BilinearSpec(
-            make_encoding([1.0, 0.5]), make_encoding([0.5, 1.0]), plan_for(np.diag([1.0, 2.0]), cfg)
-        )
-        a = estimate_bilinear(spec, 5000, seed=9)
-        b = estimate_bilinear(spec, 5000, seed=9)
+        inputs = (make_encoding([1.0, 0.5]), make_encoding([0.5, 1.0]),
+                  plan_for(np.diag([1.0, 2.0]), cfg))
+        a = estimate_bilinear(*inputs, 5000, seed=9)
+        b = estimate_bilinear(*inputs, 5000, seed=9)
         assert a == b
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("build", [build_interference_state, estimate_bilinear],
+                             ids=["build_interference_state", "estimate_bilinear"])
+    def test_length_mismatch_fails_before_any_state(self, monkeypatch, build):
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was built before the sizes were checked")
+
+        monkeypatch.setattr(sv, "init_basis", no_state)
         cfg = exact_cfg(3, 1.0, c=1.0)
-        with pytest.raises(InputError):
-            BilinearSpec(make_encoding([1.0]), make_encoding([1.0, 2.0]), plan_for(np.eye(2), cfg))
+        with pytest.raises(InputError, match=r"^encoded vectors \(1, 2\) do not match "
+                                             r"system size 2$"):
+            build(make_encoding([1.0]), make_encoding([1.0, 2.0]), plan_for(np.eye(2), cfg))
 
     def test_shots_or_seed_out_of_range_fail_before_the_state_is_built(self, monkeypatch):
-        def no_state(spec):
+        def no_state(u, v, plan):
             raise AssertionError("the state was built before shots and seed were checked")
 
         monkeypatch.setattr(estimator, "build_interference_state", no_state)
         cfg = exact_cfg(3, 1.0, c=1.0)
-        spec = BilinearSpec(make_encoding([1.0]), make_encoding([1.0]), plan_for(np.eye(1), cfg))
+        inputs = (make_encoding([1.0]), make_encoding([1.0]), plan_for(np.eye(1), cfg))
         for shots, seed in _BAD_SHOTS_AND_SEEDS:
             with pytest.raises(InputError):
-                estimate_bilinear(spec, shots, seed=seed)
+                estimate_bilinear(*inputs, shots, seed=seed)
 
 
 class TestPredictMeanQuantum:
@@ -452,6 +452,10 @@ class TestShotsForPrecision:
                                              f"1..{sv.MAX_SHOTS}$"):
             shots_for_precision(1.0, self._pilot(1.0, sv.MAX_SHOTS + 1))
 
+    def test_delta_whose_square_overflows_needs_one_shot(self):
+        # past about 1.34e154, delta^2 is inf and the count 0, raised to one shot
+        assert shots_for_precision(1e160, self._pilot(1.0, 100)) == 1
+
     def test_requires_real_pilot(self):
         with pytest.raises(InputError):
             shots_for_precision(0.1, self._pilot(0.1, 50))
@@ -524,9 +528,9 @@ class TestShotNoiseScaling:
 
 
 def interference_state(n, clock, kind="real"):
-    """The spec of a ``kind`` case with c = lambda_min, and its interference state."""
-    spec = case(kind, n, kind, clock).spec()
-    return spec, build_interference_state(spec)
+    """The (u, v, plan) of a ``kind`` case with c = lambda_min, and its interference state."""
+    inputs = case(kind, n, kind, clock).inputs()
+    return inputs, build_interference_state(*inputs)
 
 
 class TestSampledReadout:
@@ -550,17 +554,17 @@ class TestSampledReadout:
     def test_estimate_reads_the_counts(self):
         # mean, sample standard deviation (ddof = 1) and success fraction of the
         # shots the counts stand for
-        spec, state = interference_state(4, 5)
-        res = estimate_bilinear(spec, 3000, seed=7)
+        (u, v, plan), state = interference_state(4, 5)
+        res = estimate_bilinear(u, v, plan, 3000, seed=7)
         counts = sv.sample_observable(state, *M, 3000, 7)
         shots = np.repeat([-1.0, 0.0, 1.0], counts)
         sd = shots.std(ddof=1) / math.sqrt(shots.size)
-        scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.plan.config.c * spec.u.c_v * spec.v.c_v)
+        scale = math.sqrt(u.s_v * v.s_v) / (plan.config.c * u.c_v * v.c_v)
         assert res.raw_mean == pytest.approx(shots.mean(), rel=1e-12)
         assert res.estimate == pytest.approx(shots.mean() * scale, rel=1e-12)
         assert res.std_error == pytest.approx(sd * scale, rel=1e-12)
         assert res.success_fraction == pytest.approx(np.mean(shots != 0.0), rel=1e-12)
-        one = estimate_bilinear(spec, 1, seed=7)
+        one = estimate_bilinear(u, v, plan, 1, seed=7)
         assert one.std_error == 0.0 and one.raw_mean in (-1.0, 0.0, 1.0)
 
 
@@ -569,9 +573,9 @@ class TestReadout:
     @pytest.mark.parametrize("n, clock", [(3, 4), (8, 6), (16, 8)])
     def test_exact_mode_reads_the_post_selected_slices(self, n, clock, kind):
         # <M> = 2 Re<psi[A=0,C=1,D=1] | psi[A=1,C=1,D=1]> and P(C=1,D=1) = |psi[C=1,D=1]|^2
-        spec, state = interference_state(n, clock, kind)
-        assert np.iscomplexobj(spec.plan.spectrum.vec) == (kind == "complex")
-        res = estimate_bilinear(spec)
+        (u, v, plan), state = interference_state(n, clock, kind)
+        assert np.iscomplexobj(plan.spectrum.vec) == (kind == "complex")
+        res = estimate_bilinear(u, v, plan)
         psi = state.amps.reshape(state.layout.dims)  # axes A, B, C, D, E
         cross = 2.0 * np.vdot(psi[0, :, 1, 1, :], psi[1, :, 1, 1, :]).real
         assert abs(res.raw_mean - cross) <= 1e-15
@@ -581,10 +585,10 @@ class TestReadout:
     def test_std_error_is_the_three_term_sample_deviation(self, shots):
         # sum over the shots of (x - mean)^2 / (shots - 1) / shots, in exact
         # rational arithmetic, against the one-line form sqrt((w - mean^2) / (shots - 1))
-        spec, state = interference_state(4, 5)
-        scale = math.sqrt(spec.u.s_v * spec.v.s_v) / (spec.plan.config.c * spec.u.c_v * spec.v.c_v)
+        (u, v, plan), state = interference_state(4, 5)
+        scale = math.sqrt(u.s_v * v.s_v) / (plan.config.c * u.c_v * v.c_v)
         for seed in range(6):
-            res = estimate_bilinear(spec, shots, seed=seed)
+            res = estimate_bilinear(u, v, plan, shots, seed=seed)
             minus, zero, plus = map(int, sv.sample_observable(state, *M, shots, seed))
             mean = Fraction(plus - minus, shots)
             squares = minus * (-1 - mean) ** 2 + zero * mean**2 + plus * (1 - mean) ** 2
