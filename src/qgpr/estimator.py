@@ -194,10 +194,10 @@ def neumann_row(model: GPModel, x_star, order: int) -> np.ndarray:
 
     T_x = sum_{j<x} (-1)^j K^j / sigma^(2(j+1)), the Neumann expansion around
     sigma_n^2 I; valid when the spectral radius of K, max |lambda_i(system) - sigma_n^2|, is
-    below sigma_n^2 (its eigenvalues read from ``model.spectrum``).
+    below sigma_n^2 (its eigenvalues read from ``model.spectrum``). K is a copy of the
+    system with its diagonal reset to k(x, x) = signal_variance, the Gram matrix's own.
     """
     order = integer("order", order, 1)
-    k = model.gram
     sigma2 = model.noise_variance
     rho = float(np.abs(model.spectrum.system_lam - sigma2).max())
     if rho >= sigma2:
@@ -205,6 +205,8 @@ def neumann_row(model: GPModel, x_star, order: int) -> np.ndarray:
             f"spectral radius of K ({rho:.4g}) is not below sigma_n^2 ({sigma2:.4g}); "
             "the truncated expansion diverges -- use the dense targets directly"
         )
+    k = model.system.copy()
+    np.fill_diagonal(k, model.kernel.signal_variance)
     term = build_cross(model, x_star)
     row = np.zeros_like(term)
     for j in range(order):

@@ -60,12 +60,13 @@ class TrainingSet:
     y: np.ndarray
 
     def __post_init__(self):
-        X = finite_array("training X", self.X)
+        # copies, so a later edit of the caller's arrays cannot change the training set
+        X = np.array(finite_array("training X", self.X))
         if X.ndim == 1:
             X = X.reshape(-1, 1)
         if X.ndim != 2 or X.shape[0] < 1:
             raise InputError(f"training inputs must be (n, d) with n >= 1, got {X.shape}")
-        y = finite_array("training y", self.y).reshape(-1)
+        y = np.array(finite_array("training y", self.y)).reshape(-1)
         if y.shape[0] != X.shape[0]:
             raise InputError(f"{X.shape[0]} points but {y.shape[0]} targets")
         X.setflags(write=False)
@@ -84,9 +85,9 @@ class TrainingSet:
 
 @dataclass(frozen=True, eq=False)
 class GPModel:
-    """Training data, kernel, noise variance, and derived matrices.
+    """Training data, kernel, noise variance, and the one n x n matrix.
 
-    ``system = gram + noise_variance * I`` is the matrix whose inverse enters
+    ``system = K + noise_variance * I`` is the matrix whose inverse enters
     both the linear predictor and the predictive variance; ``spectrum`` is its one
     eigendecomposition, padded with sigma_n^2 (:func:`qgpr.qla.spectrum`), which every
     eigenvalue question reads, computed on first use and kept for the model's lifetime.
@@ -95,7 +96,6 @@ class GPModel:
     training: TrainingSet
     kernel: KernelSpec
     noise_variance: float
-    gram: np.ndarray = field(repr=False)
     system: np.ndarray = field(repr=False)
 
     @property
@@ -137,20 +137,20 @@ def eval_kernel(spec: KernelSpec, x, x2) -> float:
 
 
 def build_model(training: TrainingSet, spec: KernelSpec, noise_variance: float) -> GPModel:
-    """Build the Gram matrix and the regularized system ``K + sigma_n^2 I``; a data
-    set past ``MAX_GRAM_ENTRIES`` n^2 d differences is refused before any is formed."""
+    """Build the regularized system ``K + sigma_n^2 I``, adding sigma_n^2 to the Gram
+    matrix's diagonal in place; a data set past ``MAX_GRAM_ENTRIES`` n^2 d differences
+    is refused before any is formed."""
     noise_variance = finite_real("noise_variance", noise_variance, 0)
     n, d = training.n, training.d
     if n * n * d > MAX_GRAM_ENTRIES:
         raise InputError(f"n = {n} points of d = {d} features need n^2 d = {n * n * d} "
                          f"kernel differences, over the limit of {MAX_GRAM_ENTRIES}")
-    gram = _k(spec, training.X, training.X)
-    if not np.isfinite(gram).all():
+    system = _k(spec, training.X, training.X)
+    if not np.isfinite(system).all():
         raise NumericError("Gram matrix has non-finite entries")
-    system = gram + noise_variance * np.eye(training.n)
-    gram.setflags(write=False)
+    system[np.diag_indices(n)] += noise_variance
     system.setflags(write=False)
-    return GPModel(training, spec, noise_variance, gram, system)
+    return GPModel(training, spec, noise_variance, system)
 
 
 def build_cross(model: GPModel, x_star) -> np.ndarray:

@@ -123,11 +123,6 @@ class SparseEncoding:
     def s_v(self) -> int:
         return int(self.support.shape[0])
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.length)
-        out[self.support] = self.values
-        return out
-
 
 def make_encoding(v) -> SparseEncoding:
     """Encode a real vector for sparse state preparation; rejects all-zero,

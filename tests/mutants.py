@@ -247,6 +247,12 @@ MUTANTS = (
     # delta is squared by multiplication: past the float range it is inf, not an OverflowError
     ("qgpr/estimator.py", "(delta * delta)", "delta**2",
      ["tests/test_estimator.py", "tests/test_cli.py", "-k", "square_overflows"]),
+    # the system is the Gram matrix with sigma_n^2 added to its diagonal
+    ("qgpr/kernels.py", "    system[np.diag_indices(n)] += noise_variance\n", "",
+     ["tests/test_kernels.py", "-k", "TestBuildModel"]),
+    # the Neumann series reads K: the system with k(x, x) put back on its diagonal
+    ("qgpr/estimator.py", "    np.fill_diagonal(k, model.kernel.signal_variance)\n", "",
+     ["tests/test_estimator.py", "-k", "reads_the_gram_matrix"]),
 )
 
 

@@ -192,13 +192,14 @@ def test_criterion_07_sparsification_identity():
             assert s == 3
             x_star = [0.8 * (n // 2)]
             k_star = build_cross(model, x_star)
+            gram = np.array([[eval_kernel(spec, a, b) for b in X] for a in X])
             sigma2 = model.noise_variance
             for order in (1, 2, 3):
                 t_x = np.zeros((n, n))
                 power = np.eye(n)
                 for j in range(order):
                     t_x += ((-1.0) ** j / sigma2 ** (j + 1)) * power
-                    power = power @ model.gram
+                    power = power @ gram
                 y_sparse = sparsify_y(model, x_star, order)
                 assert k_star @ t_x @ y_sparse == k_star @ t_x @ model.training.y
                 assert np.count_nonzero(y_sparse) <= s**order

@@ -1,5 +1,6 @@
 """The package's public surface, and how its array-holding records compare."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -9,7 +10,7 @@ import qgpr
 from qgpr import exceptions, qla
 from qgpr import statevector as sv
 from qgpr.estimator import gpr_plan
-from qgpr.kernels import KernelSpec, TrainingSet, build_model
+from qgpr.kernels import GPModel, KernelSpec, TrainingSet, build_model
 
 # the pipeline (a GP model, its classical oracle, the solver plan and the
 # quantum estimates) and the exceptions of the error contract
@@ -29,6 +30,12 @@ def test_the_package_exports_the_pipeline_and_the_error_contract():
     errors = {name for name, value in vars(exceptions).items()
               if isinstance(value, type) and issubclass(value, Exception)}
     assert errors <= PUBLIC
+
+
+def test_a_gp_model_holds_one_n_by_n_matrix():
+    # K + sigma_n^2 I only: the Gram matrix K is not kept beside it
+    names = [f.name for f in dataclasses.fields(GPModel)]
+    assert names == ["training", "kernel", "noise_variance", "system"]
 
 
 def _model():

@@ -579,8 +579,8 @@ class TestMainExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert json.loads(out.read_text())["diagnostics"]["row_sparsity"] == 1
         cfg = load_config(cfgp)
-        gram = build_model(ingest_csv(dataset), cfg.kernel, cfg.noise_variance).gram
-        np.testing.assert_array_equal(gram, np.eye(3))
+        system = build_model(ingest_csv(dataset), cfg.kernel, cfg.noise_variance).system
+        np.testing.assert_array_equal(system, (1.0 + cfg.noise_variance) * np.eye(3))
 
     @pytest.mark.parametrize(
         "overrides",

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qgpr import estimator, qla
+from qgpr import estimator, kernels, qla
 from qgpr import statevector as sv
 from qgpr.classical import predict_exact
 from qgpr.estimator import (
@@ -596,6 +596,11 @@ class TestReadout:
             assert res.std_error == pytest.approx(math.sqrt(var) * scale, rel=1e-12, abs=0)
 
 
+def gram(model):
+    """K from the kernel's closed form over the training inputs, as build_model forms it."""
+    return kernels._k(model.kernel, model.training.X, model.training.X)
+
+
 class TestSparsifyY:
     def _line_model(self, n, order_radius=1.0, signal=0.05, noise=1.0):
         # colinear points 0.8 apart: only adjacent pairs are within the cutoff
@@ -634,11 +639,11 @@ class TestSparsifyY:
         k_star = build_cross(model, x_star)
         sigma2 = model.noise_variance
         for order in (1, 2, 3):
-            t_x = np.zeros_like(model.gram)
+            t_x = np.zeros((model.n, model.n))
             power = np.eye(model.n)
             for j in range(order):
                 t_x += ((-1.0) ** j / sigma2 ** (j + 1)) * power
-                power = power @ model.gram
+                power = power @ gram(model)
             y_sparse = sparsify_y(model, x_star, order)
             assert k_star @ t_x @ y_sparse == k_star @ t_x @ model.training.y
 
@@ -647,8 +652,27 @@ class TestSparsifyY:
         x_star = [0.8 * 3]
         k_star = build_cross(model, x_star)
         sigma2 = model.noise_variance
-        t2 = np.eye(8) / sigma2 - model.gram / sigma2**2
+        t2 = np.eye(8) / sigma2 - gram(model) / sigma2**2
         np.testing.assert_allclose(neumann_row(model, x_star, 2), k_star @ t2, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("squared-exponential", 0.05, 0.7),
+        KernelSpec("compact-support", 0.05, 1.0, cutoff_radius=1.0),
+    ], ids=["squared-exponential", "compact-support"])
+    def test_row_reads_the_gram_matrix_bit_for_bit(self, rng, spec):
+        # K is the system with k(x, x) put back on its diagonal, so the series on the Gram
+        # matrix as build_model forms it, in neumann_row's order of operations, is equal
+        X = rng.uniform(-2.0, 2.0, size=(9, 2))
+        X[-1] = X[0]  # a duplicated training point
+        model = build_model(TrainingSet(X, rng.normal(size=9)), spec, 0.7)
+        x_star, k = X[3] + 0.1, gram(model)
+        for order in (1, 2, 3):
+            term = build_cross(model, x_star)
+            want = np.zeros_like(term)
+            for j in range(order):
+                want += ((-1.0) ** j / 0.7 ** (j + 1)) * term
+                term = term @ k
+            np.testing.assert_array_equal(neumann_row(model, x_star, order), want)
 
     def test_system_is_diagonalized_once(self, eigen_calls):
         # three test points read the spectral radius off one eigh of the 3x3 system

@@ -3,17 +3,20 @@ for ``readout`` without pins, in the result its docstring names), never in a
 bare Python or numpy error, a warning or a silent wrong result."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qgpr import statevector as sv
 from qgpr.classical import cg_solve, cholesky, dense_inverse, predict_exact
+from qgpr.cli import ingest_csv, load_config
 from qgpr.estimator import EstimationResult, shots_for_precision
 from qgpr.exceptions import QgprError
-from qgpr.kernels import KernelSpec, TrainingSet, build_cross, build_model, eval_kernel
-from qgpr.qla import (QlaConfig, config_for, gershgorin_bound, hermitianize, make_encoding,
-                      phase_estimate, qla_solve, spectrum)
+from qgpr.kernels import KernelSpec, TrainingSet, as_point, build_cross, build_model, eval_kernel
+from qgpr.qla import (QlaConfig, config_for, eigenvalue_inversion, gershgorin_bound,
+                      hermitianize, make_encoding, phase_estimate, prepare_sparse_state,
+                      qla_solve, spectrum)
 
 SE = KernelSpec("squared-exponential", 1.0, 1.0)
 TRAINING = TrainingSet([[0.0], [1.0]], [0.5, -0.5])
@@ -23,10 +26,19 @@ STRINGS = [["a"]]
 EMPTY = np.zeros((0, 0))
 RAGGED = [[1.0], [1.0, 2.0]]
 CFG = QlaConfig(2, 0.5, 0.1)
+HILBERT = 1.0 / (np.arange(10)[:, None] + np.arange(10) + 1.0)  # kappa ~ 1.6e13
+BLANK_LINE = "0,2\n\n1\n"  # a blank row 2, then a one-column row 3
 
 
-def _state():
-    return sv.init_basis(sv.RegisterLayout((("A", 1), ("E", 2))))
+def _state(a_width=1):
+    return sv.init_basis(sv.RegisterLayout((("A", a_width), ("E", 2))))
+
+
+def _written(name, text):
+    """A file holding ``text`` in the working directory, which is fresh for each probe."""
+    path = Path(name)
+    path.write_text(text)
+    return path
 
 
 PROBES = {
@@ -82,15 +94,54 @@ PROBES = {
     "RegisterLayout-entry-without-width": lambda: sv.RegisterLayout((("A",),)),
     "RegisterLayout-string-registers": lambda: sv.RegisterLayout("AB"),
     "RegisterLayout-none-registers": lambda: sv.RegisterLayout(None),
+    "cg_solve-shape-mismatch": lambda: cg_solve(np.eye(2), np.ones(3)),
+    "dense_inverse-hilbert-matrix": lambda: dense_inverse(HILBERT),
+    "load_config-json-list": lambda: load_config(_written("config.json", "[1, 2]")),
+    "ingest_csv-blank-line-then-one-column-row": lambda: ingest_csv(_written("d.csv", BLANK_LINE)),
+    "as_point-2d-point": lambda: as_point([[0.0, 1.0]]),
+    "TrainingSet-3d-X": lambda: TrainingSet(np.zeros((2, 1, 1)), [0.0, 0.0]),
+    "TrainingSet-zero-row-X": lambda: TrainingSet(np.zeros((0, 1)), []),
+    "prepare_sparse_state-2-qubit-flag": lambda: prepare_sparse_state(
+        sv.RegisterLayout((("index", 1), ("flag", 2))), "index", "flag", make_encoding([1.0])),
+    "eigenvalue_inversion-wrong-clock-width": lambda: eigenvalue_inversion(_state(), "A", "E",
+                                                                           CFG),
+    "eigenvalue_inversion-2-qubit-ancilla": lambda: eigenvalue_inversion(_state(2), "E", "A",
+                                                                         CFG),
+    "qla_solve-sparse-length-mismatch": lambda: qla_solve(make_encoding([1.0] * 3), np.eye(2),
+                                                          CFG),
+    "qla_solve-vector-length-mismatch": lambda: qla_solve([1.0] * 3, np.eye(2), CFG),
+    "hermitianize-vector": lambda: hermitianize([1.0, 2.0]),
+    "StateVector-wrong-length": lambda: sv.StateVector(_state().layout, np.zeros(4)),
+    "apply_gate-wrongly-sized-gate": lambda: sv.apply_gate(_state(), np.eye(4), "A"),
+}
+
+# the whole message of each probe named here; the others need only raise a QgprError
+MESSAGES = {
+    "cg_solve-shape-mismatch": r"^system shape \(2, 2\) does not match vector length 3$",
+    "dense_inverse-hilbert-matrix": r"^inverse residual \S+ exceeds 1e-10$",
+    "load_config-json-list": r"^config file must contain a JSON object$",
+    "ingest_csv-blank-line-then-one-column-row": r"^row 3: need at least one feature and a target$",
+    "as_point-2d-point": r"^input point must be one-dimensional, got shape \(1, 2\)$",
+    "TrainingSet-3d-X": r"^training inputs must be \(n, d\) with n >= 1, got \(2, 1, 1\)$",
+    "TrainingSet-zero-row-X": r"^training inputs must be \(n, d\) with n >= 1, got \(0, 1\)$",
+    "prepare_sparse_state-2-qubit-flag": r"^flag register 'flag' must be one qubit wide$",
+    "eigenvalue_inversion-wrong-clock-width": r"^clock register width does not match config$",
+    "eigenvalue_inversion-2-qubit-ancilla": r"^ancilla register 'A' must be one qubit wide$",
+    "qla_solve-sparse-length-mismatch": r"^vector length 3 does not match system size 2$",
+    "qla_solve-vector-length-mismatch": r"^vector length 3 does not match system size 2$",
+    "hermitianize-vector": r"^expected a matrix, got shape \(2,\)$",
+    "StateVector-wrong-length": r"^amplitude vector has length \(4,\), layout needs 8$",
+    "apply_gate-wrongly-sized-gate": r"^gate shape \(4, 4\) does not match dimension 2$",
 }
 
 
-@pytest.mark.parametrize("probe", list(PROBES.values()), ids=list(PROBES))
-def test_hostile_value_ends_in_a_qgpr_error(probe):
+@pytest.mark.parametrize("name", list(PROBES))
+def test_hostile_value_ends_in_a_qgpr_error(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the probes that read a file write it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(QgprError):
-            probe()
+        with pytest.raises(QgprError, match=MESSAGES.get(name)):
+            PROBES[name]()
 
 
 def test_readout_takes_none_as_no_pins():

@@ -31,6 +31,11 @@ def closed_form(spec, x, x2):
     return 0.0 if u >= 1.0 else spec.signal_variance * (1.0 - u) ** 4 * (4.0 * u + 1.0)
 
 
+def closed_form_gram(spec, X):
+    """The Gram matrix K from :func:`closed_form`, pair by pair."""
+    return np.array([[closed_form(spec, a, b) for b in X] for a in X])
+
+
 class TestEvalKernel:
     def test_se_at_zero_distance_is_signal_variance(self):
         assert eval_kernel(SE, [0.0], [0.0]) == 1.0
@@ -126,17 +131,43 @@ class TestTrainingSet:
         assert ts.X.shape == (3, 1)
         assert ts.n == 3 and ts.d == 1
 
+    def test_callers_two_dimensional_inputs_stay_writable(self):
+        X = np.array([[0.0], [1.0]])
+        TrainingSet(X, [1.0, 2.0])
+        assert X.flags.writeable
+
+    def test_later_edit_of_one_dimensional_inputs_leaves_the_model_alone(self):
+        x = np.array([0.0, 1.0])
+        model = build_model(TrainingSet(x, [1.0, 2.0]), SE, 0.5)
+        x[1] = 5.0
+        np.testing.assert_array_equal(model.training.X, [[0.0], [1.0]])
+        assert model.system[0, 1] == closed_form(SE, [0.0], [1.0])
+
+    def test_later_edit_of_the_targets_leaves_the_model_alone(self):
+        y = np.array([1.0, 2.0])
+        model = build_model(TrainingSet([0.0, 1.0], y), SE, 0.5)
+        y[0] = 9.0
+        np.testing.assert_array_equal(model.training.y, [1.0, 2.0])
+
 
 class TestBuildModel:
     def test_single_point(self):
         model = build_model(TrainingSet([[0.0]], [1.0]), SE, 1.0)
-        np.testing.assert_array_equal(model.gram, [[1.0]])
         np.testing.assert_array_equal(model.system, [[2.0]])
 
     def test_two_identical_points(self):
         model = build_model(TrainingSet([[0.3], [0.3]], [0.0, 0.0]), SE, 0.1)
-        np.testing.assert_array_equal(model.gram, np.ones((2, 2)))
-        np.testing.assert_allclose(model.system, [[1.1, 1.0], [1.0, 1.1]])
+        np.testing.assert_array_equal(model.system, [[1.0 + 0.1, 1.0], [1.0, 1.0 + 0.1]])
+
+    def test_system_is_the_gram_matrix_plus_the_noise_variance(self, rng):
+        # K + sigma_n^2 I formed out of place, bit for bit, with a duplicated point
+        for spec in (SE, CS15):
+            for d in (1, 2):
+                X = rng.uniform(-2.0, 2.0, size=(9, d))
+                X[-1] = X[0]
+                model = build_model(TrainingSet(X, np.zeros(9)), spec, 0.3)
+                want = kernels._k(spec, model.training.X, model.training.X) + 0.3 * np.eye(9)
+                np.testing.assert_array_equal(model.system, want)
 
     def test_row_sparsity_matches_distance_count(self, rng):
         # oracle: count neighbours within the cutoff by direct pairwise distances
@@ -193,13 +224,13 @@ class TestBuildCross:
         np.testing.assert_array_equal(build_cross(model, [10.0]), np.zeros(2))
 
     def test_matches_elementwise_oracle(self, rng):
-        # the Gram matrix, k_* and k(x_*, x_*) against the closed forms, pair by pair
+        # the system, k_* and k(x_*, x_*) against the closed forms, pair by pair
         for spec in (KernelSpec("squared-exponential", 1.7, 1.3), CS15):
             for d in (1, 2, 3):
                 X = rng.uniform(-2.0, 2.0, size=(8, d))
                 model = build_model(TrainingSet(X, np.zeros(8)), spec, 0.5)
-                gram = [[closed_form(spec, a, b) for b in X] for a in X]
-                np.testing.assert_allclose(model.gram, gram, rtol=1e-14, atol=0)
+                system = closed_form_gram(spec, X) + 0.5 * np.eye(8)
+                np.testing.assert_allclose(model.system, system, rtol=1e-14, atol=0)
                 for x_star in rng.uniform(-2.0, 2.0, size=(4, d)):
                     cross = [closed_form(spec, xi, x_star) for xi in X]
                     np.testing.assert_allclose(
@@ -257,20 +288,21 @@ class TestDiagnostics:
 
 
 class TestInvariants:
-    def test_gram_symmetry_exact(self, rng):
+    def test_system_symmetry_exact(self, rng):
         for maker in (random_se_model, random_cs_model):
             model = maker(rng, n=8, d=2)
-            np.testing.assert_array_equal(model.gram, model.gram.T)
+            np.testing.assert_array_equal(model.system, model.system.T)
 
     def test_se_gram_numerically_psd(self, rng):
         for _ in range(5):
             model = random_se_model(rng, n=8)
-            eigs = np.linalg.eigvalsh(model.gram)
+            eigs = np.linalg.eigvalsh(closed_form_gram(model.kernel, model.training.X))
             assert eigs.min() >= -1e-10 * eigs.max()
 
     def test_regularization_shifts_eigenvalues(self, rng):
         model = random_se_model(rng, n=8, noise_variance=0.3)
-        shift = np.linalg.eigvalsh(model.system) - np.linalg.eigvalsh(model.gram)
+        gram = closed_form_gram(model.kernel, model.training.X)
+        shift = np.linalg.eigvalsh(model.system) - np.linalg.eigvalsh(gram)
         np.testing.assert_allclose(shift, 0.3, atol=1e-12)
 
     def test_compact_support_structural_zeros(self, rng):
@@ -279,11 +311,9 @@ class TestInvariants:
         for i in range(8):
             for j in range(8):
                 far = np.linalg.norm(X[i] - X[j]) >= 1.0
-                assert (model.gram[i, j] == 0.0) == far
+                assert (model.system[i, j] == 0.0) == far
 
-    def test_model_matrices_are_read_only(self, rng):
+    def test_model_matrix_is_read_only(self, rng):
         model = random_se_model(rng, n=4)
-        with pytest.raises(ValueError):
-            model.gram[0, 0] = 7.0
         with pytest.raises(ValueError):
             model.system[0, 0] = 7.0

@@ -82,10 +82,13 @@ class TestMakeEncoding:
             with pytest.raises(InputError, match="must hold real numbers"):
                 make_encoding(v)
 
-    def test_dense_roundtrip(self, rng):
+    def test_keeps_the_nonzero_entries_and_the_length(self, rng):
         v = rng.normal(size=6)
         v[2] = v[5] = 0.0
-        np.testing.assert_array_equal(make_encoding(v).dense(), v)
+        enc = make_encoding(v)
+        np.testing.assert_array_equal(enc.support, [0, 1, 3, 4])
+        np.testing.assert_array_equal(enc.values, v[[0, 1, 3, 4]])
+        assert enc.length == 6
 
 
 class TestPrepareSparseState:
